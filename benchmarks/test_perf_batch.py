@@ -24,6 +24,7 @@ from pathlib import Path
 
 from repro.apps import create_app
 from repro.core import CampaignConfig, CampaignRunner
+from repro.exec.base import BATCH_SIZE
 from repro.sim import ProtectionMode
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -90,7 +91,7 @@ def test_perf_batch_writes_benchmark_json(show):
             # fork engine's scalar path (0 on this cell: every divergence
             # stays data-only, the paper's point about protecting control).
             "retired_runs": retired,
-            "batch_size": 256,
+            "batch_size": BATCH_SIZE,
         },
         "outcomes": {
             "failures_pct": batch_cell.failure_percent,

@@ -72,8 +72,8 @@ def test_perf_interpreter_writes_benchmark_json(show):
 
     # Small campaign: serial vs parallel timing + bit-identity check.  Both
     # use the full-run decoded engine (the fork engine has its own benchmark
-    # in test_perf_campaign.py) and bypass the auto-serial fallback so the
-    # pool-startup overhead this cell measures stays visible.
+    # in test_perf_campaign.py); the pool-startup overhead this cell
+    # measures stays visible.
     adpcm = suite["adpcm"]
     runs, errors, workers = (4, 4, 2) if SMOKE else (12, 4, 4)
     start = time.perf_counter()
@@ -84,7 +84,7 @@ def test_perf_interpreter_writes_benchmark_json(show):
     start = time.perf_counter()
     parallel = CampaignRunner(
         adpcm, CampaignConfig(runs=runs, base_seed=17, parallel=workers,
-                              parallel_threshold=1, engine="decoded")
+                              engine="decoded")
     ).run_campaign(errors, ProtectionMode.PROTECTED)
     parallel_s = time.perf_counter() - start
     identical = parallel.records == serial.records

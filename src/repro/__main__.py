@@ -27,7 +27,7 @@ A distributed sweep is two shell lines per host plus one orchestrator::
 
     host-a$ python -m repro worker --listen 0.0.0.0:7006
     host-b$ python -m repro worker --listen 0.0.0.0:7006
-    main$   python -m repro sweep --store runs/ --executor socket \\
+    main$   python -m repro sweep --store runs/ \\
                 --workers host-a:7006 host-b:7006
 
 or, as a service — workers find the daemon, clients only need the URL::
@@ -47,7 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .api import build_orchestrator
 from .api import figures as api_figures
@@ -55,6 +55,8 @@ from .api import submit as api_submit
 from .api import tables as api_tables
 from .core import ShardStore, StoppingRule
 from .core.store import MissingCellError
+from .exec import parse_listen_address
+from .exec.worker import add_worker_arguments, run_worker
 from .experiments import ALL_FIGURES, ExperimentConfig
 from .experiments.sweep import GRID_MODES
 from .service.client import ServiceError
@@ -281,34 +283,6 @@ def _refuse_runs_under_adaptive(args, adaptive: bool) -> bool:
     return False
 
 
-def _resolve_listen(args, default_host: str,
-                    default_port: int) -> Optional[Tuple[str, int]]:
-    """``--listen HOST:PORT`` with legacy ``--host``/``--port`` support.
-
-    Returns ``None`` (after reporting) on a malformed address.  The
-    legacy spellings keep working but warn: ``--listen`` is the one
-    spelling shared by ``worker`` and ``serve``.
-    """
-    from .exec import parse_listen_address
-
-    host, port = default_host, default_port
-    if getattr(args, "host", None) is not None or \
-            getattr(args, "port", None) is not None:
-        print("warning: --host/--port are deprecated; use --listen "
-              "HOST:PORT", file=sys.stderr)
-        if args.host is not None:
-            host = args.host
-        if args.port is not None:
-            port = args.port
-    if args.listen is not None:
-        try:
-            host, port = parse_listen_address(args.listen)
-        except ValueError as error:
-            _usage_error(args, str(error))
-            return None
-    return host, port
-
-
 def _print_fleet(fleet: dict) -> None:
     """Per-worker transport counters, one line per address (satellite of
     the robustness layer: fleet health must be visible without log-diving)."""
@@ -338,16 +312,6 @@ def _print_job_summary(job: dict) -> None:
     _print_fleet(report.get("fleet") or {})
 
 
-def _resolve_sweep_secret(args) -> Optional[str]:
-    """``--secret`` with legacy ``--worker-secret`` support (warned)."""
-    if args.worker_secret is not None:
-        print("warning: --worker-secret is deprecated; use --secret "
-              "(the same spelling the worker takes)", file=sys.stderr)
-    if args.secret is not None:
-        return args.secret
-    return args.worker_secret
-
-
 def _cmd_sweep(args) -> int:
     store, config = _open_store(args)
     stopping = _stopping_rule(args, store)
@@ -358,10 +322,8 @@ def _cmd_sweep(args) -> int:
                 else lambda message: print(message, flush=True))
     job = api_submit(
         spec, store, progress=progress, chunk_size=args.chunk_size,
-        executor=args.executor, parallel=args.parallel, engine=args.engine,
-        batch_size=args.batch_size or 256,
-        workers=tuple(args.workers or ()),
-        worker_secret=_resolve_sweep_secret(args),
+        parallel=args.parallel, engine=args.engine,
+        workers=tuple(args.workers or ()), worker_secret=args.secret,
         chunk_timeout=args.chunk_timeout, fallback=not args.no_fallback,
     )
     if args.json:
@@ -504,9 +466,11 @@ def _cmd_serve(args) -> int:
 
     from .service.daemon import CampaignService
 
-    listen = _resolve_listen(args, "127.0.0.1", 8340)
-    if listen is None:
-        return 2
+    try:
+        listen = (parse_listen_address(args.listen)
+                  if args.listen is not None else ("127.0.0.1", 8340))
+    except ValueError as error:
+        return _usage_error(args, str(error))
     secret = args.secret
     if secret is None:
         secret = os.environ.get("REPRO_WORKER_SECRET") or None
@@ -545,27 +509,7 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    import os
-
-    from .exec.worker import serve
-
-    listen = _resolve_listen(args, "127.0.0.1", 0)
-    if listen is None:
-        return 2
-    if args.advertise is not None:
-        from .exec import parse_worker_address
-
-        try:
-            parse_worker_address(args.advertise)
-        except ValueError as error:
-            return _usage_error(args, str(error))
-    secret = args.secret
-    if secret is None:
-        secret = os.environ.get("REPRO_WORKER_SECRET") or None
-    serve(listen[0], listen[1], max_sessions=args.max_sessions,
-          secret=secret, register_url=args.register,
-          advertise=args.advertise)
-    return 0
+    return run_worker(args, lambda message: _usage_error(args, message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,21 +525,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_argument(sweep)
     _add_grid_arguments(sweep)
     _add_json_argument(sweep)
-    sweep.add_argument("--executor", default="auto",
-                       choices=["auto", "serial", "batch", "pool", "socket"],
-                       help="executor backend (default auto)")
     sweep.add_argument("--parallel", type=int, default=1,
-                       help="local process-pool width (default 1)")
+                       help="local process-pool width (default 1: run "
+                            "in-process)")
     sweep.add_argument("--workers", nargs="*", default=None, metavar="HOST:PORT",
-                       help="socket-executor worker addresses (bracket IPv6 "
+                       help="socket-executor worker addresses; when given, "
+                            "runs execute on these workers (bracket IPv6 "
                             "hosts: '[::1]:7006')")
     sweep.add_argument("--secret", default=None, metavar="SECRET",
                        help="shared secret authenticating the socket "
                             "handshake; must match the workers' --secret "
                             "(default: unauthenticated, loopback fleets "
                             "only)")
-    sweep.add_argument("--worker-secret", default=None, metavar="SECRET",
-                       help="deprecated spelling; use --secret")
     sweep.add_argument("--chunk-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="hard wall-clock deadline per remote chunk "
@@ -608,9 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--engine", default="fork",
                        choices=["fork", "batch", "decoded", "reference"],
                        help="simulation engine (default fork)")
-    sweep.add_argument("--batch-size", type=int, default=256,
-                       help="max lanes per lockstep batch under "
-                            "--engine batch (default 256)")
     sweep.add_argument("--chunk-size", type=int, default=16,
                        help="runs persisted per store append (default 16; "
                             "under --engine batch this also caps how many "
@@ -649,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chunk-size", type=int, default=16,
                        help="runs persisted per store append (default 16)")
     _add_json_argument(serve)
-    serve.set_defaults(handler=_cmd_serve, host=None, port=None)
+    serve.set_defaults(handler=_cmd_serve)
 
     submit = commands.add_parser(
         "submit", help="submit a campaign spec to a running "
@@ -737,27 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker = commands.add_parser(
         "worker", help="run a TCP campaign worker "
                        "(alias of python -m repro.exec.worker)")
-    worker.add_argument("--listen", default=None, metavar="HOST:PORT",
-                        help="address to bind (default 127.0.0.1:0; the "
-                             "banner prints the OS-picked port)")
-    worker.add_argument("--host", default=None,
-                        help="deprecated spelling; use --listen HOST:PORT")
-    worker.add_argument("--port", type=int, default=None,
-                        help="deprecated spelling; use --listen HOST:PORT")
-    worker.add_argument("--max-sessions", type=int, default=None,
-                        help="exit after serving this many sessions")
-    worker.add_argument("--secret", default=None,
-                        help="shared secret: refuse executors that cannot "
-                             "prove knowledge of it (default: "
-                             "$REPRO_WORKER_SECRET, else unauthenticated)")
-    worker.add_argument("--register", default=None, metavar="URL",
-                        help="campaign-service URL to heartbeat this "
-                             "worker's address to, so `python -m repro "
-                             "serve` discovers it automatically")
-    worker.add_argument("--advertise", default=None, metavar="HOST:PORT",
-                        help="address to register at the campaign service "
-                             "(default: the bound address; set this when "
-                             "binding 0.0.0.0)")
+    add_worker_arguments(worker)
     _add_json_argument(worker)
     worker.set_defaults(handler=_cmd_worker)
 

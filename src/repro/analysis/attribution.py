@@ -17,8 +17,9 @@ afterwards.  Multi-error runs would need divergence modeling for every
 target after the first, so they are skipped rather than guessed at.
 
 Plans are re-derived from the same ``(base_seed, run_index, errors,
-model)`` inputs every executor backend uses (see
-:func:`repro.exec.base.make_record`), so attribution works on any stored
+model)`` inputs, through the same
+:func:`~repro.core.campaign.injection_seed`, that every executor backend
+uses, so attribution works on any stored
 campaign without touching the record schema — ``RunRecord`` bytes are
 unchanged.
 """
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from ..core.app import ErrorTolerantApp
+from ..core.campaign import injection_seed
 from ..core.outcomes import RunRecord
 from ..sim import ProtectionMode, plan_injections
 from ..sim.decode import decode_program
@@ -154,10 +156,10 @@ def attribute_first_flips(
             stream = exposed_site_stream(app, mode, seed=workload_seed,
                                          model=model)
             streams[workload_seed] = stream
-        injection_seed = (base_seed + 7919 * record.run_index
-                          + 104729 * record.errors_requested)
         plan = plan_injections(record.errors_requested, len(stream), mode,
-                               seed=injection_seed, model=model)
+                               seed=injection_seed(base_seed, record.run_index,
+                                                   record.errors_requested),
+                               model=model)
         if not plan.targets:
             skipped += 1
             continue

@@ -80,8 +80,8 @@ def build_orchestrator(spec: CampaignSpec, store: StoreLike, *,
     The one place a spec becomes an orchestrator — ``submit`` (local
     mode), the daemon's scheduler and the CLI all come through here, so
     spec semantics cannot drift between surfaces.  ``execution`` takes
-    :class:`~repro.core.campaign.CampaignConfig` knobs (``executor``,
-    ``workers``, ``parallel``, ``engine``, ``worker_secret``, ...).
+    :class:`~repro.core.campaign.CampaignConfig` knobs (``workers``,
+    ``parallel``, ``engine``, ``worker_secret``, ...).
     """
     from .experiments.sweep import SweepOrchestrator
 

@@ -19,7 +19,14 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..compiler.minic import compile_source
 from ..compiler.passes import ControlTaggingPass, TaggingReport
 from ..isa import Program
-from ..sim import Machine, Outcome, ProtectionMode, RunResult
+from ..sim import (
+    CHECKPOINT_ENGINES,
+    Machine,
+    Outcome,
+    ProtectionMode,
+    RunResult,
+    executing_engine,
+)
 from ..sim.fork import CheckpointStore, build_checkpoint_store
 from .fidelity import FidelityMeasure, FidelityResult
 
@@ -226,16 +233,14 @@ class ErrorTolerantApp(abc.ABC):
         ``engine="fork"`` resumes the run from the nearest golden checkpoint
         at or before the first injection site and splices the golden suffix
         back in on re-convergence (bit-identical results, O(divergence)
-        cost); it degrades to the decoded engine when there is nothing to
-        inject, or when the plan's fault model cannot resume from
-        checkpoints (``injection.fork_compatible`` is False — the fallback
-        runs the whole program and is asserted equivalent in the tests).
-        Campaigns select the engine via ``CampaignConfig.engine``.
+        cost); :func:`~repro.sim.machine.executing_engine` decides when it
+        degrades to the decoded engine.  Campaigns select the engine via
+        ``CampaignConfig.engine``.
         """
         golden = self.golden(seed)
         budget = max_instructions if max_instructions is not None else golden.watchdog_budget
-        if (engine in ("fork", "batch") and injection is not None
-                and injection.targets and injection.fork_compatible):
+        engine = executing_engine(engine, injection)
+        if engine in CHECKPOINT_ENGINES:
             # The fork and batch engines restore memory wholesale from the
             # checkpoint store, so the machine is built bare: no workload
             # application, no golden prefix re-execution.
@@ -244,7 +249,7 @@ class ErrorTolerantApp(abc.ABC):
                                engine=engine, checkpoints=self.checkpoint_store(seed))
         machine = self._make_machine(self.workload(seed))
         return machine.run(max_instructions=budget, injection=injection,
-                           engine="decoded" if engine in ("fork", "batch") else engine)
+                           engine=engine)
 
     def run_batched(self, plans, seed: int = 0,
                     max_instructions: Optional[int] = None) -> List[RunResult]:

@@ -14,16 +14,17 @@ full program execution, so the runner is built around two optimisations:
   exposed-dynamic-instruction count is reused by every injection plan in
   the campaign, instead of re-deriving it inside the run loop.
 * **Pluggable executors** — where a cell's runs execute is delegated to
-  the :mod:`repro.exec` backends: in-process (``executor="serial"``), a
-  local process pool (``parallel=N``), or TCP workers on other hosts
-  (``executor="socket"``, ``workers=("host:port", ...)``).  Every run's
+  the :mod:`repro.exec` backends, chosen by one rule: TCP workers on any
+  hosts when ``workers=("host:port", ...)`` is set, a local process pool
+  when ``parallel > 1``, and the calling process otherwise.  Every run's
   injection plan is derived purely from ``(base_seed, run_index,
-  errors)``, so the records are **bit-identical** across backends under
-  the same seeds.  Pool workers receive the application pre-compiled and
-  pre-warmed via the pool initializer; socket workers rebuild it locally
-  from the app registry (the v2 wire protocol ships only the app's name
-  and constructor parameters — nothing executable) and cache it across
-  sessions, so reconnects never repeat the setup work either.
+  errors)`` (:func:`injection_seed`), so the records are
+  **bit-identical** across backends under the same seeds.  Pool workers
+  receive the application pre-compiled and pre-warmed via the pool
+  initializer; socket workers rebuild it locally from the app registry
+  (the v2 wire protocol ships only the app's name and constructor
+  parameters — nothing executable) and cache it across sessions, so
+  reconnects never repeat the setup work either.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..sim import ProtectionMode, get_model
+from ..sim import (
+    CHECKPOINT_ENGINES,
+    InjectionPlan,
+    ProtectionMode,
+    executing_engine,
+    get_model,
+)
 from .app import ErrorTolerantApp, GoldenRun
 from .outcomes import CampaignResult, RunRecord, SweepResult
 
@@ -39,6 +46,15 @@ ProgressCallback = Callable[[str], None]
 
 #: Engines accepted by ``CampaignConfig.engine`` (see ``Machine.run``).
 ENGINE_NAMES = ("fork", "batch", "decoded", "reference")
+
+
+def injection_seed(base_seed: int, run_index: int, errors: int) -> int:
+    """Seed of the injection plan of run ``run_index`` in an ``errors`` cell.
+
+    Every executor backend derives its plans from this one formula, and
+    attribution re-derives the plans of stored records from it.
+    """
+    return base_seed + 7919 * run_index + 104729 * errors
 
 
 @dataclass
@@ -51,15 +67,10 @@ class CampaignConfig:
     #: one input per application; more workloads reduce input-specific bias.
     workloads: int = 1
     #: Number of worker processes a campaign cell fans out over.  ``1`` runs
-    #: serially in-process; ``N > 1`` uses a process pool and produces
-    #: records bit-identical to the serial runner under the same seeds.
+    #: in-process; ``N > 1`` uses a local process pool (unless ``workers``
+    #: is set) and produces records bit-identical to the in-process runner
+    #: under the same seeds.
     parallel: int = 1
-    #: Minimum number of runs per cell before a ``parallel > 1`` config
-    #: actually engages the process pool.  Spawning and warming workers
-    #: costs a sizeable fixed overhead (BENCH_interp.json: parallel 0.431s
-    #: vs serial 0.413s at 12 runs), so small cells automatically fall back
-    #: to the serial in-process path — which produces identical records.
-    parallel_threshold: int = 24
     #: Execution engine for injected runs: ``"fork"`` (default) resumes each
     #: run from the nearest golden checkpoint and splices the golden suffix
     #: on re-convergence; ``"batch"`` simulates a whole cell of injected
@@ -68,19 +79,8 @@ class CampaignConfig:
     #: scratch; ``"reference"`` is the preserved seed interpreter.  Records
     #: are bit-identical across engines.
     engine: str = "fork"
-    #: Maximum number of runs a single lockstep batch carries under
-    #: ``engine="batch"``.  Larger batches amortize the golden-trace walk
-    #: over more lanes; memory cost grows with ``batch_size`` times the
-    #: number of diverged memory cells.
-    batch_size: int = 256
-    #: Executor backend (:mod:`repro.exec`): ``"auto"`` resolves to
-    #: ``"socket"`` when ``workers`` is non-empty, ``"pool"`` when
-    #: ``parallel > 1`` engages (see ``parallel_threshold``), and
-    #: ``"serial"`` otherwise.  Naming a backend explicitly bypasses the
-    #: auto fallbacks.
-    executor: str = "auto"
     #: ``host:port`` addresses of running ``python -m repro.exec.worker``
-    #: processes for the socket executor.
+    #: processes; a non-empty tuple selects the socket executor.
     workers: Tuple[str, ...] = ()
     #: Shared secret authenticating the socket handshake (HMAC-SHA256,
     #: mutual).  Must match the workers' ``--secret``; ``None`` skips
@@ -112,11 +112,6 @@ class CampaignConfig:
             raise ValueError(
                 f"CampaignConfig.parallel must be >= 1, got {self.parallel}"
             )
-        if self.parallel_threshold < 1:
-            raise ValueError(
-                f"CampaignConfig.parallel_threshold must be >= 1, "
-                f"got {self.parallel_threshold}"
-            )
         if self.workloads < 1:
             raise ValueError(
                 f"CampaignConfig.workloads must be >= 1, got {self.workloads}"
@@ -124,10 +119,6 @@ class CampaignConfig:
         if self.engine not in ENGINE_NAMES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINE_NAMES}"
-            )
-        if self.batch_size < 1:
-            raise ValueError(
-                f"CampaignConfig.batch_size must be >= 1, got {self.batch_size}"
             )
         if self.chunk_timeout is not None and self.chunk_timeout <= 0:
             raise ValueError(
@@ -141,20 +132,9 @@ class CampaignConfig:
                 f"implements the 'control-bit' fault model, not {self.model!r}"
             )
         self.workers = tuple(self.workers)
-        from ..exec import EXECUTOR_NAMES  # deferred: repro.exec imports repro.core
-
-        if self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTOR_NAMES}"
-            )
-        if self.executor == "socket" and not self.workers:
-            raise ValueError(
-                "executor='socket' requires at least one 'host:port' in workers"
-            )
 
     def seed_for(self, run_index: int) -> int:
-        return self.base_seed + 7919 * run_index
+        return injection_seed(self.base_seed, run_index, 0)
 
     def workload_seed_for(self, run_index: int) -> int:
         return run_index % self.workloads
@@ -191,15 +171,18 @@ class CampaignRunner:
 
         ``workload_seed_for`` cycles ``run_index % workloads``, so the
         distinct seeds are exactly ``range(min(runs, workloads))``.  When
-        the fork engine is selected and the cell runs in-process, the
-        golden checkpoint stores are built here too, so the run loop only
-        ever pays for divergence.  (Workers of a pool or socket backend
-        rebuild their stores locally on first use — the snapshots are
-        deliberately stripped from the pickled payload.)
+        the cell runs in-process and its injected runs execute on a
+        checkpoint engine, the golden checkpoint stores are built here
+        too, so the run loop only ever pays for divergence.  (Workers of a
+        pool or socket backend rebuild their stores locally on first use —
+        the snapshots are deliberately stripped from the pickled payload.)
         """
-        build_checkpoints = (self.config.engine in ("fork", "batch")
-                             and self.executor_name() in ("serial", "batch")
-                             and get_model(self.config.model).supports_fork)
+        # Every injected run of the campaign shares the engine and model,
+        # so one plan with a target stands for all of them.
+        probe = InjectionPlan(ProtectionMode.PROTECTED, [0], model=self.config.model)
+        build_checkpoints = (
+            self.executor_name() == "serial"
+            and executing_engine(self.config.engine, probe) in CHECKPOINT_ENGINES)
         self.app.warm(seeds=range(min(self.config.runs, self.config.workloads)),
                       checkpoints=build_checkpoints)
 
@@ -216,7 +199,7 @@ class CampaignRunner:
         """Instantiate (but do not start) the resolved executor backend."""
         from ..exec import create_executor  # deferred: avoids import cycle
 
-        return create_executor(self.app, self.config, name=self.executor_name())
+        return create_executor(self.app, self.config)
 
     # ------------------------------------------------------------------
     # Single campaign cell.
@@ -268,27 +251,10 @@ class CampaignRunner:
                                                      _executor=executor))
         return sweep
 
-    def run_protection_comparison(self, errors: int) -> dict:
-        """Run the same error count with and without control protection."""
-        self.warm_goldens()
-        with self.make_executor() as executor:
-            return {
-                mode: self.run_campaign(errors, mode, _executor=executor)
-                for mode in (ProtectionMode.PROTECTED, ProtectionMode.UNPROTECTED)
-            }
-
 
 def run_quick_campaign(app: ErrorTolerantApp, errors: int, runs: int = 5,
                        mode: ProtectionMode = ProtectionMode.PROTECTED,
-                       base_seed: int = 2006, parallel: int = 1,
-                       parallel_threshold: Optional[int] = None) -> CampaignResult:
-    """One-call helper used by examples and tests.
-
-    ``parallel_threshold`` overrides the auto-serial fallback; quick
-    campaigns are usually below the default threshold, so forcing the pool
-    for a small cell requires passing a small value explicitly.
-    """
+                       base_seed: int = 2006, parallel: int = 1) -> CampaignResult:
+    """One-call helper used by examples and tests."""
     config = CampaignConfig(runs=runs, base_seed=base_seed, parallel=parallel)
-    if parallel_threshold is not None:
-        config.parallel_threshold = parallel_threshold
     return CampaignRunner(app, config).run_campaign(errors, mode)

@@ -5,21 +5,21 @@ injection plans derive purely from ``(base_seed, run_index, errors)``;
 an executor decides *where* those tasks run:
 
 * :class:`SerialExecutor` — in the calling process (the reference);
-* :class:`BatchExecutor` — in-process, forcing the numpy lockstep batch
-  engine (:mod:`repro.sim.batch`) regardless of ``config.engine``;
 * :class:`PoolExecutor` — a local :class:`~concurrent.futures.ProcessPoolExecutor`;
 * :class:`SocketExecutor` — sharded over TCP to ``python -m repro.exec.worker``
   processes on this or other hosts.
 
-All backends produce bit-identical record streams; ``create_executor``
-resolves the backend a :class:`~repro.core.campaign.CampaignConfig` asks
-for.
+The backend is a pure function of the
+:class:`~repro.core.campaign.CampaignConfig` (:func:`resolve_executor_name`),
+and all backends produce bit-identical record streams.  The engine is
+orthogonal: under ``engine="batch"`` every backend executes its share of
+a cell in numpy lockstep (:func:`~repro.exec.base.make_records`).
 """
 
 from __future__ import annotations
 
 from .base import Executor, RunTask, make_record, make_records
-from .local import BatchExecutor, PoolExecutor, SerialExecutor
+from .local import PoolExecutor, SerialExecutor
 from .tcp import (
     PROTOCOL_VERSION,
     ChunkDeadlineError,
@@ -34,60 +34,32 @@ from .tcp import (
     parse_worker_address,
 )
 
-#: Registry of executor backends by config name.
+#: Registry of executor backends by name.
 EXECUTORS = {
     SerialExecutor.name: SerialExecutor,
-    BatchExecutor.name: BatchExecutor,
     PoolExecutor.name: PoolExecutor,
     SocketExecutor.name: SocketExecutor,
 }
 
-#: Names accepted by ``CampaignConfig.executor`` (``"auto"`` resolves from
-#: the rest of the config at run time).
-EXECUTOR_NAMES = ("auto",) + tuple(sorted(EXECUTORS))
-
 
 def resolve_executor_name(config) -> str:
-    """Backend an ``executor="auto"`` config runs on.
-
-    ``socket`` when worker addresses are configured; ``pool`` when
-    ``parallel > 1`` *and* the cell is big enough to amortize worker spawn
-    (``runs >= parallel_threshold``); ``batch`` for an in-process cell
-    under ``engine="batch"``; ``serial`` otherwise.  Explicitly named
-    backends bypass the fallbacks.
-    """
-    if config.executor != "auto":
-        return config.executor
+    """Backend a config runs on: ``socket`` when worker addresses are
+    configured, ``pool`` when ``parallel > 1``, ``serial`` otherwise."""
     if config.workers:
         return "socket"
-    if (config.parallel > 1 and config.runs > 1
-            and config.runs >= config.parallel_threshold):
+    if config.parallel > 1:
         return "pool"
-    if config.engine == "batch":
-        return "batch"
     return "serial"
 
 
-def create_executor(app, config, name=None) -> Executor:
-    """Instantiate the executor backend ``name`` (default: resolved from
-    the config, see :func:`resolve_executor_name`)."""
-    resolved = name if name is not None else resolve_executor_name(config)
-    if resolved == "auto":
-        resolved = resolve_executor_name(config)
-    try:
-        backend = EXECUTORS[resolved]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {resolved!r}; expected one of {EXECUTOR_NAMES}"
-        ) from None
-    return backend(app, config)
+def create_executor(app, config) -> Executor:
+    """Instantiate (but do not start) the backend ``config`` resolves to."""
+    return EXECUTORS[resolve_executor_name(config)](app, config)
 
 
 __all__ = [
-    "BatchExecutor",
     "ChunkDeadlineError",
     "EXECUTORS",
-    "EXECUTOR_NAMES",
     "Executor",
     "FleetLostError",
     "FrameTooLargeError",

@@ -21,49 +21,56 @@ scheduled them.
 from __future__ import annotations
 
 import abc
-import dataclasses
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.app import ErrorTolerantApp, GoldenRun
+from ..core.app import ErrorTolerantApp
+from ..core.campaign import injection_seed
 from ..core.outcomes import RunRecord
-from ..sim import ProtectionMode, get_model, plan_injections
+from ..sim import InjectionPlan, ProtectionMode, executing_engine, get_model, plan_injections
 
 #: One campaign run: ``(run_index, errors, mode)``.
 RunTask = Tuple[int, int, ProtectionMode]
 
-#: Fault-model names that already triggered the batch-to-decoded fallback
-#: warning in this process — state-kind models warn once, not once per run.
-_BATCH_FALLBACK_WARNED: set = set()
+#: Maximum number of runs one lockstep walk carries under
+#: ``engine="batch"``.  Larger batches amortize the golden-trace walk over
+#: more lanes; memory grows with the batch times the diverged memory
+#: cells.  Sweeps hand :func:`make_records` at most ``chunk_size`` tasks
+#: at a time, which caps the lanes per walk well below this.
+BATCH_SIZE = 256
+
+
+def _derive_plan(app: ErrorTolerantApp, config, run_index: int, errors: int,
+                 mode: ProtectionMode) -> Tuple[int, Optional[InjectionPlan]]:
+    """``(workload_seed, plan)`` of one campaign run.
+
+    The plan is ``None`` for error-free and unprotectable runs.  Every
+    backend (and every remote worker) derives plans here, from identical
+    inputs — the basis of the cross-backend determinism guarantee.
+    """
+    workload_seed = config.workload_seed_for(run_index)
+    if errors <= 0 or mode is ProtectionMode.NONE:
+        return workload_seed, None
+    model = get_model(config.model)
+    population = model.population(app.golden(workload_seed), mode)
+    plan = plan_injections(errors, population, mode,
+                           seed=injection_seed(config.base_seed, run_index,
+                                               errors),
+                           model=model.name)
+    return workload_seed, plan
 
 
 def make_record(app: ErrorTolerantApp, config, run_index: int, errors: int,
-                mode: ProtectionMode, golden: Optional[GoldenRun] = None) -> RunRecord:
-    """Execute one campaign run and build its record.
-
-    Shared by every executor backend (and their remote workers), so all
-    paths derive the injection plan from identical inputs — the basis of
-    the cross-backend determinism guarantee.
-    """
-    workload_seed = config.workload_seed_for(run_index)
-    if golden is None:
-        golden = app.golden(workload_seed)
-    model = get_model(config.model)
-    population = model.population(golden, mode)
-    injection_seed = config.seed_for(run_index) + 104729 * errors
-    if errors > 0 and mode is not ProtectionMode.NONE:
-        plan = plan_injections(errors, population, mode, seed=injection_seed,
-                               model=model.name)
-    else:
-        plan = None
+                mode: ProtectionMode) -> RunRecord:
+    """Execute one campaign run and build its record."""
+    workload_seed, plan = _derive_plan(app, config, run_index, errors, mode)
     run = app.run_once(injection=plan, seed=workload_seed, engine=config.engine)
-    return _build_record(app, run_index, errors, mode, plan, run,
-                         workload_seed, model.name)
+    return _build_record(app, config, run_index, errors, mode, plan, run,
+                         workload_seed)
 
 
-def _build_record(app: ErrorTolerantApp, run_index: int, errors: int,
-                  mode: ProtectionMode, plan, run, workload_seed: int,
-                  model_name: str) -> RunRecord:
+def _build_record(app: ErrorTolerantApp, config, run_index: int, errors: int,
+                  mode: ProtectionMode, plan, run,
+                  workload_seed: int) -> RunRecord:
     """Score one finished run and assemble its :class:`RunRecord`."""
     fidelity = app.score_run(run, seed=workload_seed)
     return RunRecord(
@@ -76,7 +83,7 @@ def _build_record(app: ErrorTolerantApp, run_index: int, errors: int,
         executed=run.executed,
         fidelity=fidelity,
         fault_kind=run.fault_kind,
-        model=model_name,
+        model=get_model(config.model).name,
     )
 
 
@@ -84,65 +91,35 @@ def make_records(app: ErrorTolerantApp, config,
                  tasks: Sequence[RunTask]) -> List[RunRecord]:
     """Execute a sequence of campaign run tasks, batching when possible.
 
-    The scalar engines simply map :func:`make_record` over the tasks.
-    Under ``config.engine == "batch"`` the injectable tasks are grouped by
-    ``(workload_seed, mode)``, chunked to ``config.batch_size`` and fed to
-    the numpy lockstep engine (:mod:`repro.sim.batch`); error-free and
-    unprotectable tasks keep the scalar path.  Injection plans are derived
-    from exactly the same ``(base_seed, run_index, errors, model)`` inputs
-    as :func:`make_record`, so the record stream stays bit-identical to
-    the scalar engines, in task order.
-
-    State-kind fault models (``supports_fork`` False) cannot start from a
-    golden checkpoint, so their cells fall back to the decoded engine with
-    a single :class:`RuntimeWarning` per model — not one warning per run.
+    Runs whose :func:`~repro.sim.machine.executing_engine` is ``"batch"``
+    are grouped by ``(workload_seed, mode)``, chunked to
+    :data:`BATCH_SIZE` and fed to the numpy lockstep engine
+    (:mod:`repro.sim.batch`); every other run executes on its own.  Plans
+    come from the same derivation as :func:`make_record`, so the record
+    stream is bit-identical to the scalar engines, in task order.
     """
     tasks = list(tasks)
-    if config.engine != "batch" or not tasks:
-        return [make_record(app, config, run_index, errors, mode)
-                for run_index, errors, mode in tasks]
-    model = get_model(config.model)
-    if not model.supports_fork:
-        if model.name not in _BATCH_FALLBACK_WARNED:
-            _BATCH_FALLBACK_WARNED.add(model.name)
-            warnings.warn(
-                f"fault model {model.name!r} corrupts machine state and "
-                f"cannot start from a golden checkpoint; engine='batch' "
-                f"falls back to engine='decoded' for its runs",
-                RuntimeWarning, stacklevel=2,
-            )
-        fallback = dataclasses.replace(config, engine="decoded")
-        return [make_record(app, fallback, run_index, errors, mode)
-                for run_index, errors, mode in tasks]
-    records: List[Optional[RunRecord]] = [None] * len(tasks)
-    groups: Dict[Tuple[int, ProtectionMode], List[tuple]] = {}
+    records: List[Optional[RunRecord]] = []
+    groups: Dict[Tuple[int, ProtectionMode], List[Tuple[int, InjectionPlan]]] = {}
     for pos, (run_index, errors, mode) in enumerate(tasks):
-        if errors <= 0 or mode is ProtectionMode.NONE:
-            records[pos] = make_record(app, config, run_index, errors, mode)
+        workload_seed, plan = _derive_plan(app, config, run_index, errors, mode)
+        if plan is not None and executing_engine(config.engine, plan) == "batch":
+            groups.setdefault((workload_seed, mode), []).append((pos, plan))
+            records.append(None)
             continue
-        workload_seed = config.workload_seed_for(run_index)
-        golden = app.golden(workload_seed)
-        population = model.population(golden, mode)
-        injection_seed = config.seed_for(run_index) + 104729 * errors
-        plan = plan_injections(errors, population, mode, seed=injection_seed,
-                               model=model.name)
-        if not plan.targets:
-            # Nothing exposed to hit (population 0): scalar golden-path run.
-            records[pos] = make_record(app, config, run_index, errors, mode,
-                                       golden=golden)
-            continue
-        groups.setdefault((workload_seed, mode), []).append(
-            (pos, run_index, errors, plan))
-    batch_size = max(1, getattr(config, "batch_size", 256))
+        run = app.run_once(injection=plan, seed=workload_seed,
+                           engine=config.engine)
+        records.append(_build_record(app, config, run_index, errors, mode,
+                                     plan, run, workload_seed))
     for (workload_seed, mode), members in groups.items():
-        for start in range(0, len(members), batch_size):
-            chunk = members[start:start + batch_size]
-            runs = app.run_batched([plan for _, _, _, plan in chunk],
+        for start in range(0, len(members), BATCH_SIZE):
+            chunk = members[start:start + BATCH_SIZE]
+            runs = app.run_batched([plan for _, plan in chunk],
                                    seed=workload_seed)
-            for (pos, run_index, errors, plan), run in zip(chunk, runs):
-                records[pos] = _build_record(app, run_index, errors, mode,
-                                             plan, run, workload_seed,
-                                             model.name)
+            for (pos, plan), run in zip(chunk, runs):
+                run_index, errors, _ = tasks[pos]
+                records[pos] = _build_record(app, config, run_index, errors,
+                                             mode, plan, run, workload_seed)
     return records  # type: ignore[return-value]
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
-import dataclasses
-
 from ..core.app import ErrorTolerantApp
 from ..core.outcomes import RunRecord
 from .base import Executor, RunTask, make_record, make_records
@@ -27,24 +25,6 @@ class SerialExecutor(Executor):
 
     def run(self, tasks: Sequence[RunTask]) -> List[RunRecord]:
         return make_records(self.app, self.config, tasks)
-
-
-class BatchExecutor(SerialExecutor):
-    """In-process executor that forces the numpy lockstep batch engine.
-
-    ``executor="auto"`` resolves here when ``config.engine == "batch"``
-    and the cell stays in-process; naming ``executor="batch"`` explicitly
-    batches a cell even when the config's engine is a scalar one.  Records
-    are bit-identical to :class:`SerialExecutor` either way.
-    """
-
-    name = "batch"
-
-    def run(self, tasks: Sequence[RunTask]) -> List[RunRecord]:
-        config = self.config
-        if config.engine != "batch":
-            config = dataclasses.replace(config, engine="batch")
-        return make_records(self.app, config, tasks)
 
 
 # ----------------------------------------------------------------------

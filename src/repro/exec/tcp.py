@@ -236,7 +236,6 @@ def encode_config(config) -> Dict:
     # The worker always executes its chunks in-process: a forwarded
     # worker list would make it dial further workers.
     data["workers"] = []
-    data["executor"] = "serial"
     return data
 
 
@@ -245,7 +244,7 @@ def decode_config(data: Dict):
 
     Unknown keys are dropped (a same-version peer never sends any; the
     filter keeps a clear validation error from turning into an obscure
-    ``TypeError``) and the private/executor fields are re-forced so a
+    ``TypeError``) and the private/worker fields are re-forced so a
     hostile frame cannot smuggle them back in.
     """
     from ..core.campaign import CampaignConfig
@@ -255,7 +254,6 @@ def decode_config(data: Dict):
     for name in _PRIVATE_CONFIG_FIELDS:
         kwargs.pop(name, None)
     kwargs["workers"] = ()
-    kwargs["executor"] = "serial"
     return CampaignConfig(**kwargs)
 
 
@@ -432,7 +430,7 @@ class _WorkerConnection:
             if not worker_mac:
                 raise HandshakeError(
                     f"worker {self.address} did not authenticate but this "
-                    f"executor was given --worker-secret; start the worker "
+                    f"executor was given a shared secret; start the worker "
                     f"with the matching --secret"
                 )
             expected = handshake_digest(secret, "worker", client_nonce,
@@ -440,7 +438,7 @@ class _WorkerConnection:
             if not hmac.compare_digest(str(worker_mac), expected):
                 raise HandshakeError(
                     f"worker {self.address} failed HMAC verification: the "
-                    f"shared secrets differ; make --worker-secret match "
+                    f"shared secrets differ; make the sweep's --secret match "
                     f"the worker's --secret"
                 )
             mac = handshake_digest(secret, "client", client_nonce,
@@ -449,7 +447,7 @@ class _WorkerConnection:
             raise HandshakeError(
                 f"worker {self.address} requires a shared secret (it was "
                 f"started with --secret); pass the matching "
-                f"--worker-secret to this sweep"
+                f"--secret to this sweep"
             )
         send_frame(self.sock, {"kind": "auth", "mac": mac})
         self._expect("ready", stage="handshake")

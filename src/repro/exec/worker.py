@@ -6,11 +6,13 @@ campaign run tasks it is sent (wire protocol v2; frame table in
 :mod:`repro.exec.tcp`).  Start one per host (or per core) you want a
 distributed sweep to use::
 
-    python -m repro.exec.worker --host 0.0.0.0 --port 7006 --secret S3CR3T
+    python -m repro.exec.worker --listen 0.0.0.0:7006 --secret S3CR3T
 
-The worker prints ``repro-exec-worker listening on HOST:PORT`` once the
-socket is bound — with ``--port 0`` the operating system picks a free
-port and the banner is how callers (and the test suite) learn it.
+``python -m repro worker`` is the same worker with the same flags
+(:func:`add_worker_arguments`).  The worker prints
+``repro-exec-worker listening on HOST:PORT`` once the socket is bound —
+with port 0 the operating system picks a free port and the banner is how
+callers (and the test suite) learn it.
 
 Sessions are accepted on a thread each, so a half-open or stalled old
 session never blocks an executor's reconnect — but chunk *computation*
@@ -30,7 +32,7 @@ or golden-run warmup again.
    execute code as the worker user.  For fleets crossing a trust
    boundary, start workers with ``--secret`` (or the
    ``REPRO_WORKER_SECRET`` environment variable) and pass the matching
-   ``--worker-secret`` to the sweep: the handshake then requires both
+   ``--secret`` to the sweep: the handshake then requires both
    sides to prove knowledge of the shared secret via HMAC-SHA256 before
    any campaign traffic is accepted.  The secret never crosses the wire;
    note that frames themselves stay cleartext — tunnel over SSH when the
@@ -48,7 +50,7 @@ import socket
 import sys
 import threading
 import traceback
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..apps.registry import create_app
 from ..core.app import ErrorTolerantApp
@@ -141,8 +143,8 @@ def _handshake(connection: socket.socket,
                                     worker_nonce)
         if not mac or not hmac.compare_digest(str(mac), expected):
             _refuse(connection,
-                    "HMAC verification failed: the executor's "
-                    "--worker-secret does not match this worker's --secret")
+                    "HMAC verification failed: the executor's shared "
+                    "secret does not match this worker's --secret")
             return False
     elif mac:
         _refuse(connection,
@@ -330,21 +332,12 @@ def serve(host: str = "127.0.0.1", port: int = 0,
                 registrar.join(timeout=REGISTER_INTERVAL * 3)
 
 
-def main(argv: Optional[list] = None) -> int:
-    from .tcp import parse_listen_address, parse_worker_address
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.exec.worker",
-        description="TCP worker serving campaign run tasks to SocketExecutor",
-    )
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """The worker's flags, shared by both entry points."""
     parser.add_argument("--listen", default=None, metavar="HOST:PORT",
                         help="address to bind (default 127.0.0.1:0; port 0 "
                              "lets the OS pick — the printed banner is how "
                              "callers learn it)")
-    parser.add_argument("--host", default=None,
-                        help="deprecated spelling; use --listen HOST:PORT")
-    parser.add_argument("--port", type=int, default=None,
-                        help="deprecated spelling; use --listen HOST:PORT")
     parser.add_argument("--max-sessions", type=int, default=None,
                         help="exit after serving this many sessions "
                              "(default: serve forever)")
@@ -362,31 +355,44 @@ def main(argv: Optional[list] = None) -> int:
                         help="address to register at the campaign service "
                              "(default: the bound address; set this when "
                              "binding 0.0.0.0)")
-    args = parser.parse_args(argv)
-    host, port = "127.0.0.1", 0
-    if args.host is not None or args.port is not None:
-        print("warning: --host/--port are deprecated; use "
-              "--listen HOST:PORT", file=sys.stderr)
-        host = args.host if args.host is not None else host
-        port = args.port if args.port is not None else port
-    if args.listen is not None:
-        try:
-            host, port = parse_listen_address(args.listen)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.advertise is not None:
-        try:
+
+
+def _print_usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def run_worker(args: argparse.Namespace,
+               usage_error: Callable[[str], int] = _print_usage_error) -> int:
+    """Serve with the flags of :func:`add_worker_arguments`.
+
+    A malformed ``--listen`` or ``--advertise`` address is reported
+    through ``usage_error``, whose return value becomes the exit status.
+    """
+    from .tcp import parse_listen_address, parse_worker_address
+
+    try:
+        host, port = (parse_listen_address(args.listen)
+                      if args.listen is not None else ("127.0.0.1", 0))
+        if args.advertise is not None:
             parse_worker_address(args.advertise)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    except ValueError as error:
+        return usage_error(str(error))
     secret = args.secret
     if secret is None:
         secret = os.environ.get("REPRO_WORKER_SECRET") or None
     serve(host, port, max_sessions=args.max_sessions, secret=secret,
           register_url=args.register, advertise=args.advertise)
     return 0
+
+
+def main(argv: Optional[list] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.exec.worker",
+        description="TCP worker serving campaign run tasks to SocketExecutor",
+    )
+    add_worker_arguments(parser)
+    return run_worker(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,9 @@
 """Experiment harness: one entry point per paper table and figure.
 
 Campaigns are submitted through :mod:`repro.api` (a
-:class:`~repro.service.spec.CampaignSpec` plus execution options);
-directly constructing the underlying ``SweepOrchestrator`` is a
-deprecated internal path — package-level access emits a
-``DeprecationWarning`` and new code should call
-:func:`repro.api.submit` (or, for the rare case that really needs the
-orchestrator, :func:`repro.api.build_orchestrator`).
+:class:`~repro.service.spec.CampaignSpec` plus execution options):
+:func:`repro.api.submit` runs them, and the rare embedding that needs the
+orchestrator object itself calls :func:`repro.api.build_orchestrator`.
 """
 
 from .config import ExperimentConfig, default, full, quick
@@ -41,7 +38,6 @@ __all__ = [
     "ExperimentConfig",
     "GRID_MODES",
     "SweepCell",
-    "SweepOrchestrator",
     "SweepReport",
     "SweepStatus",
     "TABLE2_ERROR_COUNTS",
@@ -62,28 +58,3 @@ __all__ = [
     "table4_fault_models",
     "table5_static_vs_dynamic",
 ]
-
-
-def __getattr__(name: str):
-    """Deprecation shim for the pre-service direct-construction path.
-
-    ``repro.experiments.SweepOrchestrator`` keeps working (PEP 562) but
-    warns: the supported surfaces are :func:`repro.api.submit` for
-    running campaigns and :func:`repro.api.build_orchestrator` for the
-    rare embedding that needs the orchestrator object.  Internal code
-    imports :mod:`repro.experiments.sweep` directly.
-    """
-    if name == "SweepOrchestrator":
-        import warnings
-
-        from .sweep import SweepOrchestrator
-
-        warnings.warn(
-            "constructing SweepOrchestrator via repro.experiments is "
-            "deprecated; submit a repro.api.CampaignSpec through "
-            "repro.api.submit() (or repro.api.build_orchestrator() if "
-            "you need the orchestrator itself)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return SweepOrchestrator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -267,7 +267,6 @@ class CampaignService:
         """Execution options for one job given the current live fleet."""
         execution = dict(self.execution)
         if fleet:
-            execution.setdefault("executor", "socket")
             execution["workers"] = tuple(fleet)
             if self.secret is not None:
                 execution.setdefault("worker_secret", self.secret)

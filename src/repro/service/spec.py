@@ -262,8 +262,8 @@ class CampaignSpec:
         """A :class:`CampaignConfig` for this spec plus execution options.
 
         ``execution`` holds the knobs that choose *where and how fast*
-        the records are produced (``executor``, ``workers``, ``parallel``,
-        ``engine``, ``worker_secret``, ...) — never what they contain;
+        the records are produced (``workers``, ``parallel``, ``engine``,
+        ``worker_secret``, ...) — never what they contain;
         the spec owns everything record-determining.
         """
         runs = (self.stopping.cap if self.stopping is not None

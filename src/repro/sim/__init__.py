@@ -26,12 +26,14 @@ from .faults import (
     plan_injections,
 )
 from .machine import (
+    CHECKPOINT_ENGINES,
     DEFAULT_MAX_INSTRUCTIONS,
     DEFAULT_WATCHDOG_FACTOR,
     Machine,
     Outcome,
     RunResult,
     RunStatistics,
+    executing_engine,
     run_program,
     summarise_counts,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "MODEL_NAMES",
     "get_model",
     "ArithmeticFault",
+    "CHECKPOINT_ENGINES",
     "Checkpoint",
     "CheckpointStore",
     "ControlFault",
@@ -66,6 +69,7 @@ __all__ = [
     "WatchdogExpired",
     "build_checkpoint_store",
     "decode_program",
+    "executing_engine",
     "exposed_static_indices",
     "exposure_flags",
     "instruction_is_exposed",

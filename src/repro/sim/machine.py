@@ -109,6 +109,24 @@ STACK_CELLS = 1 << 16
 DEFAULT_WATCHDOG_FACTOR = 8
 #: Absolute fallback instruction budget when no golden length is known.
 DEFAULT_MAX_INSTRUCTIONS = 50_000_000
+#: Engines that start injected runs from golden checkpoints.
+CHECKPOINT_ENGINES = ("fork", "batch")
+
+
+def executing_engine(engine: str, plan: Optional[InjectionPlan]) -> str:
+    """The engine that actually executes ``plan`` when ``engine`` is asked for.
+
+    The fork and batch engines resume from golden checkpoints, so they run
+    only plans that have targets and whose :mod:`fault model
+    <repro.sim.models>` supports resuming (``memory-bit`` does not).
+    Every other plan executes on the decoded engine instead — silently,
+    because the fallback runs the whole program and is asserted
+    bit-identical in the test suite.  Other engines are returned as given.
+    """
+    if engine in CHECKPOINT_ENGINES and not (
+            plan is not None and plan.targets and plan.fork_compatible):
+        return "decoded"
+    return engine
 
 
 def summarise_counts(decoded: DecodedProgram, exec_counts: List[int]) -> RunStatistics:
@@ -206,13 +224,10 @@ class Machine:
         single lane of the vectorized lockstep engine
         (:mod:`repro.sim.batch`), which campaigns use to execute whole
         cells at once.  All engines produce bit-identical results under
-        the same seeds.  A fork or batch run with no injection targets
-        degrades to the decoded engine (there is nothing to fork from), and
-        so does a plan whose :mod:`fault model <repro.sim.models>` cannot
-        resume from checkpoints (``memory-bit``) — the fallback executes
-        the full run and is asserted equivalent in the test suite.  The
-        reference engine predates the model subsystem and only implements
-        the default ``control-bit`` model.
+        the same seeds.  Fork and batch requests degrade to the decoded
+        engine by :func:`executing_engine`.  The reference engine predates
+        the model subsystem and only implements the default ``control-bit``
+        model.
         """
         has_targets = injection is not None and bool(injection.targets)
         if engine == "reference":
@@ -223,24 +238,19 @@ class Machine:
                 )
             from .reference import execute_reference
             return execute_reference(self, max_instructions, injection)
+        engine = executing_engine(engine, injection)
+        if engine in CHECKPOINT_ENGINES and checkpoints is None:
+            raise ValueError(f"engine={engine!r} requires a checkpoint store")
         if engine == "fork":
-            if has_targets and injection.fork_compatible:
-                if checkpoints is None:
-                    raise ValueError("engine='fork' requires a checkpoint store")
-                from .fork import run_forked
-                return run_forked(self, injection, checkpoints, max_instructions)
-            engine = "decoded"
+            from .fork import run_forked
+            return run_forked(self, injection, checkpoints, max_instructions)
         if engine == "batch":
             # A one-lane batch: campaigns batch whole cells through
             # :func:`repro.sim.batch.run_batched`; this path keeps the
             # per-run Machine API uniform across engines.
-            if has_targets and injection.fork_compatible:
-                if checkpoints is None:
-                    raise ValueError("engine='batch' requires a checkpoint store")
-                from .batch import run_batched
-                return run_batched(self, [injection], checkpoints,
-                                   max_instructions)[0]
-            engine = "decoded"
+            from .batch import run_batched
+            return run_batched(self, [injection], checkpoints,
+                               max_instructions)[0]
         if engine != "decoded":
             raise ValueError(f"unknown engine {engine!r}")
 

@@ -2,8 +2,8 @@
 
 Covers the public surface (`__all__`, lazy re-export from the top-level
 package), the ``submit`` store/url contract, artefact rendering through
-the facade against a real store, and the deprecation shim on the old
-direct-construction path.
+the facade against a real store, and a warning-free star import of the
+experiment harness.
 """
 
 import warnings
@@ -45,18 +45,15 @@ class TestSurface:
         with pytest.raises(AttributeError):
             repro.not_an_export
 
-    def test_sweep_orchestrator_shim_warns_but_works(self):
+    def test_experiments_star_import_is_clean(self):
+        # Every name in repro.experiments.__all__ must resolve, silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            namespace: dict = {}
+            exec("from repro.experiments import *", namespace)
         import repro.experiments as experiments
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = experiments.SweepOrchestrator
-        from repro.experiments.sweep import SweepOrchestrator
-        assert shimmed is SweepOrchestrator
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.api.submit" in str(deprecations[0].message)
+        assert "SweepOrchestrator" not in experiments.__all__
+        assert set(experiments.__all__) <= set(namespace)
 
 
 class TestSubmit:

@@ -131,8 +131,7 @@ class TestParallelCampaign:
             adpcm, CampaignConfig(runs=6, base_seed=11)
         ).run_campaign(4, ProtectionMode.PROTECTED)
         parallel = CampaignRunner(
-            adpcm, CampaignConfig(runs=6, base_seed=11, parallel=2,
-                                  parallel_threshold=1)
+            adpcm, CampaignConfig(runs=6, base_seed=11, parallel=2)
         ).run_campaign(4, ProtectionMode.PROTECTED)
         assert parallel.records == serial.records
 
@@ -141,8 +140,7 @@ class TestParallelCampaign:
             adpcm, CampaignConfig(runs=4, base_seed=29)
         ).run_campaign(8, ProtectionMode.UNPROTECTED)
         parallel = CampaignRunner(
-            adpcm, CampaignConfig(runs=4, base_seed=29, parallel=4,
-                                  parallel_threshold=1)
+            adpcm, CampaignConfig(runs=4, base_seed=29, parallel=4)
         ).run_campaign(8, ProtectionMode.UNPROTECTED)
         assert parallel.records == serial.records
         assert parallel.failure_percent == serial.failure_percent
@@ -151,21 +149,8 @@ class TestParallelCampaign:
     def test_quick_campaign_parallel_flag(self, adpcm):
         serial = run_quick_campaign(adpcm, errors=3, runs=4, base_seed=5)
         parallel = run_quick_campaign(adpcm, errors=3, runs=4, base_seed=5,
-                                      parallel=2, parallel_threshold=1)
+                                      parallel=2)
         assert parallel.records == serial.records
-
-    def test_small_cells_fall_back_to_serial(self, adpcm):
-        """Below parallel_threshold runs the pool is not worth spawning."""
-        runner = CampaignRunner(adpcm, CampaignConfig(runs=12, parallel=4))
-        assert runner.executor_name() == "serial"
-        runner = CampaignRunner(
-            adpcm, CampaignConfig(runs=24, parallel=4)
-        )
-        assert runner.executor_name() == "pool"
-        runner = CampaignRunner(
-            adpcm, CampaignConfig(runs=12, parallel=4, parallel_threshold=8)
-        )
-        assert runner.executor_name() == "pool"
 
     def test_parallel_fork_engine_matches_serial_decoded(self, adpcm):
         """Workers rebuild checkpoint stores locally; records stay identical."""
@@ -174,7 +159,7 @@ class TestParallelCampaign:
         ).run_campaign(4, ProtectionMode.PROTECTED)
         parallel = CampaignRunner(
             adpcm, CampaignConfig(runs=4, base_seed=13, parallel=2,
-                                  parallel_threshold=1, engine="fork")
+                                  engine="fork")
         ).run_campaign(4, ProtectionMode.PROTECTED)
         assert parallel.records == serial.records
 

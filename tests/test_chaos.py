@@ -55,7 +55,7 @@ def spawn_worker():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.exec.worker", "--port", "0"],
+        [sys.executable, "-m", "repro.exec.worker", "--listen", "127.0.0.1:0"],
         stdout=subprocess.PIPE, text=True, env=env,
     )
     try:
@@ -87,7 +87,7 @@ def reference_store(tmp_path_factory):
 def run_chaos_sweep(root, addresses, fallback=True):
     campaign = CampaignConfig(
         runs=CONFIG.runs_per_cell, base_seed=CONFIG.base_seed,
-        executor="socket", workers=tuple(addresses), fallback=fallback,
+        workers=tuple(addresses), fallback=fallback,
     )
     orchestrator = SweepOrchestrator(ShardStore(root), CONFIG,
                                      campaign=campaign, chunk_size=2, **GRID)

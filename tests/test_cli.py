@@ -79,8 +79,8 @@ class TestSweepModelEndToEnd:
         assert main(["sweep", "--store", str(serial_root),
                      "--model", "data-bit", *MINI_GRID]) == 0
         assert main(["sweep", "--store", str(pool_root),
-                     "--model", "data-bit", "--executor", "pool",
-                     "--parallel", "2", *MINI_GRID]) == 0
+                     "--model", "data-bit", "--parallel", "2",
+                     *MINI_GRID]) == 0
         capsys.readouterr()  # drop progress output
         assert store_bytes(serial_root) == store_bytes(pool_root)
         # Shards are filed under the model-qualified name and the meta
@@ -152,7 +152,7 @@ class TestAdaptiveSweepEndToEnd:
         pool_root = tmp_path / "pool"
         assert main(["sweep", "--store", str(serial_root),
                      *ADAPTIVE_FLAGS, *ADAPTIVE_GRID]) == 0
-        assert main(["sweep", "--store", str(pool_root), "--executor", "pool",
+        assert main(["sweep", "--store", str(pool_root),
                      "--parallel", "2", "--chunk-size", "3",
                      *ADAPTIVE_FLAGS, *ADAPTIVE_GRID]) == 0
         capsys.readouterr()
@@ -309,28 +309,43 @@ class TestAnalyzeCommand:
 
 
 class TestFlagUnification:
-    """ISSUE 8 satellite: one --secret / --listen spelling everywhere,
-    legacy forms keep working but warn."""
-
-    def test_sweep_worker_secret_warns_but_works(self, tmp_path, capsys):
-        assert main(["sweep", "--store", str(tmp_path / "store"),
-                     "--worker-secret", "hunter2", *MINI_GRID]) == 0
-        captured = capsys.readouterr()
-        assert "--worker-secret is deprecated; use --secret" in captured.err
-        assert "4/4 cells complete" in captured.out
+    """One --secret / --listen spelling everywhere."""
 
     def test_sweep_secret_is_silent(self, tmp_path, capsys):
         assert main(["sweep", "--store", str(tmp_path / "store"),
                      "--secret", "hunter2", *MINI_GRID]) == 0
         assert "deprecated" not in capsys.readouterr().err
 
-    def test_worker_host_port_warn(self, capsys):
-        # A malformed --listen aborts before binding, so this exercises
-        # the deprecation path without starting a server.
-        assert main(["worker", "--host", "127.0.0.1",
-                     "--listen", "not-an-address"]) == 2
-        err = capsys.readouterr().err
-        assert "--host/--port are deprecated; use --listen" in err
+    @pytest.mark.parametrize("argv", [
+        ["worker", "--host", "127.0.0.1"],
+        ["worker", "--port", "0"],
+        ["serve", "--store", "unused", "--port", "0"],
+        ["sweep", "--store", "unused", "--executor", "pool"],
+        ["sweep", "--store", "unused", "--batch-size", "8"],
+        ["sweep", "--store", "unused", "--worker-secret", "s"],
+    ])
+    def test_removed_spellings_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_worker_rejects_malformed_listen(self, capsys):
+        # A malformed --listen aborts before binding.
+        assert main(["worker", "--listen", "not-an-address"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_worker_json_usage_error(self, capsys):
+        assert main(["worker", "--json", "--advertise", "no-port"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kind"] == "UsageError"
+        assert "invalid worker address" in payload["error"]
+
+    def test_module_worker_rejects_malformed_listen(self, capsys):
+        from repro.exec.worker import main as worker_main
+
+        assert worker_main(["--listen", "not-an-address"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_serve_rejects_malformed_listen(self, tmp_path, capsys):
         assert main(["serve", "--store", str(tmp_path / "cache"),

@@ -17,15 +17,12 @@ import pytest
 from repro.apps import create_app
 from repro.core import CampaignConfig, CampaignRunner
 from repro.exec import (
-    EXECUTOR_NAMES,
-    BatchExecutor,
     PoolExecutor,
     SerialExecutor,
     SocketExecutor,
-    create_executor,
     parse_worker_address,
 )
-from repro.sim import ProtectionMode
+from repro.sim import InjectionPlan, ProtectionMode, executing_engine
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,7 +44,7 @@ def _spawn_worker(*extra_args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro.exec.worker", "--port", "0",
+        [sys.executable, "-m", "repro.exec.worker", "--listen", "127.0.0.1:0",
          *extra_args],
         stdout=subprocess.PIPE, text=True, env=env,
     )
@@ -67,43 +64,24 @@ def worker_addresses():
 
 
 class TestExecutorResolution:
-    def test_registry_names(self):
-        assert set(EXECUTOR_NAMES) == {"auto", "serial", "batch", "pool",
-                                       "socket"}
-
-    def test_auto_resolves_batch_for_batch_engine(self, adpcm):
-        runner = CampaignRunner(adpcm, CampaignConfig(runs=4, engine="batch"))
-        assert runner.executor_name() == "batch"
-        assert isinstance(runner.make_executor(), BatchExecutor)
-
-    def test_auto_resolves_serial_below_threshold(self, adpcm):
-        runner = CampaignRunner(adpcm, CampaignConfig(runs=12, parallel=4))
-        assert runner.executor_name() == "serial"
-        assert isinstance(runner.make_executor(), SerialExecutor)
-
-    def test_auto_resolves_pool_at_threshold(self, adpcm):
-        runner = CampaignRunner(adpcm, CampaignConfig(runs=24, parallel=4))
-        assert runner.executor_name() == "pool"
-        assert isinstance(runner.make_executor(), PoolExecutor)
-
-    def test_auto_resolves_socket_with_workers(self, adpcm):
-        runner = CampaignRunner(
-            adpcm, CampaignConfig(runs=4, workers=("127.0.0.1:1",))
-        )
-        assert runner.executor_name() == "socket"
-        assert isinstance(runner.make_executor(), SocketExecutor)
-
-    def test_explicit_executor_beats_auto_fallback(self, adpcm):
-        """Naming a backend bypasses the small-cell serial fallback."""
-        runner = CampaignRunner(
-            adpcm, CampaignConfig(runs=4, parallel=2, executor="pool")
-        )
-        assert runner.executor_name() == "pool"
-
-    def test_unknown_executor_name_rejected(self, adpcm):
-        config = CampaignConfig(runs=2)
-        with pytest.raises(ValueError, match="unknown executor"):
-            create_executor(adpcm, config, name="carrier-pigeon")
+    @pytest.mark.parametrize("workers, parallel, engine, backend", [
+        ((), 1, "fork", SerialExecutor),
+        ((), 1, "batch", SerialExecutor),
+        ((), 1, "decoded", SerialExecutor),
+        ((), 2, "fork", PoolExecutor),
+        ((), 4, "batch", PoolExecutor),
+        (("127.0.0.1:1",), 1, "fork", SocketExecutor),
+        (("127.0.0.1:1",), 4, "batch", SocketExecutor),
+    ])
+    def test_backend_is_a_function_of_the_config(self, adpcm, workers,
+                                                 parallel, engine, backend):
+        """workers -> socket, parallel > 1 -> pool, otherwise serial; the
+        engine never picks the backend."""
+        config = CampaignConfig(runs=4, workers=workers, parallel=parallel,
+                                engine=engine)
+        runner = CampaignRunner(adpcm, config)
+        assert runner.executor_name() == backend.name
+        assert type(runner.make_executor()) is backend
 
     def test_parse_worker_address(self):
         assert parse_worker_address("host:7006") == ("host", 7006)
@@ -158,12 +136,8 @@ class TestConfigValidation:
         ({"runs": 0}, "runs must be >= 1"),
         ({"runs": -3}, "runs must be >= 1"),
         ({"parallel": 0}, "parallel must be >= 1"),
-        ({"parallel_threshold": 0}, "parallel_threshold must be >= 1"),
         ({"workloads": 0}, "workloads must be >= 1"),
-        ({"batch_size": 0}, "batch_size must be >= 1"),
         ({"engine": "quantum"}, "unknown engine 'quantum'"),
-        ({"executor": "quantum"}, "unknown executor 'quantum'"),
-        ({"executor": "socket"}, "requires at least one"),
         ({"chunk_timeout": 0}, "chunk_timeout must be > 0"),
         ({"chunk_timeout": -2.5}, "chunk_timeout must be > 0"),
     ])
@@ -171,12 +145,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=match):
             CampaignConfig(**kwargs)
 
-    def test_valid_engines_and_executors_accepted(self):
+    def test_valid_engines_accepted(self):
         for engine in ("fork", "batch", "decoded", "reference"):
             CampaignConfig(engine=engine)
-        for executor in ("auto", "serial", "batch", "pool"):
-            CampaignConfig(executor=executor)
-        CampaignConfig(executor="socket", workers=["h:1"])
 
     def test_workers_normalised_to_tuple(self):
         config = CampaignConfig(workers=["a:1", "b:2"])
@@ -202,66 +173,73 @@ class TestSerialExecutor:
         assert records == [serial_records[1], serial_records[3]]
 
 
-class TestBatchExecutor:
+class TestDegradeRule:
+    """One rule decides when fork/batch requests run on the decoded engine."""
+
+    @pytest.mark.parametrize("engine", ["fork", "batch", "decoded",
+                                        "reference"])
+    @pytest.mark.parametrize("targets", [[], [3]])
+    @pytest.mark.parametrize("model, supports_fork", [
+        ("control-bit", True),
+        ("memory-bit", False),
+    ])
+    def test_executing_engine_table(self, engine, targets, model,
+                                    supports_fork):
+        plan = InjectionPlan(ProtectionMode.PROTECTED, targets, model=model)
+        assert plan.fork_compatible is supports_fork
+        checkpointed = engine in ("fork", "batch")
+        expected = ("decoded" if checkpointed
+                    and not (targets and supports_fork) else engine)
+        assert executing_engine(engine, plan) == expected
+
+    @pytest.mark.parametrize("engine", ["fork", "batch", "decoded"])
+    def test_no_plan_runs_decoded(self, engine):
+        assert executing_engine(engine, None) == "decoded"
+
+
+class TestBatchEngine:
     def test_batch_engine_matches_serial(self, adpcm, serial_records):
-        """engine='batch' resolves to the batch executor and reproduces
-        the fork-engine reference records bit for bit."""
+        """engine='batch' reproduces the fork-engine reference records
+        bit for bit."""
         config = CampaignConfig(runs=5, base_seed=11, engine="batch")
         cell = CampaignRunner(adpcm, config).run_campaign(
             4, ProtectionMode.PROTECTED)
         assert cell.records == serial_records
 
-    def test_explicit_batch_executor_forces_lockstep(self, adpcm,
-                                                     serial_records):
-        """executor='batch' batches a cell even under a scalar engine."""
-        config = CampaignConfig(runs=5, base_seed=11, executor="batch")
-        runner = CampaignRunner(adpcm, config)
-        assert isinstance(runner.make_executor(), BatchExecutor)
-        cell = runner.run_campaign(4, ProtectionMode.PROTECTED)
-        assert cell.records == serial_records
+    def test_batch_size_chunks_reproduce_records(self, adpcm, serial_records,
+                                                 monkeypatch):
+        """Any BATCH_SIZE partitioning yields the same record stream."""
+        from repro.exec import base as exec_base
 
-    def test_batch_size_chunks_reproduce_records(self, adpcm, serial_records):
-        """Any batch_size partitioning yields the same record stream."""
         for batch_size in (1, 2, 256):
-            config = CampaignConfig(runs=5, base_seed=11, engine="batch",
-                                    batch_size=batch_size)
+            monkeypatch.setattr(exec_base, "BATCH_SIZE", batch_size)
+            config = CampaignConfig(runs=5, base_seed=11, engine="batch")
             cell = CampaignRunner(adpcm, config).run_campaign(
                 4, ProtectionMode.PROTECTED)
             assert cell.records == serial_records
 
-    def test_state_model_falls_back_with_single_warning(self, adpcm):
-        """memory-bit corrupts machine state, so engine='batch' degrades
-        to decoded — warning once per model, not once per run or cell."""
+    def test_state_model_falls_back_to_decoded(self, adpcm):
+        """memory-bit corrupts machine state, so engine='batch' silently
+        degrades to decoded with identical records."""
         import warnings
 
-        from repro.exec import base as exec_base
-
-        exec_base._BATCH_FALLBACK_WARNED.discard("memory-bit")
         tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(4)]
         config = CampaignConfig(runs=4, base_seed=11, engine="batch",
                                 model="memory-bit")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with SerialExecutor(adpcm, config) as executor:
                 records = executor.run(tasks)
-                again = executor.run(tasks)  # second cell: no new warning
-        fallbacks = [w for w in caught
-                     if issubclass(w.category, RuntimeWarning)
-                     and "falls back" in str(w.message)]
-        assert len(fallbacks) == 1
-        assert "memory-bit" in str(fallbacks[0].message)
         reference = CampaignConfig(runs=4, base_seed=11, engine="decoded",
                                    model="memory-bit")
         with SerialExecutor(adpcm, reference) as executor:
             expected = executor.run(tasks)
         assert records == expected
-        assert again == expected
 
 
 class TestPoolExecutor:
-    def test_explicit_pool_matches_serial(self, adpcm, serial_records):
-        config = CampaignConfig(runs=5, base_seed=11, parallel=2,
-                                executor="pool")
+    def test_pool_matches_serial(self, adpcm, serial_records):
+        config = CampaignConfig(runs=5, base_seed=11, parallel=2)
         runner = CampaignRunner(adpcm, config)
         cell = runner.run_campaign(4, ProtectionMode.PROTECTED)
         assert cell.records == serial_records
@@ -270,7 +248,7 @@ class TestPoolExecutor:
 class TestSocketExecutor:
     def test_socket_matches_serial(self, adpcm, serial_records,
                                    worker_addresses):
-        config = CampaignConfig(runs=5, base_seed=11, executor="socket",
+        config = CampaignConfig(runs=5, base_seed=11,
                                 workers=tuple(worker_addresses))
         runner = CampaignRunner(adpcm, config)
         cell = runner.run_campaign(4, ProtectionMode.PROTECTED)
@@ -279,7 +257,7 @@ class TestSocketExecutor:
     def test_socket_serves_multiple_cells_per_session(self, adpcm,
                                                       worker_addresses):
         """One executor session shards a whole sweep, cell after cell."""
-        config = CampaignConfig(runs=4, base_seed=23, executor="socket",
+        config = CampaignConfig(runs=4, base_seed=23,
                                 workers=tuple(worker_addresses))
         sweep = CampaignRunner(adpcm, config).run_sweep(
             [0, 2, 6], mode=ProtectionMode.UNPROTECTED)
@@ -290,7 +268,7 @@ class TestSocketExecutor:
             assert socket_cell.records == serial_cell.records
 
     def test_connect_failure_is_reported_without_fallback(self, adpcm):
-        config = CampaignConfig(runs=2, executor="socket",
+        config = CampaignConfig(runs=2,
                                 workers=("127.0.0.1:1",), fallback=False)
         executor = SocketExecutor(adpcm, config, connect_timeout=0.5)
         with pytest.raises(OSError, match="no socket workers reachable"):
@@ -302,7 +280,7 @@ class TestSocketExecutor:
         records in-process, with exactly one loud warning."""
         import warnings
 
-        config = CampaignConfig(runs=5, base_seed=11, executor="socket",
+        config = CampaignConfig(runs=5, base_seed=11,
                                 workers=("127.0.0.1:1",))
         tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(5)]
         with warnings.catch_warnings(record=True) as caught:
@@ -387,7 +365,7 @@ class TestSocketRobustness:
                 pass
 
         hung = _ScriptedWorker(accept_chunk_then_hang)
-        config = CampaignConfig(runs=5, base_seed=11, executor="socket",
+        config = CampaignConfig(runs=5, base_seed=11,
                                 workers=(hung.address,))
         tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(5)]
         try:
@@ -417,7 +395,7 @@ class TestSocketRobustness:
                 pass
 
         hung = _ScriptedWorker(accept_chunk_then_hang)
-        config = CampaignConfig(runs=5, base_seed=11, executor="socket",
+        config = CampaignConfig(runs=5, base_seed=11,
                                 workers=(hung.address,), fallback=False)
         tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(5)]
         try:
@@ -441,7 +419,7 @@ class TestSocketRobustness:
                 pass
 
         stale = _ScriptedWorker(old_protocol)
-        config = CampaignConfig(runs=2, executor="socket",
+        config = CampaignConfig(runs=2,
                                 workers=(stale.address,))
         try:
             executor = self._fast_executor(adpcm, config)
@@ -472,7 +450,7 @@ class TestSocketRobustness:
         from repro.exec import HandshakeError
 
         process, address = _spawn_worker("--secret", "sesame")
-        config = CampaignConfig(runs=2, executor="socket",
+        config = CampaignConfig(runs=2,
                                 workers=(address,))
         try:
             with pytest.raises(HandshakeError, match="requires a shared "
@@ -486,7 +464,7 @@ class TestSocketRobustness:
         from repro.exec import HandshakeError
 
         process, address = _spawn_worker("--secret", "sesame")
-        config = CampaignConfig(runs=2, executor="socket",
+        config = CampaignConfig(runs=2,
                                 workers=(address,), worker_secret="wrong")
         try:
             with pytest.raises(HandshakeError, match="HMAC verification"):
@@ -498,7 +476,7 @@ class TestSocketRobustness:
     def test_matching_secret_authenticates_and_runs(self, adpcm,
                                                     serial_records):
         process, address = _spawn_worker("--secret", "sesame")
-        config = CampaignConfig(runs=5, base_seed=11, executor="socket",
+        config = CampaignConfig(runs=5, base_seed=11,
                                 workers=(address,), worker_secret="sesame")
         tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(5)]
         try:
@@ -512,7 +490,7 @@ class TestSocketRobustness:
             self, adpcm, worker_addresses):
         from repro.exec import HandshakeError
 
-        config = CampaignConfig(runs=2, executor="socket",
+        config = CampaignConfig(runs=2,
                                 workers=(worker_addresses[0],),
                                 worker_secret="sesame")
         with pytest.raises(HandshakeError, match="did not authenticate"):

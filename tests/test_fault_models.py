@@ -202,19 +202,18 @@ class TestDeterminismAcrossExecutors:
     ERRORS = 3
     RUNS = 4
 
-    def _records(self, app, model_name, executor, workers=()):
+    def _records(self, app, model_name, parallel=1, workers=()):
         config = CampaignConfig(
             runs=self.RUNS, base_seed=31, model=model_name,
-            executor=executor, parallel=2, parallel_threshold=1,
-            workers=workers,
+            parallel=parallel, workers=workers,
         )
         runner = CampaignRunner(app, config)
         return runner.run_records(self.ERRORS, ProtectionMode.UNPROTECTED)
 
     @pytest.mark.parametrize("model_name", NON_DEFAULT_MODELS)
     def test_pool_matches_serial(self, adpcm, model_name):
-        serial = self._records(adpcm, model_name, "serial")
-        pool = self._records(adpcm, model_name, "pool")
+        serial = self._records(adpcm, model_name)
+        pool = self._records(adpcm, model_name, parallel=2)
         assert serial == pool
         assert all(record.model == model_name for record in serial)
 
@@ -222,7 +221,8 @@ class TestDeterminismAcrossExecutors:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro.exec.worker", "--port", "0",
+            [sys.executable, "-m", "repro.exec.worker",
+             "--listen", "127.0.0.1:0",
              "--max-sessions", str(len(NON_DEFAULT_MODELS))],
             stdout=subprocess.PIPE, text=True, env=env,
         )
@@ -230,9 +230,8 @@ class TestDeterminismAcrossExecutors:
             banner = process.stdout.readline().strip()
             address = re.search(r"listening on (\S+:\d+)$", banner).group(1)
             for model_name in NON_DEFAULT_MODELS:
-                serial = self._records(adpcm, model_name, "serial")
-                remote = self._records(adpcm, model_name, "socket",
-                                       workers=(address,))
+                serial = self._records(adpcm, model_name)
+                remote = self._records(adpcm, model_name, workers=(address,))
                 assert serial == remote, model_name
         finally:
             process.terminate()

@@ -47,7 +47,8 @@ def spawn_workers(count):
     try:
         for _ in range(count):
             process = subprocess.Popen(
-                [sys.executable, "-m", "repro.exec.worker", "--port", "0"],
+                [sys.executable, "-m", "repro.exec.worker",
+                 "--listen", "127.0.0.1:0"],
                 stdout=subprocess.PIPE, text=True, env=env,
             )
             banner = process.stdout.readline().strip()
@@ -235,7 +236,7 @@ class TestResumableSweep:
         with spawn_workers(2) as addresses:
             campaign = CampaignConfig(
                 runs=CONFIG.runs_per_cell, base_seed=CONFIG.base_seed,
-                executor="socket", workers=addresses,
+                workers=addresses,
             )
             _, resumed = run_sweep(root, campaign=campaign)
 
@@ -324,7 +325,7 @@ class TestAdaptiveSweep:
         with spawn_workers(2) as addresses:
             campaign = CampaignConfig(
                 runs=CONFIG.runs_per_cell, base_seed=CONFIG.base_seed,
-                executor="socket", workers=addresses,
+                workers=addresses,
             )
             _, resumed = run_adaptive(root, campaign=campaign, chunk_size=3)
         assert resumed.runs_executed > 0
