@@ -15,6 +15,18 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from .instructions import Instruction
 from .opcodes import Opcode
 
+INT32_MIN = -(1 << 31)
+INT32_MAX = (1 << 31) - 1
+
+#: Opcodes whose immediate must be a signed 32-bit integer: the ALU
+#: immediates and the load/store offsets.  ``LI`` is exempt because it
+#: wraps its immediate to 32 bits by definition.
+INT32_IMMEDIATE_OPS = frozenset({
+    Opcode.ADDI, Opcode.ANDI, Opcode.ORI, Opcode.XORI, Opcode.SLLI,
+    Opcode.SRLI, Opcode.SRAI, Opcode.SLTI,
+    Opcode.LW, Opcode.SW, Opcode.FLW, Opcode.FSW,
+})
+
 
 class ProgramError(Exception):
     """Raised for malformed programs (duplicate labels, missing targets...)."""
@@ -127,10 +139,17 @@ class Program:
             )
 
     def validate(self) -> None:
-        """Check label targets, data symbols and the entry point."""
+        """Check immediates, label targets, data symbols and the entry point."""
         if self.entry not in self.labels and self.entry not in self.functions:
             raise ProgramError(f"entry point {self.entry!r} not defined")
         for index, instruction in enumerate(self.instructions):
+            imm = instruction.imm
+            if instruction.op in INT32_IMMEDIATE_OPS and not (
+                    isinstance(imm, int) and INT32_MIN <= imm <= INT32_MAX):
+                raise ProgramError(
+                    f"instruction {index}: {instruction.info.name} immediate "
+                    f"{imm!r} is not a signed 32-bit integer"
+                )
             if instruction.label is None:
                 continue
             if instruction.op is Opcode.LA:

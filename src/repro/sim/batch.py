@@ -12,15 +12,17 @@ How it works
 * One scalar *golden* machine state (register files, memory dict, output
   lengths) is restored from the checkpoint nearest the batch's earliest
   injection site (reusing the fork engine's :class:`CheckpointStore`) and
-  advanced along the golden path by per-instruction handlers that inline
-  the decoded engine's exact scalar semantics.
+  advanced along the golden path by per-instruction handlers.  Most are
+  generated from the same :mod:`semantics table <repro.sim.semantics>`
+  as the decoded engine's, so the golden step is that engine's scalar
+  expression; memory access, ``JR`` and output stay hand-written here.
 
 * Divergence from golden is tracked per architectural location as a
   *taint column*: ``None`` means "all lanes hold the golden value", an
   ``(n_lanes,)`` numpy array holds per-lane values otherwise.  Handlers
-  propagate taint with numpy where the vector operation is bit-exact
-  (wrapped int arithmetic, logicals, shifts, IEEE-754 binary64 add/sub/
-  mul/div) and with per-lane Python scalars where it is not.
+  propagate taint with each opcode's table-given numpy form, which is
+  bit-exact against the scalar one, and with per-lane Python scalars in
+  the hand-written memory handlers.
 
 * Injections fire exactly like the decoded engine's exposed wrappers: a
   merged schedule of ``(exposed_dynamic_index, lane)`` pairs drives a
@@ -59,7 +61,6 @@ from scratch on the decoded engine.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -72,6 +73,7 @@ from .errors import SimFault
 from .faults import InjectionEvent, InjectionPlan
 from .fork import CheckpointStore, run_forked
 from .memory import Memory
+from .semantics import lockstep_makers
 
 _I64 = np.int64
 _F64 = np.float64
@@ -130,21 +132,13 @@ class _PlanProxy:
         return self.rng.randrange(width)
 
 
-def _wrap_s(value: int) -> int:
-    return ((value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _wrap_v(values):
-    return ((values + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
 class _Lockstep:
     """Shared mutable state of one lockstep walk.
 
-    Handlers are closures built by the ``_bm_*`` makers below; they alias
-    the containers here as locals, so the instance mostly exists to pass
-    one object around during construction and to host the rare-path
-    methods (retirement, fires).
+    Handlers are closures built by :data:`BATCH_MAKERS`; they alias the
+    containers here as locals, so the instance mostly exists to pass one
+    object around during construction and to host the rare-path methods
+    (retirement, fires).
     """
 
     def __init__(self, program, plans, store, grid_mode, model):
@@ -438,432 +432,9 @@ class _Lockstep:
 
 
 # ----------------------------------------------------------------------
-# Handler makers.  Each mirrors the corresponding decode.py fast maker's
-# golden semantics exactly and adds taint propagation.  Spec layout:
-# (index, rd, rs1, rs2, imm, target, next_pc).
+# Hand-written handler makers: memory access, JR and output.  Spec
+# layout: (index, rd, rs1, rs2, imm, target, next_pc).
 # ----------------------------------------------------------------------
-
-def _bm_int_rr(fn):
-    """Int reg-reg ops whose formula is bit-exact for scalars and int64."""
-    def maker(spec, ls):
-        i, d, a, b, imm, t, n = spec
-        if d <= 0:
-            return lambda: n
-        ir = ls.ir
-        it = ls.int_taint
-        set_taint = ls.set_int_taint
-        def h():
-            ta = it[a]
-            tb = it[b]
-            if ta is None and tb is None:
-                ir[d] = fn(ir[a], ir[b])
-                it[d] = None
-                return n
-            golden = fn(ir[a], ir[b])
-            out = fn(ta if ta is not None else ir[a],
-                     tb if tb is not None else ir[b])
-            ir[d] = golden
-            set_taint(d, out, golden)
-            return n
-        return h
-    return maker
-
-
-def _bm_int_cmp(scalar_fn, vec_fn):
-    """Int reg-reg comparisons producing 0/1."""
-    def maker(spec, ls):
-        i, d, a, b, imm, t, n = spec
-        if d <= 0:
-            return lambda: n
-        ir = ls.ir
-        it = ls.int_taint
-        set_taint = ls.set_int_taint
-        def h():
-            ta = it[a]
-            tb = it[b]
-            if ta is None and tb is None:
-                ir[d] = scalar_fn(ir[a], ir[b])
-                it[d] = None
-                return n
-            golden = scalar_fn(ir[a], ir[b])
-            out = vec_fn(ta if ta is not None else ir[a],
-                         tb if tb is not None else ir[b])
-            ir[d] = golden
-            set_taint(d, out, golden)
-            return n
-        return h
-    return maker
-
-
-def _bm_int_ri(fn):
-    """Int reg-imm ops whose formula is bit-exact for scalars and int64."""
-    def maker(spec, ls):
-        i, d, a, b, imm, t, n = spec
-        if d <= 0:
-            return lambda: n
-        ir = ls.ir
-        it = ls.int_taint
-        set_taint = ls.set_int_taint
-        def h():
-            ta = it[a]
-            if ta is None:
-                ir[d] = fn(ir[a], imm)
-                it[d] = None
-                return n
-            golden = fn(ir[a], imm)
-            out = fn(ta, imm)
-            ir[d] = golden
-            set_taint(d, out, golden)
-            return n
-        return h
-    return maker
-
-
-def _bm_slti(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    if d <= 0:
-        return lambda: n
-    ir = ls.ir
-    it = ls.int_taint
-    set_taint = ls.set_int_taint
-    def h():
-        ta = it[a]
-        if ta is None:
-            ir[d] = 1 if ir[a] < imm else 0
-            it[d] = None
-            return n
-        golden = 1 if ir[a] < imm else 0
-        out = np.where(ta < imm, 1, 0).astype(_I64)
-        ir[d] = golden
-        set_taint(d, out, golden)
-        return n
-    return h
-
-
-def _bm_divrem(is_rem):
-    """DIV/REM: zero divisors retire the lane (decoded crashes there)."""
-    def maker(spec, ls):
-        i, d, a, b, imm, t, n = spec
-        ir = ls.ir
-        it = ls.int_taint
-        set_taint = ls.set_int_taint
-        retire_mask = ls.retire_mask
-        def h():
-            ta = it[a]
-            tb = it[b]
-            gb = ir[b]
-            ga = ir[a]
-            if is_rem:
-                golden = _wrap_s(ga - int(ga / gb) * gb)
-            else:
-                golden = _wrap_s(int(ga / gb))
-            if ta is None and tb is None:
-                if d > 0:
-                    ir[d] = golden
-                    it[d] = None
-                return n
-            va = ta if ta is not None else ga
-            vb = tb if tb is not None else gb
-            if tb is not None:
-                zero = vb == 0
-                if zero.any():
-                    retire_mask(zero)
-                    vb = np.where(zero, 1, vb)
-            # int32 / int32 through float64 truncation matches Python's
-            # int(a / b) bit-for-bit: both operands convert exactly and
-            # the correctly-rounded IEEE quotient is shared.
-            quotient = np.trunc(va / vb).astype(_I64)
-            if is_rem:
-                out = _wrap_v(va - quotient * vb)
-            else:
-                out = _wrap_v(quotient)
-            if d > 0:
-                ir[d] = golden
-                set_taint(d, out, golden)
-            return n
-        return h
-    return maker
-
-
-def _bm_li(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    if d <= 0:
-        return lambda: n
-    ir = ls.ir
-    it = ls.int_taint
-    def h():
-        ir[d] = imm
-        it[d] = None
-        return n
-    return h
-
-
-def _bm_la(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    if d <= 0:
-        return lambda: n
-    ir = ls.ir
-    it = ls.int_taint
-    def h():
-        ir[d] = t
-        it[d] = None
-        return n
-    return h
-
-
-def _bm_flt_rr(fn):
-    """Float reg-reg ops where the IEEE op is identical scalar vs vector."""
-    def maker(spec, ls):
-        i, d, a, b, imm, t, n = spec
-        if d < 0:
-            return lambda: n
-        fr = ls.fr
-        ft = ls.flt_taint
-        set_taint = ls.set_flt_taint
-        def h():
-            ta = ft[a]
-            tb = ft[b]
-            if ta is None and tb is None:
-                fr[d] = fn(fr[a], fr[b])
-                ft[d] = None
-                return n
-            golden = fn(fr[a], fr[b])
-            out = fn(ta if ta is not None else fr[a],
-                     tb if tb is not None else fr[b])
-            fr[d] = golden
-            set_taint(d, out, golden)
-            return n
-        return h
-    return maker
-
-
-def _bm_flt_minmax(is_max):
-    def maker(spec, ls):
-        i, d, a, b, imm, t, n = spec
-        if d < 0:
-            return lambda: n
-        fr = ls.fr
-        ft = ls.flt_taint
-        set_taint = ls.set_flt_taint
-        def h():
-            ta = ft[a]
-            tb = ft[b]
-            if ta is None and tb is None:
-                fr[d] = max(fr[a], fr[b]) if is_max else min(fr[a], fr[b])
-                ft[d] = None
-                return n
-            golden = max(fr[a], fr[b]) if is_max else min(fr[a], fr[b])
-            va = ta if ta is not None else fr[a]
-            vb = tb if tb is not None else fr[b]
-            # Python's min/max return the *first* argument on NaN or ties;
-            # np.minimum/maximum do not, so spell the selection out.
-            out = np.where(vb > va, vb, va) if is_max else np.where(vb < va, vb, va)
-            fr[d] = golden
-            set_taint(d, out, golden)
-            return n
-        return h
-    return maker
-
-
-def _fdiv_scalar(numerator, denominator):
-    if denominator == 0.0:
-        if numerator == 0.0 or numerator != numerator:
-            return float("nan")
-        return math.copysign(math.inf, numerator)
-    return numerator / denominator
-
-
-def _bm_fdiv(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    if d < 0:
-        return lambda: n
-    fr = ls.fr
-    ft = ls.flt_taint
-    set_taint = ls.set_flt_taint
-    nlanes = ls.n_lanes
-    def h():
-        ta = ft[a]
-        tb = ft[b]
-        golden = _fdiv_scalar(fr[a], fr[b])
-        if ta is None and tb is None:
-            fr[d] = golden
-            ft[d] = None
-            return n
-        va = ta if ta is not None else fr[a]
-        vb = tb if tb is not None else np.full(nlanes, fr[b], _F64)
-        num = va if isinstance(va, np.ndarray) else np.full(nlanes, va, _F64)
-        zero_den = vb == 0.0
-        if zero_den.any():
-            special = np.where((num == 0.0) | np.isnan(num),
-                               np.nan, np.copysign(np.inf, num))
-            out = np.where(zero_den, special,
-                           num / np.where(zero_den, 1.0, vb))
-        else:
-            out = num / vb
-        fr[d] = golden
-        set_taint(d, out, golden)
-        return n
-    return h
-
-
-def _bm_fneg(spec, ls):
-    return _bm_flt_un(spec, ls, lambda x: -x, lambda x: -x)
-
-
-def _bm_fabs(spec, ls):
-    return _bm_flt_un(spec, ls, abs, np.abs)
-
-
-def _bm_flt_un(spec, ls, scalar_fn, vec_fn):
-    i, d, a, b, imm, t, n = spec
-    if d < 0:
-        return lambda: n
-    fr = ls.fr
-    ft = ls.flt_taint
-    set_taint = ls.set_flt_taint
-    def h():
-        ta = ft[a]
-        if ta is None:
-            fr[d] = scalar_fn(fr[a])
-            ft[d] = None
-            return n
-        golden = scalar_fn(fr[a])
-        out = vec_fn(ta)
-        fr[d] = golden
-        set_taint(d, out, golden)
-        return n
-    return h
-
-
-def _bm_fsqrt(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    if d < 0:
-        return lambda: n
-    fr = ls.fr
-    ft = ls.flt_taint
-    set_taint = ls.set_flt_taint
-    def h():
-        ta = ft[a]
-        operand = fr[a]
-        golden = math.sqrt(operand) if operand >= 0.0 else float("nan")
-        if ta is None:
-            fr[d] = golden
-            ft[d] = None
-            return n
-        ok = ta >= 0.0
-        out = np.where(ok, np.sqrt(np.where(ok, ta, 0.0)), np.nan)
-        fr[d] = golden
-        set_taint(d, out, golden)
-        return n
-    return h
-
-
-def _bm_fli(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    if d < 0:
-        return lambda: n
-    fr = ls.fr
-    ft = ls.flt_taint
-    value = float(imm)
-    def h():
-        fr[d] = value
-        ft[d] = None
-        return n
-    return h
-
-
-def _bm_flt_cmp(scalar_fn, vec_fn):
-    """FEQ/FLT/FLE: float sources, 0/1 int destination."""
-    def maker(spec, ls):
-        i, d, a, b, imm, t, n = spec
-        if d <= 0:
-            return lambda: n
-        ir = ls.ir
-        fr = ls.fr
-        ft = ls.flt_taint
-        it = ls.int_taint
-        set_taint = ls.set_int_taint
-        def h():
-            ta = ft[a]
-            tb = ft[b]
-            if ta is None and tb is None:
-                ir[d] = scalar_fn(fr[a], fr[b])
-                it[d] = None
-                return n
-            golden = scalar_fn(fr[a], fr[b])
-            out = vec_fn(ta if ta is not None else fr[a],
-                         tb if tb is not None else fr[b])
-            ir[d] = golden
-            set_taint(d, out, golden)
-            return n
-        return h
-    return maker
-
-
-def _bm_cvtif(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    ir = ls.ir
-    fr = ls.fr
-    it = ls.int_taint
-    ft = ls.flt_taint
-    set_taint = ls.set_flt_taint
-    if d < 0:
-        # No destination: the decoded engine still evaluates float(ir[a]),
-        # which cannot fault for int32-range values, so this is a no-op.
-        return lambda: n
-    def h():
-        ta = it[a]
-        golden = float(ir[a])
-        if ta is None:
-            fr[d] = golden
-            ft[d] = None
-            return n
-        out = ta.astype(_F64)
-        fr[d] = golden
-        set_taint(d, out, golden)
-        return n
-    return h
-
-
-def _cvtfi_scalar(operand):
-    if operand != operand:  # NaN
-        return 0
-    if operand >= 2147483648.0:
-        return 2147483647
-    if operand <= -2147483649.0:
-        return -2147483648
-    return int(operand)
-
-
-def _bm_cvtfi(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    fr = ls.fr
-    ir = ls.ir
-    ft = ls.flt_taint
-    it = ls.int_taint
-    set_taint = ls.set_int_taint
-    def h():
-        ta = ft[a]
-        golden = _cvtfi_scalar(fr[a])
-        if ta is None:
-            if d > 0:
-                ir[d] = golden
-                it[d] = None
-            return n
-        nan_mask = np.isnan(ta)
-        hi_mask = ta >= 2147483648.0
-        lo_mask = ta <= -2147483649.0
-        safe = np.where(nan_mask | hi_mask | lo_mask, 0.0, ta)
-        out = np.trunc(safe).astype(_I64)
-        out = np.where(nan_mask, 0,
-                       np.where(hi_mask, 2147483647,
-                                np.where(lo_mask, -2147483648, out)))
-        if d > 0:
-            ir[d] = golden
-            set_taint(d, out, golden)
-        return n
-    return h
-
 
 _INT32_MIN = -2147483648
 _INT32_MAX = 2147483647
@@ -1076,61 +647,6 @@ def _bm_fsw(spec, ls):
     return h
 
 
-def _bm_branch(scalar_cmp, vec_cmp):
-    def maker(spec, ls):
-        i, d, a, b, imm, t, n = spec
-        ir = ls.ir
-        it = ls.int_taint
-        def h():
-            ta = it[a]
-            tb = it[b]
-            golden = scalar_cmp(ir[a], ir[b])
-            if ta is not None or tb is not None:
-                taken = vec_cmp(ta if ta is not None else ir[a],
-                                tb if tb is not None else ir[b])
-                diverged = taken != golden
-                if diverged.any():
-                    ls.retire_mask(diverged)
-            return t if golden else n
-        return h
-    return maker
-
-
-def _bm_branch_z(scalar_cmp, vec_cmp):
-    def maker(spec, ls):
-        i, d, a, b, imm, t, n = spec
-        ir = ls.ir
-        it = ls.int_taint
-        def h():
-            ta = it[a]
-            golden = scalar_cmp(ir[a])
-            if ta is not None:
-                diverged = vec_cmp(ta) != golden
-                if diverged.any():
-                    ls.retire_mask(diverged)
-            return t if golden else n
-        return h
-    return maker
-
-
-def _bm_j(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    return lambda: t
-
-
-def _bm_jal(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    if d <= 0:
-        return lambda: t
-    ir = ls.ir
-    it = ls.int_taint
-    def h():
-        ir[d] = n
-        it[d] = None
-        return t
-    return h
-
-
 def _bm_jr(spec, ls):
     i, d, a, b, imm, t, n = spec
     ir = ls.ir
@@ -1182,102 +698,16 @@ def _bm_fout(spec, ls):
     return h
 
 
-def _bm_halt(spec, ls):
-    text_len = ls.text_len
-    return lambda: text_len
-
-
-def _bm_nop(spec, ls):
-    i, d, a, b, imm, t, n = spec
-    return lambda: n
-
-
-BATCH_MAKERS = {
-    Opcode.ADD: _bm_int_rr(
-        lambda x, y: ((x + y + 0x80000000) & 0xFFFFFFFF) - 0x80000000),
-    Opcode.SUB: _bm_int_rr(
-        lambda x, y: ((x - y + 0x80000000) & 0xFFFFFFFF) - 0x80000000),
-    Opcode.MUL: _bm_int_rr(
-        lambda x, y: ((x * y + 0x80000000) & 0xFFFFFFFF) - 0x80000000),
-    Opcode.DIV: _bm_divrem(is_rem=False),
-    Opcode.REM: _bm_divrem(is_rem=True),
-    Opcode.AND: _bm_int_rr(lambda x, y: x & y),
-    Opcode.OR: _bm_int_rr(lambda x, y: x | y),
-    Opcode.XOR: _bm_int_rr(lambda x, y: x ^ y),
-    Opcode.NOR: _bm_int_rr(
-        lambda x, y: ((~(x | y) + 0x80000000) & 0xFFFFFFFF) - 0x80000000),
-    Opcode.SLL: _bm_int_rr(
-        lambda x, y: (((x << (y & 31)) + 0x80000000) & 0xFFFFFFFF)
-        - 0x80000000),
-    Opcode.SRL: _bm_int_rr(
-        lambda x, y: ((((x & 0xFFFFFFFF) >> (y & 31)) + 0x80000000)
-                      & 0xFFFFFFFF) - 0x80000000),
-    Opcode.SRA: _bm_int_rr(
-        lambda x, y: (((x >> (y & 31)) + 0x80000000) & 0xFFFFFFFF)
-        - 0x80000000),
-    Opcode.SLT: _bm_int_cmp(lambda x, y: 1 if x < y else 0,
-                            lambda x, y: np.where(x < y, 1, 0).astype(_I64)),
-    Opcode.SLE: _bm_int_cmp(lambda x, y: 1 if x <= y else 0,
-                            lambda x, y: np.where(x <= y, 1, 0).astype(_I64)),
-    Opcode.SEQ: _bm_int_cmp(lambda x, y: 1 if x == y else 0,
-                            lambda x, y: np.where(x == y, 1, 0).astype(_I64)),
-    Opcode.SNE: _bm_int_cmp(lambda x, y: 1 if x != y else 0,
-                            lambda x, y: np.where(x != y, 1, 0).astype(_I64)),
-    Opcode.ADDI: _bm_int_ri(
-        lambda x, k: ((x + k + 0x80000000) & 0xFFFFFFFF) - 0x80000000),
-    Opcode.ANDI: _bm_int_ri(lambda x, k: x & k),
-    Opcode.ORI: _bm_int_ri(lambda x, k: x | k),
-    Opcode.XORI: _bm_int_ri(lambda x, k: x ^ k),
-    Opcode.SLLI: _bm_int_ri(
-        lambda x, k: (((x << (k & 31)) + 0x80000000) & 0xFFFFFFFF)
-        - 0x80000000),
-    Opcode.SRLI: _bm_int_ri(
-        lambda x, k: ((((x & 0xFFFFFFFF) >> (k & 31)) + 0x80000000)
-                      & 0xFFFFFFFF) - 0x80000000),
-    Opcode.SRAI: _bm_int_ri(
-        lambda x, k: (((x >> (k & 31)) + 0x80000000) & 0xFFFFFFFF)
-        - 0x80000000),
-    Opcode.SLTI: _bm_slti,
-    Opcode.LI: _bm_li,
-    Opcode.LA: _bm_la,
-    Opcode.FADD: _bm_flt_rr(lambda x, y: x + y),
-    Opcode.FSUB: _bm_flt_rr(lambda x, y: x - y),
-    Opcode.FMUL: _bm_flt_rr(lambda x, y: x * y),
-    Opcode.FDIV: _bm_fdiv,
-    Opcode.FNEG: _bm_fneg,
-    Opcode.FABS: _bm_fabs,
-    Opcode.FMIN: _bm_flt_minmax(is_max=False),
-    Opcode.FMAX: _bm_flt_minmax(is_max=True),
-    Opcode.FSQRT: _bm_fsqrt,
-    Opcode.FLI: _bm_fli,
-    Opcode.FEQ: _bm_flt_cmp(lambda x, y: 1 if x == y else 0,
-                            lambda x, y: np.where(x == y, 1, 0).astype(_I64)),
-    Opcode.FLT: _bm_flt_cmp(lambda x, y: 1 if x < y else 0,
-                            lambda x, y: np.where(x < y, 1, 0).astype(_I64)),
-    Opcode.FLE: _bm_flt_cmp(lambda x, y: 1 if x <= y else 0,
-                            lambda x, y: np.where(x <= y, 1, 0).astype(_I64)),
-    Opcode.CVTIF: _bm_cvtif,
-    Opcode.CVTFI: _bm_cvtfi,
-    Opcode.LW: _bm_lw,
-    Opcode.FLW: _bm_flw,
-    Opcode.SW: _bm_sw,
-    Opcode.FSW: _bm_fsw,
-    Opcode.BEQ: _bm_branch(lambda x, y: x == y, lambda x, y: x == y),
-    Opcode.BNE: _bm_branch(lambda x, y: x != y, lambda x, y: x != y),
-    Opcode.BLT: _bm_branch(lambda x, y: x < y, lambda x, y: x < y),
-    Opcode.BLE: _bm_branch(lambda x, y: x <= y, lambda x, y: x <= y),
-    Opcode.BGT: _bm_branch(lambda x, y: x > y, lambda x, y: x > y),
-    Opcode.BGE: _bm_branch(lambda x, y: x >= y, lambda x, y: x >= y),
-    Opcode.BEQZ: _bm_branch_z(lambda x: x == 0, lambda x: x == 0),
-    Opcode.BNEZ: _bm_branch_z(lambda x: x != 0, lambda x: x != 0),
-    Opcode.J: _bm_j,
-    Opcode.JAL: _bm_jal,
-    Opcode.JR: _bm_jr,
-    Opcode.OUT: _bm_out,
+#: Handlers that need lane addresses, the ghost mask, output positions or
+#: per-lane jump targets stay hand-written; every other opcode's lockstep
+#: handler is generated from the semantics table.
+_HAND_WRITTEN = {
+    Opcode.LW: _bm_lw, Opcode.FLW: _bm_flw, Opcode.SW: _bm_sw,
+    Opcode.FSW: _bm_fsw, Opcode.JR: _bm_jr, Opcode.OUT: _bm_out,
     Opcode.FOUT: _bm_fout,
-    Opcode.HALT: _bm_halt,
-    Opcode.NOP: _bm_nop,
 }
+BATCH_MAKERS = {**lockstep_makers(exclude=_HAND_WRITTEN), **_HAND_WRITTEN}
+
 
 
 def _wrap_fire(base, op, spec, index, opname, is_float, ls):
@@ -1340,7 +770,6 @@ def run_batched(machine, plans: List[InjectionPlan], store: CheckpointStore,
         return all_forked()
 
     ls = _Lockstep(program, plans, store, grid_mode, model)
-    ls.text_len = decoded.text_len
     flags = model.exposure(decoded, mode)
     specs = decoded.specs
     opnames = decoded.opnames

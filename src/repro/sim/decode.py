@@ -14,6 +14,12 @@ loop in :meth:`repro.sim.machine.Machine.run` becomes::
         executed += 1
         pc = handlers[pc]()
 
+The handler makers -- :data:`FAST_MAKERS` for plain execution and
+:data:`COMPUTE_MAKERS` for the raw results of injection-exposed
+instructions -- are not written here: :mod:`repro.sim.semantics` generates
+both from its one-row-per-opcode table at import, and this module binds
+them.
+
 Decode products are cached on the ``Program`` (invalidated automatically when
 the control-tagging pass re-tags instructions), so campaigns that run the
 same program thousands of times pay the decode cost once.  Binding closures
@@ -37,19 +43,18 @@ worker processes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..isa import Opcode, Program
 from ..isa.encoding import FLOAT_BITS, INT_BITS, flip_float_bit, flip_int_bit, wrap_int
-from .errors import ArithmeticFault, ControlFault, MemoryFault
 from .faults import (
     InjectionEvent,
     InjectionPlan,
     ProtectionMode,
     exposure_flags,
 )
+from .semantics import COMPUTE_MAKERS, FAST_MAKERS, FLOAT_RESULT_OPS
 
 #: Handler: executes one instruction against bound machine state and returns
 #: the next program counter.
@@ -60,1069 +65,6 @@ Handler = Callable[[], int]
 # pre-processed per opcode (e.g. LI immediates are pre-wrapped, OUT channels
 # pre-truncated); ``target`` holds the resolved branch index or data address.
 Spec = Tuple[int, int, int, int, object, int, int]
-
-
-# ----------------------------------------------------------------------
-# Fast handler makers: one specialized closure per static instruction.
-# The wrap-to-signed-32-bit formula ((x + 0x80000000) & 0xFFFFFFFF) -
-# 0x80000000 is branchless and identical to encoding.wrap_int for every
-# Python int.
-# ----------------------------------------------------------------------
-
-def _mk_add(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ((ir[a] + ir[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_addi(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    k = imm + 0x80000000
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ((ir[a] + k) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_sub(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ((ir[a] - ir[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_mul(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ((ir[a] * ir[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_div(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    def h():
-        divisor = ir[b]
-        if divisor == 0:
-            raise ArithmeticFault("integer division by zero", i)
-        if d > 0:
-            ir[d] = ((int(ir[a] / divisor) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_rem(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    def h():
-        divisor = ir[b]
-        if divisor == 0:
-            raise ArithmeticFault("integer remainder by zero", i)
-        if d > 0:
-            dividend = ir[a]
-            ir[d] = ((dividend - int(dividend / divisor) * divisor + 0x80000000)
-                     & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_and(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ir[a] & ir[b]
-        return n
-    return h
-
-
-def _mk_or(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ir[a] | ir[b]
-        return n
-    return h
-
-
-def _mk_xor(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ir[a] ^ ir[b]
-        return n
-    return h
-
-
-def _mk_nor(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ((~(ir[a] | ir[b]) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_sll(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = (((ir[a] << (ir[b] & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_srl(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ((((ir[a] & 0xFFFFFFFF) >> (ir[b] & 31)) + 0x80000000)
-                 & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_sra(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = (((ir[a] >> (ir[b] & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_slt(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = 1 if ir[a] < ir[b] else 0
-        return n
-    return h
-
-
-def _mk_sle(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = 1 if ir[a] <= ir[b] else 0
-        return n
-    return h
-
-
-def _mk_seq(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = 1 if ir[a] == ir[b] else 0
-        return n
-    return h
-
-
-def _mk_sne(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = 1 if ir[a] != ir[b] else 0
-        return n
-    return h
-
-
-def _mk_andi(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ir[a] & imm
-        return n
-    return h
-
-
-def _mk_ori(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ir[a] | imm
-        return n
-    return h
-
-
-def _mk_xori(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ir[a] ^ imm
-        return n
-    return h
-
-
-def _mk_slli(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    sh = imm & 31
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = (((ir[a] << sh) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_srli(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    sh = imm & 31
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = ((((ir[a] & 0xFFFFFFFF) >> sh) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_srai(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    sh = imm & 31
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = (((ir[a] >> sh) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-        return n
-    return h
-
-
-def _mk_slti(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = 1 if ir[a] < imm else 0
-        return n
-    return h
-
-
-def _mk_li(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = imm  # pre-wrapped at decode time
-        return n
-    return h
-
-
-# -- Floating point -----------------------------------------------------
-
-def _mk_fadd(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    def h():
-        fr[d] = fr[a] + fr[b]
-        return n
-    return h
-
-
-def _mk_fsub(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    def h():
-        fr[d] = fr[a] - fr[b]
-        return n
-    return h
-
-
-def _mk_fmul(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    def h():
-        fr[d] = fr[a] * fr[b]
-        return n
-    return h
-
-
-def _fdiv_value(numerator, denominator):
-    if denominator == 0.0:
-        if numerator == 0.0 or numerator != numerator:
-            return float("nan")
-        return math.copysign(float("inf"), numerator)
-    return numerator / denominator
-
-
-def _mk_fdiv(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    def h():
-        numerator = fr[a]
-        denominator = fr[b]
-        if denominator == 0.0:
-            if numerator == 0.0 or numerator != numerator:
-                fr[d] = float("nan")
-            else:
-                fr[d] = math.copysign(float("inf"), numerator)
-        else:
-            fr[d] = numerator / denominator
-        return n
-    return h
-
-
-def _mk_fneg(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    def h():
-        fr[d] = -fr[a]
-        return n
-    return h
-
-
-def _mk_fabs(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    def h():
-        fr[d] = abs(fr[a])
-        return n
-    return h
-
-
-def _mk_fmin(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    def h():
-        fr[d] = min(fr[a], fr[b])
-        return n
-    return h
-
-
-def _mk_fmax(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    def h():
-        fr[d] = max(fr[a], fr[b])
-        return n
-    return h
-
-
-def _mk_fsqrt(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    sqrt = math.sqrt
-    def h():
-        operand = fr[a]
-        fr[d] = sqrt(operand) if operand >= 0.0 else float("nan")
-        return n
-    return h
-
-
-def _mk_fli(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    if d < 0:
-        return lambda: n
-    value = float(imm)
-    def h():
-        fr[d] = value
-        return n
-    return h
-
-
-def _mk_feq(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    fr = m.float_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = 1 if fr[a] == fr[b] else 0
-        return n
-    return h
-
-
-def _mk_flt(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    fr = m.float_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = 1 if fr[a] < fr[b] else 0
-        return n
-    return h
-
-
-def _mk_fle(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    fr = m.float_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = 1 if fr[a] <= fr[b] else 0
-        return n
-    return h
-
-
-def _mk_cvtif(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    fr = m.float_regs
-    if d >= 0:
-        def h():
-            fr[d] = float(ir[a])
-            return n
-    else:
-        def h():
-            float(ir[a])  # can overflow on corrupted register values
-            return n
-    return h
-
-
-def _cvtfi_value(operand):
-    if operand != operand:  # NaN
-        return 0
-    if operand >= 2147483648.0:
-        return 2147483647
-    if operand <= -2147483649.0:
-        return -2147483648
-    return int(operand)
-
-
-def _mk_cvtfi(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    fr = m.float_regs
-    def h():
-        operand = fr[a]
-        if operand != operand:  # NaN
-            result = 0
-        elif operand >= 2147483648.0:
-            result = 2147483647
-        elif operand <= -2147483649.0:
-            result = -2147483648
-        else:
-            result = int(operand)
-        if d > 0:
-            ir[d] = result
-        return n
-    return h
-
-
-# -- Memory -------------------------------------------------------------
-
-def _mk_lw(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    cells = m.memory.cells
-    get = cells.get
-    if d > 0:
-        def h():
-            address = ir[a] + imm
-            if address < -2147483648 or address >= 2147483648:
-                raise MemoryFault(f"load from invalid address {address}", i)
-            value = get(address, 0)
-            ir[d] = value if isinstance(value, int) else int(value)
-            return n
-    else:
-        # No architectural destination, but the load and int conversion
-        # still happen (a non-finite cell crashes), as in the reference.
-        def h():
-            address = ir[a] + imm
-            if address < -2147483648 or address >= 2147483648:
-                raise MemoryFault(f"load from invalid address {address}", i)
-            value = get(address, 0)
-            if not isinstance(value, int):
-                int(value)
-            return n
-    return h
-
-
-def _mk_flw(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    fr = m.float_regs
-    get = m.memory.cells.get
-    if d >= 0:
-        def h():
-            address = ir[a] + imm
-            if address < -2147483648 or address >= 2147483648:
-                raise MemoryFault(f"load from invalid address {address}", i)
-            fr[d] = float(get(address, 0))
-            return n
-    else:
-        def h():
-            address = ir[a] + imm
-            if address < -2147483648 or address >= 2147483648:
-                raise MemoryFault(f"load from invalid address {address}", i)
-            float(get(address, 0))
-            return n
-    return h
-
-
-def _mk_sw(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    cells = m.memory.cells
-    def h():
-        address = ir[a] + imm
-        if address < -2147483648 or address >= 2147483648:
-            raise MemoryFault(f"store to invalid address {address}", i)
-        cells[address] = ir[b]
-        return n
-    return h
-
-
-def _mk_fsw(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    fr = m.float_regs
-    cells = m.memory.cells
-    def h():
-        address = ir[a] + imm
-        if address < -2147483648 or address >= 2147483648:
-            raise MemoryFault(f"store to invalid address {address}", i)
-        cells[address] = fr[b]
-        return n
-    return h
-
-
-def _mk_la(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: n
-    def h():
-        ir[d] = t  # data address resolved at decode time
-        return n
-    return h
-
-
-# -- Control flow -------------------------------------------------------
-
-def _mk_beq(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: t if ir[a] == ir[b] else n
-
-
-def _mk_bne(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: t if ir[a] != ir[b] else n
-
-
-def _mk_blt(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: t if ir[a] < ir[b] else n
-
-
-def _mk_ble(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: t if ir[a] <= ir[b] else n
-
-
-def _mk_bgt(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: t if ir[a] > ir[b] else n
-
-
-def _mk_bge(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: t if ir[a] >= ir[b] else n
-
-
-def _mk_beqz(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: t if ir[a] == 0 else n
-
-
-def _mk_bnez(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: t if ir[a] != 0 else n
-
-
-def _mk_j(spec, m):
-    i, d, a, b, imm, t, n = spec
-    return lambda: t
-
-
-def _mk_jal(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    if d <= 0:
-        return lambda: t
-    def h():
-        ir[d] = n  # link register gets the fall-through index
-        return t
-    return h
-
-
-def _mk_jr(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    text_len = len(m.program.instructions)
-    def h():
-        target = ir[a]
-        if not isinstance(target, int) or target < 0 or target > text_len:
-            raise ControlFault(f"jump to invalid address {target!r}", i)
-        return target
-    return h
-
-
-# -- System -------------------------------------------------------------
-
-def _mk_out(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    outputs = m.outputs
-    def h():
-        outputs.setdefault(imm, []).append(ir[a])
-        return n
-    return h
-
-
-def _mk_fout(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    outputs = m.outputs
-    def h():
-        outputs.setdefault(imm, []).append(fr[a])
-        return n
-    return h
-
-
-def _mk_halt(spec, m):
-    i, d, a, b, imm, t, n = spec
-    text_len = len(m.program.instructions)
-    return lambda: text_len
-
-
-def _mk_nop(spec, m):
-    i, d, a, b, imm, t, n = spec
-    return lambda: n
-
-
-FAST_MAKERS: Dict[Opcode, Callable] = {
-    Opcode.ADD: _mk_add, Opcode.ADDI: _mk_addi, Opcode.SUB: _mk_sub,
-    Opcode.MUL: _mk_mul, Opcode.DIV: _mk_div, Opcode.REM: _mk_rem,
-    Opcode.AND: _mk_and, Opcode.OR: _mk_or, Opcode.XOR: _mk_xor,
-    Opcode.NOR: _mk_nor, Opcode.SLL: _mk_sll, Opcode.SRL: _mk_srl,
-    Opcode.SRA: _mk_sra, Opcode.SLT: _mk_slt, Opcode.SLE: _mk_sle,
-    Opcode.SEQ: _mk_seq, Opcode.SNE: _mk_sne, Opcode.ANDI: _mk_andi,
-    Opcode.ORI: _mk_ori, Opcode.XORI: _mk_xori, Opcode.SLLI: _mk_slli,
-    Opcode.SRLI: _mk_srli, Opcode.SRAI: _mk_srai, Opcode.SLTI: _mk_slti,
-    Opcode.LI: _mk_li,
-    Opcode.FADD: _mk_fadd, Opcode.FSUB: _mk_fsub, Opcode.FMUL: _mk_fmul,
-    Opcode.FDIV: _mk_fdiv, Opcode.FNEG: _mk_fneg, Opcode.FABS: _mk_fabs,
-    Opcode.FMIN: _mk_fmin, Opcode.FMAX: _mk_fmax, Opcode.FSQRT: _mk_fsqrt,
-    Opcode.FLI: _mk_fli, Opcode.FEQ: _mk_feq, Opcode.FLT: _mk_flt,
-    Opcode.FLE: _mk_fle, Opcode.CVTIF: _mk_cvtif, Opcode.CVTFI: _mk_cvtfi,
-    Opcode.LW: _mk_lw, Opcode.FLW: _mk_flw, Opcode.SW: _mk_sw,
-    Opcode.FSW: _mk_fsw, Opcode.LA: _mk_la,
-    Opcode.BEQ: _mk_beq, Opcode.BNE: _mk_bne, Opcode.BLT: _mk_blt,
-    Opcode.BLE: _mk_ble, Opcode.BGT: _mk_bgt, Opcode.BGE: _mk_bge,
-    Opcode.BEQZ: _mk_beqz, Opcode.BNEZ: _mk_bnez, Opcode.J: _mk_j,
-    Opcode.JAL: _mk_jal, Opcode.JR: _mk_jr,
-    Opcode.OUT: _mk_out, Opcode.FOUT: _mk_fout, Opcode.HALT: _mk_halt,
-    Opcode.NOP: _mk_nop,
-}
-
-
-# ----------------------------------------------------------------------
-# Compute makers: used for instructions exposed to an active injection
-# plan.  Each returns a zero-argument closure producing the instruction's
-# *raw* result (identical value, wrap and fault behaviour as the fast
-# handler); the injection wrapper flips / records / writes back.
-# ----------------------------------------------------------------------
-
-def _ck_add(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ((ir[a] + ir[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_addi(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    k = imm + 0x80000000
-    return lambda: ((ir[a] + k) & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_sub(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ((ir[a] - ir[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_mul(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ((ir[a] * ir[b] + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_div(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    def c():
-        divisor = ir[b]
-        if divisor == 0:
-            raise ArithmeticFault("integer division by zero", i)
-        return ((int(ir[a] / divisor) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-    return c
-
-
-def _ck_rem(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    def c():
-        divisor = ir[b]
-        if divisor == 0:
-            raise ArithmeticFault("integer remainder by zero", i)
-        dividend = ir[a]
-        return ((dividend - int(dividend / divisor) * divisor + 0x80000000)
-                & 0xFFFFFFFF) - 0x80000000
-    return c
-
-
-def _ck_and(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ir[a] & ir[b]
-
-
-def _ck_or(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ir[a] | ir[b]
-
-
-def _ck_xor(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ir[a] ^ ir[b]
-
-
-def _ck_nor(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ((~(ir[a] | ir[b]) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_sll(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: (((ir[a] << (ir[b] & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_srl(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ((((ir[a] & 0xFFFFFFFF) >> (ir[b] & 31)) + 0x80000000)
-                    & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_sra(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: (((ir[a] >> (ir[b] & 31)) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_slt(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: 1 if ir[a] < ir[b] else 0
-
-
-def _ck_sle(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: 1 if ir[a] <= ir[b] else 0
-
-
-def _ck_seq(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: 1 if ir[a] == ir[b] else 0
-
-
-def _ck_sne(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: 1 if ir[a] != ir[b] else 0
-
-
-def _ck_andi(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ir[a] & imm
-
-
-def _ck_ori(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ir[a] | imm
-
-
-def _ck_xori(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: ir[a] ^ imm
-
-
-def _ck_slli(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    sh = imm & 31
-    return lambda: (((ir[a] << sh) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_srli(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    sh = imm & 31
-    return lambda: ((((ir[a] & 0xFFFFFFFF) >> sh) + 0x80000000)
-                    & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_srai(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    sh = imm & 31
-    return lambda: (((ir[a] >> sh) + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-def _ck_slti(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    return lambda: 1 if ir[a] < imm else 0
-
-
-def _ck_li(spec, m):
-    i, d, a, b, imm, t, n = spec
-    return lambda: imm
-
-
-def _ck_fadd(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: fr[a] + fr[b]
-
-
-def _ck_fsub(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: fr[a] - fr[b]
-
-
-def _ck_fmul(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: fr[a] * fr[b]
-
-
-def _ck_fdiv(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: _fdiv_value(fr[a], fr[b])
-
-
-def _ck_fneg(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: -fr[a]
-
-
-def _ck_fabs(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: abs(fr[a])
-
-
-def _ck_fmin(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: min(fr[a], fr[b])
-
-
-def _ck_fmax(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: max(fr[a], fr[b])
-
-
-def _ck_fsqrt(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    sqrt = math.sqrt
-    def c():
-        operand = fr[a]
-        return sqrt(operand) if operand >= 0.0 else float("nan")
-    return c
-
-
-def _ck_fli(spec, m):
-    i, d, a, b, imm, t, n = spec
-    value = float(imm)
-    return lambda: value
-
-
-def _ck_feq(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: 1 if fr[a] == fr[b] else 0
-
-
-def _ck_flt(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: 1 if fr[a] < fr[b] else 0
-
-
-def _ck_fle(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: 1 if fr[a] <= fr[b] else 0
-
-
-def _ck_cvtif(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    fr = m.float_regs
-    return lambda: float(ir[a])
-
-
-def _ck_cvtfi(spec, m):
-    i, d, a, b, imm, t, n = spec
-    fr = m.float_regs
-    return lambda: _cvtfi_value(fr[a])
-
-
-def _ck_lw(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    get = m.memory.cells.get
-    def c():
-        address = ir[a] + imm
-        if address < -2147483648 or address >= 2147483648:
-            raise MemoryFault(f"load from invalid address {address}", i)
-        value = get(address, 0)
-        return value if isinstance(value, int) else int(value)
-    return c
-
-
-def _ck_flw(spec, m):
-    i, d, a, b, imm, t, n = spec
-    ir = m.int_regs
-    get = m.memory.cells.get
-    def c():
-        address = ir[a] + imm
-        if address < -2147483648 or address >= 2147483648:
-            raise MemoryFault(f"load from invalid address {address}", i)
-        return float(get(address, 0))
-    return c
-
-
-def _ck_la(spec, m):
-    i, d, a, b, imm, t, n = spec
-    return lambda: t
-
-
-def _ck_jal(spec, m):
-    i, d, a, b, imm, t, n = spec
-    return lambda: n  # the link value; control transfer handled by the wrapper
-
-
-COMPUTE_MAKERS: Dict[Opcode, Callable] = {
-    Opcode.ADD: _ck_add, Opcode.ADDI: _ck_addi, Opcode.SUB: _ck_sub,
-    Opcode.MUL: _ck_mul, Opcode.DIV: _ck_div, Opcode.REM: _ck_rem,
-    Opcode.AND: _ck_and, Opcode.OR: _ck_or, Opcode.XOR: _ck_xor,
-    Opcode.NOR: _ck_nor, Opcode.SLL: _ck_sll, Opcode.SRL: _ck_srl,
-    Opcode.SRA: _ck_sra, Opcode.SLT: _ck_slt, Opcode.SLE: _ck_sle,
-    Opcode.SEQ: _ck_seq, Opcode.SNE: _ck_sne, Opcode.ANDI: _ck_andi,
-    Opcode.ORI: _ck_ori, Opcode.XORI: _ck_xori, Opcode.SLLI: _ck_slli,
-    Opcode.SRLI: _ck_srli, Opcode.SRAI: _ck_srai, Opcode.SLTI: _ck_slti,
-    Opcode.LI: _ck_li,
-    Opcode.FADD: _ck_fadd, Opcode.FSUB: _ck_fsub, Opcode.FMUL: _ck_fmul,
-    Opcode.FDIV: _ck_fdiv, Opcode.FNEG: _ck_fneg, Opcode.FABS: _ck_fabs,
-    Opcode.FMIN: _ck_fmin, Opcode.FMAX: _ck_fmax, Opcode.FSQRT: _ck_fsqrt,
-    Opcode.FLI: _ck_fli, Opcode.FEQ: _ck_feq, Opcode.FLT: _ck_flt,
-    Opcode.FLE: _ck_fle, Opcode.CVTIF: _ck_cvtif, Opcode.CVTFI: _ck_cvtfi,
-    Opcode.LW: _ck_lw, Opcode.FLW: _ck_flw, Opcode.LA: _ck_la,
-    Opcode.JAL: _ck_jal,
-}
-
-#: Opcodes whose result is a float (written to the float register file and
-#: flipped as a 64-bit IEEE-754 pattern under injection).
-FLOAT_RESULT_OPS = frozenset({
-    Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FNEG,
-    Opcode.FABS, Opcode.FMIN, Opcode.FMAX, Opcode.FSQRT, Opcode.FLI,
-    Opcode.CVTIF, Opcode.FLW,
-})
 
 
 def _wrap_exposed(compute, is_float, d, nxt, index, opname, plan, targets, state,

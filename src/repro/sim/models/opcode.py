@@ -22,6 +22,10 @@ from the same source values:
   whole bit pattern is replaced by a uniform random word, modelling an
   operation whose output bears no relation to the intended one.
 
+Pool membership and the substitute functions come from the pool column of
+the :mod:`semantics table <repro.sim.semantics>`, so a substitute computes
+exactly what the opcode computes when it executes normally.
+
 Corruption draws one value from the plan's generator per fired event: the
 substitute index (uniform over the pool minus the victim) or the random
 replacement word.
@@ -32,90 +36,35 @@ runs resume from the run mode's exposed counter grid.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ...isa import Opcode
 from ...isa.encoding import FLOAT_BITS, INT_BITS, bits_to_float, bits_to_int
+from ..semantics import (
+    FLOAT_CMP, FLOAT_RR, FLOAT_UN, INT_RI, INT_RR, SEMANTICS,
+    SUBSTITUTION_POOLS,
+)
 from .base import Corruptor
 from .control import ControlBitModel
 
+#: The substitution pools, generated from the semantics table in table
+#: order.  Deterministic order matters: the substitute draw indexes these
+#: lists.  Each function maps the victim's operand values to the
+#: substitute's result: ``f(rs1, rs2)``, ``f(rs1, imm)``, ``f(fs1, fs2)``
+#: or ``f(fs1)``.
+INT_RR_POOL = SUBSTITUTION_POOLS[INT_RR]
+INT_RI_POOL = SUBSTITUTION_POOLS[INT_RI]
+FLOAT_RR_POOL = SUBSTITUTION_POOLS[FLOAT_RR]
+FLOAT_UN_POOL = SUBSTITUTION_POOLS[FLOAT_UN]
+FLOAT_CMP_POOL = SUBSTITUTION_POOLS[FLOAT_CMP]
 
-def _w(value: int) -> int:
-    """Wrap to signed 32-bit (the decode engine's branchless formula)."""
-    return ((value + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
-
-#: Integer register-register substitutes: ``f(rs1, rs2) -> wrapped int``.
-#: Deterministic order matters — the substitute draw indexes this list.
-INT_RR_POOL: List[Tuple[Opcode, Callable[[int, int], int]]] = [
-    (Opcode.ADD, lambda a, b: _w(a + b)),
-    (Opcode.SUB, lambda a, b: _w(a - b)),
-    (Opcode.MUL, lambda a, b: _w(a * b)),
-    (Opcode.AND, lambda a, b: a & b),
-    (Opcode.OR, lambda a, b: a | b),
-    (Opcode.XOR, lambda a, b: a ^ b),
-    (Opcode.NOR, lambda a, b: _w(~(a | b))),
-    (Opcode.SLL, lambda a, b: _w(a << (b & 31))),
-    (Opcode.SRL, lambda a, b: _w((a & 0xFFFFFFFF) >> (b & 31))),
-    (Opcode.SRA, lambda a, b: _w(a >> (b & 31))),
-    (Opcode.SLT, lambda a, b: 1 if a < b else 0),
-    (Opcode.SLE, lambda a, b: 1 if a <= b else 0),
-    (Opcode.SEQ, lambda a, b: 1 if a == b else 0),
-    (Opcode.SNE, lambda a, b: 1 if a != b else 0),
-]
-
-#: Integer register-immediate substitutes: ``f(rs1, imm) -> wrapped int``.
-INT_RI_POOL: List[Tuple[Opcode, Callable[[int, int], int]]] = [
-    (Opcode.ADDI, lambda a, imm: _w(a + imm)),
-    (Opcode.ANDI, lambda a, imm: a & imm),
-    (Opcode.ORI, lambda a, imm: a | imm),
-    (Opcode.XORI, lambda a, imm: a ^ imm),
-    (Opcode.SLLI, lambda a, imm: _w(a << (imm & 31))),
-    (Opcode.SRLI, lambda a, imm: _w((a & 0xFFFFFFFF) >> (imm & 31))),
-    (Opcode.SRAI, lambda a, imm: _w(a >> (imm & 31))),
-    (Opcode.SLTI, lambda a, imm: 1 if a < imm else 0),
-]
-
-#: Float binary substitutes: ``f(fs1, fs2) -> float``.
-FLOAT_RR_POOL: List[Tuple[Opcode, Callable[[float, float], float]]] = [
-    (Opcode.FADD, lambda a, b: a + b),
-    (Opcode.FSUB, lambda a, b: a - b),
-    (Opcode.FMUL, lambda a, b: a * b),
-    (Opcode.FMIN, lambda a, b: min(a, b)),
-    (Opcode.FMAX, lambda a, b: max(a, b)),
-]
-
-#: Float unary substitutes: ``f(fs1) -> float``.
-FLOAT_UN_POOL: List[Tuple[Opcode, Callable[[float], float]]] = [
-    (Opcode.FNEG, lambda a: -a),
-    (Opcode.FABS, lambda a: abs(a)),
-    (Opcode.FSQRT, lambda a: math.sqrt(a) if a >= 0.0 else float("nan")),
-]
-
-#: Float comparison substitutes: ``f(fs1, fs2) -> 0 | 1`` (int result).
-FLOAT_CMP_POOL: List[Tuple[Opcode, Callable[[float, float], int]]] = [
-    (Opcode.FEQ, lambda a, b: 1 if a == b else 0),
-    (Opcode.FLT, lambda a, b: 1 if a < b else 0),
-    (Opcode.FLE, lambda a, b: 1 if a <= b else 0),
-]
-
-#: Victims routed to each pool (victims may sit outside the pool — e.g.
-#: ``DIV`` substitutes from the side-effect-free integer pool).
-_POOL_FOR_VICTIM = {}
-for _op, _fn in INT_RR_POOL:
-    _POOL_FOR_VICTIM[_op] = INT_RR_POOL
-_POOL_FOR_VICTIM[Opcode.DIV] = INT_RR_POOL
-_POOL_FOR_VICTIM[Opcode.REM] = INT_RR_POOL
-for _op, _fn in INT_RI_POOL:
-    _POOL_FOR_VICTIM[_op] = INT_RI_POOL
-for _op, _fn in FLOAT_RR_POOL:
-    _POOL_FOR_VICTIM[_op] = FLOAT_RR_POOL
-_POOL_FOR_VICTIM[Opcode.FDIV] = FLOAT_RR_POOL
-for _op, _fn in FLOAT_UN_POOL:
-    _POOL_FOR_VICTIM[_op] = FLOAT_UN_POOL
-for _op, _fn in FLOAT_CMP_POOL:
-    _POOL_FOR_VICTIM[_op] = FLOAT_CMP_POOL
+#: Victims routed to each pool.  A victim may sit outside its pool: ``DIV``
+#: and ``REM`` substitute from the side-effect-free integer pool and
+#: ``FDIV`` from the float binary pool, but are never drawn themselves.
+_POOL_FOR_VICTIM: Dict[Opcode, List[Tuple[Opcode, Callable]]] = {
+    op: SUBSTITUTION_POOLS[row.pool]
+    for op, row in SEMANTICS.items() if row.pool is not None
+}
 
 #: Pools whose functions read two float sources.
 _TWO_FLOAT_POOLS = (FLOAT_RR_POOL, FLOAT_CMP_POOL)

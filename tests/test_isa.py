@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.assembler import ProgramBuilder, parse_assembly
 from repro.isa import (
     DataObject,
     F,
@@ -20,6 +21,7 @@ from repro.isa import (
     wrap_int,
 )
 from repro.isa.opcodes import OPCODE_INFO
+from repro.sim import Machine
 
 
 class TestRegisters:
@@ -154,3 +156,48 @@ class TestProgram:
         listing = program.listing()
         assert "main:" in listing
         assert ".data buffer" in listing
+
+
+class TestImmediateRange:
+    """ALU immediates and memory offsets must be signed 32-bit integers."""
+
+    CHECKED = ("addi", "andi", "ori", "xori", "slli", "srli", "srai", "slti")
+    MEMORY = ("lw", "sw", "flw", "fsw")
+
+    @staticmethod
+    def _assemble(line):
+        return parse_assembly(f".func main\n  li $9, -5\n  {line}\n  halt\n"
+                              f".endfunc\n")
+
+    @pytest.mark.parametrize("mnemonic", CHECKED)
+    @pytest.mark.parametrize("imm", [2**31, -(2**31) - 1, 2**70])
+    def test_parse_assembly_rejects_wide_alu_immediate(self, mnemonic, imm):
+        with pytest.raises(ProgramError, match="signed 32-bit"):
+            self._assemble(f"{mnemonic} $10, $9, {imm}")
+
+    @pytest.mark.parametrize("mnemonic", MEMORY)
+    def test_parse_assembly_rejects_wide_memory_offset(self, mnemonic):
+        register = "$f4" if mnemonic.startswith("f") else "$10"
+        with pytest.raises(ProgramError, match="signed 32-bit"):
+            self._assemble(f"{mnemonic} {register}, $9, {2**31}")
+
+    @pytest.mark.parametrize("mnemonic", CHECKED)
+    @pytest.mark.parametrize("imm", [2**31 - 1, -(2**31), 0])
+    def test_int32_bounds_accepted(self, mnemonic, imm):
+        self._assemble(f"{mnemonic} $10, $9, {imm}")
+
+    def test_builder_rejects_wide_immediates(self):
+        for emit in (lambda b: b.xori(R(10), R(9), 1180591620717411303424),
+                     lambda b: b.addi(R(10), R(9), 2**31),
+                     lambda b: b.lw(R(10), R(9), -(2**31) - 1),
+                     lambda b: b.fsw(F(2), R(9), 2**40)):
+            builder = ProgramBuilder()
+            with builder.function("main"):
+                emit(builder)
+                builder.halt()
+            with pytest.raises(ProgramError, match="signed 32-bit"):
+                builder.build()
+
+    def test_li_keeps_its_documented_wrap(self):
+        program = self._assemble(f"li $2, {2**32 + 5}")
+        assert Machine(program).run().exit_value == 5

@@ -120,6 +120,41 @@ class TestUnorderedSetIteration:
         assert lint_paths([tmp_path / "src"], root=tmp_path) == []
 
 
+class TestNoDynamicCode:
+    def test_exec_in_sim_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/sim/bad.py",
+               "def run(source):\n    exec(source)\n")
+        found = lint_paths([tmp_path / "src"], root=tmp_path)
+        assert _rules(found) == ["no-dynamic-code"]
+        assert found[0].line == 2
+
+    def test_eval_and_compile_anywhere_in_package_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/exec/bad.py",
+               "def decode(text):\n    return eval(text)\n")
+        _plant(tmp_path, "src/repro/core/bad.py",
+               "def build(text):\n    return compile(text, 'x', 'exec')\n")
+        found = lint_paths([tmp_path / "src"], root=tmp_path)
+        assert _rules(found) == ["no-dynamic-code", "no-dynamic-code"]
+
+    def test_builtins_attribute_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/service/bad.py",
+               "import builtins\n\n\ndef run(text):\n"
+               "    builtins.exec(text)\n")
+        found = lint_paths([tmp_path / "src"], root=tmp_path)
+        assert _rules(found) == ["no-dynamic-code"]
+
+    def test_semantics_table_exempt(self, tmp_path):
+        _plant(tmp_path, "src/repro/sim/semantics.py",
+               "SOURCE = 'x = 1'\nexec(compile(SOURCE, 'x', 'exec'), {})\n")
+        assert lint_paths([tmp_path / "src"], root=tmp_path) == []
+
+    def test_method_named_compile_allowed(self, tmp_path):
+        _plant(tmp_path, "src/repro/compiler/ok.py",
+               "import re\n\n\ndef build(driver):\n"
+               "    driver.compile()\n    return re.compile('x')\n")
+        assert lint_paths([tmp_path / "src"], root=tmp_path) == []
+
+
 def test_multiple_violations_sorted_by_location(tmp_path):
     _plant(tmp_path, "src/repro/exec/bad.py",
            "import pickle\n\n\ndef to_json(x):\n"

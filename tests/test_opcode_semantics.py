@@ -284,11 +284,12 @@ def _has_dest(case: Case) -> bool:
     return case.rd is not None and (case.rd.is_float or case.rd.index != 0)
 
 
-OPS = list(Opcode)
-_ids = pytest.mark.parametrize("op", OPS, ids=[op.name for op in OPS])
+def _over(ops):
+    ops = list(ops)
+    return pytest.mark.parametrize("op", ops, ids=[op.name for op in ops])
 
 
-@_ids
+@_over(Opcode)
 def test_decoded_matches_reference(op):
     for case in _cases(op):
         ref = _observe(case, "reference")
@@ -302,10 +303,8 @@ def test_decoded_matches_reference(op):
         assert dec.exec_counts == ref.exec_counts, case
 
 
-@_ids
+@_over(op for op in Opcode if op in COMPUTE_MAKERS)
 def test_compute_closure_matches_reference(op):
-    if op not in COMPUTE_MAKERS:
-        pytest.skip("no result to compute")
     for case in _cases(op):
         ref = _observe(case, "reference")
         machine = _machine(case)
@@ -377,10 +376,8 @@ def _run_batch(case: Case, ls: FakeLockstep) -> int:
         return handler()
 
 
-@_ids
+@_over(Opcode)
 def test_batch_golden_path_matches_reference(op):
-    if op not in BATCH_MAKERS:
-        pytest.skip("not carried by the lockstep walk")
     for case in _cases(op):
         ref = _observe(case, "reference")
         if ref.crashed:
@@ -418,11 +415,9 @@ def _lane_groups(op):
                 yield golden, lanes, tainted
 
 
-@_ids
+@_over(op for op in Opcode if SHAPES[op] in LANE_SOURCES)
 def test_batch_vector_lanes_match_reference(op):
     shape = SHAPES[op]
-    if shape not in LANE_SOURCES:
-        pytest.skip("no register sources to carry as lanes")
     checked = 0
     for golden, lanes, tainted in _lane_groups(op):
         ls = FakeLockstep(golden, len(lanes))

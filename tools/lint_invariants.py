@@ -28,6 +28,13 @@ the source tree with the stdlib ``ast`` module and enforces them:
     insertion/hash-dependent, so the emitted bytes stop being
     deterministic.  Wrap the set in ``sorted(...)``.
 
+``no-dynamic-code``
+    Calls to the builtins ``exec``, ``eval`` and ``compile`` are findings
+    anywhere under ``src/repro`` except ``sim/semantics.py``, which
+    compiles the simulator's handler families from its own string
+    constants.  Workers receive programs over the wire, so generated code
+    must come only from module constants, never from data.
+
 Exit status 1 when any violation is found.  Self-tested (with seeded
 violations) in ``tests/test_lint_invariants.py``.
 """
@@ -55,6 +62,13 @@ DETERMINISM_SCOPES = ("src/repro/sim/", "src/repro/compiler/",
 NONDETERMINISTIC_CALLS = frozenset({
     "time.time", "time.time_ns", "os.urandom", "uuid.uuid4",
 })
+
+#: Builtins that turn strings into code.
+DYNAMIC_CODE_BUILTINS = frozenset({"exec", "eval", "compile"})
+
+#: Where ``no-dynamic-code`` applies, and the one module exempt from it.
+DYNAMIC_CODE_SCOPES = ("src/repro/",)
+DYNAMIC_CODE_EXEMPT = "src/repro/sim/semantics.py"
 
 #: Function-name markers of codec/serialization code (exact names or,
 #: for the verb forms, prefixes).
@@ -115,6 +129,8 @@ class _FileLinter(ast.NodeVisitor):
         self._codec_depth = 0
         self._check_pickle = _in_scope(relative, PICKLE_SCOPES)
         self._check_random = _in_scope(relative, DETERMINISM_SCOPES)
+        self._check_dynamic = (_in_scope(relative, DYNAMIC_CODE_SCOPES)
+                               and relative != DYNAMIC_CODE_EXEMPT)
 
     def _report(self, node: ast.AST, rule: str, message: str) -> None:
         self.violations.append(Violation(
@@ -143,8 +159,19 @@ class _FileLinter(ast.NodeVisitor):
                     f"the protocol is versioned JSON by design")
         self.generic_visit(node)
 
-    # -- unseeded-random ------------------------------------------------
+    # -- unseeded-random and no-dynamic-code ----------------------------
     def visit_Call(self, node: ast.Call) -> None:
+        if self._check_dynamic:
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else _dotted_call(node))
+            if (name is not None and name.removeprefix("builtins.")
+                    in DYNAMIC_CODE_BUILTINS):
+                self._report(
+                    node, "no-dynamic-code",
+                    f"{name}() turns data into code; only "
+                    f"{DYNAMIC_CODE_EXEMPT} may compile source, and only "
+                    f"from its own constants")
         if self._check_random:
             dotted = _dotted_call(node)
             if dotted is not None:
