@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from .encoding import wrap_int
 from .instructions import Instruction
 from .opcodes import Opcode
-
-INT32_MIN = -(1 << 31)
-INT32_MAX = (1 << 31) - 1
 
 #: Opcodes whose immediate must be a signed 32-bit integer: the ALU
 #: immediates and the load/store offsets.  ``LI`` is exempt because it
@@ -145,7 +143,7 @@ class Program:
         for index, instruction in enumerate(self.instructions):
             imm = instruction.imm
             if instruction.op in INT32_IMMEDIATE_OPS and not (
-                    isinstance(imm, int) and INT32_MIN <= imm <= INT32_MAX):
+                    isinstance(imm, int) and wrap_int(imm) == imm):
                 raise ProgramError(
                     f"instruction {index}: {instruction.info.name} immediate "
                     f"{imm!r} is not a signed 32-bit integer"

@@ -453,7 +453,7 @@ def _pool_source(row: Semantics) -> str:
     """A substitute as a plain function of its operand values."""
     names = {operand: "x" if _slot(operand) == "a" else "y"
              for operand in row.sources}
-    params = list(dict.fromkeys(names.values()))
+    params = list(names.values())
     if "imm" in row.code:
         params.append("imm")
     body = [_substitute(line, names)
