@@ -5,30 +5,39 @@ instruction and chased ``instruction.rs1.index`` attributes on each visit.
 This module lowers a finalized :class:`~repro.isa.Program` **once** into flat
 per-instruction operand tuples (register indices as plain ints, pre-wrapped
 immediates, resolved branch targets and data addresses) and then *binds* the
-decoded form to a machine's register files and memory as a table of
-specialized zero-argument closures — classic threaded code.  The dispatch
-loop in :meth:`repro.sim.machine.Machine.run` becomes::
+decoded form to a machine's register files and memory as specialized
+zero-argument closures — classic threaded code — per instruction and per
+basic block.  The decode cuts the text into blocks (``block_sizes`` and
+``block_shapes`` at each leader), and every engine's scalar loop is the
+block stepper of :mod:`repro.sim.stepper`::
 
     while pc != text_len:
-        exec_counts[pc] += 1
-        executed += 1
-        pc = handlers[pc]()
+        size = block_sizes[pc]
+        if size and executed + size <= limit:
+            pc = blocks[pc]()           # a whole straight-line block
+            block_counts[leader] += 1
+            executed += size
+        else:
+            exec_counts[pc] += 1        # one instruction
+            executed += 1
+            pc = handlers[pc]()
 
-The handler makers -- :data:`FAST_MAKERS` for plain execution and
+The makers -- :data:`FAST_MAKERS` for plain execution,
 :data:`COMPUTE_MAKERS` for the raw results of injection-exposed
-instructions -- are not written here: :mod:`repro.sim.semantics` generates
-both from its one-row-per-opcode table at import, and this module binds
-them.
+instructions and :func:`block_maker` for whole blocks -- are not written
+here: :mod:`repro.sim.semantics` generates them from its
+one-row-per-opcode table, and the stepper binds them on first use.
 
 Decode products are cached on the ``Program`` (invalidated automatically when
 the control-tagging pass re-tags instructions), so campaigns that run the
-same program thousands of times pay the decode cost once.  Binding closures
-to a fresh machine is O(static program size) and is repaid within the first
-few hundred dynamic instructions.
+same program thousands of times pay the decode cost once.  The stepper
+binds a closure the first time a run reaches it, so a short forked run
+pays only for the code it executes.
 
-Three artefacts come out of a decode:
+Four artefacts come out of a decode:
 
 * ``specs`` — per-instruction operand tuples consumed by the handler makers;
+* basic blocks — each leader's block length and shape;
 * exposure bit-vectors per :class:`ProtectionMode` (so golden runs skip the
   injection bookkeeping entirely — only runs with a non-empty injection plan
   bind the slower "exposed" handler variants);
@@ -54,7 +63,13 @@ from .faults import (
     ProtectionMode,
     exposure_flags,
 )
-from .semantics import COMPUTE_MAKERS, FAST_MAKERS, FLOAT_RESULT_OPS
+from .semantics import (
+    COMPUTE_MAKERS,
+    FAST_MAKERS,
+    FLOAT_RESULT_OPS,
+    SEMANTICS,
+    Shape,
+)
 
 #: Handler: executes one instruction against bound machine state and returns
 #: the next program counter.
@@ -220,6 +235,12 @@ class DecodedProgram:
     tag_signature: Tuple[bool, ...]
     text_len: int
     entry_index: int
+    block_sizes: List[int]
+    block_shapes: List[Optional[Shape]]
+    #: Visits per leader until its block is hot enough to compile (see
+    #: :data:`repro.sim.stepper.HOT_VISITS`).  Speed bookkeeping only: it
+    #: never changes what a run computes.
+    block_heat: List[int]
 
     # ------------------------------------------------------------------
     # Binding: decoded form -> per-machine threaded handler table.
@@ -238,10 +259,15 @@ class DecodedProgram:
             return self.exposed_unprotected
         return [False] * self.text_len
 
-    def bind_injected(self, machine, plan: InjectionPlan,
-                      exposed_start: int = 0,
-                      fast: Optional[List[Handler]] = None) -> List[Handler]:
-        """Bind handlers with injection wrappers on exposed instructions.
+    def injection(self, machine, plan: InjectionPlan, exposed_start: int = 0):
+        """Site flags, wrapper state and wrapper factory of a result plan.
+
+        Returns ``(flags, state, wrap)``: ``flags[index]`` says whether the
+        plan's :mod:`fault model <repro.sim.models>` can fire at static
+        instruction ``index``; ``state`` is the ``[next-target pointer,
+        exposed-dynamic counter]`` list every wrapper shares; ``wrap(index)``
+        builds the injection wrapper of one exposed instruction, so a run
+        binds only the wrappers it reaches.
 
         ``exposed_start`` seeds the exposed-dynamic counter, which lets the
         fork engine (:mod:`repro.sim.fork`) resume an injected run from a
@@ -250,22 +276,18 @@ class DecodedProgram:
         plan's absolute targets fire at exactly the same dynamic occurrences
         as in a from-scratch run.
 
-        ``fast`` reuses an already-bound fast handler table for the same
-        machine instead of binding a fresh one (the list is copied, not
-        mutated).  Once every planned injection has fired, the wrappers only
-        advance the exposed counter — state evolution is identical to the
-        fast table — so a caller holding ``fast`` may swap it back in to
-        execute the rest of the run at full speed, as the fork engine does.
+        Until its occurrence is the next target, a wrapper evolves state
+        exactly like the fast handler and only advances the counter, so a
+        caller may run fast code instead and add the skipped exposed
+        occurrences to ``state[1]`` -- and drop the wrappers altogether
+        once ``state[0]`` reaches the number of targets.
 
-        The plan's :mod:`fault model <repro.sim.models>` supplies the site
-        flags and corruption: the default ``control-bit`` model keeps the
-        original specialised wrapper (bit-identical to the pre-model
-        engine); other result models go through the generic wrapper with a
-        model-built corruptor.  State-kind models (``memory-bit``) never
-        reach this method — the machine runs them with its state-corruption
-        loop instead.
+        The default ``control-bit`` model keeps the original specialised
+        wrapper (bit-identical to the pre-model engine); other result
+        models go through the generic wrapper with a model-built corruptor.
+        State-kind models (``memory-bit``) never reach this method -- the
+        machine runs them by pausing at each target instead.
         """
-        handlers = list(fast) if fast is not None else self.bind(machine)
         model = plan.model_impl
         if model.kind != "result":
             raise ValueError(
@@ -276,37 +298,29 @@ class DecodedProgram:
         flags = (self.exposure(plan.mode) if default_model
                  else model.exposure(self, plan.mode))
         targets = list(plan.targets)
-        state = [0, exposed_start]  # [next-target pointer, exposed-dynamic counter]
-        specs = self.specs
-        ops = self.ops
-        opnames = self.opnames
+        state = [0, exposed_start]
         ir = machine.int_regs
         fr = machine.float_regs
-        for index, exposed in enumerate(flags):
-            if not exposed:
-                continue
-            op = ops[index]
-            spec = specs[index]
+
+        def wrap(index: int) -> Handler:
+            op = self.ops[index]
+            spec = self.specs[index]
             compute = COMPUTE_MAKERS[op](spec, machine)
             # Exposed instructions never branch conditionally: the only
             # control-flow opcode that writes a register is JAL, whose next
             # pc is its (pre-resolved) static target.
             nxt = spec[5] if op is Opcode.JAL else spec[6]
             is_float = op in FLOAT_RESULT_OPS
+            opname = self.opnames[index]
             if default_model:
-                handlers[index] = _wrap_exposed(
-                    compute, is_float, spec[1], nxt, index,
-                    opnames[index], plan, targets, state, ir, fr,
-                )
-            else:
-                corrupt = model.make_corruptor(op, spec, machine, is_float,
-                                               plan)
-                handlers[index] = _wrap_exposed_model(
-                    compute, corrupt, model.consumes_result, is_float,
-                    spec[1], nxt, index, opnames[index], plan, targets,
-                    state, ir, fr,
-                )
-        return handlers
+                return _wrap_exposed(compute, is_float, spec[1], nxt, index,
+                                     opname, plan, targets, state, ir, fr)
+            corrupt = model.make_corruptor(op, spec, machine, is_float, plan)
+            return _wrap_exposed_model(
+                compute, corrupt, model.consumes_result, is_float, spec[1],
+                nxt, index, opname, plan, targets, state, ir, fr)
+
+        return flags, state, wrap
 
 
 def _decode(program: Program) -> DecodedProgram:
@@ -362,7 +376,42 @@ def _decode(program: Program) -> DecodedProgram:
         tag_signature=tuple(ins.low_reliability for ins in instructions),
         text_len=len(instructions),
         entry_index=program.entry_index,
+        **_basic_blocks(ops, specs, program.entry_index),
     )
+
+
+def _basic_blocks(ops: List[Opcode], specs: List[Spec], entry: int) -> dict:
+    """Cut the text into basic blocks.
+
+    A leader is the entry, a branch or jump target, or the instruction
+    after a control op; a block runs from its leader up to the next
+    control op or leader.  ``block_sizes`` holds each block's length at its
+    leader and 0 elsewhere; ``block_shapes`` holds its
+    :data:`~repro.sim.semantics.Shape` at its leader.
+    """
+    text_len = len(ops)
+    leaders = {entry}
+    for index, op in enumerate(ops):
+        row = SEMANTICS[op]
+        if row.ends_block:
+            leaders.add(index + 1)
+            if row.cond is not None or row.next == "t":
+                leaders.add(specs[index][5])
+    sizes = [0] * text_len
+    shapes: List[Optional[Shape]] = [None] * text_len
+    for leader in sorted(leaders):
+        if not 0 <= leader < text_len:
+            continue
+        end = leader + 1
+        while (end < text_len and end not in leaders
+               and not SEMANTICS[ops[end - 1]].ends_block):
+            end += 1
+        sizes[leader] = end - leader
+        shapes[leader] = tuple(
+            (ops[index].name, SEMANTICS[ops[index]].dest_absent(specs[index][1]))
+            for index in range(leader, end))
+    return {"block_sizes": sizes, "block_shapes": shapes,
+            "block_heat": [0] * text_len}
 
 
 def decode_program(program: Program) -> DecodedProgram:

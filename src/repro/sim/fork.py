@@ -14,8 +14,9 @@ O(divergence) instead of O(program length):
   checkpoints.
 * :func:`run_forked` restores the nearest checkpoint at or before the
   run's first injection target, replays only the short gap with the
-  resumable injected binding (:meth:`DecodedProgram.bind_injected` with
-  ``exposed_start``), and simulates forward from there.
+  resumable injection wrappers (:meth:`DecodedProgram.injection` with
+  ``exposed_start``) under the block stepper (:mod:`repro.sim.stepper`),
+  and simulates forward from there.
 * **Convergence early-exit**: once every planned injection has fired, the
   engine compares machine state against the golden trace at each
   checkpoint-grid boundary (registers and pc directly, memory against an
@@ -23,6 +24,14 @@ O(divergence) instead of O(program length):
   golden suffix is spliced in — outputs, remaining execution counts, final
   memory image, exit value — and the run terminates immediately, so
   fully-masked faults cost little more than the replay gap.
+* **Dead-divergence fast-forward**: when everything but some memory cells
+  matches at a boundary, and the golden run never reads those cells
+  again before overwriting them (the capture run records each cell's
+  last read-before-write interval), the rest of the run *is* the golden
+  run apart from those cells.  It is not executed: the result is the
+  golden suffix with the cells patched in, at the boundary where a full
+  replay would have spliced or at the golden completion, and the store's
+  counters advance exactly as a full replay would advance them.
 
 The comparison is *exact*, not probabilistic: a splice happens only when
 registers, pc, per-channel output lengths and the full memory image equal
@@ -36,14 +45,16 @@ including watchdog and fault behaviour.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from ..isa.registers import RV
 from .decode import DecodedProgram, decode_program
 from .errors import SimFault, WatchdogExpired
 from .faults import InjectionPlan, ProtectionMode
+from .stepper import Stepper
 
 #: Default number of checkpoints captured over a golden run.  The grid
 #: interval is ``golden_executed // count``: finer grids shorten both the
@@ -53,23 +64,32 @@ DEFAULT_CHECKPOINT_COUNT = 128
 
 
 class _TrackingCells(dict):
-    """Dict subclass that logs written keys, for incremental memory deltas.
+    """Dict subclass that logs the capture run's memory accesses.
 
     The capture run swaps this in for ``Memory.cells`` *before* binding
-    handlers, so every store — all of which go through plain item
-    assignment — lands in ``touched``.  Reads (``get``) stay on the C fast
-    path.
+    code, so every store — all of which go through plain item assignment —
+    lands in ``touched`` (the cells written since the last checkpoint), and
+    every load — all of which go through ``get`` — that reads a cell not
+    yet written in the current checkpoint interval records that interval
+    in ``read_first``.
     """
 
-    __slots__ = ("touched",)
+    __slots__ = ("touched", "read_first", "interval")
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self.touched = set()
+        self.read_first: Dict[int, int] = {}
+        self.interval = 0
 
     def __setitem__(self, key, value) -> None:
         dict.__setitem__(self, key, value)
         self.touched.add(key)
+
+    def get(self, key, default=None):
+        if key not in self.touched:
+            self.read_first[key] = self.interval
+        return dict.get(self, key, default)
 
 
 @dataclass
@@ -124,6 +144,13 @@ class CheckpointStore:
     final_exec_counts: List[int]
     final_executed: int
     exit_value: Optional[int]
+    #: Address -> the last checkpoint interval in which the golden run read
+    #: the cell before writing it; a cell absent from here, or with an
+    #: entry below ``k``, is never read again from checkpoint ``k`` on
+    #: without first being overwritten.
+    last_read: Dict[int, int]
+    #: Cells the golden run writes after its last checkpoint.
+    final_writes: FrozenSet[int]
 
     # Telemetry for benchmarks: how much work forked runs actually did.
     forked_runs: int = 0
@@ -186,35 +213,32 @@ def build_checkpoint_store(machine, expected,
     the capture loop ever drifting from the engine it mirrors).
     """
     decoded = decode_program(machine.program)
-    text_len = decoded.text_len
     interval = max(1, expected.executed // max(1, count))
 
     tracked = _TrackingCells(machine.memory.cells)
     machine.memory.cells = tracked
     base_cells = dict(tracked)
 
-    # Handlers must bind *after* the swap so stores hit the tracking dict.
-    handlers = decoded.bind(machine)
-    exec_counts = [0] * text_len
-    pc = decoded.entry_index
-    executed = 0
+    # Code must bind *after* the swap so stores hit the tracking dict; the
+    # stepper binds lazily, so every binding happens after it.
+    stepper = Stepper(decoded, machine, decoded.entry_index)
     guard = expected.executed  # golden runs complete in exactly this many
 
-    checkpoints = [_snapshot(machine, decoded, 0, pc, exec_counts, {})]
+    checkpoints = [_snapshot(machine, decoded, 0, stepper.pc,
+                             stepper.exec_counts, {})]
     next_boundary = interval
-    while pc != text_len:
-        if executed >= next_boundary:
-            if executed > guard:
-                break
-            delta = {address: tracked[address] for address in tracked.touched}
-            tracked.touched.clear()
-            checkpoints.append(
-                _snapshot(machine, decoded, executed, pc, exec_counts, delta)
-            )
-            next_boundary += interval
-        exec_counts[pc] += 1
-        executed += 1
-        pc = handlers[pc]()
+    while True:
+        stepper.run(next_boundary)
+        if stepper.halted or stepper.executed > guard:
+            break
+        delta = {address: tracked[address] for address in tracked.touched}
+        tracked.touched.clear()
+        tracked.interval += 1
+        checkpoints.append(_snapshot(machine, decoded, stepper.executed,
+                                     stepper.pc, stepper.flush(), delta))
+        next_boundary += interval
+    executed = stepper.executed
+    exec_counts = stepper.flush()
 
     final_cells = dict(tracked)
     machine.memory.cells = final_cells
@@ -237,7 +261,30 @@ def build_checkpoint_store(machine, expected,
         final_exec_counts=exec_counts,
         final_executed=executed,
         exit_value=machine.int_regs[RV],
+        last_read=tracked.read_first,
+        final_writes=frozenset(tracked.touched),
     )
+
+
+#: Marks a cell the run never wrote, in a fast-forward's memory patch.
+_ABSENT = object()
+_DOUBLE = struct.Struct("<d")
+
+
+def _same_value(a, b) -> bool:
+    """Whether two register or cell values behave the same in every later
+    instruction: the same type and, for floats, the same IEEE-754 bits."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return _DOUBLE.pack(a) == _DOUBLE.pack(b)
+    return a == b
+
+
+def _all_dead(addresses, last_read: Dict[int, int], interval: int) -> bool:
+    """Whether the golden run never reads any of ``addresses`` from
+    checkpoint interval ``interval`` on before overwriting it."""
+    return all(last_read.get(address, -1) < interval for address in addresses)
 
 
 def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
@@ -270,7 +317,6 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
         )
 
     decoded = decode_program(machine.program)
-    text_len = decoded.text_len
     checkpoints = store.checkpoints
     start_index = store.select(plan.targets[0], grid_mode, max_instructions)
     start = checkpoints[start_index]
@@ -290,13 +336,9 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
     outputs.clear()
     for channel, length in start.output_lens.items():
         outputs[channel] = store.final_outputs[channel][:length]
-    exec_counts = list(start.exec_counts)
-
-    fast_handlers = decoded.bind(machine)
-    handlers = decoded.bind_injected(
-        machine, plan, exposed_start=start.exposed_count(grid_mode),
-        fast=fast_handlers,
-    )
+    stepper = Stepper(decoded, machine, start.pc, start.executed,
+                      list(start.exec_counts), plan=plan,
+                      exposed_start=start.exposed_count(grid_mode))
 
     # Golden shadow image: the golden memory at the grid boundary the run
     # is currently crossing, maintained incrementally from the deltas.
@@ -304,19 +346,8 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
     epoch = start_index + 1
     n_checkpoints = len(checkpoints)
 
-    pc = start.pc
-    executed = start.executed
     interval = store.interval
-    next_boundary = executed + interval
-    limit = min(next_boundary, max_instructions)
-    ntargets = len(plan.targets)
-    events = plan.events
-    # Count only events fired by *this* run: a caller reusing a plan object
-    # leaves earlier runs' events in the list, and mistaking those for this
-    # run's flips would swap handlers / splice before anything fired.  (The
-    # decoded engine re-fires every target for a reused plan; counting from
-    # the baseline keeps the two engines bit-identical in that case too.)
-    events_fired_before = len(events)
+    next_boundary = start.executed + interval
     int_regs = machine.int_regs
     float_regs = machine.float_regs
 
@@ -324,6 +355,10 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
     fault: Optional[SimFault] = None
     outcome = Outcome.COMPLETED
     converged: Optional[Checkpoint] = None
+    # Cells that differ from the golden image but that the golden run never
+    # reads again before overwriting them (see the fast-forward below).
+    dead: Optional[set] = None
+    last_read = store.last_read
     # Splicing adopts the golden completion, so it is only legal when the
     # golden run fits the instruction budget; otherwise a converged run
     # must still grind forward to hit the watchdog at the same dynamic
@@ -331,38 +366,46 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
     can_splice = store.final_executed <= max_instructions
 
     try:
-        while pc != text_len:
-            if executed >= limit:
-                if executed >= max_instructions:
-                    raise WatchdogExpired(executed, max_instructions)
-                # Crossing a golden grid boundary.  Once every injection has
-                # fired the wrappers only advance the exposed counter, which
-                # nothing observes any more — swap the fast handler table
-                # back in so the suffix executes at full speed.
-                all_fired = len(events) - events_fired_before == ntargets
-                if handlers is not fast_handlers and all_fired:
-                    handlers = fast_handlers
-                # Advance the shadow image and, once every injection has
-                # fired, test re-convergence against the golden state.
-                if epoch < n_checkpoints and checkpoints[epoch].executed == executed:
-                    golden = checkpoints[epoch]
-                    epoch += 1
-                    shadow.update(golden.memory_delta)
-                    if (can_splice
-                            and all_fired
-                            and pc == golden.pc
-                            and int_regs == golden.int_regs
-                            and float_regs == golden.float_regs
-                            and {ch: len(v) for ch, v in outputs.items()}
-                            == golden.output_lens
-                            and cells == shadow):
+        while True:
+            stepper.run(min(next_boundary, max_instructions))
+            if stepper.halted:
+                break
+            executed = stepper.executed
+            if executed >= max_instructions:
+                raise WatchdogExpired(executed, max_instructions)
+            # Crossing a golden grid boundary: advance the shadow image
+            # and, once every injection has fired, test re-convergence
+            # against the golden state.
+            if epoch < n_checkpoints and checkpoints[epoch].executed == executed:
+                golden = checkpoints[epoch]
+                epoch += 1
+                shadow.update(golden.memory_delta)
+                if (can_splice
+                        and not stepper.pending
+                        and stepper.pc == golden.pc
+                        and int_regs == golden.int_regs
+                        and float_regs == golden.float_regs
+                        and {ch: len(v) for ch, v in outputs.items()}
+                        == golden.output_lens):
+                    if cells == shadow:
                         converged = golden
                         break
-                next_boundary += interval
-                limit = min(next_boundary, max_instructions)
-            exec_counts[pc] += 1
-            executed += 1
-            pc = handlers[pc]()
+                    diverged = {address for address, _ in
+                                cells.items() ^ shadow.items()}
+                    if _all_dead(diverged, last_read, epoch - 1):
+                        # ``==`` forgives -0.0 against 0.0 and 5 against
+                        # 5.0; the rest of the run is the golden run only
+                        # if nothing but dead cells differs bit for bit.
+                        exact = {address for address in cells.keys() | shadow.keys()
+                                 if not _same_value(cells.get(address, _ABSENT),
+                                                    shadow.get(address, _ABSENT))}
+                        if (_all_dead(exact, last_read, epoch - 1)
+                                and all(map(_same_value, int_regs, golden.int_regs))
+                                and all(map(_same_value, float_regs,
+                                            golden.float_regs))):
+                            dead = diverged
+                            break
+            next_boundary += interval
     except SimFault as exc:
         outcome = Outcome.CRASH
         fault = exc
@@ -372,32 +415,69 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
         # Mirrors Machine.run: grossly corrupted floats can overflow a
         # conversion; the closest hardware analogue is a crash.
         outcome = Outcome.CRASH
-        fault = SimFault(f"numeric fault: {exc}", pc)
+        fault = SimFault(f"numeric fault: {exc}", stepper.pc)
 
+    executed = stepper.executed
+    exec_counts = stepper.flush()
+    adopted = converged  # the grid point whose golden suffix the run takes
+    patch: Dict[int, object] = {}  # cells that end up off the golden image
+    if dead is not None:
+        # ------------------------------------------------------------------
+        # Dead-divergence fast-forward.  State equals the golden state at
+        # this grid point except for cells the golden run overwrites before
+        # it reads them again, so the rest of the run is the golden run:
+        # the same instructions over the same register values.  Step over
+        # it without executing: to the grid point where the golden run has
+        # overwritten every such cell -- where a full replay would splice
+        # -- or to the golden completion, keeping the cells it never
+        # rewrites.  Records, splices and replay counts are what the full
+        # replay gives.
+        # ------------------------------------------------------------------
+        adopted = checkpoints[epoch - 1]
+        remaining = dead
+        rewritten = set(store.final_writes)
+        for golden in checkpoints[epoch:]:
+            remaining = remaining - golden.memory_delta.keys()
+            rewritten.update(golden.memory_delta)
+            if not remaining:
+                converged = golden
+                break
+        else:
+            patch = {address: cells.get(address, _ABSENT)
+                     for address in exact - rewritten}
+        executed = (converged.executed if converged is not None
+                    else store.final_executed)
     store.replayed_instructions += executed - start.executed
 
-    if converged is not None:
+    if adopted is not None:
         # ------------------------------------------------------------------
         # Golden-suffix splice.  State equals the golden state at this grid
         # point, so the rest of the run is deterministic and already known:
         # append the golden output suffixes, add the golden remaining
-        # execution counts, and adopt the golden final memory image.
+        # execution counts, and adopt the golden final memory image (with
+        # a fast-forward's dead cells patched back in).
         # ------------------------------------------------------------------
-        store.spliced_runs += 1
-        golden_counts = converged.exec_counts
+        if converged is not None:
+            store.spliced_runs += 1
+        golden_counts = adopted.exec_counts
         final_counts = store.final_exec_counts
         exec_counts = [
             here + total - prefix
             for here, total, prefix in zip(exec_counts, final_counts, golden_counts)
         ]
         for channel, values in store.final_outputs.items():
-            prefix = converged.output_lens.get(channel, 0)
+            prefix = adopted.output_lens.get(channel, 0)
             if channel in outputs:
                 outputs[channel].extend(values[prefix:])
             else:
                 outputs[channel] = list(values)
         cells.clear()
         cells.update(store.final_cells)
+        for address, value in patch.items():
+            if value is _ABSENT:
+                cells.pop(address, None)
+            else:
+                cells[address] = value
         return RunResult(
             outcome=Outcome.COMPLETED,
             executed=store.final_executed,

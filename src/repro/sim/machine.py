@@ -7,11 +7,12 @@ optionally applies a soft-error :class:`~repro.sim.faults.InjectionPlan`.
 
 Execution follows a **decode-once / execute-many** design: the program is
 lowered once by :mod:`repro.sim.decode` into flat operand tuples and
-pre-resolved targets (cached on the ``Program``), then bound per run to a
-table of specialized zero-argument closures — threaded code — so the
-dispatch loop is three statements long.  Golden runs bind the fast handler
-table with no injection bookkeeping at all; only runs carrying a non-empty
-:class:`InjectionPlan` pay for the exposed-instruction wrappers.  The seed
+pre-resolved targets (cached on the ``Program``), then bound per run to
+functions compiled per basic block (:mod:`repro.sim.stepper`), so the
+dispatch loop pays one call per straight-line block, with per-instruction
+threaded-code closures for the rest.  Golden runs bind no injection
+bookkeeping at all; only runs carrying a non-empty :class:`InjectionPlan`
+pay for the exposed-instruction wrappers.  The seed
 ``if/elif`` interpreter survives unchanged in :mod:`repro.sim.reference`
 (``engine="reference"``) as the semantic oracle for differential tests and
 the baseline for the interpreter perf benchmark.
@@ -36,6 +37,7 @@ from .decode import DecodedProgram, decode_program
 from .errors import MemoryFault, SimFault, WatchdogExpired
 from .faults import InjectionPlan
 from .memory import Memory
+from .stepper import Stepper
 
 
 class Outcome:
@@ -255,59 +257,42 @@ class Machine:
             raise ValueError(f"unknown engine {engine!r}")
 
         decoded = decode_program(self.program)
-        text_len = decoded.text_len
-        exec_counts = [0] * text_len
-
-        # Golden runs (no injection, or an empty plan) bind the fast handler
-        # table and skip the exposure bookkeeping entirely.  Result-model
-        # plans wrap the exposed instructions; state-model plans keep the
-        # fast table and corrupt machine state between instructions.
+        # Golden runs (no injection, or an empty plan) never bind injection
+        # wrappers.  Result-model plans wrap the exposed instructions they
+        # reach; state-model plans run plain code and corrupt machine state
+        # between instructions.
         state_model = None
+        plan = None
         if has_targets:
-            model = injection.model_impl
-            if model.kind == "state":
-                state_model = model
-                handlers = decoded.bind(self)
+            if injection.model_impl.kind == "state":
+                state_model = injection.model_impl
             else:
-                handlers = decoded.bind_injected(self, injection)
-        else:
-            handlers = decoded.bind(self)
-
-        pc = decoded.entry_index
-        executed = 0
+                plan = injection
+        stepper = Stepper(decoded, self, decoded.entry_index, plan=plan)
         fault: Optional[SimFault] = None
         outcome = Outcome.COMPLETED
 
-        # Threaded dispatch: every handler executes one instruction against
-        # the bound register files / memory and returns the next pc.  All
-        # control-flow targets were validated at decode time (JR validates
-        # dynamically), so the only way out of the text segment is the
-        # ``text_len`` halt sentinel.
+        # Block dispatch (:mod:`repro.sim.stepper`): every block or handler
+        # executes against the bound register files / memory and returns
+        # the next pc.  All control-flow targets were validated at decode
+        # time (JR validates dynamically), so the only way out of the text
+        # segment is the ``text_len`` halt sentinel.
         try:
-            if state_model is not None:
+            if state_model is None:
+                stepper.run(max_instructions)
+            else:
                 # State-corruption loop: pause at each target index of the
                 # dynamic stream and let the model mutate machine state.
                 # Targets beyond the run's natural end never fire, like
                 # unreached targets of a result plan.
-                targets = injection.targets
-                ntargets = len(targets)
-                tp = 0
-                while pc != text_len:
-                    if executed >= max_instructions:
-                        raise WatchdogExpired(executed, max_instructions)
-                    if tp < ntargets and targets[tp] == executed:
-                        state_model.corrupt_state(self, injection, executed)
-                        tp += 1
-                    exec_counts[pc] += 1
-                    executed += 1
-                    pc = handlers[pc]()
-            else:
-                while pc != text_len:
-                    if executed >= max_instructions:
-                        raise WatchdogExpired(executed, max_instructions)
-                    exec_counts[pc] += 1
-                    executed += 1
-                    pc = handlers[pc]()
+                for target in injection.targets:
+                    stepper.run(min(target, max_instructions))
+                    if stepper.halted or stepper.executed >= max_instructions:
+                        break
+                    state_model.corrupt_state(self, injection, target)
+                stepper.run(max_instructions)
+            if not stepper.halted:
+                raise WatchdogExpired(stepper.executed, max_instructions)
         except SimFault as exc:
             outcome = Outcome.CRASH
             fault = exc
@@ -317,8 +302,10 @@ class Machine:
             # Extremely corrupted float values can overflow conversions; the
             # closest hardware analogue is a crash.
             outcome = Outcome.CRASH
-            fault = SimFault(f"numeric fault: {exc}", pc)
+            fault = SimFault(f"numeric fault: {exc}", stepper.pc)
 
+        executed = stepper.executed
+        exec_counts = stepper.flush()
         statistics = summarise_counts(decoded, exec_counts)
         return RunResult(
             outcome=outcome,

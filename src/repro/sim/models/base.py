@@ -18,7 +18,7 @@ Models come in two kinds:
     Sites are dynamic occurrences of *exposed instructions*; the decode
     layer wraps each exposed static instruction and the model corrupts the
     instruction's computed result before writeback
-    (:meth:`repro.sim.decode.DecodedProgram.bind_injected`).
+    (:meth:`repro.sim.decode.DecodedProgram.injection`).
 
 ``kind = "state"``
     Sites are positions in the *whole* dynamic instruction stream; the
@@ -115,7 +115,7 @@ class FaultModel(abc.ABC):
         The fork engine stores per-checkpoint exposed-dynamic counters for
         both protection modes; a model whose site stream equals one of
         those exposure streams returns the corresponding mode so forked
-        runs can seed ``bind_injected(exposed_start=...)`` from the grid.
+        runs can seed ``injection(exposed_start=...)`` from the grid.
         ``None`` means the stream is not tracked and the run must fall
         back to full-run execution.
         """

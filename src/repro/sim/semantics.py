@@ -23,33 +23,43 @@ fall-through index) and the register files ``ir``/``fr``:
   ``next`` (the next pc) and ``strict`` (still evaluate with no
   destination, because the evaluation itself can fault).
 
-At import the rows fill source templates that are compiled once per handler
-family:
+The rows fill source templates that are compiled once per handler family
+at import, except the block family, compiled once per block shape on first
+use:
 
 * :data:`FAST_MAKERS` -- the decoded engine's threaded-code handlers;
 * :data:`COMPUTE_MAKERS` -- raw-result closures for injection-exposed
   instructions;
+* :func:`block_maker` -- one function per basic-block *shape* (the tuple
+  of ``(opcode name, destination absent)`` per row) that runs the whole
+  block and returns the next pc; :mod:`repro.sim.stepper` dispatches
+  them;
 * :func:`lockstep_makers` -- the batch engine's taint-propagating handlers
   (compiled when :mod:`repro.sim.batch` asks for them, because they need
   numpy);
 * :data:`SUBSTITUTION_POOLS` -- the opcode fault model's pools, in table
   order, which is the order the substitute draw indexes.
 
-Generated code comes only from the string constants in this module, never
-from program data; ``tools/lint_invariants.py`` rejects ``exec``, ``eval``
-and ``compile`` anywhere else under ``src/repro``.  ``sim/reference.py`` is
-*not* generated: it is the independently written oracle that
-``tests/test_opcode_semantics.py`` checks every family against.
+Generated code comes only from the string constants in this module and
+slot names (``d0``, ``a1``, ``imm2``), never from program data: operand
+values reach it as maker arguments.  ``tools/lint_invariants.py`` rejects
+``exec``, ``eval`` and ``compile`` anywhere else under ``src/repro``.
+``sim/reference.py`` is *not* generated: it is the independently written
+oracle that ``tests/test_opcode_semantics.py`` checks every family against.
 
 Adding an opcode means one row here plus its branch in ``reference.py``.
 """
 
 from __future__ import annotations
 
+import ast
+import itertools
 import linecache
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..isa import Opcode
@@ -114,6 +124,18 @@ class Semantics:
     def runs_without_dest(self) -> bool:
         """Whether the row evaluates even when it has no destination."""
         return self.strict or self.guard is not None
+
+    @property
+    def ends_block(self) -> bool:
+        """Whether the next pc can be anything but the fall-through."""
+        return self.cond is not None or self.next != "n"
+
+    def dest_absent(self, d: int) -> bool:
+        """Whether destination index ``d`` discards the result (``$0`` is
+        hard-wired and ``-1`` means no destination)."""
+        if self.dest == INT:
+            return d <= 0
+        return self.dest == FLOAT and d < 0
 
 
 def _wrap(expr: str) -> str:
@@ -498,6 +520,131 @@ FAST_MAKERS: Dict[Opcode, Callable] = _family("fast", _ROWS, _fast_source)
 COMPUTE_MAKERS: Dict[Opcode, Callable] = _family(
     "compute", (row for row in _ROWS if row.dest is not None),
     _compute_source)
+
+
+#: A block's shape: ``(opcode name, destination absent)`` per row.  It is
+#: all that block source depends on; operand values are maker arguments.
+Shape = Tuple[Tuple[str, bool], ...]
+
+#: The spec tuple's fields, in order.
+_FIELDS = ("i", "d", "a", "b", "imm", "t", "n")
+
+
+#: Stands for a row's slot number in its cached code.
+_SLOT = "_SLOT"
+
+
+class _Suffix(ast.NodeTransformer):
+    """Renames one row's locals to slot names (``imm`` -> ``imm_SLOT``)."""
+
+    def __init__(self, names: Iterable[str]) -> None:
+        self.names = frozenset(names)
+
+    def visit_Name(self, node: ast.Name) -> ast.Name:
+        if node.id in self.names:
+            node.id += _SLOT
+        return node
+
+
+def _row_locals(row: Semantics) -> List[str]:
+    """The spec fields plus every name the row's binds and lets assign."""
+    assigned = [node.id for statement in (*row.binds, *row.lets)
+                for node in ast.walk(ast.parse(statement))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+    return [*_FIELDS, *assigned]
+
+
+@lru_cache(maxsize=None)
+def _row_code(name: str, absent: bool,
+              last: bool) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """One row's maker lines (its binds) and block lines, with its locals
+    renamed to slot names; ``_SLOT`` stands for the slot number."""
+    row = SEMANTICS[Opcode[name]]
+    assert last or not row.ends_block, name
+    prologue = _prologue(row)
+    if row.cond is not None:
+        code = prologue + [f"return t if {row.cond} else n"]
+    elif row.dest is None:
+        code = prologue + ([row.effect] if row.effect else [])
+    elif absent:
+        code = prologue + [row.result] if row.runs_without_dest else []
+    else:
+        target = "ir" if row.dest == INT else "fr"
+        code = prologue + [f"{target}[d] = {row.result}"]
+    if last and row.cond is None:
+        code.append(f"return {row.next}")
+    rename = _Suffix(_row_locals(row))
+
+    def renamed(statements: Iterable[str], depth: int) -> List[str]:
+        return _block((ast.unparse(rename.visit(ast.parse(statement)))
+                       for statement in statements), depth)
+
+    unpack = f"{', '.join(field + _SLOT for field in _FIELDS)} = specs[{_SLOT}]"
+    return (f"    {unpack}", *renamed(row.binds, 4)), tuple(renamed(code, 8))
+
+
+def _block_source(shape: Shape) -> Tuple[str, List[int]]:
+    """Source of a block maker, and the line each row's code starts on.
+
+    The maker unpacks each row's spec into slot names (``d0``, ``a1``,
+    ``imm2``, ...) and runs the row's binds; the block it returns executes
+    every row in order and returns the last row's next pc.
+    """
+    head = ["def block(specs, m):", "    ir = m.int_regs", "    fr = m.float_regs"]
+    body: List[str] = []
+    starts: List[int] = []
+    for slot, (name, absent) in enumerate(shape):
+        row_head, row_body = _row_code(name, absent, slot == len(shape) - 1)
+        head += [line.replace(_SLOT, str(slot)) for line in row_head]
+        starts.append(len(body))
+        body += [line.replace(_SLOT, str(slot)) for line in row_body]
+    first = len(head) + 2  # the line after ``def run():``
+    lines = head + ["    def run():", *body, "    return run"]
+    return "\n".join(lines), [first + start for start in starts]
+
+
+_BLOCK_MAKERS: Dict[Shape, Callable] = {}
+_BLOCK_IDS = itertools.count()  # unique source names, also across threads
+
+
+def block_maker(shape: Shape) -> Callable:
+    """The maker ``(specs, machine) -> block`` for blocks of ``shape``.
+
+    A block runs every row of one basic block against the bound machine
+    and returns the next pc.  Each shape is compiled once per process, on
+    first use, and shared by every program and machine (two threads racing
+    on a new shape may both compile it; either maker is correct): the
+    maker carries its ``source`` and the ``row_lines`` that
+    :func:`block_row` reads.
+    """
+    maker = _BLOCK_MAKERS.get(shape)
+    if maker is None:
+        source, row_lines = _block_source(shape)
+        family = f"block{next(_BLOCK_IDS)}"
+        maker = _compile(family, [source])["block"]
+        maker.source = source
+        maker.filename = f"<repro.sim.semantics:{family}>"
+        maker.row_lines = row_lines
+        _BLOCK_MAKERS[shape] = maker
+    return maker
+
+
+def block_row(shape: Shape, exc: BaseException) -> int:
+    """The row of a ``shape`` block that raised ``exc``.
+
+    Read from the traceback's line in the generated code, so the block
+    itself carries no bookkeeping.
+    """
+    maker = block_maker(shape)
+    line = None
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == maker.filename:
+            line = tb.tb_lineno
+        tb = tb.tb_next
+    if line is None:
+        raise ValueError(f"{exc!r} was not raised by a {shape} block")
+    return bisect_right(maker.row_lines, line) - 1
 
 
 def _pools() -> Dict[str, List[Tuple[Opcode, Callable]]]:

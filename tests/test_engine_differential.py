@@ -13,9 +13,11 @@ golden-run behaviour of the seed interpreter, so an accidental semantic
 change to *both* engines is also caught.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
+import struct
 import zlib
 from pathlib import Path
 
@@ -51,6 +53,29 @@ def nan_equal(a, b):
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         return (type(a) is type(b) and len(a) == len(b)
                 and all(map(nan_equal, a, b)))
+    return a == b
+
+
+def bit_equal(a, b):
+    """Recursive equality of type and IEEE-754 bits.
+
+    Stricter than :func:`nan_equal`: ``-0.0`` differs from ``0.0``, an int
+    cell ``5`` differs from a float ``5.0``, and two NaNs are equal only
+    with the same bit pattern.  Dataclasses (injection events) compare
+    field by field.
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            bit_equal(value, b[key]) for key, value in a.items())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(bit_equal, a, b))
+    if dataclasses.is_dataclass(a):
+        return all(bit_equal(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
     return a == b
 
 

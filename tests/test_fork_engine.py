@@ -18,15 +18,27 @@ including the crash/hang/budget-overrun paths and a mid-cell
 interrupt/resume through the shard store.
 """
 
+import math
 import zlib
 
 import pytest
 
 from repro.apps import small_suite
 from repro.core import CampaignConfig, CampaignRunner
-from repro.sim import Machine, ProtectionMode, get_model, plan_injections
+from repro.isa import F, Opcode, R
+from repro.sim import (
+    InjectionPlan,
+    Machine,
+    ProtectionMode,
+    build_checkpoint_store,
+    get_model,
+    plan_injections,
+)
+from repro.sim import fork as fork_module
+from repro.sim.stepper import Stepper
 
-from test_engine_differential import nan_equal
+from test_block_dispatch import assemble, op
+from test_engine_differential import bit_equal, nan_equal
 
 APP_NAMES = ["susan", "mpeg", "mcf", "blowfish", "gsm", "art", "adpcm"]
 MODES = [ProtectionMode.PROTECTED, ProtectionMode.UNPROTECTED]
@@ -119,6 +131,161 @@ def test_splice_fires_for_masked_faults(suite):
     assert spliced_result.executed == g.executed
     assert spliced_result.exit_value == g.exit_value
     assert spliced_result.memory.cells == g.memory.cells
+
+
+# Dead-divergence fast-forward: a loop stores i*i+7 to out[i]; the tails
+# decide whether a corrupted out[i] is dead (never read), overwritten by
+# the golden run (a splice point), read back (live), or, for out[5],
+# overwritten after the last checkpoint.
+_A, _B, _C, _D, _BUF, _SUM = (R(index) for index in range(8, 14))
+_TAILS = {
+    "dead": [],
+    "overwritten": [
+        op(Opcode.LI, _A, imm=0), "W",
+        op(Opcode.ADD, _D, _BUF, _A),
+        op(Opcode.SW, rs1=_D, rs2=R(0), imm=0),
+        op(Opcode.ADDI, _A, _A, imm=1),
+        op(Opcode.BLT, rs1=_A, rs2=_B, label="W")],
+    "live": [
+        op(Opcode.LI, _A, imm=0), "S",
+        op(Opcode.ADD, _D, _BUF, _A),
+        op(Opcode.LW, _C, _D, imm=0),
+        op(Opcode.ADD, _SUM, _SUM, _C),
+        op(Opcode.ADDI, _A, _A, imm=1),
+        op(Opcode.BLT, rs1=_A, rs2=_B, label="S"),
+        op(Opcode.OUT, rs1=_SUM, imm=0)],
+    # The golden run's last write, after its last checkpoint.
+    "rewritten_last": [op(Opcode.SW, rs1=_BUF, rs2=R(0), imm=5)],
+}
+
+
+def _store_loop(tail):
+    return assemble([
+        op(Opcode.LA, _BUF, label="out"),
+        op(Opcode.LI, _A, imm=0),
+        op(Opcode.LI, _B, imm=40),
+        "L",
+        op(Opcode.MUL, _C, _A, _A),
+        op(Opcode.ADDI, _C, _C, imm=7),
+        op(Opcode.ADD, _D, _BUF, _A),
+        op(Opcode.SW, rs1=_D, rs2=_C, imm=0),
+        op(Opcode.ADDI, _A, _A, imm=1),
+        op(Opcode.BLT, rs1=_A, rs2=_B, label="L"),
+        *_TAILS[tail],
+        op(Opcode.HALT),
+    ], data=[("out", [0] * 48)])
+
+
+class _ReadLater(dict):
+    """A ``last_read`` that calls every cell live: no fast-forward."""
+
+    def get(self, key, default=None):
+        return 1 << 30
+
+
+@pytest.mark.parametrize("tail", sorted(_TAILS))
+def test_dead_divergence_fast_forward_matches_full_replay(tail, monkeypatch):
+    program = _store_loop(tail)
+    golden = Machine(program).run()
+    fast = build_checkpoint_store(Machine(program), golden, 8)
+    full = build_checkpoint_store(Machine(program), golden, 8)
+    full.last_read = _ReadLater()
+
+    simulated = [0]
+
+    class CountingStepper(Stepper):
+        def run(self, limit):
+            before = self.executed
+            try:
+                super().run(limit)
+            finally:
+                simulated[0] += self.executed - before
+
+    monkeypatch.setattr(fork_module, "Stepper", CountingStepper)
+    budget = golden.executed * 8
+
+    def runs(store):
+        simulated[0] = 0
+        results = [Machine(program).run(
+            max_instructions=budget, engine="decoded" if store is None else "fork",
+            injection=InjectionPlan(ProtectionMode.UNPROTECTED, [target],
+                                    seed=target),
+            checkpoints=store) for target in range(3, 160, 5)]
+        return results, simulated[0]
+
+    decoded, _ = runs(None)
+    fast_results, fast_simulated = runs(fast)
+    full_results, full_simulated = runs(full)
+    for reference, *forked in zip(decoded, fast_results, full_results):
+        for result in forked:
+            for name in ("outcome", "executed", "exit_value", "fault",
+                         "exec_counts", "statistics", "outputs"):
+                assert bit_equal(getattr(result, name),
+                                 getattr(reference, name)), name
+            assert bit_equal(result.memory.cells, reference.memory.cells)
+            assert bit_equal(result.injection.events,
+                             reference.injection.events)
+    # The fast-forward changes no counter, only how much is simulated.
+    assert (fast.forked_runs, fast.spliced_runs, fast.replayed_instructions) \
+        == (full.forked_runs, full.spliced_runs, full.replayed_instructions)
+    if tail == "live":
+        assert fast_simulated == full_simulated
+    else:
+        assert fast_simulated < full_simulated, "no run fast-forwarded"
+    if tail == "overwritten":
+        assert fast.spliced_runs > 0
+    if tail == "rewritten_last":
+        assert program.data_address("out") + 5 in fast.final_writes
+
+
+def test_fast_forward_needs_bit_identical_live_state():
+    """A live cell holding -0.0 where golden holds 0.0 compares equal
+    under ``==`` but reaches the output, so it blocks the fast-forward."""
+    F1, F3, F4 = F(1), F(3), F(4)
+    program = assemble([
+        op(Opcode.LA, _BUF, label="out"),
+        op(Opcode.LA, _SUM, label="x"),
+        op(Opcode.FLI, F1, imm=0.0),
+        op(Opcode.FLI, F4, imm=1.0),
+        op(Opcode.LI, _A, imm=0),
+        op(Opcode.LI, _B, imm=20),
+        "L",
+        op(Opcode.MUL, _C, _A, _A),             # stored to a dead cell
+        op(Opcode.ADD, _D, _BUF, _A),
+        op(Opcode.SW, rs1=_D, rs2=_C, imm=0),
+        op(Opcode.ADDI, _A, _A, imm=1),
+        op(Opcode.BLT, rs1=_A, rs2=_B, label="L"),
+        op(Opcode.FSUB, F3, F1, F1),            # 0.0; -0.0 with bit 63
+        op(Opcode.FSW, rs1=_SUM, rs2=F3, imm=0),
+        op(Opcode.FLI, F3, imm=7.0),
+        op(Opcode.LI, _A, imm=0),
+        "W",
+        op(Opcode.ADDI, _A, _A, imm=1),
+        op(Opcode.BLT, rs1=_A, rs2=_B, label="W"),
+        op(Opcode.FLW, F4, _SUM, imm=0),
+        op(Opcode.FOUT, rs1=F4, imm=0),
+        op(Opcode.HALT),
+    ], data=[("out", [0] * 24), ("x", [0.0])])
+    golden = Machine(program).run()
+    store = build_checkpoint_store(Machine(program), golden, 8)
+    mul_site = 6 + 3 * 4       # MUL of iteration 4 in the exposed stream
+    fsub_site = 6 + 3 * 20     # the FSUB after the loop
+    for seed in range(2000):
+        plan = InjectionPlan(ProtectionMode.UNPROTECTED, [mul_site, fsub_site],
+                             seed=seed)
+        decoded = Machine(program).run(injection=plan)
+        if [event.bit for event in plan.events][1] == 63:
+            break
+    else:
+        pytest.fail("no seed flips the sign of the FSUB result")
+    assert math.copysign(1.0, decoded.outputs[0][0]) == -1.0
+    forked = Machine(program).run(
+        injection=InjectionPlan(ProtectionMode.UNPROTECTED,
+                                [mul_site, fsub_site], seed=seed),
+        engine="fork", checkpoints=store)
+    for name in ("outcome", "executed", "exec_counts", "outputs"):
+        assert bit_equal(getattr(forked, name), getattr(decoded, name)), name
+    assert bit_equal(forked.memory.cells, decoded.memory.cells)
 
 
 def test_fork_respects_tiny_instruction_budgets(suite):

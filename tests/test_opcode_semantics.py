@@ -9,6 +9,8 @@ divisors, ±0.0, ±inf, NaN, subnormals and the CVTFI clamp bounds) through
 
 * the reference interpreter on a tiny assembled program (the oracle);
 * the decoded engine's fast handlers (``Machine.run(engine="decoded")``);
+* the decoded engine's generated basic blocks, with the instruction
+  between a neighbour before and after it;
 * the compute closures exposed instructions run under injection;
 * the batch engine's golden scalar path;
 * the batch engine's numpy vector lanes, where a lane whose run faults
@@ -34,6 +36,8 @@ from repro.sim import Machine, Outcome, SimFault, decode_program
 from repro.sim.batch import BATCH_MAKERS
 from repro.sim.decode import COMPUTE_MAKERS
 from repro.sim.models import opcode as opcode_model
+from repro.sim import stepper
+from repro.sim.semantics import SEMANTICS
 
 # Program layout: the instruction under test, a fall-through HALT and a
 # HALT at label ``T`` (every branch, jump and call target).
@@ -301,6 +305,60 @@ def test_decoded_matches_reference(op):
         assert same(dec.cells, ref.cells), case
         assert same(dec.outputs, ref.outputs), case
         assert dec.exec_counts == ref.exec_counts, case
+
+
+#: Neighbours around the instruction under test in the block layout: the
+#: one after reads what the one before wrote.
+BEFORE = (Opcode.ADDI, R(11), R(11), 3)
+AFTER = (Opcode.ADDI, R(12), R(11), 5)
+_BLOCK_PROGRAMS: Dict[tuple, object] = {}
+
+
+def _block_program(case: Case):
+    """``before; instruction; after; HALT; T: HALT`` -- the instruction
+    runs inside the generated block that starts at the entry."""
+    program = _BLOCK_PROGRAMS.get(case.key)
+    if program is None:
+        builder = ProgramBuilder()
+        builder.data("buf", 4)
+        with builder.function("main"):
+            builder.emit(BEFORE[0], rd=BEFORE[1], rs1=BEFORE[2], imm=BEFORE[3])
+            builder.emit(case.op, rd=case.rd, rs1=case.rs1, rs2=case.rs2,
+                         imm=case.imm, label=case.label)
+            builder.emit(AFTER[0], rd=AFTER[1], rs1=AFTER[2], imm=AFTER[3])
+            builder.halt()
+            builder.label("T")
+            builder.halt()
+        program = _BLOCK_PROGRAMS[case.key] = builder.build()
+    return program
+
+
+def _observe_in_block(case: Case, engine: str):
+    machine = Machine(_block_program(case))
+    for reg, value in case.regs:
+        (machine.int_regs if reg.is_int else machine.float_regs)[reg.index] = value
+    machine.memory.cells.update(case.cells)
+    result = machine.run(max_instructions=8, engine=engine)
+    return (result, list(machine.int_regs), list(machine.float_regs),
+            dict(machine.memory.cells))
+
+
+@_over(Opcode)
+def test_block_dispatch_matches_reference(op, monkeypatch):
+    monkeypatch.setattr(stepper, "HOT_VISITS", 0)  # compile at first visit
+    control = SEMANTICS[op].ends_block
+    for case in _cases(op):
+        decoded = decode_program(_block_program(case))
+        assert decoded.block_sizes[0] == (2 if control else 4), case
+        ref, ref_ir, ref_fr, ref_cells = _observe_in_block(case, "reference")
+        blk, blk_ir, blk_fr, blk_cells = _observe_in_block(case, "decoded")
+        assert (blk.outcome, blk.fault, blk.fault_kind, blk.executed) == (
+            ref.outcome, ref.fault, ref.fault_kind, ref.executed), case
+        assert same(blk_ir, ref_ir), case
+        assert same(blk_fr, ref_fr), case
+        assert same(blk_cells, ref_cells), case
+        assert same(blk.outputs, ref.outputs), case
+        assert blk.exec_counts == ref.exec_counts, case
 
 
 @_over(op for op in Opcode if op in COMPUTE_MAKERS)
