@@ -59,11 +59,25 @@ def _derive_plan(app: ErrorTolerantApp, config, run_index: int, errors: int,
     return workload_seed, plan
 
 
+def _execute(app: ErrorTolerantApp, config, workload_seed: int,
+             plan: Optional[InjectionPlan]):
+    """The finished run of ``plan``.
+
+    A run without targets is the golden run: its watchdog budget covers
+    the golden length, so its result is the memoized golden result and
+    is not simulated again.  Only records read it, so no caller gets the
+    shared object.
+    """
+    if plan is None or not plan.targets:
+        return app.golden(workload_seed).result
+    return app.run_once(injection=plan, seed=workload_seed, engine=config.engine)
+
+
 def make_record(app: ErrorTolerantApp, config, run_index: int, errors: int,
                 mode: ProtectionMode) -> RunRecord:
     """Execute one campaign run and build its record."""
     workload_seed, plan = _derive_plan(app, config, run_index, errors, mode)
-    run = app.run_once(injection=plan, seed=workload_seed, engine=config.engine)
+    run = _execute(app, config, workload_seed, plan)
     return _build_record(app, config, run_index, errors, mode, plan, run,
                          workload_seed)
 
@@ -107,8 +121,7 @@ def make_records(app: ErrorTolerantApp, config,
             groups.setdefault((workload_seed, mode), []).append((pos, plan))
             records.append(None)
             continue
-        run = app.run_once(injection=plan, seed=workload_seed,
-                           engine=config.engine)
+        run = _execute(app, config, workload_seed, plan)
         records.append(_build_record(app, config, run_index, errors, mode,
                                      plan, run, workload_seed))
     for (workload_seed, mode), members in groups.items():

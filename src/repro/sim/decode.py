@@ -7,16 +7,21 @@ per-instruction operand tuples (register indices as plain ints, pre-wrapped
 immediates, resolved branch targets and data addresses) and then *binds* the
 decoded form to a machine's register files and memory as specialized
 zero-argument closures — classic threaded code — per instruction and per
-basic block.  The decode cuts the text into blocks (``block_sizes`` and
-``block_shapes`` at each leader), and every engine's scalar loop is the
-block stepper of :mod:`repro.sim.stepper`::
+unit.  The decode cuts the text into basic blocks and extends each into a
+*unit* along static unconditional edges (``block_sizes``,
+``block_shapes`` and ``block_rows`` at each leader, ``block_owner`` at
+every index), and every engine's scalar loop is the unit stepper of
+:mod:`repro.sim.stepper`::
 
     while pc != text_len:
         size = block_sizes[pc]
         if size and executed + size <= limit:
-            pc = blocks[pc]()           # a whole straight-line block
+            pc = blocks[pc]()           # a whole unit
             block_counts[leader] += 1
             executed += size
+        elif spans[block_owner[pc]]:
+            pc = span(lo, hi)           # part of the unit holding pc
+            executed += hi - lo
         else:
             exec_counts[pc] += 1        # one instruction
             executed += 1
@@ -24,8 +29,8 @@ block stepper of :mod:`repro.sim.stepper`::
 
 The makers -- :data:`FAST_MAKERS` for plain execution,
 :data:`COMPUTE_MAKERS` for the raw results of injection-exposed
-instructions and :func:`block_maker` for whole blocks -- are not written
-here: :mod:`repro.sim.semantics` generates them from its
+instructions and :func:`unit_maker` for whole units and their spans --
+are not written here: :mod:`repro.sim.semantics` generates them from its
 one-row-per-opcode table, and the stepper binds them on first use.
 
 Decode products are cached on the ``Program`` (invalidated automatically when
@@ -37,7 +42,8 @@ pays only for the code it executes.
 Four artefacts come out of a decode:
 
 * ``specs`` — per-instruction operand tuples consumed by the handler makers;
-* basic blocks — each leader's block length and shape;
+* units — each leader's basic block extended along unconditional jumps and
+  fall-throughs: its rows and shape, and every index's block leader;
 * exposure bit-vectors per :class:`ProtectionMode` (so golden runs skip the
   injection bookkeeping entirely — only runs with a non-empty injection plan
   bind the slower "exposed" handler variants);
@@ -237,7 +243,9 @@ class DecodedProgram:
     entry_index: int
     block_sizes: List[int]
     block_shapes: List[Optional[Shape]]
-    #: Visits per leader until its block is hot enough to compile (see
+    block_rows: List[Optional[Tuple[int, ...]]]
+    block_owner: List[int]
+    #: Visits per leader until its unit is hot enough to compile (see
     #: :data:`repro.sim.stepper.HOT_VISITS`).  Speed bookkeeping only: it
     #: never changes what a run computes.
     block_heat: List[int]
@@ -380,14 +388,28 @@ def _decode(program: Program) -> DecodedProgram:
     )
 
 
+#: Most rows a unit takes on by extending past its first basic block.
+#: Longer units save dispatches only on straight-line paths that run
+#: whole, and cost compile time per shape.
+UNIT_ROWS = 128
+
+
 def _basic_blocks(ops: List[Opcode], specs: List[Spec], entry: int) -> dict:
-    """Cut the text into basic blocks.
+    """Cut the text into basic blocks and extend each into a unit.
 
     A leader is the entry, a branch or jump target, or the instruction
-    after a control op; a block runs from its leader up to the next
-    control op or leader.  ``block_sizes`` holds each block's length at its
-    leader and 0 elsewhere; ``block_shapes`` holds its
-    :data:`~repro.sim.semantics.Shape` at its leader.
+    after a control op; a basic block runs from its leader up to the next
+    control op or leader.  A leader's *unit* is its block extended along
+    static unconditional edges -- a ``J``'s target or the fall-through
+    into the next leader -- until a conditional branch, ``JAL``, ``JR``
+    or ``HALT`` ends it, the next block is already in the unit, or it
+    would pass :data:`UNIT_ROWS` rows.  A fused ``J`` keeps its row.
+
+    ``block_sizes`` holds each unit's row count at its leader and 0
+    elsewhere; ``block_shapes`` its :data:`~repro.sim.semantics.Shape`;
+    ``block_rows`` its rows' static indices; ``block_owner[index]`` is
+    the leader of the basic block holding ``index``, whose unit starts
+    with that block, so ``index`` is row ``index - owner`` of it.
     """
     text_len = len(ops)
     leaders = {entry}
@@ -397,8 +419,8 @@ def _basic_blocks(ops: List[Opcode], specs: List[Spec], entry: int) -> dict:
             leaders.add(index + 1)
             if row.cond is not None or row.next == "t":
                 leaders.add(specs[index][5])
-    sizes = [0] * text_len
-    shapes: List[Optional[Shape]] = [None] * text_len
+    owner = list(range(text_len))
+    ends = {}  # leader -> one past its basic block
     for leader in sorted(leaders):
         if not 0 <= leader < text_len:
             continue
@@ -406,11 +428,35 @@ def _basic_blocks(ops: List[Opcode], specs: List[Spec], entry: int) -> dict:
         while (end < text_len and end not in leaders
                and not SEMANTICS[ops[end - 1]].ends_block):
             end += 1
-        sizes[leader] = end - leader
+        ends[leader] = end
+        owner[leader:end] = [leader] * (end - leader)
+
+    sizes = [0] * text_len
+    shapes: List[Optional[Shape]] = [None] * text_len
+    unit_rows: List[Optional[Tuple[int, ...]]] = [None] * text_len
+    for leader, end in ends.items():
+        rows = list(range(leader, end))
+        members = {leader}
+        while True:
+            last = ops[rows[-1]]
+            if last is Opcode.J:
+                successor = specs[rows[-1]][5]
+            elif SEMANTICS[last].ends_block:
+                break
+            else:
+                successor = rows[-1] + 1
+            if (successor in members or successor not in ends
+                    or len(rows) + ends[successor] - successor > UNIT_ROWS):
+                break
+            members.add(successor)
+            rows += range(successor, ends[successor])
+        sizes[leader] = len(rows)
+        unit_rows[leader] = tuple(rows)
         shapes[leader] = tuple(
             (ops[index].name, SEMANTICS[ops[index]].dest_absent(specs[index][1]))
-            for index in range(leader, end))
+            for index in rows)
     return {"block_sizes": sizes, "block_shapes": shapes,
+            "block_rows": unit_rows, "block_owner": owner,
             "block_heat": [0] * text_len}
 
 

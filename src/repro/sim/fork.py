@@ -15,7 +15,7 @@ O(divergence) instead of O(program length):
 * :func:`run_forked` restores the nearest checkpoint at or before the
   run's first injection target, replays only the short gap with the
   resumable injection wrappers (:meth:`DecodedProgram.injection` with
-  ``exposed_start``) under the block stepper (:mod:`repro.sim.stepper`),
+  ``exposed_start``) under the unit stepper (:mod:`repro.sim.stepper`),
   and simulates forward from there.
 * **Convergence early-exit**: once every planned injection has fired, the
   engine compares machine state against the golden trace at each

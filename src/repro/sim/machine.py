@@ -8,9 +8,10 @@ optionally applies a soft-error :class:`~repro.sim.faults.InjectionPlan`.
 Execution follows a **decode-once / execute-many** design: the program is
 lowered once by :mod:`repro.sim.decode` into flat operand tuples and
 pre-resolved targets (cached on the ``Program``), then bound per run to
-functions compiled per basic block (:mod:`repro.sim.stepper`), so the
-dispatch loop pays one call per straight-line block, with per-instruction
-threaded-code closures for the rest.  Golden runs bind no injection
+functions compiled per unit -- a basic block extended along unconditional
+jumps -- and per span of a unit's rows (:mod:`repro.sim.stepper`), so the
+dispatch loop pays one call per unit, with per-instruction threaded-code
+closures for cold code and injection targets.  Golden runs bind no injection
 bookkeeping at all; only runs carrying a non-empty :class:`InjectionPlan`
 pay for the exposed-instruction wrappers.  The seed
 ``if/elif`` interpreter survives unchanged in :mod:`repro.sim.reference`
@@ -272,9 +273,9 @@ class Machine:
         fault: Optional[SimFault] = None
         outcome = Outcome.COMPLETED
 
-        # Block dispatch (:mod:`repro.sim.stepper`): every block or handler
-        # executes against the bound register files / memory and returns
-        # the next pc.  All control-flow targets were validated at decode
+        # Unit dispatch (:mod:`repro.sim.stepper`): every unit, span or
+        # handler executes against the bound register files / memory and
+        # returns the next pc.  All control-flow targets were validated at decode
         # time (JR validates dynamically), so the only way out of the text
         # segment is the ``text_len`` halt sentinel.
         try:

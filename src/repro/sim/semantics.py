@@ -24,16 +24,17 @@ fall-through index) and the register files ``ir``/``fr``:
   destination, because the evaluation itself can fault).
 
 The rows fill source templates that are compiled once per handler family
-at import, except the block family, compiled once per block shape on first
+at import, except the unit family, compiled once per unit shape on first
 use:
 
 * :data:`FAST_MAKERS` -- the decoded engine's threaded-code handlers;
 * :data:`COMPUTE_MAKERS` -- raw-result closures for injection-exposed
   instructions;
-* :func:`block_maker` -- one function per basic-block *shape* (the tuple
-  of ``(opcode name, destination absent)`` per row) that runs the whole
-  block and returns the next pc; :mod:`repro.sim.stepper` dispatches
-  them;
+* :func:`unit_maker` -- per unit *shape* (the tuple of ``(opcode name,
+  destination absent)`` per row of a basic block extended along its
+  unconditional jumps), one function that runs the whole unit and one
+  that runs a span of its rows, each returning the next pc;
+  :mod:`repro.sim.stepper` dispatches them;
 * :func:`lockstep_makers` -- the batch engine's taint-propagating handlers
   (compiled when :mod:`repro.sim.batch` asks for them, because they need
   numpy);
@@ -522,8 +523,10 @@ COMPUTE_MAKERS: Dict[Opcode, Callable] = _family(
     _compute_source)
 
 
-#: A block's shape: ``(opcode name, destination absent)`` per row.  It is
-#: all that block source depends on; operand values are maker arguments.
+#: A unit's shape: ``(opcode name, destination absent)`` per row.  It is
+#: all that unit source depends on; operand values are maker arguments.
+#: A ``J`` anywhere but the last row is a fused jump: the unit continues
+#: at its target, so the row keeps its slot but emits no code.
 Shape = Tuple[Tuple[str, bool], ...]
 
 #: The spec tuple's fields, in order.
@@ -557,10 +560,12 @@ def _row_locals(row: Semantics) -> List[str]:
 @lru_cache(maxsize=None)
 def _row_code(name: str, absent: bool,
               last: bool) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """One row's maker lines (its binds) and block lines, with its locals
-    renamed to slot names; ``_SLOT`` stands for the slot number."""
+    """One row's maker lines (its binds) and unit statements, with its
+    locals renamed to slot names; ``_SLOT`` stands for the slot number."""
     row = SEMANTICS[Opcode[name]]
-    assert last or not row.ends_block, name
+    if not last and row.ends_block:
+        assert row.op is Opcode.J, name
+        return (), ()  # a fused jump: the next row is its target
     prologue = _prologue(row)
     if row.cond is not None:
         code = prologue + [f"return t if {row.cond} else n"]
@@ -575,67 +580,87 @@ def _row_code(name: str, absent: bool,
         code.append(f"return {row.next}")
     rename = _Suffix(_row_locals(row))
 
-    def renamed(statements: Iterable[str], depth: int) -> List[str]:
-        return _block((ast.unparse(rename.visit(ast.parse(statement)))
-                       for statement in statements), depth)
+    def renamed(statements: Iterable[str]) -> List[str]:
+        return [ast.unparse(rename.visit(ast.parse(statement)))
+                for statement in statements]
 
     unpack = f"{', '.join(field + _SLOT for field in _FIELDS)} = specs[{_SLOT}]"
-    return (f"    {unpack}", *renamed(row.binds, 4)), tuple(renamed(code, 8))
+    return (unpack, *renamed(row.binds)), tuple(renamed(code))
 
 
-def _block_source(shape: Shape) -> Tuple[str, List[int]]:
-    """Source of a block maker, and the line each row's code starts on.
+def _unit_source(shape: Shape, span: bool) -> Tuple[str, List[int], List[int]]:
+    """Source of a unit maker, and its line table: the lines on which a
+    row's code starts, ascending, and each one's slot.
 
     The maker unpacks each row's spec into slot names (``d0``, ``a1``,
-    ``imm2``, ...) and runs the row's binds; the block it returns executes
-    every row in order and returns the last row's next pc.
+    ``imm2``, ...), runs the row's binds and returns a function over the
+    bound operands: ``run()`` executes every row in order and returns the
+    last row's next pc; with ``span``, ``span(lo, hi)`` executes rows
+    ``lo`` to ``hi - 1`` and returns the next pc -- the last row's when
+    ``hi`` is the unit's length, the static index of row ``hi`` otherwise.
     """
-    head = ["def block(specs, m):", "    ir = m.int_regs", "    fr = m.float_regs"]
+    head = ["def unit(specs, m):", "    ir = m.int_regs", "    fr = m.float_regs"]
     body: List[str] = []
-    starts: List[int] = []
+    starts: List[Tuple[int, int]] = []
     for slot, (name, absent) in enumerate(shape):
-        row_head, row_body = _row_code(name, absent, slot == len(shape) - 1)
-        head += [line.replace(_SLOT, str(slot)) for line in row_head]
-        starts.append(len(body))
-        body += [line.replace(_SLOT, str(slot)) for line in row_body]
+        row_head, row_code = _row_code(name, absent, slot == len(shape) - 1)
+        head += _block((line.replace(_SLOT, str(slot)) for line in row_head), 4)
+        if not row_code:
+            continue
+        code = [line.replace(_SLOT, str(slot)) for line in row_code]
+        starts.append((len(body), slot))
+        if span:
+            body += [f"if lo <= {slot} < hi:", *_block(code, 4)]
+        else:
+            body += _block(code, 0)
+    if span:
+        head.append("    rows = [spec[0] for spec in specs]")
+        body.append("return rows[hi]")
     first = len(head) + 2  # the line after ``def run():``
-    lines = head + ["    def run():", *body, "    return run"]
-    return "\n".join(lines), [first + start for start in starts]
+    name = "span" if span else "run"
+    lines = [*head, f"    def {name}({'lo, hi' if span else ''}):",
+             *_block(body, 8), f"    return {name}"]
+    return ("\n".join(lines), [first + start for start, _ in starts],
+            [slot for _, slot in starts])
 
 
-_BLOCK_MAKERS: Dict[Shape, Callable] = {}
-_BLOCK_IDS = itertools.count()  # unique source names, also across threads
+_UNIT_MAKERS: Dict[Tuple[Shape, bool], Callable] = {}
+_UNIT_IDS = itertools.count()  # unique source names, also across threads
 
 
-def block_maker(shape: Shape) -> Callable:
-    """The maker ``(specs, machine) -> block`` for blocks of ``shape``.
+def unit_maker(shape: Shape, span: bool = False) -> Callable:
+    """The maker ``(specs, machine) -> run`` for units of ``shape``, or
+    with ``span`` the maker ``(specs, machine) -> span``.
 
-    A block runs every row of one basic block against the bound machine
-    and returns the next pc.  Each shape is compiled once per process, on
-    first use, and shared by every program and machine (two threads racing
-    on a new shape may both compile it; either maker is correct): the
-    maker carries its ``source`` and the ``row_lines`` that
-    :func:`block_row` reads.
+    A unit is a basic block extended along its static unconditional
+    edges (see :mod:`repro.sim.decode`); ``run`` executes all of its rows
+    against the bound machine, ``span(lo, hi)`` some of them.  Each maker
+    is compiled once per process, on first use, and shared by every
+    program and machine (two threads racing on a new shape may both
+    compile it; either maker is correct): it carries its ``source`` and
+    the line table that :func:`unit_row` reads.
     """
-    maker = _BLOCK_MAKERS.get(shape)
+    maker = _UNIT_MAKERS.get((shape, span))
     if maker is None:
-        source, row_lines = _block_source(shape)
-        family = f"block{next(_BLOCK_IDS)}"
-        maker = _compile(family, [source])["block"]
+        source, row_lines, row_slots = _unit_source(shape, span)
+        family = f"{'span' if span else 'unit'}{next(_UNIT_IDS)}"
+        maker = _compile(family, [source])["unit"]
         maker.source = source
         maker.filename = f"<repro.sim.semantics:{family}>"
         maker.row_lines = row_lines
-        _BLOCK_MAKERS[shape] = maker
+        maker.row_slots = row_slots
+        _UNIT_MAKERS[shape, span] = maker
     return maker
 
 
-def block_row(shape: Shape, exc: BaseException) -> int:
-    """The row of a ``shape`` block that raised ``exc``.
+def unit_row(shape: Shape, exc: BaseException, span: bool = False) -> int:
+    """The slot of the row that raised ``exc`` in a ``shape`` unit's
+    ``run`` (or, with ``span``, its ``span``).
 
-    Read from the traceback's line in the generated code, so the block
+    Read from the traceback's line in the generated code, so the unit
     itself carries no bookkeeping.
     """
-    maker = block_maker(shape)
+    maker = unit_maker(shape, span)
     line = None
     tb = exc.__traceback__
     while tb is not None:
@@ -643,8 +668,8 @@ def block_row(shape: Shape, exc: BaseException) -> int:
             line = tb.tb_lineno
         tb = tb.tb_next
     if line is None:
-        raise ValueError(f"{exc!r} was not raised by a {shape} block")
-    return bisect_right(maker.row_lines, line) - 1
+        raise ValueError(f"{exc!r} was not raised by a {shape} unit")
+    return maker.row_slots[bisect_right(maker.row_lines, line) - 1]
 
 
 def _pools() -> Dict[str, List[Tuple[Opcode, Callable]]]:

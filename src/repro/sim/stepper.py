@@ -1,54 +1,67 @@
-"""Basic-block dispatch: the one scalar loop every engine runs through.
+"""Unit dispatch: the one scalar loop every engine runs through.
 
 :mod:`repro.sim.decode` cuts a program into basic blocks (a leader -- the
 entry, a branch or jump target, or the instruction after a control op --
-up to the next control op or leader), and :mod:`repro.sim.semantics`
-compiles one function per block *shape* that executes all of the block's
-rows and returns the next pc.  A :class:`Stepper` drives one run::
+up to the next control op or leader) and extends each leader's block
+into a *unit* along static unconditional edges (a ``J``'s target, a
+fall-through into the next leader).  :mod:`repro.sim.semantics` compiles
+one maker per unit *shape*, which binds two functions: ``run()``
+executes every row of the unit and returns the next pc, and
+``span(lo, hi)`` executes rows ``lo`` to ``hi - 1``.  A :class:`Stepper`
+drives one run::
 
     while pc != text_len:
         size = block_sizes[pc]
         if size and executed + size <= limit:
-            pc = blocks[pc]()           # a whole block
+            pc = blocks[pc]()           # a whole unit
             block_counts[leader] += 1
             executed += size
+        elif the unit holding pc is compiled:
+            pc = spans[owner](lo, hi)   # rows lo..hi-1 of it
+            executed += hi - lo
         else:
-            ...                         # one instruction, as before
+            ...                         # one instruction
 
-A block runs whole only when it fits before ``limit`` (the caller's next
-checkpoint boundary, state-model target or watchdog budget) and, while
-a result plan has targets left, when none of them falls inside the
-block's exposed occurrences.  Everything else -- a pc that is not a
-leader (``JR`` into a block's middle), the tail before a limit, a block
-holding the next target -- single-steps through the per-instruction
-handlers.  So does a block until its leader is hot (:data:`HOT_VISITS`):
-compiling a shape is worth it only for code that runs often.  Handlers,
-wrappers and blocks are all bound on first use, so a short run pays only
-for the code it reaches.
+A unit runs whole only from its leader, when it fits before ``limit``
+(the caller's next checkpoint boundary, state-model target or watchdog
+budget) and, while a result plan has targets left, when none of them
+falls inside the unit's exposed occurrences.  Everywhere else -- a pc
+that is not a leader (after a target fired, at a checkpoint boundary,
+after a ``JR`` into a block's middle), the tail before a limit, the rows
+before the next target -- a span runs as many rows as it may.  The
+target row itself is found by bisecting the unit's prefix sums of the
+plan's exposure flags and is the only row that single-steps, through its
+injection wrapper.  Code also single-steps until its leader is hot
+(:data:`HOT_VISITS`): compiling a shape is worth it only for code that
+runs often.  Handlers, wrappers and units are all bound on first use, so
+a short run pays only for the code it reaches.
 
-Execution counts stay exact: blocks are counted per leader and expanded
-by :meth:`Stepper.flush`; a fault inside a block counts the block's rows
-up to the faulting one, found from the fault's static index
-(:class:`~repro.sim.errors.SimFault`) or from the generated code's line
-table (``OverflowError``/``ValueError``), at no cost to the hot loop.
+Execution counts stay exact: whole units are counted per leader and
+spans in a difference array over the unit's rows, both expanded by
+:meth:`Stepper.flush`; a fault inside a unit counts its rows up to the
+faulting one, found from the generated code's line table and the unit's
+row list, at no cost to the hot loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable, List, Optional
 
 from .decode import DecodedProgram, Handler
 from .errors import SimFault
 from .faults import InjectionPlan
-from .semantics import FAST_MAKERS, block_maker, block_row
+from .semantics import FAST_MAKERS, unit_maker, unit_row
 
-#: What a block may raise that the engines report as a crash.
+#: What a unit may raise that the engines report as a crash.
 _FAULTS = (SimFault, OverflowError, ValueError)
 
-#: Visits a leader takes (per process and program) before its block is
-#: compiled.  Compiling a block costs what a few hundred of its visits
-#: save over single-stepping, so code that runs only a few times
-#: single-steps, while a loop compiles within its first iterations.
+#: Visits to a leader (or entries into its block's middle) that
+#: single-step, per process and program, before its unit is compiled.
+#: Compiling a unit costs what a few hundred of its visits save over
+#: single-stepping, so code that runs only a few times single-steps,
+#: while a loop compiles within its first iterations.
 HOT_VISITS = 64
 
 
@@ -56,7 +69,7 @@ class Stepper:
     """One run of ``decoded`` on ``machine``, from ``pc`` and ``executed``.
 
     ``exec_counts`` (a fresh zero vector by default) receives the counts
-    of single-stepped instructions directly and of blocks at
+    of single-stepped instructions directly and of units and spans at
     :meth:`flush`.  ``plan`` is a result-model plan with targets, whose
     exposed-dynamic counter starts at ``exposed_start``.
     """
@@ -73,15 +86,20 @@ class Stepper:
         self.exec_counts = [0] * text_len if exec_counts is None else exec_counts
         self.handlers: List[Optional[Handler]] = [None] * text_len
         self.blocks: List[Optional[Callable[[], int]]] = [None] * text_len
+        self.spans: List[Optional[Callable[[int, int], int]]] = [None] * text_len
         self.block_counts = [0] * text_len
-        self.bound: List[int] = []  # leaders with a bound block
+        #: Per bound leader: span starts minus span ends, per unit row.
+        self.span_counts: List[Optional[List[int]]] = [None] * text_len
+        self.bound: List[int] = []  # leaders with a bound unit
         self.state: Optional[List[int]] = None
         if plan is not None:
             self.flags, self.state, self.wrap = decoded.injection(
                 machine, plan, exposed_start)
             self.targets = plan.targets
             self.injected: List[Optional[Handler]] = [None] * text_len
-            self.exposed = [0] * text_len  # exposed rows per bound block
+            #: Per bound leader: exposed rows before each unit row.
+            self.exposed_before: List[Optional[List[int]]] = [None] * text_len
+            self.exposed = [0] * text_len  # exposed rows per bound unit
 
     @property
     def halted(self) -> bool:
@@ -104,36 +122,73 @@ class Stepper:
         self._run_fast(limit)
 
     def flush(self) -> List[int]:
-        """Expand the block counts into ``exec_counts`` and return it."""
+        """Expand the unit and span counts into ``exec_counts`` and
+        return it."""
         exec_counts = self.exec_counts
         counts = self.block_counts
-        sizes = self.decoded.block_sizes
+        span_counts = self.span_counts
+        unit_rows = self.decoded.block_rows
         for leader in self.bound:
             count = counts[leader]
-            if count:
-                for index in range(leader, leader + sizes[leader]):
-                    exec_counts[index] += count
+            steps = span_counts[leader]
+            if count or any(steps):
+                for row, step in zip(unit_rows[leader], steps):
+                    count += step
+                    exec_counts[row] += count
                 counts[leader] = 0
+                steps[:] = [0] * len(steps)
         return exec_counts
 
     # ------------------------------------------------------------------
     # Lazy binding.
     # ------------------------------------------------------------------
     def _block(self, pc: int) -> Optional[Callable[[], int]]:
-        """Bind the block at leader ``pc``, or ``None`` while it is cold."""
-        decoded = self.decoded
-        heat = decoded.block_heat
-        if heat[pc] < HOT_VISITS:
+        """Bind the unit at leader ``pc``, or ``None`` while it is cold."""
+        heat = self.decoded.block_heat
+        if heat[pc] <= HOT_VISITS:
             heat[pc] += 1
-            return None
-        size = decoded.block_sizes[pc]
-        maker = block_maker(decoded.block_shapes[pc])
-        block = self.blocks[pc] = maker(decoded.specs[pc:pc + size],
-                                        self.machine)
-        self.bound.append(pc)
+            if heat[pc] <= HOT_VISITS:
+                return None
+        return self._bind(pc)
+
+    def _bind(self, leader: int) -> Callable[[], int]:
+        decoded = self.decoded
+        rows = decoded.block_rows[leader]
+        specs = decoded.specs
+        block = self.blocks[leader] = unit_maker(decoded.block_shapes[leader])(
+            [specs[row] for row in rows], self.machine)
+        self.span_counts[leader] = [0] * (len(rows) + 1)
+        self.bound.append(leader)
         if self.state is not None:
-            self.exposed[pc] = sum(self.flags[pc:pc + size])
+            flags = self.flags
+            before = self.exposed_before[leader] = list(
+                accumulate((flags[row] for row in rows), initial=0))
+            self.exposed[leader] = before[-1]
         return block
+
+    def _span(self, pc: int, leader: int) -> Optional[Callable[[int, int], int]]:
+        """Bind the span of the unit holding ``pc`` (of the basic block at
+        ``leader``), or ``None`` while it is cold.
+
+        An entry into the block's middle (a ``JR``'s target, a resumed
+        run) heats the unit like a visit to its leader; a cold block
+        single-steps from there to its end.
+        """
+        decoded = self.decoded
+        if not decoded.block_sizes[leader]:
+            return None
+        heat = decoded.block_heat
+        if pc != leader and heat[leader] <= HOT_VISITS:
+            heat[leader] += 1
+        if heat[leader] <= HOT_VISITS:
+            return None
+        if self.blocks[leader] is None:
+            self._bind(leader)
+        specs = decoded.specs
+        span = self.spans[leader] = unit_maker(
+            decoded.block_shapes[leader], span=True)(
+            [specs[row] for row in decoded.block_rows[leader]], self.machine)
+        return span
 
     def _handler(self, pc: int) -> Handler:
         decoded = self.decoded
@@ -147,26 +202,31 @@ class Stepper:
             else self.handlers[pc] or self._handler(pc))
         return handler
 
-    def _fault(self, pc: int, executed: int, exc: BaseException):
-        """Count the rows of the block at ``pc`` up to the one that raised
-        ``exc``; return that row's index and the new ``executed``."""
-        if isinstance(exc, SimFault):
-            index = exc.pc
-        else:
-            index = pc + block_row(self.decoded.block_shapes[pc], exc)
+    def _fault(self, leader: int, lo: int, executed: int,
+               exc: BaseException, span: bool = True):
+        """Count rows ``lo`` up to the one that raised ``exc`` in the span
+        (or the run) of the unit at ``leader``; return that row's index
+        and the new ``executed``."""
+        decoded = self.decoded
+        slot = unit_row(decoded.block_shapes[leader], exc, span)
+        rows = decoded.block_rows[leader]
         exec_counts = self.exec_counts
-        for row in range(pc, index + 1):
+        for row in rows[lo:slot + 1]:
             exec_counts[row] += 1
-        return index, executed + index - pc + 1
+        return rows[slot], executed + slot - lo + 1
 
     # ------------------------------------------------------------------
     # The loops.
     # ------------------------------------------------------------------
     def _run_fast(self, limit: int) -> None:
-        text_len = self.decoded.text_len
-        sizes = self.decoded.block_sizes
+        decoded = self.decoded
+        text_len = decoded.text_len
+        sizes = decoded.block_sizes
+        owners = decoded.block_owner
         blocks = self.blocks
+        spans = self.spans
         counts = self.block_counts
+        span_counts = self.span_counts
         handlers = self.handlers
         exec_counts = self.exec_counts
         pc = self.pc
@@ -180,7 +240,8 @@ class Stepper:
                         try:
                             nxt = block()
                         except _FAULTS as exc:
-                            pc, executed = self._fault(pc, executed, exc)
+                            pc, executed = self._fault(pc, 0, executed, exc,
+                                                       span=False)
                             raise
                         counts[pc] += 1
                         executed += size
@@ -188,27 +249,59 @@ class Stepper:
                         continue
                 if executed >= limit:
                     break
-                handler = handlers[pc] or self._handler(pc)
-                exec_counts[pc] += 1
-                executed += 1
-                pc = handler()
+                leader = owners[pc]
+                span = spans[leader] or self._span(pc, leader)
+                if span is not None:
+                    lo = pc - leader
+                    hi = sizes[leader]
+                    if hi - lo > limit - executed:
+                        hi = lo + limit - executed
+                    try:
+                        nxt = span(lo, hi)
+                    except _FAULTS as exc:
+                        pc, executed = self._fault(leader, lo, executed, exc)
+                        raise
+                    steps = span_counts[leader]
+                    steps[lo] += 1
+                    steps[hi] -= 1
+                    executed += hi - lo
+                    pc = nxt
+                    continue
+                # Cold: single-step to the end of pc's basic block.
+                while True:
+                    handler = handlers[pc] or self._handler(pc)
+                    exec_counts[pc] += 1
+                    executed += 1
+                    nxt = handler()
+                    if (nxt != pc + 1 or nxt == text_len or sizes[nxt]
+                            or executed >= limit):
+                        break
+                    pc = nxt
+                pc = nxt
         finally:
             self.pc = pc
             self.executed = executed
 
     def _run_injected(self, limit: int) -> None:
-        """:meth:`_run_fast` while targets are pending: a block runs whole
-        only when the next target lies beyond its exposed occurrences."""
-        text_len = self.decoded.text_len
-        sizes = self.decoded.block_sizes
+        """:meth:`_run_fast` while targets are pending: a unit runs whole
+        only when the next target lies beyond its exposed occurrences, and
+        a span stops at the target's row, which single-steps through its
+        wrapper."""
+        decoded = self.decoded
+        text_len = decoded.text_len
+        sizes = decoded.block_sizes
+        owners = decoded.block_owner
         blocks = self.blocks
+        spans = self.spans
         counts = self.block_counts
+        span_counts = self.span_counts
         handlers = self.injected
         exec_counts = self.exec_counts
         state = self.state
         targets = self.targets
         ntargets = len(targets)
         exposed = self.exposed
+        exposed_before = self.exposed_before
         pc = self.pc
         executed = self.executed
         try:
@@ -221,7 +314,8 @@ class Stepper:
                         try:
                             nxt = block()
                         except _FAULTS as exc:
-                            pc, executed = self._fault(pc, executed, exc)
+                            pc, executed = self._fault(pc, 0, executed, exc,
+                                                       span=False)
                             raise
                         counts[pc] += 1
                         executed += size
@@ -230,10 +324,46 @@ class Stepper:
                         continue
                 if executed >= limit:
                     break
-                handler = handlers[pc] or self._injected(pc)
-                exec_counts[pc] += 1
-                executed += 1
-                pc = handler()
+                leader = owners[pc]
+                span = spans[leader] or self._span(pc, leader)
+                if span is not None:
+                    lo = pc - leader
+                    hi = sizes[leader]
+                    if hi - lo > limit - executed:
+                        hi = lo + limit - executed
+                    # The target's row: the one whose exposed occurrence
+                    # is ``targets[state[0]]``.
+                    before = exposed_before[leader]
+                    row = bisect_right(
+                        before, targets[state[0]] - state[1] + before[lo],
+                        lo) - 1
+                    if row < hi:
+                        hi = row
+                    if hi > lo:
+                        try:
+                            nxt = span(lo, hi)
+                        except _FAULTS as exc:
+                            pc, executed = self._fault(leader, lo, executed,
+                                                       exc)
+                            raise
+                        steps = span_counts[leader]
+                        steps[lo] += 1
+                        steps[hi] -= 1
+                        executed += hi - lo
+                        state[1] += before[hi] - before[lo]
+                        pc = nxt
+                        continue
+                # Single-step the target's row, or a cold block to its end.
+                while True:
+                    handler = handlers[pc] or self._injected(pc)
+                    exec_counts[pc] += 1
+                    executed += 1
+                    nxt = handler()
+                    if (span is not None or nxt != pc + 1 or nxt == text_len
+                            or sizes[nxt] or executed >= limit):
+                        break
+                    pc = nxt
+                pc = nxt
         finally:
             self.pc = pc
             self.executed = executed

@@ -172,6 +172,36 @@ class TestSerialExecutor:
             )
         assert records == [serial_records[1], serial_records[3]]
 
+    @pytest.mark.parametrize("engine", ["fork", "batch", "decoded"])
+    def test_injection_free_runs_reuse_the_golden_run(self, adpcm, engine,
+                                                      monkeypatch):
+        """errors=0 and NONE-mode records are built from the memoized
+        golden result: equal to a decoded re-simulation, with no
+        ``Machine.run``."""
+        from repro.exec import base as exec_base
+        from repro.sim import Machine
+
+        config = CampaignConfig(runs=3, base_seed=11, engine=engine)
+        tasks = [(0, 0, ProtectionMode.PROTECTED),
+                 (1, 0, ProtectionMode.UNPROTECTED),
+                 (2, 4, ProtectionMode.NONE)]
+        expected = []
+        for run_index, errors, mode in tasks:
+            seed = config.workload_seed_for(run_index)
+            machine = Machine(adpcm.program())
+            adpcm.apply_workload(machine, adpcm.workload(seed))
+            run = machine.run(max_instructions=adpcm.golden(seed).watchdog_budget)
+            expected.append(exec_base._build_record(
+                adpcm, config, run_index, errors, mode, None, run, seed))
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("an injection-free run was simulated")
+
+        monkeypatch.setattr(Machine, "run", no_simulation)
+        assert exec_base.make_records(adpcm, config, tasks) == expected
+        assert [exec_base.make_record(adpcm, config, *task)
+                for task in tasks] == expected
+
 
 class TestDegradeRule:
     """One rule decides when fork/batch requests run on the decoded engine."""

@@ -32,8 +32,8 @@ the source tree with the stdlib ``ast`` module and enforces them:
     Calls to the builtins ``exec``, ``eval`` and ``compile`` are findings
     anywhere under ``src/repro`` except ``sim/semantics.py``, which
     compiles the simulator's handler families from its own string
-    constants -- and its basic-block makers from those constants and slot
-    names, keyed by block shape alone.  Workers receive programs over the
+    constants -- and its unit makers from those constants and slot
+    names, keyed by unit shape alone.  Workers receive programs over the
     wire, so generated code must come only from module constants, never
     from data: operand values reach it only as maker arguments.
 
