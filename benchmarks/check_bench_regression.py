@@ -8,10 +8,7 @@ Two reports are gated:
   engine speedups over the preserved seed interpreter;
 * ``BENCH_campaign.json`` (written by ``benchmarks/test_perf_campaign.py``)
   against ``benchmarks/baseline_campaign.json`` — the fork engine's
-  campaign-cell speedup over the full-run path, plus the bit-identity flag;
-* ``BENCH_batch.json`` (written by ``benchmarks/test_perf_batch.py``)
-  against ``benchmarks/baseline_batch.json`` — the lockstep batch engine's
-  campaign-cell speedup over the fork engine, plus its bit-identity flag.
+  campaign-cell speedup over the full-run path, plus the bit-identity flag.
 
 A measured speedup below ``baseline * (1 - tolerance)`` fails the gate
 (exit 1).  The tolerance band is wide by default because CI machines are
@@ -39,8 +36,6 @@ INTERP_BENCH_PATH = REPO_ROOT / "BENCH_interp.json"
 INTERP_BASELINE_PATH = Path(__file__).with_name("baseline_interp.json")
 CAMPAIGN_BENCH_PATH = REPO_ROOT / "BENCH_campaign.json"
 CAMPAIGN_BASELINE_PATH = Path(__file__).with_name("baseline_campaign.json")
-BATCH_BENCH_PATH = REPO_ROOT / "BENCH_batch.json"
-BATCH_BASELINE_PATH = Path(__file__).with_name("baseline_batch.json")
 
 
 def _baseline_block(bench: dict, baseline_path: Path) -> tuple:
@@ -109,32 +104,12 @@ def check_campaign(tolerance: float) -> int:
     return 0
 
 
-def check_batch(tolerance: float) -> int:
-    bench = json.loads(BATCH_BENCH_PATH.read_text())
-    mode, baseline = _baseline_block(bench, BATCH_BASELINE_PATH)
-
-    if not bench.get("identical_records", False):
-        # The speedup is meaningless if the batch engine stopped being
-        # bit-identical to the fork-engine record stream.
-        print("FAIL: BENCH_batch.json reports identical_records=false",
-              file=sys.stderr)
-        return 1
-    failures = _gate_rows(f"batch gate ({mode} baseline)",
-                          [("batch-cell", bench["speedup"], baseline["speedup"])],
-                          tolerance)
-    if failures:
-        print("FAIL: campaign batch-engine speedup regression", file=sys.stderr)
-        return 1
-    return 0
-
-
 #: The pytest invocation that (re)generates each gated BENCH report.
 #: The reports are build artifacts — gitignored, never committed — so a
 #: missing file means "run the benchmarks first", not a repo bug.
 BENCH_SOURCES = {
     INTERP_BENCH_PATH: "python -m pytest benchmarks/test_perf_interpreter.py -q -s",
     CAMPAIGN_BENCH_PATH: "python -m pytest benchmarks/test_perf_campaign.py -q -s",
-    BATCH_BENCH_PATH: "python -m pytest benchmarks/test_perf_batch.py -q -s",
 }
 
 
@@ -145,8 +120,7 @@ def main() -> int:
     args = parser.parse_args()
     status = 0
     for path, check in ((INTERP_BENCH_PATH, check_interp),
-                        (CAMPAIGN_BENCH_PATH, check_campaign),
-                        (BATCH_BENCH_PATH, check_batch)):
+                        (CAMPAIGN_BENCH_PATH, check_campaign)):
         if not path.exists():
             print(f"{path.name} not found: the BENCH reports are generated "
                   f"(and gitignored), so run the benchmarks first:\n"

@@ -1,13 +1,12 @@
 """Campaign performance benchmark: fork engine vs the full-run decoded path.
 
 Times one injected campaign cell — the unit of work behind every data point
-in the paper's figures — under the decoded, fork, and lockstep batch
-engines and writes the numbers side by side to ``BENCH_campaign.json`` at
-the repository root (the dedicated batch gate lives in
-``benchmarks/test_perf_batch.py`` / ``BENCH_batch.json``).  The fork engine restores
-the nearest golden checkpoint, replays only the divergence, and splices the
-golden suffix back in on re-convergence, so the cell cost scales with how
-much the injected faults actually change instead of with program length.
+in the paper's figures — under the decoded and fork engines and writes the
+numbers side by side to ``BENCH_campaign.json`` at the repository root.
+The fork engine restores the nearest golden checkpoint, replays only the
+divergence, and splices the golden suffix back in on re-convergence, so
+the cell cost scales with how much the injected faults actually change
+instead of with program length.
 
 The two campaigns must produce **bit-identical** records (also asserted at
 matrix scale in ``tests/test_fork_engine.py``); here the check guards the
@@ -65,12 +64,9 @@ def _time_cell(engine: str):
 def test_perf_campaign_writes_benchmark_json(show):
     decoded_cell, decoded_s, _ = _time_cell("decoded")
     fork_cell, fork_s, fork_app = _time_cell("fork")
-    batch_cell, batch_s, _ = _time_cell("batch")
 
     identical = fork_cell.records == decoded_cell.records
-    batch_identical = batch_cell.records == decoded_cell.records
     speedup = decoded_s / fork_s
-    batch_speedup = decoded_s / batch_s
     store = fork_app.golden(0).checkpoint_store
     golden_executed = fork_app.golden(0).executed
     replay_fraction = (
@@ -91,11 +87,8 @@ def test_perf_campaign_writes_benchmark_json(show):
         },
         "decoded_s": round(decoded_s, 6),
         "fork_s": round(fork_s, 6),
-        "batch_s": round(batch_s, 6),
         "speedup": round(speedup, 2),
-        "batch_speedup": round(batch_speedup, 2),
         "identical_records": identical,
-        "batch_identical_records": batch_identical,
         "fork": {
             "checkpoints": len(store.checkpoints) if store else 0,
             "interval": store.interval if store else 0,
@@ -116,14 +109,12 @@ def test_perf_campaign_writes_benchmark_json(show):
         f"{ERRORS} error(s), {MODE.value}\n"
         f"  decoded (full runs): {decoded_s:8.3f}s\n"
         f"  fork (checkpointed): {fork_s:8.3f}s   -> {speedup:.2f}x\n"
-        f"  batch (lockstep):    {batch_s:8.3f}s   -> {batch_speedup:.2f}x\n"
         f"  spliced {store.spliced_runs}/{store.forked_runs} runs, "
         f"replayed {100 * (replay_fraction or 0):.1f}% of golden length per run, "
-        f"identical={identical} batch_identical={batch_identical}"
+        f"identical={identical}"
     )
 
     assert identical, "fork campaign diverged from the decoded runner"
-    assert batch_identical, "batch campaign diverged from the decoded runner"
     assert speedup >= MIN_SPEEDUP, (
         f"fork-engine campaign speedup regressed to {speedup:.2f}x "
         f"(floor {MIN_SPEEDUP}x, smoke={SMOKE})"

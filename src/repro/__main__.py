@@ -53,7 +53,7 @@ from .api import build_orchestrator
 from .api import figures as api_figures
 from .api import submit as api_submit
 from .api import tables as api_tables
-from .core import ShardStore, StoppingRule
+from .core import ENGINES, ShardStore, StoppingRule
 from .core.store import MissingCellError
 from .exec import parse_listen_address
 from .exec.worker import add_worker_arguments, run_worker
@@ -546,14 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="abort (resumably) instead of degrading to "
                             "local execution when the whole worker fleet "
                             "is lost mid-sweep")
-    sweep.add_argument("--engine", default="fork",
-                       choices=["fork", "batch", "decoded", "reference"],
+    sweep.add_argument("--engine", default="fork", choices=ENGINES,
                        help="simulation engine (default fork)")
     sweep.add_argument("--chunk-size", type=int, default=16,
-                       help="runs persisted per store append (default 16; "
-                            "under --engine batch this also caps how many "
-                            "runs share one lockstep batch, so raise it "
-                            "for maximum batch throughput)")
+                       help="runs persisted per store append (default 16)")
     _add_adaptive_arguments(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 
@@ -577,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent scheduler lanes: how many jobs "
                             "may run at once (same-store jobs still "
                             "serialize; default: one per core, max 4)")
-    serve.add_argument("--engine", default="fork",
-                       choices=["fork", "batch", "decoded", "reference"],
+    serve.add_argument("--engine", default="fork", choices=ENGINES,
                        help="simulation engine for daemon-run campaigns "
                             "(default fork)")
     serve.add_argument("--parallel", type=int, default=1,

@@ -3,6 +3,7 @@
 from .app import WATCHDOG_FACTOR, ErrorTolerantApp, GoldenRun
 from .campaign import (
     ENGINE_NAMES,
+    ENGINES,
     CampaignConfig,
     CampaignRunner,
     run_quick_campaign,
@@ -27,6 +28,7 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "ENGINE_NAMES",
+    "ENGINES",
     "ErrorTolerantApp",
     "FidelityMeasure",
     "FidelityResult",

@@ -20,7 +20,6 @@ from ..compiler.minic import compile_source
 from ..compiler.passes import ControlTaggingPass, TaggingReport
 from ..isa import Program
 from ..sim import (
-    CHECKPOINT_ENGINES,
     Machine,
     Outcome,
     ProtectionMode,
@@ -240,8 +239,8 @@ class ErrorTolerantApp(abc.ABC):
         golden = self.golden(seed)
         budget = max_instructions if max_instructions is not None else golden.watchdog_budget
         engine = executing_engine(engine, injection)
-        if engine in CHECKPOINT_ENGINES:
-            # The fork and batch engines restore memory wholesale from the
+        if engine == "fork":
+            # The fork engine restores memory wholesale from the
             # checkpoint store, so the machine is built bare: no workload
             # application, no golden prefix re-execution.
             machine = Machine(self.program())
@@ -250,21 +249,6 @@ class ErrorTolerantApp(abc.ABC):
         machine = self._make_machine(self.workload(seed))
         return machine.run(max_instructions=budget, injection=injection,
                            engine=engine)
-
-    def run_batched(self, plans, seed: int = 0,
-                    max_instructions: Optional[int] = None) -> List[RunResult]:
-        """Execute a whole cell of injection plans in numpy lockstep.
-
-        All plans must share one protection mode and fault model, and each
-        must have at least one target (callers route empty plans through
-        :meth:`run_once`).  Returns one result per plan, in order, each
-        bit-identical to running that plan alone on the decoded engine.
-        """
-        from ..sim.batch import run_batched
-        golden = self.golden(seed)
-        budget = max_instructions if max_instructions is not None else golden.watchdog_budget
-        machine = Machine(self.program())
-        return run_batched(machine, plans, self.checkpoint_store(seed), budget)
 
     def score_run(self, result: RunResult, seed: int = 0) -> Optional[FidelityResult]:
         """Score a completed run against the golden reference (None if it failed)."""

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..sim import (
-    CHECKPOINT_ENGINES,
     InjectionPlan,
     ProtectionMode,
     executing_engine,
@@ -44,8 +43,12 @@ from .outcomes import CampaignResult, RunRecord, SweepResult
 
 ProgressCallback = Callable[[str], None]
 
-#: Engines accepted by ``CampaignConfig.engine`` (see ``Machine.run``).
-ENGINE_NAMES = ("fork", "batch", "decoded", "reference")
+#: Engines campaigns run on (see ``Machine.run``); the command line offers
+#: exactly these.
+ENGINES = ("fork", "decoded", "reference")
+#: Names ``CampaignConfig.engine`` accepts: the engines, plus ``"batch"``,
+#: which it maps to ``"fork"``.
+ENGINE_NAMES = ENGINES + ("batch",)
 
 
 def injection_seed(base_seed: int, run_index: int, errors: int) -> int:
@@ -71,13 +74,11 @@ class CampaignConfig:
     #: is set) and produces records bit-identical to the in-process runner
     #: under the same seeds.
     parallel: int = 1
-    #: Execution engine for injected runs: ``"fork"`` (default) resumes each
-    #: run from the nearest golden checkpoint and splices the golden suffix
-    #: on re-convergence; ``"batch"`` simulates a whole cell of injected
-    #: runs in numpy lockstep along the golden trace (fastest; see
-    #: :mod:`repro.sim.batch`); ``"decoded"`` executes every run from
-    #: scratch; ``"reference"`` is the preserved seed interpreter.  Records
-    #: are bit-identical across engines.
+    #: Execution engine for injected runs: ``"fork"`` (default, and the
+    #: fastest) resumes each run from the nearest golden checkpoint and
+    #: splices the golden suffix on re-convergence; ``"decoded"`` executes
+    #: every run from scratch; ``"reference"`` is the preserved seed
+    #: interpreter.  Records are bit-identical across engines.
     engine: str = "fork"
     #: ``host:port`` addresses of running ``python -m repro.exec.worker``
     #: processes; a non-empty tuple selects the socket executor.
@@ -120,6 +121,11 @@ class CampaignConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINE_NAMES}"
             )
+        if self.engine == "batch":
+            # The lockstep batch engine is retired: fork was faster on every
+            # workload and writes the same records.  Existing callers (the
+            # end-to-end benchmark among them) still ask for it by name.
+            self.engine = "fork"
         if self.chunk_timeout is not None and self.chunk_timeout <= 0:
             raise ValueError(
                 f"CampaignConfig.chunk_timeout must be > 0 (or None for "
@@ -171,9 +177,9 @@ class CampaignRunner:
 
         ``workload_seed_for`` cycles ``run_index % workloads``, so the
         distinct seeds are exactly ``range(min(runs, workloads))``.  When
-        the cell runs in-process and its injected runs execute on a
-        checkpoint engine, the golden checkpoint stores are built here
-        too, so the run loop only ever pays for divergence.  (Workers of a
+        the cell runs in-process and its injected runs execute on the fork
+        engine, the golden checkpoint stores are built here too, so the run
+        loop only ever pays for divergence.  (Workers of a
         pool or socket backend rebuild their stores locally on first use —
         the snapshots are deliberately stripped from the pickled payload.)
         """
@@ -182,7 +188,7 @@ class CampaignRunner:
         probe = InjectionPlan(ProtectionMode.PROTECTED, [0], model=self.config.model)
         build_checkpoints = (
             self.executor_name() == "serial"
-            and executing_engine(self.config.engine, probe) in CHECKPOINT_ENGINES)
+            and executing_engine(self.config.engine, probe) == "fork")
         self.app.warm(seeds=range(min(self.config.runs, self.config.workloads)),
                       checkpoints=build_checkpoints)
 

@@ -12,8 +12,8 @@ an executor decides *where* those tasks run:
 The backend is a pure function of the
 :class:`~repro.core.campaign.CampaignConfig` (:func:`resolve_executor_name`),
 and all backends produce bit-identical record streams.  The engine is
-orthogonal: under ``engine="batch"`` every backend executes its share of
-a cell in numpy lockstep (:func:`~repro.exec.base.make_records`).
+orthogonal: every backend executes its share of a cell run by run
+(:func:`~repro.exec.base.make_records`) on the configured engine.
 """
 
 from __future__ import annotations

@@ -21,22 +21,15 @@ scheduled them.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.app import ErrorTolerantApp
 from ..core.campaign import injection_seed
 from ..core.outcomes import RunRecord
-from ..sim import InjectionPlan, ProtectionMode, executing_engine, get_model, plan_injections
+from ..sim import InjectionPlan, ProtectionMode, get_model, plan_injections
 
 #: One campaign run: ``(run_index, errors, mode)``.
 RunTask = Tuple[int, int, ProtectionMode]
-
-#: Maximum number of runs one lockstep walk carries under
-#: ``engine="batch"``.  Larger batches amortize the golden-trace walk over
-#: more lanes; memory grows with the batch times the diverged memory
-#: cells.  Sweeps hand :func:`make_records` at most ``chunk_size`` tasks
-#: at a time, which caps the lanes per walk well below this.
-BATCH_SIZE = 256
 
 
 def _derive_plan(app: ErrorTolerantApp, config, run_index: int, errors: int,
@@ -103,37 +96,9 @@ def _build_record(app: ErrorTolerantApp, config, run_index: int, errors: int,
 
 def make_records(app: ErrorTolerantApp, config,
                  tasks: Sequence[RunTask]) -> List[RunRecord]:
-    """Execute a sequence of campaign run tasks, batching when possible.
-
-    Runs whose :func:`~repro.sim.machine.executing_engine` is ``"batch"``
-    are grouped by ``(workload_seed, mode)``, chunked to
-    :data:`BATCH_SIZE` and fed to the numpy lockstep engine
-    (:mod:`repro.sim.batch`); every other run executes on its own.  Plans
-    come from the same derivation as :func:`make_record`, so the record
-    stream is bit-identical to the scalar engines, in task order.
-    """
-    tasks = list(tasks)
-    records: List[Optional[RunRecord]] = []
-    groups: Dict[Tuple[int, ProtectionMode], List[Tuple[int, InjectionPlan]]] = {}
-    for pos, (run_index, errors, mode) in enumerate(tasks):
-        workload_seed, plan = _derive_plan(app, config, run_index, errors, mode)
-        if plan is not None and executing_engine(config.engine, plan) == "batch":
-            groups.setdefault((workload_seed, mode), []).append((pos, plan))
-            records.append(None)
-            continue
-        run = _execute(app, config, workload_seed, plan)
-        records.append(_build_record(app, config, run_index, errors, mode,
-                                     plan, run, workload_seed))
-    for (workload_seed, mode), members in groups.items():
-        for start in range(0, len(members), BATCH_SIZE):
-            chunk = members[start:start + BATCH_SIZE]
-            runs = app.run_batched([plan for _, plan in chunk],
-                                   seed=workload_seed)
-            for (pos, plan), run in zip(chunk, runs):
-                run_index, errors, _ = tasks[pos]
-                records[pos] = _build_record(app, config, run_index, errors,
-                                             mode, plan, run, workload_seed)
-    return records  # type: ignore[return-value]
+    """Execute a sequence of campaign run tasks in order (see
+    :func:`make_record`)."""
+    return [make_record(app, config, *task) for task in tasks]
 
 
 class Executor(abc.ABC):

@@ -16,9 +16,7 @@ class SerialExecutor(Executor):
     The reference backend: all other executors are tested against its
     record stream.  Golden runs (and, under the fork engine, checkpoint
     stores) are memoized on the application, so repeated ``run`` calls
-    only pay for the injected executions themselves.  Under
-    ``config.engine == "batch"`` the cell is executed through the numpy
-    lockstep engine (``make_records`` batches it transparently).
+    only pay for the injected executions themselves.
     """
 
     name = "serial"
@@ -45,10 +43,6 @@ def _campaign_worker_init(app: ErrorTolerantApp, config) -> None:
 def _campaign_worker_run(task: RunTask) -> RunRecord:
     run_index, errors, mode = task
     return make_record(_WORKER_APP, _WORKER_CONFIG, run_index, errors, mode)
-
-
-def _campaign_worker_run_chunk(tasks: Sequence[RunTask]) -> List[RunRecord]:
-    return make_records(_WORKER_APP, _WORKER_CONFIG, tasks)
 
 
 class PoolExecutor(Executor):
@@ -82,15 +76,6 @@ class PoolExecutor(Executor):
             self.start()
         tasks = list(tasks)
         workers = max(1, self.config.parallel)
-        if self.config.engine == "batch":
-            # Ship contiguous shards so every worker executes one (or a
-            # few) lockstep batches instead of 240 single-lane ones.
-            shard = max(1, -(-len(tasks) // workers))
-            chunks = [tasks[i:i + shard] for i in range(0, len(tasks), shard)]
-            records: List[RunRecord] = []
-            for result in self._pool.map(_campaign_worker_run_chunk, chunks):
-                records.extend(result)
-            return records
         chunksize = max(1, len(tasks) // (workers * 4))
         return list(self._pool.map(_campaign_worker_run, tasks,
                                    chunksize=chunksize))

@@ -26,7 +26,6 @@ from .faults import (
     plan_injections,
 )
 from .machine import (
-    CHECKPOINT_ENGINES,
     DEFAULT_MAX_INSTRUCTIONS,
     DEFAULT_WATCHDOG_FACTOR,
     Machine,
@@ -47,7 +46,6 @@ __all__ = [
     "MODEL_NAMES",
     "get_model",
     "ArithmeticFault",
-    "CHECKPOINT_ENGINES",
     "Checkpoint",
     "CheckpointStore",
     "ControlFault",

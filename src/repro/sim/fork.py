@@ -156,8 +156,8 @@ class CheckpointStore:
     forked_runs: int = 0
     spliced_runs: int = 0
     replayed_instructions: int = 0
-    #: Lanes the lockstep batch engine (:mod:`repro.sim.batch`) could not
-    #: carry and handed to :func:`run_forked` as scalar runs.
+    #: Always 0: kept only because the end-to-end benchmark's tracer reads
+    #: it; goes away with the benchmark change that stops reading it.
     batch_retired_runs: int = 0
 
     _exposed_grid: Dict[ProtectionMode, List[int]] = field(default_factory=dict)

@@ -112,21 +112,19 @@ STACK_CELLS = 1 << 16
 DEFAULT_WATCHDOG_FACTOR = 8
 #: Absolute fallback instruction budget when no golden length is known.
 DEFAULT_MAX_INSTRUCTIONS = 50_000_000
-#: Engines that start injected runs from golden checkpoints.
-CHECKPOINT_ENGINES = ("fork", "batch")
 
 
 def executing_engine(engine: str, plan: Optional[InjectionPlan]) -> str:
     """The engine that actually executes ``plan`` when ``engine`` is asked for.
 
-    The fork and batch engines resume from golden checkpoints, so they run
+    The fork engine resumes from golden checkpoints, so it runs
     only plans that have targets and whose :mod:`fault model
     <repro.sim.models>` supports resuming (``memory-bit`` does not).
     Every other plan executes on the decoded engine instead — silently,
     because the fallback runs the whole program and is asserted
     bit-identical in the test suite.  Other engines are returned as given.
     """
-    if engine in CHECKPOINT_ENGINES and not (
+    if engine == "fork" and not (
             plan is not None and plan.targets and plan.fork_compatible):
         return "decoded"
     return engine
@@ -223,14 +221,11 @@ class Machine:
         interpreter kept as a semantic oracle; ``"fork"`` resumes an
         injected run from the nearest golden checkpoint in ``checkpoints``
         (a :class:`~repro.sim.fork.CheckpointStore`) and splices the golden
-        suffix back in on re-convergence; ``"batch"`` runs the plan as a
-        single lane of the vectorized lockstep engine
-        (:mod:`repro.sim.batch`), which campaigns use to execute whole
-        cells at once.  All engines produce bit-identical results under
-        the same seeds.  Fork and batch requests degrade to the decoded
-        engine by :func:`executing_engine`.  The reference engine predates
-        the model subsystem and only implements the default ``control-bit``
-        model.
+        suffix back in on re-convergence.  All engines produce
+        bit-identical results under the same seeds.  Fork requests degrade
+        to the decoded engine by :func:`executing_engine`.  The reference
+        engine predates the model subsystem and only implements the default
+        ``control-bit`` model.
         """
         has_targets = injection is not None and bool(injection.targets)
         if engine == "reference":
@@ -242,18 +237,11 @@ class Machine:
             from .reference import execute_reference
             return execute_reference(self, max_instructions, injection)
         engine = executing_engine(engine, injection)
-        if engine in CHECKPOINT_ENGINES and checkpoints is None:
-            raise ValueError(f"engine={engine!r} requires a checkpoint store")
         if engine == "fork":
+            if checkpoints is None:
+                raise ValueError("engine='fork' requires a checkpoint store")
             from .fork import run_forked
             return run_forked(self, injection, checkpoints, max_instructions)
-        if engine == "batch":
-            # A one-lane batch: campaigns batch whole cells through
-            # :func:`repro.sim.batch.run_batched`; this path keeps the
-            # per-run Machine API uniform across engines.
-            from .batch import run_batched
-            return run_batched(self, [injection], checkpoints,
-                               max_instructions)[0]
         if engine != "decoded":
             raise ValueError(f"unknown engine {engine!r}")
 

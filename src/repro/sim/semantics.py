@@ -14,8 +14,6 @@ fall-through index) and the register files ``ir``/``fr``:
 * ``guard`` -- an optional fault condition with its fault class and message
   (DIV: ``ir[b] == 0`` raises ``ArithmeticFault("integer division by
   zero")``);
-* ``vector`` -- the numpy form of ``result``/``cond`` for the batch engine's
-  taint lanes, when the scalar form is not already array-safe;
 * ``pool`` -- the opcode fault model's substitution pool (``None``: the
   random-word fallback), and whether the opcode is itself drawn from it;
 * ``binds`` (run once per static instruction), ``lets`` (temporaries run
@@ -35,9 +33,6 @@ use:
   unconditional jumps), one function that runs the whole unit and one
   that runs a span of its rows, each returning the next pc;
   :mod:`repro.sim.stepper` dispatches them;
-* :func:`lockstep_makers` -- the batch engine's taint-propagating handlers
-  (compiled when :mod:`repro.sim.batch` asks for them, because they need
-  numpy);
 * :data:`SUBSTITUTION_POOLS` -- the opcode fault model's pools, in table
   order, which is the order the substitute draw indexes.
 
@@ -57,7 +52,6 @@ import ast
 import itertools
 import linecache
 import math
-import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,7 +85,6 @@ class Semantics:
     result: Optional[str] = None
     cond: Optional[str] = None
     guard: Optional[Tuple[str, str, str]] = None
-    vector: Optional[str] = None
     pool: Optional[str] = None
     substitute: bool = True
     binds: Tuple[str, ...] = ()
@@ -146,8 +139,7 @@ def _wrap(expr: str) -> str:
 
 def _compare(op: Opcode, cond: str, **fields) -> Semantics:
     """A 0/1 integer result of a comparison."""
-    return Semantics(op, INT, f"1 if {cond} else 0",
-                     vector=f"np.where({cond}, 1, 0).astype(_I64)", **fields)
+    return Semantics(op, INT, f"1 if {cond} else 0", **fields)
 
 
 def _address_guard(access: str) -> Tuple[str, str, str]:
@@ -170,13 +162,10 @@ _ROWS = (
     Semantics(_O.DIV, INT, _wrap("int(ir[a] / ir[b])"),
               guard=("ir[b] == 0", "ArithmeticFault",
                      '"integer division by zero"'),
-              vector=_wrap("np.trunc(ir[a] / ir[b]).astype(_I64)"),
               pool=INT_RR, substitute=False),
     Semantics(_O.REM, INT, _wrap("ir[a] - int(ir[a] / ir[b]) * ir[b]"),
               guard=("ir[b] == 0", "ArithmeticFault",
                      '"integer remainder by zero"'),
-              vector=_wrap(
-                  "ir[a] - np.trunc(ir[a] / ir[b]).astype(_I64) * ir[b]"),
               pool=INT_RR, substitute=False),
     Semantics(_O.AND, INT, "ir[a] & ir[b]", pool=INT_RR),
     Semantics(_O.OR, INT, "ir[a] | ir[b]", pool=INT_RR),
@@ -205,9 +194,7 @@ _ROWS = (
     _compare(_O.SLTI, "ir[a] < imm", pool=INT_RI),
     Semantics(_O.LI, INT, "imm"),
 
-    # Floating point.  Python's min/max return the *first* argument on NaN
-    # or ties and np.minimum/maximum do not, so the vector forms spell the
-    # selection out.
+    # Floating point.
     Semantics(_O.FADD, FLOAT, "fr[a] + fr[b]", pool=FLOAT_RR),
     Semantics(_O.FSUB, FLOAT, "fr[a] - fr[b]", pool=FLOAT_RR),
     Semantics(_O.FMUL, FLOAT, "fr[a] * fr[b]", pool=FLOAT_RR),
@@ -217,39 +204,27 @@ _ROWS = (
               " or numerator != numerator"
               ' else math.copysign(float("inf"), numerator)',
               lets=("numerator = fr[a]", "denominator = fr[b]"),
-              vector="np.where(fr[b] == 0.0, np.where("
-                     "(fr[a] == 0.0) | np.isnan(fr[a]), np.nan,"
-                     " np.copysign(np.inf, fr[a])),"
-                     " fr[a] / np.where(fr[b] == 0.0, 1.0, fr[b]))",
               pool=FLOAT_RR, substitute=False),
     Semantics(_O.FNEG, FLOAT, "-fr[a]", pool=FLOAT_UN),
-    Semantics(_O.FABS, FLOAT, "abs(fr[a])", vector="np.abs(fr[a])",
-              pool=FLOAT_UN),
-    Semantics(_O.FMIN, FLOAT, "min(fr[a], fr[b])",
-              vector="np.where(fr[b] < fr[a], fr[b], fr[a])", pool=FLOAT_RR),
-    Semantics(_O.FMAX, FLOAT, "max(fr[a], fr[b])",
-              vector="np.where(fr[b] > fr[a], fr[b], fr[a])", pool=FLOAT_RR),
+    Semantics(_O.FABS, FLOAT, "abs(fr[a])", pool=FLOAT_UN),
+    Semantics(_O.FMIN, FLOAT, "min(fr[a], fr[b])", pool=FLOAT_RR),
+    Semantics(_O.FMAX, FLOAT, "max(fr[a], fr[b])", pool=FLOAT_RR),
     Semantics(_O.FSQRT, FLOAT,
               'sqrt(operand) if operand >= 0.0 else float("nan")',
               binds=("sqrt = math.sqrt",), lets=("operand = fr[a]",),
-              vector="np.where(fr[a] >= 0.0,"
-                     " np.sqrt(np.where(fr[a] >= 0.0, fr[a], 0.0)), np.nan)",
               pool=FLOAT_UN),
     Semantics(_O.FLI, FLOAT, "value", binds=("value = float(imm)",)),
     _compare(_O.FEQ, "fr[a] == fr[b]", pool=FLOAT_CMP),
     _compare(_O.FLT, "fr[a] < fr[b]", pool=FLOAT_CMP),
     _compare(_O.FLE, "fr[a] <= fr[b]", pool=FLOAT_CMP),
     # float() of a corrupted, very wide integer register can overflow.
-    Semantics(_O.CVTIF, FLOAT, "float(ir[a])", vector="ir[a].astype(_F64)",
-              strict=True),
+    Semantics(_O.CVTIF, FLOAT, "float(ir[a])", strict=True),
     Semantics(_O.CVTFI, INT,
               "0 if operand != operand"
               " else 2147483647 if operand >= 2147483648.0"
               " else -2147483648 if operand <= -2147483649.0"
               " else int(operand)",
-              lets=("operand = fr[a]",),
-              vector="np.trunc(np.clip(np.nan_to_num(fr[a], nan=0.0),"
-                     " -2147483648.0, 2147483647.0)).astype(_I64)"),
+              lets=("operand = fr[a]",)),
 
     # Memory: the whole signed 32-bit word-address space is mapped.
     Semantics(_O.LW, INT, "value if isinstance(value, int) else int(value)",
@@ -335,16 +310,13 @@ def _header(kind: str, row: Semantics) -> List[str]:
             "    i, d, a, b, imm, t, n = spec"]
 
 
-#: Local name and state attribute per register file: the machine's
-#: register files, the lockstep walk's golden files, and its taint lists.
-_MACHINE_FILES = {"ir": ("ir", "int_regs"), "fr": ("fr", "float_regs")}
-_GOLDEN_FILES = {"ir": ("ir", "ir"), "fr": ("fr", "fr")}
-_TAINT_LISTS = {"ir": ("it", "int_taint"), "fr": ("ft", "flt_taint")}
+#: Machine attribute per register file's local name.
+_REGISTER_FILES = {"ir": "int_regs", "fr": "float_regs"}
 
 
-def _bind(row: Semantics, names: Mapping[str, Tuple[str, str]]) -> List[str]:
-    """``local = m.attribute`` for each register file the row touches."""
-    return [f"    {names[file][0]} = m.{names[file][1]}" for file in row.files]
+def _bind(row: Semantics) -> List[str]:
+    """``ir = m.int_regs`` for each register file the row touches."""
+    return [f"    {file} = m.{_REGISTER_FILES[file]}" for file in row.files]
 
 
 def _absent(row: Semantics) -> str:
@@ -353,7 +325,7 @@ def _absent(row: Semantics) -> str:
 
 
 def _fast_source(row: Semantics) -> str:
-    lines = _header("fast", row) + _bind(row, _MACHINE_FILES)
+    lines = _header("fast", row) + _bind(row)
     lines += _block(row.binds, 4)
     prologue = _prologue(row)
     if row.cond is not None:
@@ -381,7 +353,7 @@ def _fast_source(row: Semantics) -> str:
 
 
 def _compute_source(row: Semantics) -> str:
-    lines = _header("compute", row) + _bind(row, _MACHINE_FILES)
+    lines = _header("compute", row) + _bind(row)
     lines += _block(row.binds, 4)
     prologue = _prologue(row)
     if prologue:
@@ -389,86 +361,6 @@ def _compute_source(row: Semantics) -> str:
                   f"        return {row.result}", "    return c"]
     else:
         lines.append(f"    return lambda: {row.result}")
-    return "\n".join(lines)
-
-
-def _needs_vector(expr: str) -> bool:
-    """Whether ``expr`` uses scalar-only Python (a call or a conditional)."""
-    return re.search(r"\bif\b|\w\(", expr) is not None
-
-
-def _lockstep_source(row: Semantics) -> str:
-    """Batch-engine handler: golden scalar step plus numpy taint lanes.
-
-    ``m`` is the walk's lockstep state.  Source taint ``ta``/``tb`` is
-    ``None`` while every lane holds the golden value; otherwise the lanes
-    ``va``/``vb`` go through the row's vector form, lanes the guard fires
-    on retire, and a branch retires the lanes whose direction leaves the
-    golden one.
-    """
-    if row.effect is not None:
-        raise ValueError(f"{row.op.name} needs a hand-written lockstep handler")
-    scalar = row.cond if row.cond is not None else row.result
-    if row.sources and row.vector is None and (
-            row.lets or _needs_vector(scalar)):
-        raise ValueError(f"{row.op.name} needs a vector form")
-    lanes = {operand: f"v{_slot(operand)}" for operand in row.sources}
-    vector = _substitute(row.vector or scalar, lanes)
-
-    lines = _header("lockstep", row)
-    if row.dest is not None and row.guard is None:
-        lines += [f"    if {_absent(row)}:",
-                  f"        return lambda: {row.next}"]
-    lines += _bind(row, _GOLDEN_FILES) + _bind(row, _TAINT_LISTS)
-    if row.dest is not None:
-        setter = "set_int_taint" if row.dest == INT else "set_flt_taint"
-        lines.append(f"    set_taint = m.{setter}")
-    if row.guard is not None or row.cond is not None:
-        lines.append("    retire_mask = m.retire_mask")
-    lines += _block(row.binds, 4)
-    if row.dest is None and row.cond is None:
-        lines.append(f"    return lambda: {row.next}")
-        return "\n".join(lines)
-
-    body = [f"t{_slot(operand)} = {_TAINT_LISTS[operand[:2]][0]}"
-            f"[{_slot(operand)}]" for operand in row.sources]
-    to_lanes = [f"{lane} = t{lane[1]} if t{lane[1]} is not None"
-                f" else {operand}" for operand, lane in lanes.items()]
-    if row.cond is not None:
-        tainted = " or ".join(f"t{lane[1]} is not None"
-                              for lane in lanes.values())
-        body += [f"golden = {row.cond}",
-                 f"if {tainted}:", *_block(to_lanes, 4),
-                 f"    diverged = ({vector}) != golden",
-                 "    if diverged.any():",
-                 "        retire_mask(diverged)",
-                 "return t if golden else n"]
-    else:
-        target, taint = ("ir", "it") if row.dest == INT else ("fr", "ft")
-
-        def write(statements: List[str]) -> List[str]:
-            # A guarded row checks its lanes even with no destination.
-            if row.guard is None:
-                return statements
-            return [f"if not ({_absent(row)}):", *_block(statements, 4)]
-
-        golden_step = [*row.lets, *write([f"{target}[d] = {row.result}",
-                                          f"{taint}[d] = None"]),
-                       f"return {row.next}"]
-        if not row.sources:
-            body += golden_step
-        else:
-            clean = " and ".join(f"t{lane[1]} is None"
-                                 for lane in lanes.values())
-            body += [f"if {clean}:", *_block(golden_step, 4),
-                     *row.lets, f"golden = {row.result}", *to_lanes]
-            if row.guard is not None:
-                body += [f"bad = {_substitute(row.guard[0], lanes)}",
-                         "if np.any(bad):", "    retire_mask(bad)"]
-            body += [*write([f"{target}[d] = golden",
-                             f"set_taint(d, {vector}, golden)"]),
-                     f"return {row.next}"]
-    lines += ["    def h():", *_block(body, 8), "    return h"]
     return "\n".join(lines)
 
 
@@ -485,8 +377,7 @@ def _pool_source(row: Semantics) -> str:
                       *_block(body, 4)])
 
 
-def _compile(family: str, sources: Iterable[str],
-             **names) -> Dict[str, object]:
+def _compile(family: str, sources: Iterable[str]) -> Dict[str, object]:
     """Compile one family's generated source into a fresh namespace.
 
     The source is registered with :mod:`linecache`, so tracebacks and
@@ -498,15 +389,15 @@ def _compile(family: str, sources: Iterable[str],
                                  source.splitlines(True), filename)
     namespace: Dict[str, object] = {
         "__name__": __name__, "math": math, "ArithmeticFault": ArithmeticFault,
-        "ControlFault": ControlFault, "MemoryFault": MemoryFault, **names}
+        "ControlFault": ControlFault, "MemoryFault": MemoryFault}
     exec(compile(source, filename, "exec"), namespace)
     return namespace
 
 
-def _family(kind: str, rows: Iterable[Semantics], template,
-            **names) -> Dict[Opcode, Callable]:
+def _family(kind: str, rows: Iterable[Semantics],
+            template) -> Dict[Opcode, Callable]:
     rows = list(rows)
-    namespace = _compile(kind, map(template, rows), **names)
+    namespace = _compile(kind, map(template, rows))
     return {row.op: namespace[f"{kind}_{row.op.name}"] for row in rows}
 
 
@@ -688,13 +579,3 @@ def _pools() -> Dict[str, List[Tuple[Opcode, Callable]]]:
 #: Pool name -> ``[(opcode, function of the operand values)]`` in table
 #: order: the opcode fault model's substitute draw indexes these lists.
 SUBSTITUTION_POOLS = _pools()
-
-
-def lockstep_makers(exclude: Iterable[Opcode]) -> Dict[Opcode, Callable]:
-    """Batch-engine makers ``(spec, lockstep) -> handler`` for every opcode
-    not in ``exclude``, the opcodes whose handlers stay hand-written."""
-    import numpy as np
-
-    exclude = set(exclude)
-    return _family("lockstep", (row for row in _ROWS if row.op not in exclude),
-                   _lockstep_source, np=np, _I64=np.int64, _F64=np.float64)

@@ -330,6 +330,14 @@ class TestFlagUnification:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "serve"])
+    def test_engine_batch_is_rejected(self, command, capsys):
+        """The command line offers only the engines that exist."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--store", "unused", "--engine", "batch"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
     def test_worker_rejects_malformed_listen(self, capsys):
         # A malformed --listen aborts before binding.
         assert main(["worker", "--listen", "not-an-address"]) == 2

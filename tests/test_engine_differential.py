@@ -4,9 +4,7 @@ The pre-decoded engine (:mod:`repro.sim.decode`) must be *bit-identical* to
 the seed ``if/elif`` interpreter preserved in :mod:`repro.sim.reference` —
 same outcome, same dynamic instruction counts, same outputs, same memory
 image, same injection events under the same plan seeds.  Every application
-is exercised with and without injections, in both protection modes; the
-numpy lockstep batch engine (:mod:`repro.sim.batch`) rides the same
-comparisons as a third axis.
+is exercised with and without injections, in both protection modes.
 
 A recorded fixture (``tests/fixtures/engine_golden_digests.json``) pins the
 golden-run behaviour of the seed interpreter, so an accidental semantic
@@ -98,35 +96,23 @@ def _run_pair(app, injection_seed=None, errors=0, mode=ProtectionMode.NONE):
             engine=engine,
         )
         pairs[engine] = (machine.memory.cells, result)
-    # Batch axis: the same plan inputs through the lockstep engine (which
-    # degrades to decoded when there is nothing to inject).
-    plan = None
-    if injection_seed is not None:
-        golden = app.golden(0)
-        plan = plan_injections(errors, golden.exposed_count(mode), mode,
-                               seed=injection_seed)
-    result = app.run_once(injection=plan, seed=0, engine="batch")
-    pairs["batch"] = (result.memory.cells, result)
     return pairs
 
 
 def _assert_identical(pairs):
     ref_cells, ref = pairs["reference"]
-    for engine in ("decoded", "batch"):
-        if engine not in pairs:
-            continue
-        cells, result = pairs[engine]
-        assert result.outcome == ref.outcome
-        assert result.executed == ref.executed
-        assert result.exit_value == ref.exit_value
-        assert result.fault_kind == ref.fault_kind
-        assert nan_equal(result.outputs, ref.outputs)
-        assert result.exec_counts == ref.exec_counts
-        assert result.statistics == ref.statistics
-        assert nan_equal(cells, ref_cells)
-        if ref.injection is not None:
-            assert result.injection.injected_errors == ref.injection.injected_errors
-            assert result.injection.events == ref.injection.events
+    cells, result = pairs["decoded"]
+    assert result.outcome == ref.outcome
+    assert result.executed == ref.executed
+    assert result.exit_value == ref.exit_value
+    assert result.fault_kind == ref.fault_kind
+    assert nan_equal(result.outputs, ref.outputs)
+    assert result.exec_counts == ref.exec_counts
+    assert result.statistics == ref.statistics
+    assert nan_equal(cells, ref_cells)
+    if ref.injection is not None:
+        assert result.injection.injected_errors == ref.injection.injected_errors
+        assert result.injection.events == ref.injection.events
 
 
 @pytest.mark.parametrize("name", APP_NAMES)
@@ -166,13 +152,8 @@ def test_catastrophic_paths_are_identical(suite, name):
             result = machine.run(max_instructions=golden.watchdog_budget,
                                  injection=plan, engine=engine)
             runs[engine] = (machine.memory.cells, result)
-        plan = plan_injections(40, golden.exposed_count(mode), mode, seed=seed)
-        result = app.run_once(injection=plan, seed=0, engine="batch")
-        runs["batch"] = (result.memory.cells, result)
         _assert_identical(runs)
-        ref = runs["reference"][1]
-        assert runs["decoded"][1].fault == ref.fault
-        assert runs["batch"][1].fault == ref.fault
+        assert runs["decoded"][1].fault == runs["reference"][1].fault
 
 
 def test_empty_plan_matches_golden(suite):

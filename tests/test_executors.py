@@ -66,12 +66,11 @@ def worker_addresses():
 class TestExecutorResolution:
     @pytest.mark.parametrize("workers, parallel, engine, backend", [
         ((), 1, "fork", SerialExecutor),
-        ((), 1, "batch", SerialExecutor),
         ((), 1, "decoded", SerialExecutor),
         ((), 2, "fork", PoolExecutor),
-        ((), 4, "batch", PoolExecutor),
+        ((), 4, "decoded", PoolExecutor),
         (("127.0.0.1:1",), 1, "fork", SocketExecutor),
-        (("127.0.0.1:1",), 4, "batch", SocketExecutor),
+        (("127.0.0.1:1",), 4, "decoded", SocketExecutor),
     ])
     def test_backend_is_a_function_of_the_config(self, adpcm, workers,
                                                  parallel, engine, backend):
@@ -149,6 +148,9 @@ class TestConfigValidation:
         for engine in ("fork", "batch", "decoded", "reference"):
             CampaignConfig(engine=engine)
 
+    def test_batch_is_a_spelling_of_fork(self):
+        assert CampaignConfig(engine="batch").engine == "fork"
+
     def test_workers_normalised_to_tuple(self):
         config = CampaignConfig(workers=["a:1", "b:2"])
         assert config.workers == ("a:1", "b:2")
@@ -172,7 +174,7 @@ class TestSerialExecutor:
             )
         assert records == [serial_records[1], serial_records[3]]
 
-    @pytest.mark.parametrize("engine", ["fork", "batch", "decoded"])
+    @pytest.mark.parametrize("engine", ["fork", "decoded"])
     def test_injection_free_runs_reuse_the_golden_run(self, adpcm, engine,
                                                       monkeypatch):
         """errors=0 and NONE-mode records are built from the memoized
@@ -204,10 +206,9 @@ class TestSerialExecutor:
 
 
 class TestDegradeRule:
-    """One rule decides when fork/batch requests run on the decoded engine."""
+    """One rule decides when fork requests run on the decoded engine."""
 
-    @pytest.mark.parametrize("engine", ["fork", "batch", "decoded",
-                                        "reference"])
+    @pytest.mark.parametrize("engine", ["fork", "decoded", "reference"])
     @pytest.mark.parametrize("targets", [[], [3]])
     @pytest.mark.parametrize("model, supports_fork", [
         ("control-bit", True),
@@ -217,17 +218,18 @@ class TestDegradeRule:
                                     supports_fork):
         plan = InjectionPlan(ProtectionMode.PROTECTED, targets, model=model)
         assert plan.fork_compatible is supports_fork
-        checkpointed = engine in ("fork", "batch")
-        expected = ("decoded" if checkpointed
+        expected = ("decoded" if engine == "fork"
                     and not (targets and supports_fork) else engine)
         assert executing_engine(engine, plan) == expected
 
-    @pytest.mark.parametrize("engine", ["fork", "batch", "decoded"])
+    @pytest.mark.parametrize("engine", ["fork", "decoded"])
     def test_no_plan_runs_decoded(self, engine):
         assert executing_engine(engine, None) == "decoded"
 
 
 class TestBatchEngine:
+    """``engine="batch"`` is a spelling of the fork engine."""
+
     def test_batch_engine_matches_serial(self, adpcm, serial_records):
         """engine='batch' reproduces the fork-engine reference records
         bit for bit."""
@@ -235,18 +237,6 @@ class TestBatchEngine:
         cell = CampaignRunner(adpcm, config).run_campaign(
             4, ProtectionMode.PROTECTED)
         assert cell.records == serial_records
-
-    def test_batch_size_chunks_reproduce_records(self, adpcm, serial_records,
-                                                 monkeypatch):
-        """Any BATCH_SIZE partitioning yields the same record stream."""
-        from repro.exec import base as exec_base
-
-        for batch_size in (1, 2, 256):
-            monkeypatch.setattr(exec_base, "BATCH_SIZE", batch_size)
-            config = CampaignConfig(runs=5, base_seed=11, engine="batch")
-            cell = CampaignRunner(adpcm, config).run_campaign(
-                4, ProtectionMode.PROTECTED)
-            assert cell.records == serial_records
 
     def test_state_model_falls_back_to_decoded(self, adpcm):
         """memory-bit corrupts machine state, so engine='batch' silently

@@ -7,15 +7,13 @@ shortcuts must be invisible in the results: a forked run's
 :class:`RunResult` — outcome, dynamic counts, outputs, memory image,
 statistics, injection events, fault messages — must be **bit-identical** to
 executing the same plan from scratch on the decoded engine, across all
-seven applications, both protection modes, and error counts spanning
-masked, degraded, crashed and hung outcomes.
+seven applications, both protection modes, every fork-compatible fault
+model, and error counts spanning masked, degraded, crashed and hung
+outcomes.
 
-The numpy lockstep batch engine (:mod:`repro.sim.batch`) carries whole
-cells of plans along the golden trace at once and owes the decoded engine
-the exact same bit-identity, lane by lane — the second half of this module
-holds it to that across apps, modes, error counts and fault models,
-including the crash/hang/budget-overrun paths and a mid-cell
-interrupt/resume through the shard store.
+``engine="batch"`` names the retired lockstep engine and now runs on
+fork; the end of this module checks that the spelling and the
+``repro.sim.batch`` module it leaves behind change no record.
 """
 
 import math
@@ -38,14 +36,14 @@ from repro.sim import fork as fork_module
 from repro.sim.stepper import Stepper
 
 from test_block_dispatch import assemble, op
-from test_engine_differential import bit_equal, nan_equal
+from test_engine_differential import bit_equal
 
 APP_NAMES = ["susan", "mpeg", "mcf", "blowfish", "gsm", "art", "adpcm"]
 MODES = [ProtectionMode.PROTECTED, ProtectionMode.UNPROTECTED]
-#: Fault models the batch engine can carry (fork-compatible plans); the
+#: Fault models the fork engine can resume (fork-compatible plans); the
 #: state-kind ``memory-bit`` model falls back to decoded and is covered in
 #: ``tests/test_executors.py``.
-BATCH_MODELS = ["control-bit", "data-bit", "multi-bit", "opcode"]
+FORK_MODELS = ["control-bit", "data-bit", "multi-bit", "opcode"]
 
 
 @pytest.fixture(scope="module")
@@ -54,24 +52,32 @@ def suite():
 
 
 def _assert_identical(full, forked):
+    """Outputs and memory go through ``bit_equal``: injected float runs can
+    legitimately hold NaN, and container ``==`` would compare two distinct
+    NaN objects unequal on identity alone."""
     assert forked.outcome == full.outcome
     assert forked.executed == full.executed
     assert forked.exit_value == full.exit_value
     assert forked.fault == full.fault
     assert forked.fault_kind == full.fault_kind
-    assert forked.outputs == full.outputs
+    assert bit_equal(forked.outputs, full.outputs)
     assert forked.exec_counts == full.exec_counts
     assert forked.statistics == full.statistics
-    assert forked.memory.cells == full.memory.cells
+    assert bit_equal(forked.memory.cells, full.memory.cells)
     assert forked.injection.injected_errors == full.injection.injected_errors
     assert forked.injection.events == full.injection.events
 
 
-def _run_both(app, errors, mode, seed):
-    golden = app.golden(0)
-    exposed = golden.exposed_count(mode)
-    full_plan = plan_injections(errors, exposed, mode, seed=seed)
-    fork_plan = plan_injections(errors, exposed, mode, seed=seed)
+def _plan(app, errors, mode, seed, model_name="control-bit"):
+    """A plan drawn from the model's own site population."""
+    population = get_model(model_name).population(app.golden(0), mode)
+    return plan_injections(errors, population, mode, seed=seed,
+                           model=model_name)
+
+
+def _run_both(app, errors, mode, seed, model_name="control-bit"):
+    full_plan = _plan(app, errors, mode, seed, model_name)
+    fork_plan = _plan(app, errors, mode, seed, model_name)
     assert full_plan.targets == fork_plan.targets
     full = app.run_once(injection=full_plan, seed=0, engine="decoded")
     forked = app.run_once(injection=fork_plan, seed=0, engine="fork")
@@ -81,13 +87,15 @@ def _run_both(app, errors, mode, seed):
 @pytest.mark.parametrize("name", APP_NAMES)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("errors", [1, 4, 16])
-def test_forked_run_is_bit_identical(suite, name, mode, errors):
+@pytest.mark.parametrize("model_name", FORK_MODELS)
+def test_forked_run_is_bit_identical(suite, name, mode, errors, model_name):
     app = suite[name]
-    seed = 1000 + zlib.crc32(f"{name}/{mode.value}/{errors}".encode()) % 10000
-    full, forked = _run_both(app, errors, mode, seed)
+    seed = 1000 + zlib.crc32(
+        f"{name}/{mode.value}/{errors}/{model_name}".encode()) % 10000
+    full, forked = _run_both(app, errors, mode, seed, model_name)
     _assert_identical(full, forked)
-    assert forked.injection.requested_errors == min(
-        errors, app.golden(0).exposed_count(mode))
+    population = get_model(model_name).population(app.golden(0), mode)
+    assert forked.injection.requested_errors == min(errors, population)
 
 
 def test_catastrophic_paths_are_identical(suite):
@@ -363,153 +371,36 @@ def test_fork_campaigns_match_decoded_campaigns(suite):
 
 
 # ----------------------------------------------------------------------
-# Batch (lockstep) engine vs the decoded engine.
+# engine="batch": a spelling of fork.
 # ----------------------------------------------------------------------
 
-def _assert_lane_identical(full, batched):
-    """Byte-identity of one batch lane against its from-scratch decoded run.
+def test_run_batched_is_per_plan_run_forked(suite):
+    """``repro.sim.batch.run_batched`` returns what ``run_forked`` returns
+    for each plan, and no run is ever retired."""
+    from repro.sim.batch import run_batched
 
-    Outputs and memory go through ``nan_equal``: injected float runs can
-    legitimately hold NaN, and container ``==`` would compare two distinct
-    NaN objects unequal on identity alone.
-    """
-    assert batched.outcome == full.outcome
-    assert batched.executed == full.executed
-    assert batched.exit_value == full.exit_value
-    assert batched.fault == full.fault
-    assert batched.fault_kind == full.fault_kind
-    assert nan_equal(batched.outputs, full.outputs)
-    assert batched.exec_counts == full.exec_counts
-    assert batched.statistics == full.statistics
-    assert nan_equal(batched.memory.cells, full.memory.cells)
-    assert batched.injection.injected_errors == full.injection.injected_errors
-    assert batched.injection.events == full.injection.events
-
-
-def _cell_plans(app, errors_axis, mode, model_name, seed_base):
-    """One plan per error count, derived from the model's own population."""
-    golden = app.golden(0)
-    model = get_model(model_name)
-    population = model.population(golden, mode)
-    return [plan_injections(errors, population, mode,
-                            seed=seed_base + 31 * errors, model=model_name)
-            for errors in errors_axis]
-
-
-@pytest.mark.parametrize("name", APP_NAMES)
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("model_name", BATCH_MODELS)
-def test_batched_cell_is_bit_identical(suite, name, mode, model_name):
-    """A whole {1,4,16}-error cell in one lockstep batch, lane for lane."""
-    app = suite[name]
-    seed_base = 2000 + zlib.crc32(f"{name}/{mode.value}/{model_name}".encode()) % 10000
-    plans = _cell_plans(app, (1, 4, 16), mode, model_name, seed_base)
-    assert all(plan.targets for plan in plans)
-    batched = app.run_batched(plans, seed=0)
-    assert len(batched) == len(plans)
-    for errors in (1, 4, 16):
-        full_plan, = _cell_plans(app, (errors,), mode, model_name, seed_base)
-        full = app.run_once(injection=full_plan, seed=0, engine="decoded")
-        _assert_lane_identical(full, batched[(1, 4, 16).index(errors)])
-
-
-def test_batched_catastrophic_paths_are_identical(suite):
-    """Five 40-error unprotected plans per app ride one batch; the crash
-    and hang lanes must match the decoded engine exactly, including fault
-    messages and partial memory images."""
-    outcomes = set()
+    app = suite["gsm"]
     mode = ProtectionMode.UNPROTECTED
-    for name in ("mcf", "blowfish", "gsm"):
-        app = suite[name]
-        golden = app.golden(0)
-        exposed = golden.exposed_count(mode)
-        plans = [plan_injections(40, exposed, mode, seed=seed)
-                 for seed in (1, 2, 3, 4, 5)]
-        batched = app.run_batched(plans, seed=0)
-        for seed, lane in zip((1, 2, 3, 4, 5), batched):
-            full_plan = plan_injections(40, exposed, mode, seed=seed)
-            full = app.run_once(injection=full_plan, seed=0, engine="decoded")
-            _assert_lane_identical(full, lane)
-            outcomes.add(lane.outcome)
-    assert len(outcomes) > 1, "plans produced only one outcome kind"
-
-
-def test_batch_respects_tiny_instruction_budgets(suite):
-    """A starved batch lane must hang exactly like the decoded run."""
-    app = suite["mcf"]
-    golden = app.golden(0)
-    mode = ProtectionMode.PROTECTED
-    budget = golden.executed // 2
-    exposed = golden.exposed_count(mode)
-    plans = [plan_injections(4, exposed, mode, seed=seed) for seed in (77, 78)]
-    batched = app.run_batched(plans, seed=0, max_instructions=budget)
-    for seed, lane in zip((77, 78), batched):
-        full_plan = plan_injections(4, exposed, mode, seed=seed)
-        full = app.run_once(injection=full_plan, seed=0,
-                            max_instructions=budget, engine="decoded")
-        _assert_lane_identical(full, lane)
-        assert lane.outcome == "hang"
-        assert lane.executed == budget
-
-
-def test_batch_reused_plan_still_fires_every_injection(suite):
-    """Event-laden plan objects must re-fire through the batch engine just
-    as they do through the decoded engine (see the fork twin above)."""
-    app = suite["adpcm"]
-    golden = app.golden(0)
-    mode = ProtectionMode.UNPROTECTED
-    reused = plan_injections(8, golden.exposed_count(mode), mode, seed=4711)
-    app.run_once(injection=reused, seed=0, engine="batch")
-    events_after_first = len(reused.events)
-    assert events_after_first > 0
-    batched = app.run_once(injection=reused, seed=0, engine="batch")
-    assert len(reused.events) > events_after_first
-    fresh = plan_injections(8, golden.exposed_count(mode), mode, seed=4711)
-    app.run_once(injection=fresh, seed=0, engine="decoded")   # first use
-    decoded = app.run_once(injection=fresh, seed=0, engine="decoded")  # reuse
-    assert batched.outcome == decoded.outcome
-    assert batched.executed == decoded.executed
-    assert nan_equal(batched.outputs, decoded.outputs)
-    assert batched.exec_counts == decoded.exec_counts
-    assert nan_equal(batched.memory.cells, decoded.memory.cells)
-
-
-def test_batch_engine_requires_checkpoint_store(suite):
-    app = suite["mcf"]
-    plan = plan_injections(1, app.golden(0).exposed_count(ProtectionMode.PROTECTED),
-                           ProtectionMode.PROTECTED, seed=3)
-    machine = Machine(app.program())
-    with pytest.raises(ValueError, match="checkpoint store"):
-        machine.run(injection=plan, engine="batch")
-
-
-def test_batch_engine_with_empty_plan_degrades_to_decoded(suite):
-    """Nothing to inject means nothing to batch: run the golden path."""
-    app = suite["mcf"]
-    plan = plan_injections(0, 1, ProtectionMode.NONE, seed=5)
-    result = app.run_once(injection=plan, seed=0, engine="batch")
-    golden = app.golden(0).result
-    assert result.outputs == golden.outputs
-    assert result.exec_counts == golden.exec_counts
-
-
-def test_batch_campaigns_match_decoded_campaigns(suite):
-    """Campaign records are independent of the configured engine."""
-    app = suite["adpcm"]
-    decoded = CampaignRunner(
-        app, CampaignConfig(runs=8, base_seed=21, engine="decoded")
-    ).run_campaign(4, ProtectionMode.PROTECTED)
-    batched = CampaignRunner(
-        app, CampaignConfig(runs=8, base_seed=21, engine="batch")
-    ).run_campaign(4, ProtectionMode.PROTECTED)
-    assert batched.records == decoded.records
+    seeds = (1, 2, 3, 4, 5)
+    store = app.checkpoint_store(0)
+    budget = app.golden(0).watchdog_budget
+    batched = run_batched(Machine(app.program()),
+                          [_plan(app, 40, mode, seed) for seed in seeds],
+                          store, budget)
+    assert len(batched) == len(seeds)
+    for seed, result in zip(seeds, batched):
+        forked = fork_module.run_forked(Machine(app.program()),
+                                        _plan(app, 40, mode, seed), store,
+                                        budget)
+        _assert_identical(forked, result)
+    assert store.batch_retired_runs == 0
 
 
 def test_batch_sweep_interrupted_mid_cell_resumes_bit_identically(tmp_path):
-    """Kill a batch-engine sweep mid-cell, resume it (still on the batch
-    engine), and the shard store must come out byte-identical to an
-    uninterrupted sweep on the default fork engine — batching must be
-    invisible in the persisted bytes, whatever chunk boundary it died on."""
+    """Kill an ``engine="batch"`` sweep mid-cell and resume it (still
+    spelled ``"batch"``): the shard store must come out byte-identical to
+    an uninterrupted sweep on the fork engine, whatever chunk boundary it
+    died on."""
     from repro.core.store import ShardStore
     from repro.experiments import ExperimentConfig
     from repro.experiments.sweep import SweepOrchestrator

@@ -12,9 +12,6 @@ divisors, ±0.0, ±inf, NaN, subnormals and the CVTFI clamp bounds) through
 * the decoded engine's generated basic blocks, with the instruction
   between a neighbour before and after it;
 * the compute closures exposed instructions run under injection;
-* the batch engine's golden scalar path;
-* the batch engine's numpy vector lanes, where a lane whose run faults
-  must retire instead of carrying a value;
 * the opcode fault model's substitution pools, whose order is pinned.
 """
 
@@ -26,14 +23,12 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
 import pytest
 
 from repro.assembler import ProgramBuilder
 from repro.isa import F, Opcode, R
 from repro.isa.registers import REG_RA
 from repro.sim import Machine, Outcome, SimFault, decode_program
-from repro.sim.batch import BATCH_MAKERS
 from repro.sim.decode import COMPUTE_MAKERS
 from repro.sim.models import opcode as opcode_model
 from repro.sim import stepper
@@ -85,13 +80,6 @@ SHAPES = {
     Opcode.J: "jump", Opcode.JAL: "jump", Opcode.JR: "jr",
     Opcode.OUT: "out", Opcode.FOUT: "out",
     Opcode.HALT: "none", Opcode.NOP: "none",
-}
-
-#: Source registers whose values the batch vector lanes vary, per shape.
-LANE_SOURCES = {
-    "int_rr": [A, B], "int_ri": [A], "flt_rr": [FA, FB], "flt_un": [FA],
-    "flt_cmp": [FA, FB], "cvtif": [A], "cvtfi": [FA], "branch2": [A, B],
-    "branch1": [A], "load": [A], "jr": [A],
 }
 
 #: The opcode fault model's pools in draw order: the substitute draw
@@ -377,159 +365,6 @@ def test_compute_closure_matches_reference(op):
         assert not ref.crashed, case
         if _has_dest(case):
             assert same(value, ref.dest(case.rd)), case
-
-
-class FakeLockstep:
-    """The slice of the batch engine's lockstep state its handlers touch.
-
-    Taint writes are stored as given (no healing) and retirements are
-    recorded in a lane mask, so a test can read every lane back.
-    """
-
-    def __init__(self, case: Case, n_lanes: int):
-        machine = _machine(case)
-        self.program = machine.program
-        self.text_len = TEXT_LEN
-        self.ir = list(machine.int_regs)
-        self.fr = list(machine.float_regs)
-        self.cells = dict(machine.memory.cells)
-        self.int_taint = [None] * len(self.ir)
-        self.flt_taint = [None] * len(self.fr)
-        self.mem_taint = {}
-        self.ghost = {}
-        self.out_lens = {}
-        self.out_taint = {}
-        self.n_lanes = n_lanes
-        self.live = np.ones(n_lanes, dtype=bool)
-        self.live_idx_box = [np.arange(n_lanes)]
-        self.fire_skip = frozenset()
-        self.retired = np.zeros(n_lanes, dtype=bool)
-
-    def set_int_taint(self, d, column, golden):
-        self.int_taint[d] = column
-
-    def set_flt_taint(self, d, column, golden):
-        self.flt_taint[d] = column
-
-    def retire_mask(self, mask):
-        self.retired |= np.asarray(mask, dtype=bool)
-
-    def retire_lanes(self, lanes):
-        self.retired[list(lanes)] = True
-
-    def taint(self, reg):
-        return (self.int_taint if reg.is_int else self.flt_taint)[reg.index]
-
-    def set_column(self, reg, values):
-        dtype = np.int64 if reg.is_int else np.float64
-        (self.int_taint if reg.is_int else self.flt_taint)[reg.index] = (
-            np.array(values, dtype=dtype))
-
-    def golden(self, reg):
-        return (self.ir if reg.is_int else self.fr)[reg.index]
-
-
-def _run_batch(case: Case, ls: FakeLockstep) -> int:
-    spec = decode_program(ls.program).specs[0]
-    handler = BATCH_MAKERS[case.op](spec, ls)
-    with np.errstate(all="ignore"):
-        return handler()
-
-
-@_over(Opcode)
-def test_batch_golden_path_matches_reference(op):
-    for case in _cases(op):
-        ref = _observe(case, "reference")
-        if ref.crashed:
-            continue  # the golden walk follows a completed run
-        ls = FakeLockstep(case, 1)
-        assert _run_batch(case, ls) == ref.next_pc, case
-        assert same(ls.ir, ref.int_regs), case
-        assert same(ls.fr, ref.float_regs), case
-        assert same(ls.cells, ref.cells), case
-        assert ls.out_lens == {ch: len(v) for ch, v in ref.outputs.items()}
-        assert not ls.retired.any(), case
-
-
-def _lane_groups(op):
-    """(golden case, lanes, tainted sources) for every lockstep variant.
-
-    Lanes share one static instruction; every non-empty subset of the
-    source registers is tainted in turn, with the untainted sources held
-    at the golden case's values.
-    """
-    groups: Dict[tuple, List[Case]] = {}
-    for case in _cases(op):
-        groups.setdefault(case.key, []).append(case)
-    sources = LANE_SOURCES[SHAPES[op]]
-    for cases in groups.values():
-        golden = next((c for c in cases
-                       if not _observe(c, "reference").crashed), None)
-        if golden is None:
-            continue
-        for size in range(1, len(sources) + 1):
-            for tainted in itertools.combinations(sources, size):
-                lanes = [c for c in cases if all(
-                    same(c.value(reg), golden.value(reg))
-                    for reg in sources if reg not in tainted)]
-                yield golden, lanes, tainted
-
-
-@_over(op for op in Opcode if SHAPES[op] in LANE_SOURCES)
-def test_batch_vector_lanes_match_reference(op):
-    shape = SHAPES[op]
-    checked = 0
-    for golden, lanes, tainted in _lane_groups(op):
-        ls = FakeLockstep(golden, len(lanes))
-        for reg in tainted:
-            ls.set_column(reg, [lane.value(reg) for lane in lanes])
-        pc = _run_batch(golden, ls)
-        for index, lane in enumerate(lanes):
-            ref = _observe(lane, "reference")
-            retired = bool(ls.retired[index])
-            if ref.crashed:
-                assert retired, lane
-                continue
-            checked += 1
-            if shape in ("branch1", "branch2", "jr"):
-                assert retired == (ref.next_pc != pc), lane
-                continue
-            if retired:
-                # A load whose converted value leaves int32 cannot ride in
-                # an int64 lane; retiring (replaying on the fork path) is
-                # exact.  Nothing else may retire a completing lane.
-                assert op is Opcode.LW, lane
-                continue
-            if _has_dest(lane):
-                column = ls.taint(lane.rd)
-                value = (column[index].item() if column is not None
-                         else ls.golden(lane.rd))
-                assert same(value, ref.dest(lane.rd)), (lane, value)
-    assert checked
-
-
-@pytest.mark.parametrize("op", [Opcode.LW, Opcode.FLW])
-def test_batch_load_of_diverged_cell_matches_reference(op):
-    """Lanes read one golden address whose cell differs per lane."""
-    cases = [Case(op, rd, A, imm=0, regs=((A, CELL_BASE),),
-                  cells=((CELL_BASE, value),))
-             for rd in ((D, ZERO) if op is Opcode.LW else (FD, None))
-             for value in CELL_VALUES]
-    for rd in {case.rd for case in cases}:
-        lanes = [case for case in cases if case.rd == rd]
-        ls = FakeLockstep(lanes[0], len(lanes))
-        ls.mem_taint[CELL_BASE] = np.array(
-            [lane.cells[0][1] for lane in lanes], dtype=np.float64)
-        _run_batch(lanes[0], ls)
-        for index, lane in enumerate(lanes):
-            ref = _observe(lane, "reference")
-            if ref.crashed:
-                assert ls.retired[index], lane
-            elif not ls.retired[index] and _has_dest(lane):
-                column = ls.taint(rd)
-                value = (column[index].item() if column is not None
-                         else ls.golden(rd))
-                assert same(value, ref.dest(rd)), lane
 
 
 def test_substitution_pool_order_is_pinned():

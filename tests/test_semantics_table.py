@@ -1,7 +1,7 @@
 """Structure of the opcode semantics table and the families built from it.
 
 :mod:`repro.sim.semantics` is the one place (beside the reference oracle)
-that states what each opcode does; the decoded, compute, lockstep and
+that states what each opcode does; the decoded, compute, unit and
 opcode-fault handler families are generated from it.  These tests pin the
 table's shape; ``test_opcode_semantics.py`` checks the generated code's
 behaviour against the reference interpreter.
@@ -10,13 +10,10 @@ behaviour against the reference interpreter.
 import inspect
 from pathlib import Path
 
-import pytest
-
 from repro.isa import Opcode
 from repro.sim import decode, semantics
-from repro.sim.batch import BATCH_MAKERS
 from repro.sim.models import opcode as opcode_model
-from repro.sim.semantics import FLOAT, SEMANTICS, Semantics
+from repro.sim.semantics import FLOAT, SEMANTICS
 
 SIM_DIR = Path(semantics.__file__).resolve().parent
 
@@ -36,10 +33,8 @@ def test_float_result_ops_are_the_rows_with_a_float_destination():
         op for op, row in SEMANTICS.items() if row.dest == FLOAT}
 
 
-def test_every_opcode_has_fast_and_batch_makers():
+def test_every_opcode_has_a_fast_maker():
     assert set(decode.FAST_MAKERS) == set(Opcode)
-    assert set(BATCH_MAKERS) == set(Opcode)
-    assert all(callable(maker) for maker in BATCH_MAKERS.values())
 
 
 def test_decode_binds_the_generated_families():
@@ -72,14 +67,6 @@ def test_generated_source_is_inspectable():
     source = inspect.getsource(decode.FAST_MAKERS[Opcode.ADD])
     assert "ir[a] + ir[b]" in source
     assert "def fast_ADD(spec, m):" in source
-
-
-def test_lockstep_template_refuses_what_it_cannot_carry():
-    with pytest.raises(ValueError, match="hand-written"):
-        semantics._lockstep_source(SEMANTICS[Opcode.SW])
-    scalar_only = Semantics(Opcode.FABS, FLOAT, "abs(fr[a])")
-    with pytest.raises(ValueError, match="vector form"):
-        semantics._lockstep_source(scalar_only)
 
 
 def test_wrap_formula_lives_only_in_the_table():
