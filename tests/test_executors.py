@@ -66,10 +66,13 @@ def worker_addresses():
 class TestExecutorResolution:
     @pytest.mark.parametrize("workers, parallel, engine, backend", [
         ((), 1, "fork", SerialExecutor),
+        ((), 1, "batch", SerialExecutor),
         ((), 1, "decoded", SerialExecutor),
         ((), 2, "fork", PoolExecutor),
-        ((), 4, "decoded", PoolExecutor),
+        ((), 4, "batch", PoolExecutor),
         (("127.0.0.1:1",), 1, "fork", SocketExecutor),
+        (("127.0.0.1:1",), 4, "batch", SocketExecutor),
+        ((), 4, "decoded", PoolExecutor),
         (("127.0.0.1:1",), 4, "decoded", SocketExecutor),
     ])
     def test_backend_is_a_function_of_the_config(self, adpcm, workers,
@@ -174,7 +177,7 @@ class TestSerialExecutor:
             )
         assert records == [serial_records[1], serial_records[3]]
 
-    @pytest.mark.parametrize("engine", ["fork", "decoded"])
+    @pytest.mark.parametrize("engine", ["fork", "batch", "decoded"])
     def test_injection_free_runs_reuse_the_golden_run(self, adpcm, engine,
                                                       monkeypatch):
         """errors=0 and NONE-mode records are built from the memoized
@@ -206,9 +209,14 @@ class TestSerialExecutor:
 
 
 class TestDegradeRule:
-    """One rule decides when fork requests run on the decoded engine."""
+    """One rule decides when fork requests run on the decoded engine.
 
-    @pytest.mark.parametrize("engine", ["fork", "decoded", "reference"])
+    The rule sees the engine a campaign config resolved, so
+    ``engine="batch"`` reaches it as ``"fork"``.
+    """
+
+    @pytest.mark.parametrize("engine", ["fork", "batch", "decoded",
+                                        "reference"])
     @pytest.mark.parametrize("targets", [[], [3]])
     @pytest.mark.parametrize("model, supports_fork", [
         ("control-bit", True),
@@ -218,12 +226,14 @@ class TestDegradeRule:
                                     supports_fork):
         plan = InjectionPlan(ProtectionMode.PROTECTED, targets, model=model)
         assert plan.fork_compatible is supports_fork
+        engine = CampaignConfig(engine=engine).engine
         expected = ("decoded" if engine == "fork"
                     and not (targets and supports_fork) else engine)
         assert executing_engine(engine, plan) == expected
 
-    @pytest.mark.parametrize("engine", ["fork", "decoded"])
+    @pytest.mark.parametrize("engine", ["fork", "batch", "decoded"])
     def test_no_plan_runs_decoded(self, engine):
+        engine = CampaignConfig(engine=engine).engine
         assert executing_engine(engine, None) == "decoded"
 
 

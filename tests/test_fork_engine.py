@@ -396,6 +396,120 @@ def test_run_batched_is_per_plan_run_forked(suite):
     assert store.batch_retired_runs == 0
 
 
+def _run_batched(app, plans, max_instructions=None):
+    """A cell of plans through ``repro.sim.batch.run_batched``, sharing
+    one checkpoint store the way a campaign cell does."""
+    from repro.sim.batch import run_batched
+
+    golden = app.golden(0)
+    budget = (max_instructions if max_instructions is not None
+              else golden.watchdog_budget)
+    return run_batched(Machine(app.program()), plans,
+                       app.checkpoint_store(0), budget)
+
+
+def _cell_plans(app, errors_axis, mode, model_name, seed_base):
+    """One plan per error count, derived from the model's own population."""
+    return [_plan(app, errors, mode, seed_base + 31 * errors, model_name)
+            for errors in errors_axis]
+
+
+@pytest.mark.parametrize("name", APP_NAMES)
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("model_name", FORK_MODELS)
+def test_batched_cell_is_bit_identical(suite, name, mode, model_name):
+    """A whole {1,4,16}-error cell run back to back on one checkpoint
+    store matches the decoded engine plan for plan: no run leaves state
+    behind in the store for the next one."""
+    app = suite[name]
+    seed_base = 2000 + zlib.crc32(f"{name}/{mode.value}/{model_name}".encode()) % 10000
+    plans = _cell_plans(app, (1, 4, 16), mode, model_name, seed_base)
+    assert all(plan.targets for plan in plans)
+    batched = _run_batched(app, plans)
+    assert len(batched) == len(plans)
+    for errors in (1, 4, 16):
+        full_plan, = _cell_plans(app, (errors,), mode, model_name, seed_base)
+        full = app.run_once(injection=full_plan, seed=0, engine="decoded")
+        _assert_identical(full, batched[(1, 4, 16).index(errors)])
+
+
+def test_batched_catastrophic_paths_are_identical(suite):
+    """Five 40-error unprotected plans per app run as one cell; the crash
+    and hang runs must match the decoded engine exactly, including fault
+    messages and partial memory images."""
+    outcomes = set()
+    mode = ProtectionMode.UNPROTECTED
+    seeds = (1, 2, 3, 4, 5)
+    for name in ("mcf", "blowfish", "gsm"):
+        app = suite[name]
+        batched = _run_batched(app, [_plan(app, 40, mode, seed)
+                                     for seed in seeds])
+        for seed, result in zip(seeds, batched):
+            full = app.run_once(injection=_plan(app, 40, mode, seed), seed=0,
+                                engine="decoded")
+            _assert_identical(full, result)
+            outcomes.add(result.outcome)
+    assert len(outcomes) > 1, "plans produced only one outcome kind"
+
+
+def test_batch_respects_tiny_instruction_budgets(suite):
+    """A starved run in a cell must hang exactly like the decoded run."""
+    app = suite["mcf"]
+    mode = ProtectionMode.PROTECTED
+    budget = app.golden(0).executed // 2
+    seeds = (77, 78)
+    batched = _run_batched(app, [_plan(app, 4, mode, seed) for seed in seeds],
+                           max_instructions=budget)
+    for seed, result in zip(seeds, batched):
+        full = app.run_once(injection=_plan(app, 4, mode, seed), seed=0,
+                            max_instructions=budget, engine="decoded")
+        _assert_identical(full, result)
+        assert result.outcome == "hang"
+        assert result.executed == budget
+
+
+def test_batch_reused_plan_still_fires_every_injection(suite):
+    """An event-laden plan object re-fires through ``run_batched`` just as
+    it does through the decoded engine (see the fork twin above)."""
+    app = suite["adpcm"]
+    mode = ProtectionMode.UNPROTECTED
+    reused = _plan(app, 8, mode, 4711)
+    _run_batched(app, [reused])
+    events_after_first = len(reused.events)
+    assert events_after_first > 0
+    second, = _run_batched(app, [reused])
+    assert len(reused.events) > events_after_first
+    fresh = _plan(app, 8, mode, 4711)
+    app.run_once(injection=fresh, seed=0, engine="decoded")   # first use
+    decoded = app.run_once(injection=fresh, seed=0, engine="decoded")  # reuse
+    assert second.outcome == decoded.outcome
+    assert second.executed == decoded.executed
+    assert bit_equal(second.outputs, decoded.outputs)
+    assert second.exec_counts == decoded.exec_counts
+    assert bit_equal(second.memory.cells, decoded.memory.cells)
+
+
+def test_machine_rejects_the_batch_spelling(suite):
+    """Only ``CampaignConfig`` knows ``"batch"``; the machine does not."""
+    app = suite["mcf"]
+    plan = _plan(app, 1, ProtectionMode.PROTECTED, 3)
+    with pytest.raises(ValueError, match="unknown engine 'batch'"):
+        Machine(app.program()).run(injection=plan, engine="batch")
+
+
+def test_batch_campaigns_match_decoded_campaigns(suite):
+    """Campaign records are independent of the configured engine,
+    ``engine="batch"`` included."""
+    app = suite["adpcm"]
+    decoded = CampaignRunner(
+        app, CampaignConfig(runs=8, base_seed=21, engine="decoded")
+    ).run_campaign(4, ProtectionMode.PROTECTED)
+    batched = CampaignRunner(
+        app, CampaignConfig(runs=8, base_seed=21, engine="batch")
+    ).run_campaign(4, ProtectionMode.PROTECTED)
+    assert batched.records == decoded.records
+
+
 def test_batch_sweep_interrupted_mid_cell_resumes_bit_identically(tmp_path):
     """Kill an ``engine="batch"`` sweep mid-cell and resume it (still
     spelled ``"batch"``): the shard store must come out byte-identical to
