@@ -15,21 +15,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.apps import SUITES
+from repro.service.spec import CampaignSpec
 
 
 def pytest_addoption(parser):
     parser.addoption("--repro-runs", action="store", type=int, default=4,
                      help="injected runs per measurement cell")
     parser.addoption("--repro-suite", action="store", default="small",
-                     choices=("small", "standard"),
+                     choices=list(SUITES),
                      help="workload suite used by the experiment benchmarks")
 
 
 @pytest.fixture(scope="session")
-def experiment_config(request) -> ExperimentConfig:
-    return ExperimentConfig(
-        suite_name=request.config.getoption("--repro-suite"),
+def campaign_spec(request) -> CampaignSpec:
+    return CampaignSpec(
+        suite=request.config.getoption("--repro-suite"),
         runs_per_cell=request.config.getoption("--repro-runs"),
     )
 

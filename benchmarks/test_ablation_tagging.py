@@ -6,6 +6,7 @@ quantifies how each choice changes the fraction of dynamic instructions
 that may run on unreliable hardware (more protection = less opportunity).
 """
 
+from repro.apps import SUITES
 from repro.compiler.passes import ControlTaggingPass
 from repro.core import format_table
 from repro.sim import Machine
@@ -23,8 +24,8 @@ def _tagged_fraction(app, **options) -> float:
     return fraction
 
 
-def test_ablation_tagging_options(benchmark, experiment_config, show):
-    suite = experiment_config.suite()
+def test_ablation_tagging_options(benchmark, campaign_spec, show):
+    suite = SUITES[campaign_spec.suite]()
     apps = [suite["adpcm"], suite["susan"], suite["mcf"]]
 
     def run_ablation():

@@ -10,10 +10,10 @@ from repro.experiments import (
 )
 
 
-def test_figure1_susan(benchmark, experiment_config, show):
+def test_figure1_susan(benchmark, campaign_spec, show):
     figure = benchmark.pedantic(
         figure1_susan,
-        kwargs={"config": experiment_config, "errors_axis": [0, 20, 60, 150, 400]},
+        kwargs={"config": campaign_spec, "errors_axis": [0, 20, 60, 150, 400]},
         rounds=1, iterations=1)
     show(figure.to_table())
     on = figure.series_by_label("PSNR (analysis ON) [dB]").values
@@ -24,20 +24,20 @@ def test_figure1_susan(benchmark, experiment_config, show):
     assert off[-1] is None or on[-1] >= off[-1]
 
 
-def test_figure2_mpeg(benchmark, experiment_config, show):
+def test_figure2_mpeg(benchmark, campaign_spec, show):
     figure = benchmark.pedantic(
         figure2_mpeg,
-        kwargs={"config": experiment_config, "errors_axis": [0, 2, 8, 16]},
+        kwargs={"config": campaign_spec, "errors_axis": [0, 2, 8, 16]},
         rounds=1, iterations=1)
     show(figure.to_table())
     bad_frames = figure.series_by_label("% bad frames").values
     assert bad_frames[0] == 0.0
 
 
-def test_figure3_mcf(benchmark, experiment_config, show):
+def test_figure3_mcf(benchmark, campaign_spec, show):
     figure = benchmark.pedantic(
         figure3_mcf,
-        kwargs={"config": experiment_config, "errors_axis": [0, 1, 5, 20]},
+        kwargs={"config": campaign_spec, "errors_axis": [0, 1, 5, 20]},
         rounds=1, iterations=1)
     show(figure.to_table())
     optimal = figure.series_by_label("% optimal schedules found").values
@@ -45,10 +45,10 @@ def test_figure3_mcf(benchmark, experiment_config, show):
     assert optimal[-1] <= optimal[0]
 
 
-def test_figure4_blowfish(benchmark, experiment_config, show):
+def test_figure4_blowfish(benchmark, campaign_spec, show):
     figure = benchmark.pedantic(
         figure4_blowfish,
-        kwargs={"config": experiment_config, "errors_axis": [0, 2, 10, 40]},
+        kwargs={"config": campaign_spec, "errors_axis": [0, 2, 10, 40]},
         rounds=1, iterations=1)
     show(figure.to_table())
     bytes_correct = figure.series_by_label("% bytes correct").values
@@ -56,20 +56,20 @@ def test_figure4_blowfish(benchmark, experiment_config, show):
     assert bytes_correct[-1] <= bytes_correct[0]
 
 
-def test_figure5_gsm(benchmark, experiment_config, show):
+def test_figure5_gsm(benchmark, campaign_spec, show):
     figure = benchmark.pedantic(
         figure5_gsm,
-        kwargs={"config": experiment_config, "errors_axis": [0, 10, 40]},
+        kwargs={"config": campaign_spec, "errors_axis": [0, 10, 40]},
         rounds=1, iterations=1)
     show(figure.to_table())
     loss = figure.series_by_label("SNR loss [dB]").values
     assert loss[0] == 0.0
 
 
-def test_figure6_art(benchmark, experiment_config, show):
+def test_figure6_art(benchmark, campaign_spec, show):
     figure = benchmark.pedantic(
         figure6_art,
-        kwargs={"config": experiment_config, "errors_axis": [0, 1, 2, 4]},
+        kwargs={"config": campaign_spec, "errors_axis": [0, 1, 2, 4]},
         rounds=1, iterations=1)
     show(figure.to_table())
     recognised = figure.series_by_label("% images recognised").values

@@ -20,17 +20,17 @@ TABLE2_BENCH_ERRORS = {
 }
 
 
-def test_table1_applications(benchmark, experiment_config, show):
-    table = benchmark.pedantic(table1_applications, args=(experiment_config,),
+def test_table1_applications(benchmark, campaign_spec, show):
+    table = benchmark.pedantic(table1_applications, args=(campaign_spec,),
                                rounds=1, iterations=1)
     show(table.to_text())
     assert len(table.rows) == 7
 
 
-def test_table2_catastrophic_failures(benchmark, experiment_config, show):
+def test_table2_catastrophic_failures(benchmark, campaign_spec, show):
     table = benchmark.pedantic(
         table2_catastrophic_failures,
-        kwargs={"config": experiment_config, "error_counts": TABLE2_BENCH_ERRORS},
+        kwargs={"config": campaign_spec, "error_counts": TABLE2_BENCH_ERRORS},
         rounds=1, iterations=1)
     show(table.to_text())
     protected = table.column("% failures with protection")
@@ -41,9 +41,9 @@ def test_table2_catastrophic_failures(benchmark, experiment_config, show):
     assert sum(protected) <= sum(unprotected)
 
 
-def test_table3_low_reliability_instructions(benchmark, experiment_config, show):
+def test_table3_low_reliability_instructions(benchmark, campaign_spec, show):
     table = benchmark.pedantic(table3_low_reliability_instructions,
-                               args=(experiment_config,), rounds=1, iterations=1)
+                               args=(campaign_spec,), rounds=1, iterations=1)
     show(table.to_text())
     dynamic = dict(zip(table.column("Application"),
                        table.column("% low reliability (dynamic)")))

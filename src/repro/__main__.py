@@ -45,6 +45,7 @@ store left off.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -53,58 +54,15 @@ from .api import build_orchestrator
 from .api import figures as api_figures
 from .api import submit as api_submit
 from .api import tables as api_tables
+from .apps import SUITES
 from .core import ENGINES, ShardStore, StoppingRule
 from .core.store import MissingCellError
 from .exec import parse_listen_address
 from .exec.worker import add_worker_arguments, run_worker
-from .experiments import ALL_FIGURES, ExperimentConfig
-from .experiments.sweep import GRID_MODES
+from .experiments import ALL_FIGURES
 from .service.client import ServiceError
-from .service.spec import CampaignSpec
+from .service.spec import SPEC_MODES, CampaignSpec
 from .sim import FAULT_MODELS, MODEL_NAMES
-
-_MODE_NAMES = {mode.value: mode for mode in GRID_MODES}
-
-
-def _experiment_config(args, store: Optional[ShardStore] = None) -> ExperimentConfig:
-    """Experiment parameters from the CLI, defaulting to the store's meta.
-
-    ``tables``/``figures`` must aggregate under the exact parameters the
-    sweep persisted, so the store's ``meta.json`` wins unless the user
-    overrides explicitly.  The fault model follows the same rule; stores
-    written before the model subsystem carry no ``model`` key and default
-    to ``control-bit``.
-    """
-    meta = store.read_meta() if store is not None else None
-    suite = (args.suite if args.suite is not None
-             else (meta or {}).get("suite", "small"))
-    # `is not None`, not truthiness: an explicit `--runs 0` must reach
-    # CampaignConfig validation, not silently fall back to the default.
-    # Adaptive stores pin no exact runs_per_cell; their run *floor* is the
-    # per-cell minimum every complete cell satisfies, which is what the
-    # tables/figures completeness check (`expect_runs`) needs.
-    runs = (args.runs if args.runs is not None
-            else (meta or {}).get("runs_per_cell",
-                                  (meta or {}).get("run_floor", 8)))
-    base_seed = (args.base_seed if args.base_seed is not None
-                 else (meta or {}).get("base_seed", 2006))
-    model = (args.model if getattr(args, "model", None) is not None
-             else (meta or {}).get("model", "control-bit"))
-    return ExperimentConfig(suite_name=suite, runs_per_cell=runs,
-                            base_seed=base_seed, model=model)
-
-
-def _open_store(args):
-    """The command's shard store and experiment config, model-consistent.
-
-    The store must look up shards under the same fault model the config
-    aggregates, so the model resolved by :func:`_experiment_config`
-    (CLI flag, else store meta, else the default) is bound to the store.
-    """
-    store = ShardStore(args.store)
-    config = _experiment_config(args, store)
-    store.model = config.model
-    return store, config
 
 
 def _add_store_argument(parser: argparse.ArgumentParser) -> None:
@@ -119,7 +77,7 @@ def _add_json_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--suite", choices=["small", "standard"], default=None,
+    parser.add_argument("--suite", choices=list(SUITES), default=None,
                         help="workload suite (default: store meta or 'small')")
     parser.add_argument("--runs", type=int, default=None,
                         help="runs per cell (default: store meta or 8)")
@@ -128,7 +86,7 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--apps", nargs="*", default=None, metavar="APP",
                         help="subset of applications (default: all seven)")
     parser.add_argument("--modes", nargs="*", default=None,
-                        choices=sorted(_MODE_NAMES),
+                        choices=sorted(SPEC_MODES),
                         help="protection modes (default: protected unprotected)")
     parser.add_argument("--errors", nargs="*", type=int, default=None,
                         metavar="N",
@@ -176,68 +134,62 @@ def _add_adaptive_arguments(parser: argparse.ArgumentParser) -> None:
                                "implies --adaptive)")
 
 
-def _stopping_rule(args, store: Optional[ShardStore]) -> Optional[StoppingRule]:
+def _stopping_rule(args, pinned: Optional[StoppingRule]) -> Optional[StoppingRule]:
     """The adaptive stopping rule the command runs under, if any.
 
     Adaptive mode engages when the user asks for it (``--adaptive`` or
     any adaptive flag) *or* the store's ``meta.json`` already pins a
-    rule — so ``status`` and a flagless resume of an adaptive sweep do
-    the right thing without re-specifying parameters.  Explicit flags
-    win over the meta; a genuinely different rule is then refused by the
-    meta pin when the sweep tries to write.
+    rule (``pinned``) — so ``status`` and a flagless resume of an
+    adaptive sweep do the right thing without re-specifying parameters.
+    Explicit flags win over the pinned rule; a genuinely different rule
+    is then refused by the meta pin when the sweep tries to write.
     """
-    meta = (store.read_meta() if store is not None else None) or {}
-    meta_rule = store.stopping_rule() if store is not None else None
-    ci_width = getattr(args, "ci_width", None)
-    min_runs = getattr(args, "min_runs", None)
-    max_runs = getattr(args, "max_runs", None)
-    confidence = getattr(args, "confidence", None)
-    flagged = (getattr(args, "adaptive", False)
-               or any(value is not None
-                      for value in (ci_width, min_runs, max_runs, confidence)))
-    if not flagged:
+    flags = {"ci_width": getattr(args, "ci_width", None),
+             "floor": getattr(args, "min_runs", None),
+             "cap": getattr(args, "max_runs", None),
+             "confidence": getattr(args, "confidence", None)}
+    given = {name: value for name, value in flags.items() if value is not None}
+    if not (getattr(args, "adaptive", False) or given):
         # Flagless invocation: the store's meta is authoritative — an
         # adaptive store resumes its pinned rule, anything else is fixed.
-        return meta_rule
-    # Only pass what the user or the meta actually specified: the
-    # StoppingRule dataclass owns the defaults, so a fresh `--adaptive`
-    # with no values cannot drift from StoppingRule() used elsewhere.
-    kwargs = {}
-    for field, flag_value, meta_key in (("ci_width", ci_width, "ci_width"),
-                                        ("floor", min_runs, "run_floor"),
-                                        ("cap", max_runs, "run_cap"),
-                                        ("confidence", confidence,
-                                         "confidence")):
-        value = flag_value if flag_value is not None else meta.get(meta_key)
-        if value is not None:
-            kwargs[field] = value
-    return StoppingRule(**kwargs)
+        return pinned
+    # StoppingRule owns the defaults, so a fresh `--adaptive` with no
+    # values cannot drift from StoppingRule() used elsewhere.
+    if pinned is None:
+        return StoppingRule(**given)
+    return dataclasses.replace(pinned, **given)
 
 
-def _campaign_spec(args, config: ExperimentConfig,
-                   stopping: Optional[StoppingRule]) -> CampaignSpec:
-    """The :class:`CampaignSpec` a command's flags (and meta) resolve to.
+def _resolve_spec(args, store: Optional[ShardStore] = None) -> CampaignSpec:
+    """The :class:`CampaignSpec` a command's flags resolve to.
 
-    The one place CLI flags become spec fields — ``sweep``, ``status``
-    and ``submit`` all come through here, so the spec a daemon receives
-    from ``submit --url`` describes exactly the campaign ``sweep`` would
-    run locally with the same flags.
+    The one place CLI flags become a spec — every command comes through
+    here.  Resolution starts from the store's pinned spec
+    (:meth:`CampaignSpec.from_store_meta`; ``CampaignSpec()`` without a
+    store) and applies only the flags the user gave, so a flagless
+    resume keeps every pinned field, ``workloads`` included, artefacts
+    aggregate under the parameters the sweep persisted, and the spec
+    ``submit --url`` sends describes exactly the campaign ``sweep``
+    would run locally.  A given store is bound to the resolved fault
+    model, so it looks up the shards that model wrote.
     """
-    kwargs = {}
-    if stopping is None:
-        kwargs["runs_per_cell"] = config.runs_per_cell
-    if args.modes:
-        kwargs["modes"] = tuple(args.modes)
-    return CampaignSpec(
-        suite=config.suite_name,
-        base_seed=config.base_seed,
-        model=config.model,
-        stopping=stopping,
-        apps=tuple(args.apps) if args.apps else None,
-        errors=tuple(args.errors) if args.errors else None,
-        include_table2=not args.no_table2_points,
-        **kwargs,
-    )
+    meta = store.read_meta() if store is not None else None
+    pinned = CampaignSpec.from_store_meta(meta or {})
+    # `is not None`, not truthiness: an explicit `--runs 0` must reach
+    # spec validation, not silently fall back to the pinned value.
+    flags = {"suite": args.suite, "runs_per_cell": args.runs,
+             "base_seed": args.base_seed, "model": args.model}
+    changes = {name: value for name, value in flags.items()
+               if value is not None}
+    for name in ("apps", "modes", "errors"):
+        if getattr(args, name):
+            changes[name] = tuple(getattr(args, name))
+    spec = dataclasses.replace(
+        pinned, **changes, include_table2=not args.no_table2_points,
+        stopping=_stopping_rule(args, pinned.stopping))
+    if store is not None:
+        store.model = spec.model
+    return spec
 
 
 def _emit_json(payload) -> None:
@@ -313,11 +265,10 @@ def _print_job_summary(job: dict) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    store, config = _open_store(args)
-    stopping = _stopping_rule(args, store)
-    if _refuse_runs_under_adaptive(args, stopping is not None):
+    store = ShardStore(args.store)
+    spec = _resolve_spec(args, store)
+    if _refuse_runs_under_adaptive(args, spec.stopping is not None):
         return 2
-    spec = _campaign_spec(args, config, stopping)
     progress = (None if args.json
                 else lambda message: print(message, flush=True))
     job = api_submit(
@@ -334,11 +285,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    store, config = _open_store(args)
-    stopping = _stopping_rule(args, store)
+    store = ShardStore(args.store)
+    spec = _resolve_spec(args, store)
+    stopping = spec.stopping
     if _refuse_runs_under_adaptive(args, stopping is not None):
         return 2
-    spec = _campaign_spec(args, config, stopping)
     statuses = build_orchestrator(spec, store).status()
     adaptive = stopping is not None
     done_cells = sum(status.complete for status in statuses)
@@ -383,8 +334,9 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    store, config = _open_store(args)
-    if _refuse_runs_under_adaptive(args, store.stopping_rule() is not None):
+    store = ShardStore(args.store)
+    spec = _resolve_spec(args, store)
+    if _refuse_runs_under_adaptive(args, spec.stopping is not None):
         return 2
     selected = args.tables or [1, 2, 3]
     unknown = [number for number in selected if number not in (1, 2, 3, 4, 5)]
@@ -392,7 +344,7 @@ def _cmd_tables(args) -> int:
         return _usage_error(args, f"unknown table {unknown[0]}")
     rendered = api_tables(store, selected, apps=args.apps,
                           models=args.models, model_errors=args.model_errors,
-                          config=config)
+                          config=spec)
     if args.json:
         _emit_json({"tables": [{"number": number, "text": table.to_text()}
                                for number, table in zip(selected, rendered)]})
@@ -441,15 +393,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    store, config = _open_store(args)
-    if _refuse_runs_under_adaptive(args, store.stopping_rule() is not None):
+    store = ShardStore(args.store)
+    spec = _resolve_spec(args, store)
+    if _refuse_runs_under_adaptive(args, spec.stopping is not None):
         return 2
     selected = args.figures or sorted(ALL_FIGURES)
     unknown = [name for name in selected if name not in ALL_FIGURES]
     if unknown:
         return _usage_error(args, f"unknown figure {unknown[0]!r}; expected "
                                   f"one of {sorted(ALL_FIGURES)}")
-    rendered = api_figures(store, selected, errors=args.errors, config=config)
+    rendered = api_figures(store, selected, errors=args.errors, config=spec)
     if args.json:
         _emit_json({"figures": [{"name": name, "text": figure.to_table()}
                                 for name, figure in zip(selected, rendered)]})
@@ -488,11 +441,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    config = _experiment_config(args)
-    stopping = _stopping_rule(args, None)
-    if _refuse_runs_under_adaptive(args, stopping is not None):
+    spec = _resolve_spec(args)
+    if _refuse_runs_under_adaptive(args, spec.stopping is not None):
         return 2
-    spec = _campaign_spec(args, config, stopping)
     job = api_submit(spec, url=args.url, wait=not args.no_wait,
                      timeout=args.timeout)
     if args.json:
@@ -631,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="static susceptibility analysis of one application")
     analyze.add_argument("--app", required=True, metavar="NAME",
                          help="application to analyze (e.g. susan)")
-    analyze.add_argument("--suite", choices=["small", "standard"],
+    analyze.add_argument("--suite", choices=list(SUITES),
                          default="small",
                          help="workload suite the app is drawn from "
                               "(default 'small'; the analysis itself is "

@@ -8,15 +8,12 @@ result in the deterministic report codec.
 
 from __future__ import annotations
 
-from ..apps import small_suite, standard_suite
+from ..apps import SUITES
 from ..compiler.passes import compute_def_use, compute_loop_nesting
 from ..core.app import ErrorTolerantApp
 from ..sim.models import get_model
 from .report import StaticSusceptibilityReport
 from .susceptibility import score_sites
-
-#: Recognized benchmark-suite configurations.
-SUITES = ("small", "standard")
 
 
 def build_report(
@@ -51,8 +48,9 @@ def build_report(
             f"result-kind models")
     if isinstance(app, str):
         if suite not in SUITES:
-            raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
-        apps = small_suite() if suite == "small" else standard_suite()
+            raise ValueError(f"unknown suite {suite!r}; "
+                             f"expected one of {tuple(SUITES)}")
+        apps = SUITES[suite]()
         try:
             app = apps[app]
         except KeyError:

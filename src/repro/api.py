@@ -85,13 +85,9 @@ def build_orchestrator(spec: CampaignSpec, store: StoreLike, *,
     """
     from .experiments.sweep import SweepOrchestrator
 
-    bound = _as_store(store, spec)
     return SweepOrchestrator(
-        bound, spec.experiment_config(),
-        campaign=spec.campaign_config(**execution),
-        apps=spec.apps, modes=spec.grid_modes(), errors_axis=spec.errors,
-        include_table2=spec.include_table2, chunk_size=chunk_size,
-        stopping=spec.stopping, progress=progress, on_executor=on_executor,
+        _as_store(store, spec), spec, spec.campaign_config(**execution),
+        chunk_size=chunk_size, progress=progress, on_executor=on_executor,
     )
 
 
@@ -104,23 +100,11 @@ def _job_payload(spec: CampaignSpec, report, executors_started: int,
     local run has no scheduler lane and no journal to be restored from —
     the keys exist so the payload shape stays identical to the daemon's.
     """
-    complete = sum(1 for status in report.statuses if status.complete)
     return {
         "job": spec.cache_key,
         "store": spec.store_key,
-        "state": "complete" if complete == report.cells_total else "failed",
-        "error": None if complete == report.cells_total else (
-            f"{report.cells_total - complete} cell(s) incomplete "
-            f"after the sweep"),
+        **report.job_fields(),
         "spec": spec.to_json(),
-        "report": {
-            "cells_total": report.cells_total,
-            "cells_complete": complete,
-            "runs_executed": report.runs_executed,
-            "runs_reused": report.runs_reused,
-            "runs_discarded": report.runs_discarded,
-            "fleet": report.fleet,
-        },
         "executors_started": executors_started,
         "lane": None,
         "restored": False,
@@ -232,21 +216,22 @@ def results(store: StoreLike, app: str, mode, errors: int) -> List:
 def tables(store: Optional[StoreLike], numbers: Sequence[int] = (1, 2, 3),
            *, apps: Optional[Sequence[str]] = None,
            models: Optional[Sequence[str]] = None,
-           model_errors: int = 4, config=None) -> List:
+           model_errors: int = 4,
+           config: Optional[CampaignSpec] = None) -> List:
     """Render the paper's tables; returns :class:`TableData` objects.
 
     Store-backed tables (2, 5) read records from ``store`` under its
     pinned parameters; analysis tables (1, 3) and the cross-model table
-    (4) simulate live.  Raises
+    (4) simulate live.  ``config`` defaults to the store's pinned spec
+    (``CampaignSpec()`` without a store).  Raises
     :class:`~repro.core.store.MissingCellError` with resume guidance when
     the store lacks a required cell.
     """
     from .experiments import tables as builders
 
     bound = _as_store(store) if store is not None else None
-    if config is None:
-        config = (_spec_for_store(bound).experiment_config()
-                  if bound is not None else None)
+    if config is None and bound is not None:
+        config = _spec_for_store(bound)
     rendered = []
     for number in numbers:
         if number == 1:
@@ -292,10 +277,11 @@ def analyze(app: str, *, suite: str = "small", model: str = "control-bit",
 
 def figures(store: StoreLike, names: Optional[Sequence[str]] = None, *,
             errors: Optional[Sequence[int]] = None,
-            config=None) -> List:
+            config: Optional[CampaignSpec] = None) -> List:
     """Render the paper's figures; returns :class:`FigureData` objects.
 
-    Reads records from ``store`` under its pinned parameters; raises
+    Reads records from ``store`` under its pinned parameters (or under
+    ``config`` when given); raises
     :class:`~repro.core.store.MissingCellError` when a required cell has
     not been swept.
     """
@@ -303,7 +289,7 @@ def figures(store: StoreLike, names: Optional[Sequence[str]] = None, *,
 
     bound = _as_store(store)
     if config is None:
-        config = _spec_for_store(bound).experiment_config()
+        config = _spec_for_store(bound)
     rendered = []
     for name in (names if names is not None else sorted(ALL_FIGURES)):
         builder = ALL_FIGURES.get(name)

@@ -1,16 +1,20 @@
 """Registry of the paper's benchmark applications (Table 1).
 
-The registry provides two standard configurations:
+The registry provides two standard configurations, named in
+:data:`SUITES`:
 
 * ``standard_suite()`` — workload sizes used by the benchmark harness
   (large enough for meaningful dynamic-instruction statistics, small enough
   for pure-Python fault campaigns);
 * ``small_suite()`` — reduced workloads for fast tests and examples.
+
+It is the one place that spells out suite and application names: campaign
+specs, the CLI and the static oracle validate against it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Type
 
 from ..core.app import ErrorTolerantApp
 from .adpcm.app import AdpcmApp
@@ -62,7 +66,13 @@ def small_suite() -> Dict[str, ErrorTolerantApp]:
     }
 
 
-_FACTORY: Dict[str, Callable[[], ErrorTolerantApp]] = {
+#: Suite name -> builder of fresh application instances.
+SUITES: Dict[str, Callable[[], Dict[str, ErrorTolerantApp]]] = {
+    "small": small_suite,
+    "standard": standard_suite,
+}
+
+_FACTORY: Dict[str, Type[ErrorTolerantApp]] = {
     "susan": SusanApp,
     "mpeg": MpegApp,
     "mcf": McfApp,
@@ -73,15 +83,29 @@ _FACTORY: Dict[str, Callable[[], ErrorTolerantApp]] = {
 }
 
 
+class UnknownApplicationError(KeyError, ValueError):
+    """An application name the registry does not know.
+
+    A ``KeyError`` to lookups and a ``ValueError`` to spec validation, so
+    the daemon answers 400 and the CLI reports it like any bad flag.
+    """
+
+    def __str__(self) -> str:  # KeyError repr-quotes its message
+        return self.args[0]
+
+
+def app_class(name: str) -> Type[ErrorTolerantApp]:
+    """The application class registered under ``name``."""
+    factory = _FACTORY.get(name) if isinstance(name, str) else None
+    if factory is None:
+        raise UnknownApplicationError(
+            f"unknown application {name!r}; expected one of {sorted(_FACTORY)}")
+    return factory
+
+
 def create_app(name: str, **kwargs) -> ErrorTolerantApp:
     """Create a single application by name with custom workload parameters."""
-    try:
-        factory = _FACTORY[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown application {name!r}; expected one of {sorted(_FACTORY)}"
-        ) from exc
-    return factory(**kwargs)
+    return app_class(name)(**kwargs)
 
 
 def app_names() -> List[str]:

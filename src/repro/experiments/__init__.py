@@ -1,12 +1,14 @@
 """Experiment harness: one entry point per paper table and figure.
 
-Campaigns are submitted through :mod:`repro.api` (a
-:class:`~repro.service.spec.CampaignSpec` plus execution options):
-:func:`repro.api.submit` runs them, and the rare embedding that needs the
-orchestrator object itself calls :func:`repro.api.build_orchestrator`.
+A :class:`~repro.service.spec.CampaignSpec` is the one description of a
+campaign here: the sweep orchestrator, its grid walk
+(:meth:`CampaignSpec.cells`) and every table and figure builder take it
+whole.  Campaigns are submitted through :mod:`repro.api` (a spec plus
+execution options): :func:`repro.api.submit` runs them, and the rare
+embedding that needs the orchestrator object itself calls
+:func:`repro.api.build_orchestrator`.
 """
 
-from .config import ExperimentConfig, default, full, quick
 from .figures import (
     ALL_FIGURES,
     figure1_susan,
@@ -17,12 +19,10 @@ from .figures import (
     figure6_art,
 )
 from .sweep import (
-    GRID_MODES,
     SweepCell,
     SweepReport,
     SweepStatus,
     grid_errors_axis,
-    paper_grid,
 )
 from .tables import (
     TABLE2_ERROR_COUNTS,
@@ -35,23 +35,17 @@ from .tables import (
 
 __all__ = [
     "ALL_FIGURES",
-    "ExperimentConfig",
-    "GRID_MODES",
     "SweepCell",
     "SweepReport",
     "SweepStatus",
     "TABLE2_ERROR_COUNTS",
-    "default",
     "figure1_susan",
     "figure2_mpeg",
     "figure3_mcf",
     "figure4_blowfish",
     "figure5_gsm",
     "figure6_art",
-    "full",
     "grid_errors_axis",
-    "paper_grid",
-    "quick",
     "table1_applications",
     "table2_catastrophic_failures",
     "table3_low_reliability_instructions",

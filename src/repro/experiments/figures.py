@@ -16,19 +16,24 @@ renders to an aligned text table (one row per error count).  Failure and
 fidelity series carry symmetric error bars — Wilson-score (rates) and
 Student-t (means) 95% CI half-widths from :mod:`repro.core.stats` —
 rendered as ``value ±error``.
+
+Every builder takes the campaign as ``config``, a
+:class:`~repro.service.spec.CampaignSpec` (default ``CampaignSpec()``).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ..apps import SUITES
 from ..core import CampaignRunner, FigureData, ShardStore
 from ..core.app import ErrorTolerantApp
+from ..service.spec import CampaignSpec
 from ..sim import ProtectionMode
-from .config import ExperimentConfig, default, store_confidence
+from .tables import artefact_spec, store_confidence
 
 
-def _sweep(app: ErrorTolerantApp, config: ExperimentConfig,
+def _sweep(app: ErrorTolerantApp, config: CampaignSpec,
            errors_axis: Sequence[int], mode: ProtectionMode,
            store: Optional[ShardStore] = None):
     """One figure series: simulated live, or loaded from a sweep's store.
@@ -45,17 +50,13 @@ def _sweep(app: ErrorTolerantApp, config: ExperimentConfig,
     return runner.run_sweep(errors_axis, mode=mode)
 
 
-def _resolve(config: Optional[ExperimentConfig]) -> ExperimentConfig:
-    return config or default()
-
-
-def figure1_susan(config: Optional[ExperimentConfig] = None,
+def figure1_susan(config: Optional[CampaignSpec] = None,
                   errors_axis: Optional[Sequence[int]] = None,
                   store: Optional[ShardStore] = None) -> FigureData:
     """Susan: PSNR vs. injected errors, static analysis ON vs. OFF."""
-    config = _resolve(config)
+    config = artefact_spec(config)
     confidence = store_confidence(store)
-    app = config.suite()["susan"]
+    app = SUITES[config.suite]()["susan"]
     axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
     protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
     unprotected = _sweep(app, config, axis, ProtectionMode.UNPROTECTED, store)
@@ -76,13 +77,13 @@ def figure1_susan(config: Optional[ExperimentConfig] = None,
     return figure
 
 
-def figure2_mpeg(config: Optional[ExperimentConfig] = None,
+def figure2_mpeg(config: Optional[CampaignSpec] = None,
                  errors_axis: Optional[Sequence[int]] = None,
                  store: Optional[ShardStore] = None) -> FigureData:
     """MPEG: % bad frames and % failed executions (protection ON)."""
-    config = _resolve(config)
+    config = artefact_spec(config)
     confidence = store_confidence(store)
-    app = config.suite()["mpeg"]
+    app = SUITES[config.suite]()["mpeg"]
     axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
     protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
     figure = FigureData(
@@ -98,13 +99,13 @@ def figure2_mpeg(config: Optional[ExperimentConfig] = None,
     return figure
 
 
-def figure3_mcf(config: Optional[ExperimentConfig] = None,
+def figure3_mcf(config: Optional[CampaignSpec] = None,
                 errors_axis: Optional[Sequence[int]] = None,
                 store: Optional[ShardStore] = None) -> FigureData:
     """MCF: % optimal schedules found and % failed runs."""
-    config = _resolve(config)
+    config = artefact_spec(config)
     confidence = store_confidence(store)
-    app = config.suite()["mcf"]
+    app = SUITES[config.suite]()["mcf"]
     axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
     protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
     optimal_series = [
@@ -122,13 +123,13 @@ def figure3_mcf(config: Optional[ExperimentConfig] = None,
     return figure
 
 
-def figure4_blowfish(config: Optional[ExperimentConfig] = None,
+def figure4_blowfish(config: Optional[CampaignSpec] = None,
                      errors_axis: Optional[Sequence[int]] = None,
                      store: Optional[ShardStore] = None) -> FigureData:
     """Blowfish: % bytes correct and % failed executions."""
-    config = _resolve(config)
+    config = artefact_spec(config)
     confidence = store_confidence(store)
-    app = config.suite()["blowfish"]
+    app = SUITES[config.suite]()["blowfish"]
     axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
     protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
     figure = FigureData(
@@ -143,13 +144,13 @@ def figure4_blowfish(config: Optional[ExperimentConfig] = None,
     return figure
 
 
-def figure5_gsm(config: Optional[ExperimentConfig] = None,
+def figure5_gsm(config: Optional[CampaignSpec] = None,
                 errors_axis: Optional[Sequence[int]] = None,
                 store: Optional[ShardStore] = None) -> FigureData:
     """GSM: SNR relative to the error-free decode and % failed executions."""
-    config = _resolve(config)
+    config = artefact_spec(config)
     confidence = store_confidence(store)
-    app = config.suite()["gsm"]
+    app = SUITES[config.suite]()["gsm"]
     axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
     protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
     snr_percent = [cell.detail_mean("snr_percent_of_optimal") for cell in protected.cells]
@@ -166,13 +167,13 @@ def figure5_gsm(config: Optional[ExperimentConfig] = None,
     return figure
 
 
-def figure6_art(config: Optional[ExperimentConfig] = None,
+def figure6_art(config: Optional[CampaignSpec] = None,
                 errors_axis: Optional[Sequence[int]] = None,
                 store: Optional[ShardStore] = None) -> FigureData:
     """ART: % images recognised and % failed executions."""
-    config = _resolve(config)
+    config = artefact_spec(config)
     confidence = store_confidence(store)
-    app = config.suite()["art"]
+    app = SUITES[config.suite]()["art"]
     axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
     protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
     recognised = [

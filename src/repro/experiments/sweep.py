@@ -7,6 +7,11 @@ every :class:`~repro.core.outcomes.RunRecord` to a
 :class:`~repro.core.store.ShardStore` keyed by ``(app, mode, errors,
 run_index)``.
 
+A :class:`~repro.service.spec.CampaignSpec` describes the campaign
+whole: its content parameters (suite, seed, workloads, fault model, run
+count or stopping rule) are pinned in ``meta.json``, and its coverage
+parameters select the grid cells (:meth:`CampaignSpec.cells`).
+
 Resumability is the point: the orchestrator plans each cell as the set of
 run indices *missing* from the store, executes them in chunks through
 whatever executor backend the campaign config selects (in-process, local
@@ -20,7 +25,7 @@ Two planning modes share that machinery:
 
 * **Fixed** (the default): every cell gets exactly ``runs_per_cell``
   runs, pinned in ``meta.json``.
-* **Adaptive** (``stopping=StoppingRule(...)``, CLI ``sweep
+* **Adaptive** (a spec with ``stopping=StoppingRule(...)``, CLI ``sweep
   --adaptive``): each cell keeps appending runs until the
   failure-rate and acceptable-rate Wilson intervals are narrower than
   the rule's target half-width (with a floor and a cap), so the sweep
@@ -42,20 +47,17 @@ resulting store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Type, Union)
 
-from ..apps import APP_ORDER
-from ..core import CampaignConfig, CampaignRunner, ShardStore, StoppingRule
+from ..apps import SUITES
+from ..core import CampaignConfig, CampaignRunner, ShardStore
 from ..core.app import ErrorTolerantApp
 from ..core.outcomes import RunRecord
 from ..core.stats import wilson_interval
+from ..service.spec import CampaignSpec
 from ..sim import ProtectionMode
-from .config import ExperimentConfig
 from .tables import TABLE2_ERROR_COUNTS
-
-#: Protection modes the paper grid covers.
-GRID_MODES: Tuple[ProtectionMode, ...] = (ProtectionMode.PROTECTED,
-                                          ProtectionMode.UNPROTECTED)
 
 
 @dataclass(frozen=True)
@@ -113,10 +115,32 @@ class SweepReport:
     #: ``fleet.json`` so later ``status`` calls can surface it.
     fleet: Dict = field(default_factory=dict)
 
+    def job_fields(self) -> Dict:
+        """The ``state``, ``error`` and ``report`` of a job-status payload.
 
-def grid_errors_axis(app: ErrorTolerantApp,
+        The one derivation behind local submits and daemon jobs: a job is
+        ``complete`` when every planned cell is.
+        """
+        complete = sum(1 for status in self.statuses if status.complete)
+        incomplete = self.cells_total - complete
+        return {
+            "state": "failed" if incomplete else "complete",
+            "error": (f"{incomplete} cell(s) incomplete after the sweep"
+                      if incomplete else None),
+            "report": {
+                "cells_total": self.cells_total,
+                "cells_complete": complete,
+                "runs_executed": self.runs_executed,
+                "runs_reused": self.runs_reused,
+                "runs_discarded": self.runs_discarded,
+                "fleet": self.fleet,
+            },
+        }
+
+
+def grid_errors_axis(app: Union[ErrorTolerantApp, Type[ErrorTolerantApp]],
                      include_table2: bool = True) -> List[int]:
-    """Error counts the grid sweeps for ``app``.
+    """Error counts the grid sweeps for ``app`` (an application or its class).
 
     The union of the application's figure series and its Table 2 operating
     points, so one sweep feeds every artefact.
@@ -127,59 +151,42 @@ def grid_errors_axis(app: ErrorTolerantApp,
     return sorted(axis)
 
 
-def paper_grid(config: ExperimentConfig,
-               apps: Optional[Sequence[str]] = None,
-               modes: Sequence[ProtectionMode] = GRID_MODES,
-               errors_axis: Optional[Sequence[int]] = None,
-               include_table2: bool = True) -> List[SweepCell]:
-    """The grid cells a sweep covers, in deterministic paper order."""
-    suite = config.suite()
-    names = list(apps) if apps is not None else list(APP_ORDER)
-    cells = []
-    for name in names:
-        if name not in suite:
-            raise KeyError(f"unknown application {name!r}; "
-                           f"suite has {sorted(suite)}")
-        axis = (list(errors_axis) if errors_axis is not None
-                else grid_errors_axis(suite[name], include_table2))
-        for mode in modes:
-            for errors in axis:
-                cells.append(SweepCell(name, mode, errors))
-    return cells
-
-
 class SweepOrchestrator:
-    """Runs the paper grid against a shard store, resuming where it stopped."""
+    """Runs a campaign's grid against a shard store, resuming where it stopped.
 
-    def __init__(self, store: ShardStore, config: ExperimentConfig,
+    ``spec`` says which campaign; ``campaign`` says how to execute it and
+    must be derived as ``spec.campaign_config(**execution)`` (the default
+    is ``spec.campaign_config()``: in-process, fork engine).
+    """
+
+    def __init__(self, store: ShardStore, spec: CampaignSpec,
                  campaign: Optional[CampaignConfig] = None,
-                 apps: Optional[Sequence[str]] = None,
-                 modes: Sequence[ProtectionMode] = GRID_MODES,
-                 errors_axis: Optional[Sequence[int]] = None,
-                 include_table2: bool = True,
                  chunk_size: int = 16,
-                 stopping: Optional[StoppingRule] = None,
                  progress: Optional[Callable[[str], None]] = None,
                  on_executor: Optional[Callable] = None) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.store = store
-        self.config = config
-        self.stopping = stopping
-        self.campaign_config = campaign or config.campaign_config()
-        if store.model != self.campaign_config.model:
+        self.spec = spec
+        content = spec.campaign_config()
+        self.campaign_config = campaign or content
+        if any(getattr(self.campaign_config, name) != getattr(content, name)
+               for name in ("runs", "base_seed", "workloads", "model")):
+            # meta.json pins the spec and the records derive from the
+            # campaign: they must agree on everything record-determining.
+            raise ValueError(
+                "the campaign config disagrees with the spec on "
+                "record-determining parameters; derive it with "
+                "spec.campaign_config(**execution)")
+        if store.model != spec.model:
             # Shard paths derive from the store's model and records derive
             # from the campaign's: a mismatch would file one model's
             # records under another's shards.
             raise ValueError(
                 f"store is bound to fault model {store.model!r} but the "
-                f"campaign uses {self.campaign_config.model!r}; construct "
+                f"campaign uses {spec.model!r}; construct "
                 f"ShardStore(root, model=...) to match"
             )
-        self.apps = apps
-        self.modes = tuple(modes)
-        self.errors_axis = errors_axis
-        self.include_table2 = include_table2
         self.chunk_size = chunk_size
         self._progress = progress
         #: Called with each executor backend right after construction,
@@ -196,8 +203,9 @@ class SweepOrchestrator:
         Called from :meth:`run`, not the constructor, so read-only users
         (``python -m repro status`` on a fresh directory) never stamp a
         store with defaults that would block the real sweep later.  The
-        executor backend must not influence the stored bytes, so the meta
-        records only what the records themselves depend on.
+        pin is :meth:`CampaignSpec.store_meta`: only what the records
+        depend on, never the executor backend, and the same dict the
+        service hashes into its ``store_key``.
 
         Fixed sweeps pin an exact ``runs_per_cell``
         (``sweep-store-v1``); adaptive sweeps pin the stopping rule —
@@ -207,21 +215,7 @@ class SweepOrchestrator:
         stays seed-determined.  The two schemas never resume each other:
         ``ensure_meta`` raises ``StoreMismatchError`` on the mismatch.
         """
-        from ..service.spec import CampaignSpec
-
-        # One codec for the pin: the spec's store_meta() is the same dict
-        # the service hashes into its store_key, so a CLI sweep and a
-        # daemon-submitted campaign with equal content parameters resume
-        # each other's stores byte-for-byte.
-        spec = CampaignSpec(
-            suite=self.config.suite_name,
-            runs_per_cell=self.campaign_config.runs,
-            base_seed=self.campaign_config.base_seed,
-            workloads=self.campaign_config.workloads,
-            model=self.campaign_config.model,
-            stopping=self.stopping,
-        )
-        self.store.ensure_meta(spec.store_meta())
+        self.store.ensure_meta(self.spec.store_meta())
 
     def _report(self, message: str) -> None:
         if self._progress is not None:
@@ -229,9 +223,7 @@ class SweepOrchestrator:
 
     def plan(self) -> List[SweepCell]:
         """The grid cells this orchestrator covers, in paper order."""
-        return paper_grid(self.config, apps=self.apps, modes=self.modes,
-                          errors_axis=self.errors_axis,
-                          include_table2=self.include_table2)
+        return self.spec.cells()
 
     def _cell_counts(self, cell: SweepCell) -> Tuple[int, int, int]:
         """Persisted ``(total, catastrophic, acceptable)`` counts of a cell.
@@ -262,8 +254,8 @@ class SweepOrchestrator:
         each status carries the rule's convergence verdict plus the
         persisted failure-rate CI half-width.
         """
-        if self.stopping is not None:
-            rule = self.stopping
+        rule = self.spec.stopping
+        if rule is not None:
             statuses = []
             for cell in self.plan():
                 done, catastrophic, acceptable = self._cell_counts(cell)
@@ -309,16 +301,17 @@ class SweepOrchestrator:
         for cell in cells:
             by_app.setdefault(cell.app_name, []).append(cell)
 
-        suite = self.config.suite()
+        rule = self.spec.stopping
         runs = self.campaign_config.runs
+        suite: Optional[Dict[str, ErrorTolerantApp]] = None
         for app_name, app_cells in by_app.items():
             pending: List[Tuple[SweepCell, List[int]]] = []
             adaptive_counts: Dict[SweepCell, Tuple[int, int, int]] = {}
-            if self.stopping is not None:
+            if rule is not None:
                 for cell in app_cells:
                     counts = self._cell_counts(cell)
                     report.runs_reused += counts[0]
-                    if self.stopping.satisfied(*counts):
+                    if rule.satisfied(*counts):
                         report.cells_skipped += 1
                     else:
                         adaptive_counts[cell] = counts
@@ -334,6 +327,8 @@ class SweepOrchestrator:
                         report.cells_skipped += 1
             if not pending:
                 continue
+            if suite is None:
+                suite = SUITES[self.spec.suite]()
             runner = CampaignRunner(suite[app_name], self.campaign_config)
             # Warm the goldens *before* the executor starts: the pool
             # backend serializes the warm application to its workers at
@@ -349,7 +344,7 @@ class SweepOrchestrator:
                 self.on_executor(executor)
             with executor:
                 for cell, missing in pending:
-                    if self.stopping is not None:
+                    if rule is not None:
                         self._run_adaptive_cell(runner, executor, cell,
                                                 adaptive_counts[cell], report)
                         continue
@@ -414,7 +409,7 @@ class SweepOrchestrator:
         session was interrupted — at the cost of at most
         ``chunk_size - 1`` wasted (computed-but-unpersisted) runs.
         """
-        rule = self.stopping
+        rule = self.spec.stopping
         total, catastrophic, acceptable = counts
         while not rule.satisfied(total, catastrophic, acceptable):
             chunk = runner.run_records(

@@ -16,18 +16,23 @@ Beyond the paper:
   (:mod:`repro.analysis`): Spearman rank correlation between static
   per-site score and per-site failure rates measured by attributing a
   stored campaign's single-error runs back to the sites they corrupted.
+
+Every builder takes the campaign as ``config``, a
+:class:`~repro.service.spec.CampaignSpec` (default ``CampaignSpec()``:
+small suite, 8 runs per cell, seed 2006, control-bit).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..analysis import attribute_first_flips, build_report
-from ..apps import APP_ORDER, TABLE1_FIDELITY
-from ..core import CampaignConfig, CampaignRunner, ShardStore, TableData
+from ..apps import APP_ORDER, SUITES, TABLE1_FIDELITY
+from ..core import CampaignRunner, ShardStore, TableData
 from ..core.stats import spearman_rho
+from ..service.spec import CampaignSpec
 from ..sim import MODEL_NAMES, ProtectionMode, get_model
-from .config import ExperimentConfig, default, store_confidence
 
 #: Error counts used by Table 2, straight from the paper (low, high) —
 #: applications with a single reported point repeat it.
@@ -42,10 +47,36 @@ TABLE2_ERROR_COUNTS: Dict[str, Tuple[int, ...]] = {
 }
 
 
-def table1_applications(config: Optional[ExperimentConfig] = None) -> TableData:
+def artefact_spec(config: Optional[CampaignSpec]) -> CampaignSpec:
+    """The fixed-size campaign an artefact aggregates over.
+
+    ``None`` is ``CampaignSpec()``.  An adaptive spec expects its rule's
+    floor as the runs per cell: every converged cell holds at least that
+    many records, and live cells simulate that many.
+    """
+    spec = config if config is not None else CampaignSpec()
+    if spec.stopping is None:
+        return spec
+    return dataclasses.replace(spec, stopping=None,
+                               runs_per_cell=spec.stopping.floor)
+
+
+def store_confidence(store: Optional[ShardStore]) -> float:
+    """The CI level artefacts rendered from ``store`` use.
+
+    An adaptive store pins the confidence level its stopping rule
+    converged — rendered intervals must be those intervals, so tables,
+    figures and ``status`` agree on the ``±`` of the same cell.
+    Everything else (fixed stores, live simulation, no store) reports
+    the 95% default.
+    """
+    rule = store.stopping_rule() if store is not None else None
+    return rule.confidence if rule is not None else 0.95
+
+
+def table1_applications(config: Optional[CampaignSpec] = None) -> TableData:
     """Table 1: the applications and their fidelity measures."""
-    config = config or default()
-    suite = config.suite()
+    suite = SUITES[artefact_spec(config).suite]()
     table = TableData(
         title="Table 1: applications and fidelity measures",
         headers=["Application", "Description", "Fidelity measure (paper)",
@@ -65,7 +96,7 @@ def table1_applications(config: Optional[ExperimentConfig] = None) -> TableData:
 
 
 def table2_catastrophic_failures(
-    config: Optional[ExperimentConfig] = None,
+    config: Optional[CampaignSpec] = None,
     apps: Optional[Sequence[str]] = None,
     error_counts: Optional[Dict[str, Tuple[int, ...]]] = None,
     store: Optional[ShardStore] = None,
@@ -76,8 +107,8 @@ def table2_catastrophic_failures(
     ``python -m repro sweep``) instead of being re-simulated; a missing
     cell raises ``KeyError`` naming the sweep command that produces it.
     """
-    config = config or default()
-    suite = config.suite()
+    config = artefact_spec(config)
+    suite = SUITES[config.suite]()
     error_counts = error_counts or TABLE2_ERROR_COUNTS
     names = list(apps) if apps is not None else list(APP_ORDER)
 
@@ -97,7 +128,7 @@ def table2_catastrophic_failures(
         headers=["Application", "Errors introduced", "Total instructions",
                  "% failures with protection", f"±{level} (prot.)",
                  "% failures without protection", f"±{level} (unprot.)"],
-        notes=[f"{runs_note}, suite={config.suite_name!r}, source={source}",
+        notes=[f"{runs_note}, suite={config.suite!r}, source={source}",
                f"± columns are Wilson-score {level} CI half-widths on the "
                f"failure rates"],
     )
@@ -131,7 +162,7 @@ def table2_catastrophic_failures(
 
 
 def table4_fault_models(
-    config: Optional[ExperimentConfig] = None,
+    config: Optional[CampaignSpec] = None,
     apps: Optional[Sequence[str]] = None,
     models: Optional[Sequence[str]] = None,
     errors: int = 4,
@@ -152,8 +183,8 @@ def table4_fault_models(
     cell and base seed come from ``config``, so rows are exactly
     reproducible.
     """
-    config = config or default()
-    suite = config.suite()
+    config = artefact_spec(config)
+    suite = SUITES[config.suite]()
     names = list(apps) if apps is not None else list(APP_ORDER)
     model_names = list(models) if models is not None else list(MODEL_NAMES)
     table = TableData(
@@ -162,16 +193,14 @@ def table4_fault_models(
         headers=["Application", "Fault model", "Mode", "% completed",
                  "% crash", "% hang", "% acceptable"],
         notes=[f"{config.runs_per_cell} injected runs per cell, "
-               f"suite={config.suite_name!r}, source=live simulation"],
+               f"suite={config.suite!r}, source=live simulation"],
     )
     for name in names:
         app = suite[name]
         for model_name in model_names:
             model = get_model(model_name)
-            campaign = CampaignConfig(runs=config.runs_per_cell,
-                                      base_seed=config.base_seed,
-                                      model=model_name)
-            runner = CampaignRunner(app, campaign)
+            runner = CampaignRunner(app, dataclasses.replace(
+                config, model=model_name).campaign_config())
             # Mode-independent models (memory-bit) would produce two
             # identical rows by construction — simulate one cell and say
             # so, instead of paying for (and presenting) the duplicate.
@@ -195,12 +224,11 @@ def table4_fault_models(
 
 
 def table3_low_reliability_instructions(
-    config: Optional[ExperimentConfig] = None,
+    config: Optional[CampaignSpec] = None,
     apps: Optional[Sequence[str]] = None,
 ) -> TableData:
     """Table 3: dynamic instructions and % identified as low reliability."""
-    config = config or default()
-    suite = config.suite()
+    suite = SUITES[artefact_spec(config).suite]()
     names = list(apps) if apps is not None else list(APP_ORDER)
     table = TableData(
         title="Table 3: dynamic instructions and % low-reliability instructions",
@@ -222,7 +250,7 @@ def table3_low_reliability_instructions(
 
 
 def table5_static_vs_dynamic(
-    config: Optional[ExperimentConfig] = None,
+    config: Optional[CampaignSpec] = None,
     apps: Optional[Sequence[str]] = None,
     store: Optional[ShardStore] = None,
     errors: int = 1,
@@ -244,11 +272,12 @@ def table5_static_vs_dynamic(
 
     Only works from a shard store (attribution needs the exact seeds the
     records were produced with, which ``meta.json`` pins): run
-    ``python -m repro sweep --errors 1`` first.  ``errors`` selects which
-    single-error cell to attribute and must be 1 — multi-error runs
-    cannot be attributed exactly (see :mod:`repro.analysis.attribution`).
+    ``python -m repro sweep --errors 1`` first.  The store's pinned spec
+    wins over ``config``, which only stands in for a store without a
+    ``meta.json``.  ``errors`` selects which single-error cell to
+    attribute and must be 1 — multi-error runs cannot be attributed
+    exactly (see :mod:`repro.analysis.attribution`).
     """
-    config = config or default()
     if store is None:
         raise ValueError(
             "table 5 attributes stored campaign records to static sites and "
@@ -258,11 +287,10 @@ def table5_static_vs_dynamic(
         raise ValueError(
             f"table 5 requires single-error cells (errors=1, got {errors}); "
             f"only the first flip of a run is exactly attributable")
-    meta = store.read_meta() or {}
-    model = meta.get("model", store.model)
-    base_seed = meta.get("base_seed", config.base_seed)
-    suite_name = meta.get("suite", config.suite_name)
-    suite = ExperimentConfig(suite_name=suite_name).suite()
+    meta = store.read_meta()
+    config = artefact_spec(CampaignSpec.from_store_meta(meta) if meta
+                           else config)
+    suite = SUITES[config.suite]()
     names = list(apps) if apps is not None else list(APP_ORDER)
 
     table = TableData(
@@ -270,8 +298,8 @@ def table5_static_vs_dynamic(
               f"({mode.value}, {errors} error per run)",
         headers=["Application", "Runs", "Sites hit", "Failures", "Degraded",
                  "Spearman rho", "Top-quartile capture %"],
-        notes=[f"store={store.root}, model={model!r}, suite={suite_name!r}, "
-               f"base_seed={base_seed}",
+        notes=[f"store={store.root}, model={config.model!r}, "
+               f"suite={config.suite!r}, base_seed={config.base_seed}",
                "each run's first flip is attributed to its exact static site "
                "by replaying the golden exposure stream",
                "rho rank-correlates static score with per-site impact rate "
@@ -285,12 +313,12 @@ def table5_static_vs_dynamic(
         campaign = store.load_campaign(name, mode, errors,
                                        expect_runs=config.runs_per_cell)
         tallies, skipped = attribute_first_flips(
-            app, campaign.records, mode, base_seed, model=model)
+            app, campaign.records, mode, config.base_seed, model=config.model)
         if skipped:
             table.notes.append(
                 f"{name}: {skipped} record(s) not attributable "
                 f"(multi-error/other-mode) and excluded")
-        report = build_report(app, suite=suite_name, model=model)
+        report = build_report(app, suite=config.suite, model=config.model)
         scores = report.site_scores()
         hit_sites = sorted(tallies)
         rho = spearman_rho([scores[site] for site in hit_sites],

@@ -307,20 +307,9 @@ class CampaignService:
         )
         with store.exclusive_lock():
             report = orchestrator.run()
-        complete = sum(1 for status in report.statuses if status.complete)
-        job.report = {
-            "cells_total": report.cells_total,
-            "cells_complete": complete,
-            "runs_executed": report.runs_executed,
-            "runs_reused": report.runs_reused,
-            "runs_discarded": report.runs_discarded,
-            "fleet": report.fleet,
-        }
-        job.state = ("complete" if complete == report.cells_total
-                     else "failed")
-        if job.state == "failed":
-            job.error = (f"{report.cells_total - complete} cell(s) "
-                         f"incomplete after the sweep")
+        fields = report.job_fields()
+        job.state, job.error = fields["state"], fields["error"]
+        job.report = fields["report"]
 
     async def _lane(self, index: int) -> None:
         """One scheduler lane: drain the queue, one campaign at a time.

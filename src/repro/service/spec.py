@@ -1,16 +1,20 @@
-"""`CampaignSpec`: the one canonical description of a campaign.
+"""`CampaignSpec`: the one description of a campaign.
 
-Every entry surface describes "which campaign" with the same object and
-the same codec:
+Every surface describes "which campaign" with the same object and the
+same codec:
 
 * the HTTP API (``POST /v1/campaigns``) takes a ``CampaignSpec`` JSON
   body;
-* the CLI argument resolver (``python -m repro sweep/submit``) produces a
-  ``CampaignSpec`` from flags and store metadata;
-* the shard store's ``meta.json`` parameter pin is derived from the spec
-  (:meth:`CampaignSpec.store_meta`), byte-identical to what the
-  pre-service orchestrator wrote;
+* the CLI resolves its flags over a store's pinned spec
+  (:meth:`CampaignSpec.from_store_meta`) into a ``CampaignSpec``;
+* the sweep orchestrator, the grid walk (:meth:`CampaignSpec.cells`) and
+  the table and figure builders take the spec whole, and the shard
+  store's ``meta.json`` parameter pin is :meth:`CampaignSpec.store_meta`;
 * library users hand a ``CampaignSpec`` to :mod:`repro.api`.
+
+How the records are produced (engine, executor, workers) is not part of
+the spec: :meth:`CampaignSpec.campaign_config` adds those options to
+derive a :class:`~repro.core.campaign.CampaignConfig`.
 
 The spec splits a campaign's parameters into two classes.  *Content*
 parameters — suite, seeds, workloads, fault model, run counts or
@@ -33,14 +37,12 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Dict, List, Optional, Tuple
 
+from ..apps.registry import APP_ORDER, SUITES, app_class
 from ..core import CampaignConfig, StoppingRule
 from ..sim import ProtectionMode
-
-#: Suites :meth:`CampaignSpec.validate` accepts (mirrors
-#: ``ExperimentConfig.suite``).
-SUITE_NAMES = ("small", "standard")
 
 #: Protection modes a spec's grid may cover (the paper grid's two).
 SPEC_MODES = (ProtectionMode.PROTECTED.value, ProtectionMode.UNPROTECTED.value)
@@ -96,9 +98,9 @@ class CampaignSpec:
         Runs at construction *and* therefore on every ``from_json`` —
         the HTTP daemon's request validation is exactly this method.
         """
-        if self.suite not in SUITE_NAMES:
+        if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}; "
-                             f"expected one of {SUITE_NAMES}")
+                             f"expected one of {tuple(SUITES)}")
         if self.stopping is None and self.runs_per_cell < 1:
             raise ValueError(f"runs_per_cell must be >= 1, "
                              f"got {self.runs_per_cell}")
@@ -118,6 +120,8 @@ class CampaignSpec:
         if self.apps is not None and not self.apps:
             raise ValueError("apps=() selects no cells; pass None for "
                              "every application of the suite")
+        for name in self.apps or ():
+            app_class(name)  # an unknown name raises a ValueError
 
     # ------------------------------------------------------------------
     # Canonical JSON codec (HTTP body == CLI output == stored spec).
@@ -225,9 +229,8 @@ class CampaignSpec:
     def store_meta(self) -> Dict:
         """The ``meta.json`` parameter pin this campaign writes.
 
-        Byte-identical to what the pre-service orchestrator pinned
-        (asserted in ``tests/test_service.py``), so existing stores
-        resume cleanly under spec-driven sweeps and vice versa.
+        Its bytes are pinned as literals in ``tests/test_service.py``, so
+        existing stores keep resuming.
         """
         meta = {
             "suite": self.suite,
@@ -243,20 +246,14 @@ class CampaignSpec:
             meta["runs_per_cell"] = self.runs_per_cell
         return meta
 
-    def experiment_config(self):
-        """The equivalent :class:`~repro.experiments.ExperimentConfig`.
+    def experiment_config(self) -> SimpleNamespace:
+        """An object whose ``suite()`` builds this spec's applications.
 
-        Adaptive specs report the rule's floor as ``runs_per_cell`` —
-        the per-cell minimum every converged cell satisfies, which is
-        what the artefact completeness checks need (matching the CLI's
-        historical resolution).
+        Kept only for the end-to-end benchmark under ``e2ebench/``, which
+        calls ``spec.experiment_config().suite()``; nothing in the package
+        calls it.  It goes away with the next change to that benchmark.
         """
-        from ..experiments.config import ExperimentConfig
-
-        runs = (self.stopping.floor if self.stopping is not None
-                else self.runs_per_cell)
-        return ExperimentConfig(suite_name=self.suite, runs_per_cell=runs,
-                                base_seed=self.base_seed, model=self.model)
+        return SimpleNamespace(suite=SUITES[self.suite])
 
     def campaign_config(self, **execution) -> CampaignConfig:
         """A :class:`CampaignConfig` for this spec plus execution options.
@@ -272,44 +269,40 @@ class CampaignSpec:
                               workloads=self.workloads, model=self.model,
                               **execution)
 
-    def grid_modes(self) -> Tuple[ProtectionMode, ...]:
-        """The spec's protection modes as enum members."""
-        return tuple(ProtectionMode(mode) for mode in self.modes)
-
     def cells(self) -> List:
-        """The grid cells this spec covers, in deterministic paper order."""
-        from ..experiments.sweep import paper_grid
+        """The grid cells this spec covers, in deterministic paper order.
 
-        return paper_grid(self.experiment_config(),
-                          apps=self.apps, modes=self.grid_modes(),
-                          errors_axis=self.errors,
-                          include_table2=self.include_table2)
+        Each application's error axis is class data (its figure series,
+        plus its Table 2 points with ``include_table2``), so planning
+        builds no application.
+        """
+        from ..experiments.sweep import SweepCell, grid_errors_axis
+
+        cells = []
+        for name in self.apps if self.apps is not None else APP_ORDER:
+            axis = (list(self.errors) if self.errors is not None
+                    else grid_errors_axis(app_class(name),
+                                          self.include_table2))
+            for mode in map(ProtectionMode, self.modes):
+                for errors in axis:
+                    cells.append(SweepCell(name, mode, errors))
+        return cells
 
     # ------------------------------------------------------------------
     # Construction helpers.
     # ------------------------------------------------------------------
     @classmethod
-    def from_store_meta(cls, meta: Dict,
-                        apps: Optional[Sequence[str]] = None,
-                        modes: Optional[Sequence[str]] = None,
-                        errors: Optional[Sequence[int]] = None,
-                        include_table2: bool = True) -> "CampaignSpec":
-        """Rebuild the content parameters a store's ``meta.json`` pinned.
+    def from_store_meta(cls, meta: Dict) -> "CampaignSpec":
+        """The spec whose content a store's ``meta.json`` pinned.
 
-        Coverage parameters are not pinned in the meta (they never affect
-        record bytes), so the caller supplies them.
+        Coverage is not pinned (it never affects record bytes), so the
+        result covers the default grid; ``dataclasses.replace`` narrows
+        it.  Keys a meta lacks (stores written before a field existed)
+        take the field's default.
         """
+        content = {name: meta[name] for name in ("suite", "runs_per_cell",
+                                                 "base_seed", "workloads",
+                                                 "model") if name in meta}
         stopping = (StoppingRule.from_meta(meta) if "ci_width" in meta
                     else None)
-        return cls(
-            suite=meta.get("suite", "small"),
-            runs_per_cell=meta.get("runs_per_cell", 8),
-            base_seed=meta.get("base_seed", 2006),
-            workloads=meta.get("workloads", 1),
-            model=meta.get("model", "control-bit"),
-            stopping=stopping,
-            apps=tuple(apps) if apps is not None else None,
-            modes=tuple(modes) if modes is not None else SPEC_MODES,
-            errors=tuple(errors) if errors is not None else None,
-            include_table2=include_table2,
-        )
+        return cls(stopping=stopping, **content)

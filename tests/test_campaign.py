@@ -16,11 +16,11 @@ from repro.core import (
 )
 from repro.core.report import FigureData, TableData
 from repro.experiments import (
-    ExperimentConfig,
     figure3_mcf,
     table1_applications,
     table3_low_reliability_instructions,
 )
+from repro.service.spec import CampaignSpec
 from repro.sim import Outcome, ProtectionMode
 
 
@@ -184,12 +184,12 @@ class TestReporting:
 
 class TestExperimentHarness:
     def test_table1_lists_all_applications(self):
-        table = table1_applications(ExperimentConfig(suite_name="small", runs_per_cell=1))
+        table = table1_applications(CampaignSpec(runs_per_cell=1))
         assert len(table.rows) == 7
         assert "susan" in table.column("Application")
 
     def test_table3_reports_fractions(self):
-        config = ExperimentConfig(suite_name="small", runs_per_cell=1)
+        config = CampaignSpec(runs_per_cell=1)
         table = table3_low_reliability_instructions(config, apps=["adpcm", "mcf"])
         fractions = table.column("% low reliability (dynamic)")
         assert all(0.0 < value < 100.0 for value in fractions)
@@ -199,7 +199,7 @@ class TestExperimentHarness:
         assert adpcm_row[2] > mcf_row[2]
 
     def test_figure3_produces_series(self):
-        config = ExperimentConfig(suite_name="small", runs_per_cell=2)
+        config = CampaignSpec(runs_per_cell=2)
         figure = figure3_mcf(config, errors_axis=[0, 2])
         assert figure.x_values == [0.0, 2.0]
         optimal = figure.series_by_label("% optimal schedules found").values

@@ -22,20 +22,19 @@ from pathlib import Path
 import pytest
 
 from chaos_proxy import ChaosProxy
-from repro.core import CampaignConfig, ShardStore
+from repro.core import ShardStore
 from repro.exec import FleetLostError, SocketExecutor
-from repro.experiments import ExperimentConfig
 from repro.experiments.sweep import SweepOrchestrator
-from repro.sim import ProtectionMode
+from repro.service.spec import CampaignSpec
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 #: One small susan cell: quick enough for CI, big enough that every
 #: schedule's events actually fire (4 runs = 4 run frames + 4 records
 #: frames per clean pass).
-CONFIG = ExperimentConfig(suite_name="small", runs_per_cell=4, base_seed=23)
-GRID = {"apps": ["susan"], "modes": (ProtectionMode.PROTECTED,),
-        "errors_axis": [3], "include_table2": False}
+SPEC = CampaignSpec(suite="small", runs_per_cell=4, base_seed=23,
+                    apps=("susan",), modes=("protected",), errors=(3,),
+                    include_table2=False)
 
 
 def store_bytes(store: ShardStore):
@@ -80,17 +79,15 @@ def fast_liveness(monkeypatch):
 def reference_store(tmp_path_factory):
     """The uninterrupted serial sweep every chaos store must match."""
     root = tmp_path_factory.mktemp("chaos-reference")
-    SweepOrchestrator(ShardStore(root), CONFIG, chunk_size=2, **GRID).run()
+    SweepOrchestrator(ShardStore(root), SPEC, chunk_size=2).run()
     return ShardStore(root)
 
 
 def run_chaos_sweep(root, addresses, fallback=True):
-    campaign = CampaignConfig(
-        runs=CONFIG.runs_per_cell, base_seed=CONFIG.base_seed,
-        workers=tuple(addresses), fallback=fallback,
-    )
-    orchestrator = SweepOrchestrator(ShardStore(root), CONFIG,
-                                     campaign=campaign, chunk_size=2, **GRID)
+    campaign = SPEC.campaign_config(workers=tuple(addresses),
+                                    fallback=fallback)
+    orchestrator = SweepOrchestrator(ShardStore(root), SPEC,
+                                     campaign=campaign, chunk_size=2)
     return orchestrator.run()
 
 
@@ -182,7 +179,7 @@ class TestFleetLoss:
         assert all(reference[path].startswith(partial[path])
                    for path in partial if path.endswith(".jsonl"))
         # ...and a serial resume fills in exactly the missing runs.
-        report = SweepOrchestrator(ShardStore(root), CONFIG, chunk_size=2,
-                                   **GRID).run()
+        report = SweepOrchestrator(ShardStore(root), SPEC,
+                                   chunk_size=2).run()
         assert 0 < report.runs_executed < 4
         assert store_bytes(ShardStore(root)) == reference

@@ -6,6 +6,7 @@ serial and process-pool executors, and later commands must pick the
 model up from the store's metadata without re-specifying it.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.api import CampaignSpec, submit
 from repro.core import ShardStore
 
 SMOKE_COMMANDS = ["sweep", "serve", "submit", "status", "analyze", "tables",
@@ -121,6 +123,32 @@ class TestSweepModelEndToEnd:
                      *MINI_GRID]) == 1
         captured = capsys.readouterr()
         assert "refusing to resume" in captured.err
+
+
+class TestFlaglessResumeKeepsThePinnedSpec:
+    """A flagless CLI command resolves every content parameter from the
+    store's ``meta.json``, including those no flag names (``workloads``)."""
+
+    def test_cli_extends_a_store_the_api_wrote(self, tmp_path, capsys):
+        narrow = CampaignSpec(workloads=2, runs_per_cell=2, apps=("adpcm",),
+                              errors=(0,), include_table2=False)
+        root = tmp_path / "resumed"
+        submit(narrow, root)
+        grid = ["--apps", "adpcm", "--errors", "0", "2",
+                "--no-table2-points"]
+        assert main(["sweep", "--store", str(root), *grid]) == 0
+        submit(dataclasses.replace(narrow, errors=(0, 2)),
+               tmp_path / "one-session")
+        assert store_bytes(root) == store_bytes(tmp_path / "one-session")
+        assert main(["status", "--store", str(root), *grid]) == 0
+        # Table 2 reads adpcm's operating points: sweep them flaglessly
+        # too, then render from the workloads=2 store.
+        assert main(["sweep", "--store", str(root), "--apps", "adpcm",
+                     "--errors", "3", "56", "--no-table2-points"]) == 0
+        assert main(["tables", "--store", str(root), "--tables", "2",
+                     "--apps", "adpcm"]) == 0
+        assert "Table 2" in capsys.readouterr().out
+        assert ShardStore(root).read_meta()["workloads"] == 2
 
 
 ADAPTIVE_GRID = ["--suite", "small", "--base-seed", "11", "--apps", "adpcm",

@@ -516,19 +516,17 @@ def test_batch_sweep_interrupted_mid_cell_resumes_bit_identically(tmp_path):
     an uninterrupted sweep on the fork engine, whatever chunk boundary it
     died on."""
     from repro.core.store import ShardStore
-    from repro.experiments import ExperimentConfig
     from repro.experiments.sweep import SweepOrchestrator
+    from repro.service.spec import CampaignSpec
 
-    config = ExperimentConfig(suite_name="small", runs_per_cell=6, base_seed=29)
-    grid = {"apps": ["adpcm"], "errors_axis": [2, 6], "include_table2": False}
+    spec = CampaignSpec(suite="small", runs_per_cell=6, base_seed=29,
+                        apps=("adpcm",), errors=(2, 6), include_table2=False)
 
     def run_sweep(root, engine, chunk_size, progress=None):
-        campaign = CampaignConfig(runs=config.runs_per_cell,
-                                  base_seed=config.base_seed, engine=engine)
-        orchestrator = SweepOrchestrator(ShardStore(root), config,
-                                         campaign=campaign, modes=MODES,
+        orchestrator = SweepOrchestrator(ShardStore(root), spec,
+                                         spec.campaign_config(engine=engine),
                                          chunk_size=chunk_size,
-                                         progress=progress, **grid)
+                                         progress=progress)
         return orchestrator.run()
 
     def store_bytes(root):

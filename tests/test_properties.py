@@ -19,7 +19,8 @@ from repro.isa import (
     int_to_bits,
     wrap_int,
 )
-from repro.service.spec import SPEC_MODES, SUITE_NAMES, CampaignSpec, canonical_json
+from repro.apps import APP_ORDER, SUITES
+from repro.service.spec import SPEC_MODES, CampaignSpec, canonical_json
 from repro.sim import Machine, Outcome
 from repro.workloads import bytes_to_words, words_to_bytes
 
@@ -153,16 +154,15 @@ stopping_rules = st.integers(min_value=1, max_value=8).flatmap(
 
 mode_tuples = st.sampled_from([("protected",), ("unprotected",), SPEC_MODES])
 
-app_tuples = st.lists(
-    st.sampled_from(("adpcm", "susan", "crc32", "sha", "dijkstra", "fft")),
-    min_size=1, max_size=4, unique=True).map(tuple)
+app_tuples = st.lists(st.sampled_from(APP_ORDER),
+                      min_size=1, max_size=4, unique=True).map(tuple)
 
 error_tuples = st.lists(st.integers(min_value=0, max_value=16),
                         min_size=1, max_size=5, unique=True).map(tuple)
 
 campaign_specs = st.builds(
     CampaignSpec,
-    suite=st.sampled_from(SUITE_NAMES),
+    suite=st.sampled_from(sorted(SUITES)),
     runs_per_cell=st.integers(min_value=1, max_value=64),
     base_seed=st.integers(min_value=0, max_value=2**31 - 1),
     workloads=st.integers(min_value=1, max_value=4),

@@ -22,11 +22,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.api import submit
+from repro.apps import small_suite
 from repro.core import ShardStore, StoppingRule
 from repro.exec import SocketExecutor
-from repro.experiments import ExperimentConfig
-from repro.experiments.sweep import SweepOrchestrator
 from repro.service import CampaignService, CampaignSpec, ServiceClient
 from repro.service.client import ServiceError
 from repro.service.daemon import WorkerRegistry
@@ -97,6 +97,8 @@ class TestCampaignSpec:
         {"modes": ["armored"]},
         {"errors": [-1]},
         {"apps": []},
+        {"apps": ["dhrystone"]},
+        {"apps": [["adpcm"]]},
     ])
     def test_invalid_specs_are_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -112,29 +114,31 @@ class TestCampaignSpec:
         assert quick_spec().store_key != quick_spec(base_seed=12).store_key
         assert quick_spec().cache_key != quick_spec(base_seed=12).cache_key
 
-    def test_store_meta_matches_pre_service_pin(self, tmp_path):
-        # The spec's store_meta() must be byte-identical (as the
-        # canonical meta.json) to what the orchestrator has always
-        # pinned, so service stores and CLI stores resume each other.
-        spec = quick_spec()
-        submit(spec, tmp_path / "spec")
-        legacy = ShardStore(tmp_path / "legacy")
-        config = ExperimentConfig(suite_name="small", runs_per_cell=3,
-                                  base_seed=11)
-        SweepOrchestrator(legacy, config, apps=["adpcm"], errors_axis=[0, 2],
-                          include_table2=False).run()
-        spec_meta = (tmp_path / "spec" / "meta.json").read_bytes()
-        legacy_meta = (tmp_path / "legacy" / "meta.json").read_bytes()
-        assert spec_meta == legacy_meta
-        assert json.loads(spec_meta) == spec.store_meta()
+    @pytest.mark.parametrize("spec, pinned", [
+        (quick_spec(),
+         b'{\n  "base_seed": 11,\n  "model": "control-bit",\n'
+         b'  "runs_per_cell": 3,\n  "schema": "sweep-store-v1",\n'
+         b'  "suite": "small",\n  "workloads": 1\n}\n'),
+        (quick_spec(workloads=2, stopping=StoppingRule(ci_width=25.0,
+                                                       floor=2, cap=8)),
+         b'{\n  "base_seed": 11,\n  "ci_width": 25.0,\n'
+         b'  "confidence": 0.95,\n  "model": "control-bit",\n'
+         b'  "run_cap": 8,\n  "run_floor": 2,\n'
+         b'  "schema": "sweep-store-v2-adaptive",\n  "suite": "small",\n'
+         b'  "workloads": 2\n}\n'),
+    ], ids=["fixed", "adaptive"])
+    def test_store_meta_bytes_are_pinned(self, tmp_path, spec, pinned):
+        # The on-disk format of meta.json: existing stores must keep
+        # resuming, so these bytes never change.
+        submit(spec, tmp_path / "store")
+        written = (tmp_path / "store" / "meta.json").read_bytes()
+        assert written == pinned
+        assert json.loads(written) == spec.store_meta()
 
     def test_from_store_meta_rebuilds_content_parameters(self, tmp_path):
         spec = quick_spec(stopping=StoppingRule(ci_width=25.0, floor=2,
                                                 cap=8))
-        rebuilt = CampaignSpec.from_store_meta(spec.store_meta(),
-                                               apps=spec.apps,
-                                               errors=spec.errors,
-                                               include_table2=False)
+        rebuilt = CampaignSpec.from_store_meta(spec.store_meta())
         assert rebuilt.store_key == spec.store_key
         assert rebuilt.stopping == spec.stopping
 
@@ -164,14 +168,16 @@ class TestCacheSemantics:
         assert wide["report"]["runs_executed"] == 6
         assert wide["state"] == "complete"
 
-    def test_spec_driven_store_is_byte_identical_to_cli_store(self, tmp_path):
+    def test_spec_driven_store_is_byte_identical_to_cli_store(self, tmp_path,
+                                                              capsys):
         submit(quick_spec(), tmp_path / "api")
-        legacy = ShardStore(tmp_path / "cli")
-        config = ExperimentConfig(suite_name="small", runs_per_cell=3,
-                                  base_seed=11)
-        SweepOrchestrator(legacy, config, apps=["adpcm"], errors_axis=[0, 2],
-                          include_table2=False).run()
-        assert store_bytes(ShardStore(tmp_path / "api")) == store_bytes(legacy)
+        assert main(["sweep", "--store", str(tmp_path / "cli"),
+                     "--suite", "small", "--runs", "3", "--base-seed", "11",
+                     "--apps", "adpcm", "--errors", "0", "2",
+                     "--no-table2-points"]) == 0
+        capsys.readouterr()
+        assert (store_bytes(ShardStore(tmp_path / "api"))
+                == store_bytes(ShardStore(tmp_path / "cli")))
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +322,18 @@ class TestDaemonHttp:
         with pytest.raises(ServiceError, match="unknown campaign spec"):
             client._request("POST", "/v1/campaigns", body={"bogus": 1})
 
+    def test_unknown_app_is_a_400_before_any_job_exists(self, service):
+        # Refused at validation: never journalled, never given a lane.
+        client = ServiceClient(service.url)
+        with pytest.raises(ServiceError,
+                           match="unknown application 'dhrystone'") as excinfo:
+            client._request("POST", "/v1/campaigns",
+                            body={"apps": ["dhrystone"]})
+        assert excinfo.value.status == 400
+        assert client.jobs() == []
+        assert not (service.root / "jobs.jsonl").exists() \
+            or "dhrystone" not in (service.root / "jobs.jsonl").read_text()
+
     def test_unknown_job_is_a_404(self, service):
         client = ServiceClient(service.url)
         with pytest.raises(ServiceError, match="unknown campaign job"):
@@ -412,10 +430,9 @@ class TestServiceSmoke:
         # A socket executor whose fleet_source reports a new address
         # folds it in as a fresh slot — the mechanism that lets workers
         # register mid-campaign and join at the next chunk boundary.
-        config = ExperimentConfig(suite_name="small", runs_per_cell=4,
-                                  base_seed=23)
-        app = config.suite()["susan"]
-        executor = SocketExecutor(app, config.campaign_config())
+        spec = CampaignSpec(runs_per_cell=4, base_seed=23)
+        executor = SocketExecutor(small_suite()["susan"],
+                                  spec.campaign_config())
         fleet = []
         executor.fleet_source = lambda: list(fleet)
         fleet.append("127.0.0.1:7006")

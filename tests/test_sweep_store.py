@@ -7,6 +7,7 @@ serial sweep.
 """
 
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import create_app
+from repro.apps import AdpcmApp, create_app, small_suite
 from repro.core import (
     CampaignConfig,
     CampaignRunner,
@@ -27,12 +28,11 @@ from repro.core import (
 from repro.core.store import StoreMismatchError
 from repro.experiments.sweep import SweepOrchestrator
 from repro.experiments import (
-    ExperimentConfig,
     figure3_mcf,
     grid_errors_axis,
-    paper_grid,
     table2_catastrophic_failures,
 )
+from repro.service.spec import CampaignSpec
 from repro.sim import ProtectionMode
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -63,8 +63,8 @@ def spawn_workers(count):
 
 #: Small, fast grid reused by most orchestrator tests: one app, both
 #: modes, three error counts, four runs per cell.
-CONFIG = ExperimentConfig(suite_name="small", runs_per_cell=4, base_seed=17)
-GRID = {"apps": ["adpcm"], "errors_axis": [0, 2, 6], "include_table2": False}
+SPEC = CampaignSpec(suite="small", runs_per_cell=4, base_seed=17,
+                    apps=("adpcm",), errors=(0, 2, 6), include_table2=False)
 
 
 def store_bytes(store: ShardStore):
@@ -82,10 +82,9 @@ def store_bytes(store: ShardStore):
 
 
 def run_sweep(root, campaign=None, chunk_size=2, progress=None, **overrides):
-    grid = dict(GRID, **overrides)
     orchestrator = SweepOrchestrator(
-        ShardStore(root), CONFIG, campaign=campaign, chunk_size=chunk_size,
-        progress=progress, **grid,
+        ShardStore(root), dataclasses.replace(SPEC, **overrides),
+        campaign=campaign, chunk_size=chunk_size, progress=progress,
     )
     return orchestrator, orchestrator.run()
 
@@ -171,20 +170,21 @@ class TestShardStore:
 
 class TestPaperGrid:
     def test_grid_covers_figure_and_table2_points(self):
-        config = ExperimentConfig(suite_name="small", runs_per_cell=2)
-        app = config.suite()["adpcm"]
+        suite = small_suite()
+        app = suite["adpcm"]
         axis = grid_errors_axis(app)
         assert set(app.default_error_sweep) <= set(axis)
         assert {3, 56} <= set(axis)  # Table 2 operating points for adpcm
-        cells = paper_grid(config)
+        # The axis is class data: planning needs no application instance.
+        assert grid_errors_axis(AdpcmApp) == axis
+        cells = CampaignSpec(runs_per_cell=2).cells()
         assert len(cells) == sum(
-            2 * len(grid_errors_axis(config.suite()[name]))
-            for name in config.suite()
+            2 * len(grid_errors_axis(app)) for app in suite.values()
         )
 
     def test_unknown_app_rejected(self):
         with pytest.raises(KeyError, match="unknown application"):
-            paper_grid(CONFIG, apps=["dhrystone"])
+            CampaignSpec(apps=("dhrystone",))
 
 
 class _InterruptAfter:
@@ -200,6 +200,12 @@ class _InterruptAfter:
 
 
 class TestResumableSweep:
+    def test_campaign_config_must_match_the_spec(self, tmp_path):
+        # meta.json pins the spec; records derive from the campaign.
+        with pytest.raises(ValueError, match="record-determining"):
+            SweepOrchestrator(ShardStore(tmp_path), SPEC,
+                              CampaignConfig(runs=5, base_seed=17))
+
     def test_completed_sweep_resumes_as_noop(self, tmp_path, reference_store):
         root = tmp_path / "noop"
         _, first = run_sweep(root)
@@ -234,10 +240,7 @@ class TestResumableSweep:
             run_sweep(root, progress=_InterruptAfter(5))
 
         with spawn_workers(2) as addresses:
-            campaign = CampaignConfig(
-                runs=CONFIG.runs_per_cell, base_seed=CONFIG.base_seed,
-                workers=addresses,
-            )
+            campaign = SPEC.campaign_config(workers=addresses)
             _, resumed = run_sweep(root, campaign=campaign)
 
         assert 0 < resumed.runs_executed < 6 * 4
@@ -251,12 +254,8 @@ ADAPTIVE_RULE = StoppingRule(ci_width=25.0, floor=2, cap=8)
 
 def run_adaptive(root, campaign=None, chunk_size=2, progress=None,
                  rule=ADAPTIVE_RULE, **overrides):
-    grid = dict(GRID, **overrides)
-    orchestrator = SweepOrchestrator(
-        ShardStore(root), CONFIG, campaign=campaign, chunk_size=chunk_size,
-        stopping=rule, progress=progress, **grid,
-    )
-    return orchestrator, orchestrator.run()
+    return run_sweep(root, campaign=campaign, chunk_size=chunk_size,
+                     progress=progress, stopping=rule, **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -323,30 +322,28 @@ class TestAdaptiveSweep:
         assert store_bytes(ShardStore(root)) != store_bytes(adaptive_reference)
 
         with spawn_workers(2) as addresses:
-            campaign = CampaignConfig(
-                runs=CONFIG.runs_per_cell, base_seed=CONFIG.base_seed,
-                workers=addresses,
-            )
+            campaign = dataclasses.replace(
+                SPEC, stopping=ADAPTIVE_RULE).campaign_config(workers=addresses)
             _, resumed = run_adaptive(root, campaign=campaign, chunk_size=3)
         assert resumed.runs_executed > 0
         assert store_bytes(ShardStore(root)) == store_bytes(adaptive_reference)
 
     def test_resuming_with_a_different_rule_is_refused(self, tmp_path):
         root = tmp_path / "pin"
-        run_adaptive(root, errors_axis=[0])
+        run_adaptive(root, errors=(0,))
         with pytest.raises(StoreMismatchError):
-            run_adaptive(root, errors_axis=[0],
+            run_adaptive(root, errors=(0,),
                          rule=StoppingRule(ci_width=5.0, floor=2, cap=8))
 
     def test_fixed_and_adaptive_stores_never_resume_each_other(self, tmp_path):
         fixed_root = tmp_path / "fixed"
-        run_sweep(fixed_root, errors_axis=[0])
+        run_sweep(fixed_root, errors=(0,))
         with pytest.raises(StoreMismatchError):
-            run_adaptive(fixed_root, errors_axis=[0])
+            run_adaptive(fixed_root, errors=(0,))
         adaptive_root = tmp_path / "adaptive"
-        run_adaptive(adaptive_root, errors_axis=[0])
+        run_adaptive(adaptive_root, errors=(0,))
         with pytest.raises(StoreMismatchError):
-            run_sweep(adaptive_root, errors_axis=[0])
+            run_sweep(adaptive_root, errors=(0,))
 
     def test_non_contiguous_prefix_is_rejected(self, tmp_path,
                                                reference_store):
@@ -357,7 +354,7 @@ class TestAdaptiveSweep:
         store.append_records("adpcm", ProtectionMode.PROTECTED, 2,
                              [records[0], records[2]])
         with pytest.raises(ValueError, match="non-contiguous"):
-            run_adaptive(root, errors_axis=[2])
+            run_adaptive(root, errors=(2,))
 
     def test_unconverged_adaptive_cell_refuses_artefacts(self, tmp_path):
         """A cell interrupted past the floor but before convergence must
@@ -379,12 +376,11 @@ class TestAdaptiveSweep:
     def test_artefacts_render_ci_from_adaptive_store(self, tmp_path):
         """Tables and figures regenerated from an adaptive store carry
         the ``±`` confidence annotations (ISSUE 5 acceptance)."""
-        config = ExperimentConfig(suite_name="small",
-                                  runs_per_cell=ADAPTIVE_RULE.floor,
-                                  base_seed=CONFIG.base_seed)
+        # The adaptive spec itself: artefacts expect the rule's floor.
+        config = dataclasses.replace(SPEC, apps=("mcf",), errors=(1,),
+                                     stopping=ADAPTIVE_RULE)
         store = ShardStore(tmp_path / "mcf")
-        SweepOrchestrator(store, config, apps=["mcf"], errors_axis=[1],
-                          include_table2=False, stopping=ADAPTIVE_RULE).run()
+        SweepOrchestrator(store, config).run()
 
         table = table2_catastrophic_failures(
             config, apps=["mcf"], error_counts={"mcf": (1,)}, store=store)
@@ -403,12 +399,10 @@ class TestAdaptiveSweep:
 
 class TestArtefactsFromStore:
     def test_figure_from_store_matches_live(self, tmp_path):
-        config = ExperimentConfig(suite_name="small", runs_per_cell=2,
-                                  base_seed=CONFIG.base_seed)
+        config = dataclasses.replace(SPEC, runs_per_cell=2, apps=("mcf",),
+                                     modes=("protected",), errors=(0, 2))
         store = ShardStore(tmp_path / "mcf")
-        SweepOrchestrator(store, config, apps=["mcf"],
-                          modes=(ProtectionMode.PROTECTED,),
-                          errors_axis=[0, 2], include_table2=False).run()
+        SweepOrchestrator(store, config).run()
         from_store = figure3_mcf(config, errors_axis=[0, 2], store=store)
         live = figure3_mcf(config, errors_axis=[0, 2])
         assert from_store.x_values == live.x_values
@@ -417,11 +411,9 @@ class TestArtefactsFromStore:
             assert stored_series.values == live_series.values
 
     def test_table2_from_store_matches_live(self, tmp_path):
-        config = ExperimentConfig(suite_name="small", runs_per_cell=2,
-                                  base_seed=CONFIG.base_seed)
+        config = dataclasses.replace(SPEC, runs_per_cell=2, errors=(3,))
         store = ShardStore(tmp_path / "adpcm")
-        SweepOrchestrator(store, config, apps=["adpcm"],
-                          errors_axis=[3], include_table2=False).run()
+        SweepOrchestrator(store, config).run()
         counts = {"adpcm": (3,)}
         from_store = table2_catastrophic_failures(
             config, apps=["adpcm"], error_counts=counts, store=store)
@@ -430,7 +422,7 @@ class TestArtefactsFromStore:
         assert from_store.rows == live.rows
 
     def test_missing_cell_raises_instead_of_resimulating(self, tmp_path):
-        config = ExperimentConfig(suite_name="small", runs_per_cell=2)
+        config = CampaignSpec(runs_per_cell=2)
         store = ShardStore(tmp_path / "empty")
         with pytest.raises(KeyError):
             figure3_mcf(config, errors_axis=[0, 2], store=store)
