@@ -24,7 +24,8 @@ import time
 from pathlib import Path
 
 from repro.apps import create_app
-from repro.core import CampaignConfig, CampaignRunner
+from repro.core import CampaignConfig
+from repro.experiments import live_campaign
 from repro.sim import ProtectionMode
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -52,11 +53,9 @@ def _time_cell(engine: str):
     checkpoint-store capture are all inside the timed region.
     """
     app = create_app(APP_NAME, **APP_KWARGS)
-    runner = CampaignRunner(
-        app, CampaignConfig(runs=RUNS, base_seed=314, engine=engine)
-    )
+    config = CampaignConfig(runs=RUNS, base_seed=314, engine=engine)
     start = time.perf_counter()
-    cell = runner.run_campaign(ERRORS, MODE)
+    cell = live_campaign(app, config, ERRORS, MODE)
     elapsed = time.perf_counter() - start
     return cell, elapsed, app
 

@@ -20,7 +20,8 @@ import time
 from pathlib import Path
 
 from repro.apps import small_suite
-from repro.core import CampaignConfig, CampaignRunner
+from repro.core import CampaignConfig
+from repro.experiments import live_campaign
 from repro.sim import Machine, ProtectionMode
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -77,15 +78,15 @@ def test_perf_interpreter_writes_benchmark_json(show):
     adpcm = suite["adpcm"]
     runs, errors, workers = (4, 4, 2) if SMOKE else (12, 4, 4)
     start = time.perf_counter()
-    serial = CampaignRunner(
-        adpcm, CampaignConfig(runs=runs, base_seed=17, engine="decoded")
-    ).run_campaign(errors, ProtectionMode.PROTECTED)
+    serial = live_campaign(
+        adpcm, CampaignConfig(runs=runs, base_seed=17, engine="decoded"),
+        errors, ProtectionMode.PROTECTED)
     serial_s = time.perf_counter() - start
     start = time.perf_counter()
-    parallel = CampaignRunner(
+    parallel = live_campaign(
         adpcm, CampaignConfig(runs=runs, base_seed=17, parallel=workers,
-                              engine="decoded")
-    ).run_campaign(errors, ProtectionMode.PROTECTED)
+                              engine="decoded"),
+        errors, ProtectionMode.PROTECTED)
     parallel_s = time.perf_counter() - start
     identical = parallel.records == serial.records
 

@@ -9,18 +9,23 @@ the comparison behind the paper's Table 2 and Figure 2.
 """
 
 from repro.apps import create_app
-from repro.core import CampaignConfig, CampaignRunner, format_table
+from repro.core import CampaignConfig, format_table
+from repro.experiments import live_campaign
 from repro.sim import ProtectionMode
 
 
 def main() -> None:
     app = create_app("mpeg", width=8, height=8, frames=3)
-    runner = CampaignRunner(app, CampaignConfig(runs=5),
-                            progress=lambda message: print("  " + message))
+    config = CampaignConfig(runs=5)
     rows = []
     for errors in (0, 2, 8, 20):
-        protected = runner.run_campaign(errors, ProtectionMode.PROTECTED)
-        unprotected = runner.run_campaign(errors, ProtectionMode.UNPROTECTED)
+        protected = live_campaign(app, config, errors,
+                                  ProtectionMode.PROTECTED)
+        unprotected = live_campaign(app, config, errors,
+                                    ProtectionMode.UNPROTECTED)
+        for cell in (protected, unprotected):
+            print(f"  {app.name}: {errors} errors, {cell.mode.value}: "
+                  f"{cell.failure_percent:.0f}% failures")
         rows.append([
             errors,
             protected.failure_percent,

@@ -1,13 +1,7 @@
 """Core experiment machinery: applications, campaigns, outcomes, reporting."""
 
 from .app import WATCHDOG_FACTOR, ErrorTolerantApp, GoldenRun
-from .campaign import (
-    ENGINE_NAMES,
-    ENGINES,
-    CampaignConfig,
-    CampaignRunner,
-    run_quick_campaign,
-)
+from .campaign import ENGINE_NAMES, ENGINES, CampaignConfig
 from .fidelity import FidelityMeasure, FidelityResult
 from .outcomes import CampaignResult, RunRecord, SweepResult
 from .report import FigureData, Series, TableData, format_table
@@ -26,7 +20,6 @@ __all__ = [
     "t_interval",
     "wilson_interval",
     "CampaignResult",
-    "CampaignRunner",
     "ENGINE_NAMES",
     "ENGINES",
     "ErrorTolerantApp",
@@ -43,5 +36,4 @@ __all__ = [
     "TableData",
     "WATCHDOG_FACTOR",
     "format_table",
-    "run_quick_campaign",
 ]

@@ -6,7 +6,7 @@ tagging and golden-run caching so that fault-injection campaigns pay those
 costs once per application instance.  The compiled program additionally
 carries the simulator's decode cache (see :mod:`repro.sim.decode`): the
 first run lowers it to threaded code once, and every subsequent run —
-including runs in :class:`~repro.core.campaign.CampaignRunner` worker
+including runs in :class:`~repro.exec.PoolExecutor` worker
 processes, which receive the app pickled warm — reuses the decoded form.
 """
 

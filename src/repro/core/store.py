@@ -261,11 +261,6 @@ class ShardStore:
                 yield (app_dir.name, ProtectionMode(mode_value),
                        int(errors_text), shard)
 
-    @staticmethod
-    def _repair(path: Path) -> None:
-        """Drop a partially-written trailing line left by a mid-write kill."""
-        repair_jsonl(path)
-
     # ------------------------------------------------------------------
     # Cross-process exclusion.
     # ------------------------------------------------------------------
@@ -326,7 +321,7 @@ class ShardStore:
             return
         path = self.shard_path(app_name, mode, errors)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._repair(path)
+        repair_jsonl(path)
         payload = "".join(_encode_line(record) for record in records)
         with path.open("a", encoding="utf-8") as handle:
             handle.write(payload)

@@ -105,10 +105,11 @@ class Executor(abc.ABC):
     """Pluggable backend that executes campaign run tasks.
 
     Constructed with the application and the campaign config; ``start``
-    acquires backend resources (worker processes, TCP connections),
-    ``run`` executes one batch of tasks, and ``close`` releases the
-    resources.  One executor instance may serve many ``run`` calls — a
-    sweep reuses a single warm executor across all of its cells.
+    warms the application's golden runs and acquires backend resources
+    (worker processes, TCP connections), ``run`` executes one batch of
+    tasks, and ``close`` releases the resources.  One executor instance
+    may serve many ``run`` calls — a sweep reuses a single warm executor
+    across all of its cells.
     """
 
     #: Registry name of the backend (``"serial"``, ``"pool"``, ``"socket"``).
@@ -119,7 +120,20 @@ class Executor(abc.ABC):
         self.config = config
 
     def start(self) -> None:
-        """Acquire backend resources.  Idempotent for the serial backend."""
+        """Warm the application, then acquire backend resources."""
+        self._warm()
+
+    def _warm(self, checkpoints: bool = False) -> None:
+        """Simulate the golden run of every workload seed of the campaign.
+
+        ``workload_seed_for`` cycles ``run_index % workloads``, so the
+        distinct seeds are ``range(min(runs, workloads))``; every injection
+        plan reads its exposed-dynamic counts from these runs.
+        ``checkpoints`` also builds their fork-engine checkpoint stores.
+        """
+        config = self.config
+        self.app.warm(seeds=range(min(config.runs, config.workloads)),
+                      checkpoints=checkpoints)
 
     @abc.abstractmethod
     def run(self, tasks: Sequence[RunTask]) -> List[RunRecord]:

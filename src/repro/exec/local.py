@@ -7,6 +7,7 @@ from typing import List, Optional, Sequence
 
 from ..core.app import ErrorTolerantApp
 from ..core.outcomes import RunRecord
+from ..sim import InjectionPlan, ProtectionMode, executing_engine
 from .base import Executor, RunTask, make_record, make_records
 
 
@@ -15,11 +16,21 @@ class SerialExecutor(Executor):
 
     The reference backend: all other executors are tested against its
     record stream.  Golden runs (and, under the fork engine, checkpoint
-    stores) are memoized on the application, so repeated ``run`` calls
-    only pay for the injected executions themselves.
+    stores) are warmed at start and memoized on the application, so
+    ``run`` calls only pay for the injected executions themselves.
     """
 
     name = "serial"
+
+    def start(self) -> None:
+        """Warm the goldens, and their checkpoint stores when injected runs
+        execute on the fork engine, so runs only pay for divergence."""
+        # Every injected run of the campaign shares the engine and model,
+        # so one plan with a target stands for all of them.
+        probe = InjectionPlan(ProtectionMode.PROTECTED, [0],
+                              model=self.config.model)
+        self._warm(checkpoints=executing_engine(self.config.engine, probe)
+                   == "fork")
 
     def run(self, tasks: Sequence[RunTask]) -> List[RunRecord]:
         return make_records(self.app, self.config, tasks)
@@ -62,6 +73,8 @@ class PoolExecutor(Executor):
 
     def start(self) -> None:
         if self._pool is None:
+            # Warm first: the initializer ships the app as it is now.
+            self._warm()
             # Never spawn more workers than a cell has runs: each idle
             # worker would still pay interpreter spawn + warm-app
             # deserialization in the initializer for nothing.

@@ -649,7 +649,7 @@ class SocketExecutor(Executor):
         raise last_error
 
     def start(self) -> None:
-        """Probe every configured worker once.
+        """Warm the application, then probe every configured worker once.
 
         Addresses that fail to connect are *not* dropped — their
         dispatchers retry with backoff during :meth:`run` — but a fleet
@@ -663,6 +663,8 @@ class SocketExecutor(Executor):
             raise ValueError("SocketExecutor requires CampaignConfig.workers")
         for address in self.config.workers:
             parse_worker_address(address)  # malformed addresses fail fast
+        # Chunk deadlines read the goldens' watchdog budgets.
+        self._warm()
         slots = [_WorkerSlot(address) for address in self.config.workers]
         startup_errors: List[Tuple[str, Exception]] = []
         for slot in slots:

@@ -62,6 +62,7 @@ from .tcp import (
     ProtocolError,
     decode_config,
     decode_tasks,
+    encode_records,
     handshake_digest,
     recv_frame,
     send_frame,
@@ -175,7 +176,7 @@ def _compute_with_heartbeats(connection: socket.socket, app, config, tasks,
                 records = make_records(app, config, tasks)
             outcome["reply"] = {
                 "kind": "records",
-                "records": [record.to_json() for record in records],
+                "records": encode_records(records),
             }
         except Exception:  # noqa: BLE001 — reported to the executor
             outcome["reply"] = {"kind": "error",

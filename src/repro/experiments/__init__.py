@@ -6,7 +6,8 @@ campaign here: the sweep orchestrator, its grid walk
 whole.  Campaigns are submitted through :mod:`repro.api` (a spec plus
 execution options): :func:`repro.api.submit` runs them, and the rare
 embedding that needs the orchestrator object itself calls
-:func:`repro.api.build_orchestrator`.
+:func:`repro.api.build_orchestrator`.  Artefact cells rendered without a
+store are simulated by :func:`live_campaign`.
 """
 
 from .figures import (
@@ -26,6 +27,7 @@ from .sweep import (
 )
 from .tables import (
     TABLE2_ERROR_COUNTS,
+    live_campaign,
     table1_applications,
     table2_catastrophic_failures,
     table3_low_reliability_instructions,
@@ -46,6 +48,7 @@ __all__ = [
     "figure5_gsm",
     "figure6_art",
     "grid_errors_axis",
+    "live_campaign",
     "table1_applications",
     "table2_catastrophic_failures",
     "table3_low_reliability_instructions",

@@ -26,11 +26,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..apps import SUITES
-from ..core import CampaignRunner, FigureData, ShardStore
+from ..core import FigureData, ShardStore, SweepResult
 from ..core.app import ErrorTolerantApp
 from ..service.spec import CampaignSpec
 from ..sim import ProtectionMode
-from .tables import artefact_spec, store_confidence
+from .tables import artefact_spec, live_campaign, store_confidence
 
 
 def _sweep(app: ErrorTolerantApp, config: CampaignSpec,
@@ -46,8 +46,9 @@ def _sweep(app: ErrorTolerantApp, config: CampaignSpec,
     if store is not None:
         return store.load_sweep(app.name, mode, errors_axis,
                                 expect_runs=config.runs_per_cell)
-    runner = CampaignRunner(app, config.campaign_config())
-    return runner.run_sweep(errors_axis, mode=mode)
+    campaign = config.campaign_config()
+    return SweepResult(app.name, mode, [
+        live_campaign(app, campaign, errors, mode) for errors in errors_axis])
 
 
 def figure1_susan(config: Optional[CampaignSpec] = None,

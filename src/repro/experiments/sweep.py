@@ -51,10 +51,11 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Type, Union)
 
 from ..apps import SUITES
-from ..core import CampaignConfig, CampaignRunner, ShardStore
+from ..core import CampaignConfig, ShardStore
 from ..core.app import ErrorTolerantApp
 from ..core.outcomes import RunRecord
 from ..core.stats import wilson_interval
+from ..exec import Executor, RunTask, create_executor
 from ..service.spec import CampaignSpec
 from ..sim import ProtectionMode
 from .tables import TABLE2_ERROR_COUNTS
@@ -329,14 +330,7 @@ class SweepOrchestrator:
                 continue
             if suite is None:
                 suite = SUITES[self.spec.suite]()
-            runner = CampaignRunner(suite[app_name], self.campaign_config)
-            # Warm the goldens *before* the executor starts: the pool
-            # backend serializes the warm application to its workers at
-            # start-up, and a warm app carries the exposed-dynamic counts
-            # every injection plan needs; deadline derivation in the
-            # socket backend reads the same cached golden budgets.
-            runner.warm_goldens()
-            executor = runner.make_executor()
+            executor = create_executor(suite[app_name], self.campaign_config)
             if self.on_executor is not None:
                 # Post-construction, pre-start: the hook may attach
                 # per-invocation wiring (e.g. a dynamic fleet source)
@@ -345,14 +339,12 @@ class SweepOrchestrator:
             with executor:
                 for cell, missing in pending:
                     if rule is not None:
-                        self._run_adaptive_cell(runner, executor, cell,
+                        self._run_adaptive_cell(executor, cell,
                                                 adaptive_counts[cell], report)
                         continue
                     done = runs - len(missing)
                     for chunk in _chunks(missing, self.chunk_size):
-                        records = runner.run_records(cell.errors, cell.mode,
-                                                     run_indices=chunk,
-                                                     _executor=executor)
+                        records = executor.run(_tasks(cell, chunk))
                         self.store.append_records(cell.app_name, cell.mode,
                                                   cell.errors, records)
                         report.runs_executed += len(records)
@@ -391,8 +383,8 @@ class SweepOrchestrator:
                                          + stats.get("fallback_runs", 0))
         self.store.record_fleet_stats(stats)
 
-    def _run_adaptive_cell(self, runner: CampaignRunner, executor,
-                           cell: SweepCell, counts: Tuple[int, int, int],
+    def _run_adaptive_cell(self, executor: Executor, cell: SweepCell,
+                           counts: Tuple[int, int, int],
                            report: SweepReport) -> None:
         """Append runs to one cell until the stopping rule is satisfied.
 
@@ -412,12 +404,8 @@ class SweepOrchestrator:
         rule = self.spec.stopping
         total, catastrophic, acceptable = counts
         while not rule.satisfied(total, catastrophic, acceptable):
-            chunk = runner.run_records(
-                cell.errors, cell.mode,
-                run_indices=range(total, min(total + self.chunk_size,
-                                             rule.cap)),
-                _executor=executor,
-            )
+            chunk = executor.run(_tasks(cell, range(
+                total, min(total + self.chunk_size, rule.cap))))
             keep: List[RunRecord] = []
             for record in chunk:
                 keep.append(record)
@@ -437,6 +425,10 @@ class SweepOrchestrator:
                 f"{total} runs, failure CI ±{width:.2f} "
                 f"(target ±{rule.ci_width:.2f}, cap {rule.cap})"
             )
+
+
+def _tasks(cell: SweepCell, run_indices: Iterable[int]) -> List[RunTask]:
+    return [(run_index, cell.errors, cell.mode) for run_index in run_indices]
 
 
 def _chunks(items: Sequence[int], size: int) -> Iterable[List[int]]:

@@ -29,8 +29,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..analysis import attribute_first_flips, build_report
 from ..apps import APP_ORDER, SUITES, TABLE1_FIDELITY
-from ..core import CampaignRunner, ShardStore, TableData
+from ..core import (CampaignConfig, CampaignResult, ErrorTolerantApp,
+                    ShardStore, TableData)
 from ..core.stats import spearman_rho
+from ..exec import create_executor
 from ..service.spec import CampaignSpec
 from ..sim import MODEL_NAMES, ProtectionMode, get_model
 
@@ -59,6 +61,20 @@ def artefact_spec(config: Optional[CampaignSpec]) -> CampaignSpec:
         return spec
     return dataclasses.replace(spec, stopping=None,
                                runs_per_cell=spec.stopping.floor)
+
+
+def live_campaign(app: ErrorTolerantApp, config: CampaignConfig, errors: int,
+                  mode: ProtectionMode) -> CampaignResult:
+    """One campaign cell simulated live, outside any store.
+
+    Runs ``config.runs`` executions of ``app`` with ``errors`` injected
+    bit flips in ``mode`` on the executor backend ``config`` resolves to.
+    """
+    with create_executor(app, config) as executor:
+        records = executor.run([(run_index, errors, mode)
+                                for run_index in range(config.runs)])
+    return CampaignResult(app_name=app.name, mode=mode,
+                          errors_requested=errors, records=records)
 
 
 def store_confidence(store: Optional[ShardStore]) -> float:
@@ -132,9 +148,9 @@ def table2_catastrophic_failures(
                f"± columns are Wilson-score {level} CI half-widths on the "
                f"failure rates"],
     )
+    campaign = config.campaign_config()
     for name in names:
         app = suite[name]
-        runner = CampaignRunner(app, config.campaign_config())
         golden = app.golden(0)
         for errors in error_counts.get(name, (8,)):
             if store is not None:
@@ -145,8 +161,10 @@ def table2_catastrophic_failures(
                     name, ProtectionMode.UNPROTECTED, errors,
                     expect_runs=config.runs_per_cell)
             else:
-                protected = runner.run_campaign(errors, ProtectionMode.PROTECTED)
-                unprotected = runner.run_campaign(errors, ProtectionMode.UNPROTECTED)
+                protected = live_campaign(app, campaign, errors,
+                                          ProtectionMode.PROTECTED)
+                unprotected = live_campaign(app, campaign, errors,
+                                            ProtectionMode.UNPROTECTED)
             protected_ci = protected.failure_ci(confidence)
             unprotected_ci = unprotected.failure_ci(confidence)
             table.add_row([
@@ -199,8 +217,8 @@ def table4_fault_models(
         app = suite[name]
         for model_name in model_names:
             model = get_model(model_name)
-            runner = CampaignRunner(app, dataclasses.replace(
-                config, model=model_name).campaign_config())
+            campaign = dataclasses.replace(
+                config, model=model_name).campaign_config()
             # Mode-independent models (memory-bit) would produce two
             # identical rows by construction — simulate one cell and say
             # so, instead of paying for (and presenting) the duplicate.
@@ -210,7 +228,7 @@ def table4_fault_models(
             else:
                 mode_rows = [(ProtectionMode.PROTECTED, "(mode-independent)")]
             for mode, mode_label in mode_rows:
-                cell = runner.run_campaign(errors, mode)
+                cell = live_campaign(app, campaign, errors, mode)
                 table.add_row([
                     name,
                     model_name,

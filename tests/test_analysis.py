@@ -26,7 +26,7 @@ from repro.analysis import (
 from repro.apps import APP_ORDER, small_suite
 from repro.assembler import ProgramBuilder
 from repro.compiler.passes import ControlTaggingPass, compute_def_use
-from repro.core.campaign import CampaignConfig
+from repro.core.campaign import CampaignConfig, injection_seed
 from repro.exec.base import make_record
 from repro.isa import R
 from repro.sim import ProtectionMode, plan_injections
@@ -196,7 +196,7 @@ class TestAttribution:
             population = app.golden(seed).exposed_count(mode)
             plan = plan_injections(
                 1, population, mode,
-                seed=config.seed_for(run_index) + 104729 * 1)
+                seed=injection_seed(config.base_seed, run_index, 1))
             app.run_once(injection=plan, seed=seed)
             assert plan.events, "single-error plan must fire in-run"
             engine_sites.append(plan.events[0].static_index)

@@ -1,4 +1,4 @@
-"""Tests of the campaign runner, outcome aggregation and the experiment harness."""
+"""Tests of live campaigns, outcome aggregation and the experiment harness."""
 
 from dataclasses import replace
 
@@ -8,20 +8,22 @@ from repro.apps import create_app
 from repro.core import (
     CampaignConfig,
     CampaignResult,
-    CampaignRunner,
     FidelityResult,
     RunRecord,
+    SweepResult,
     format_table,
-    run_quick_campaign,
 )
 from repro.core.report import FigureData, TableData
 from repro.experiments import (
     figure3_mcf,
+    live_campaign,
     table1_applications,
     table3_low_reliability_instructions,
 )
 from repro.service.spec import CampaignSpec
 from repro.sim import Outcome, ProtectionMode
+
+PROTECTED = ProtectionMode.PROTECTED
 
 
 @pytest.fixture(scope="module")
@@ -61,21 +63,22 @@ class TestAggregation:
         assert result.mean_fidelity is None
 
 
-class TestCampaignRunner:
+class TestLiveCampaign:
     def test_zero_error_campaign_is_perfect(self, adpcm):
-        campaign = run_quick_campaign(adpcm, errors=0, runs=3)
+        campaign = live_campaign(adpcm, CampaignConfig(runs=3), 0, PROTECTED)
         assert campaign.failure_percent == 0.0
         assert campaign.perfect_percent == 100.0
 
     def test_campaign_is_deterministic_for_a_seed(self, adpcm):
-        first = run_quick_campaign(adpcm, errors=5, runs=3, base_seed=42)
-        second = run_quick_campaign(adpcm, errors=5, runs=3, base_seed=42)
+        config = CampaignConfig(runs=3, base_seed=42)
+        first = live_campaign(adpcm, config, 5, PROTECTED)
+        second = live_campaign(adpcm, config, 5, PROTECTED)
         assert [record.outcome for record in first.records] == \
             [record.outcome for record in second.records]
         assert first.fidelity_scores() == second.fidelity_scores()
 
     def test_errors_are_actually_injected(self, adpcm):
-        campaign = run_quick_campaign(adpcm, errors=6, runs=3)
+        campaign = live_campaign(adpcm, CampaignConfig(runs=3), 6, PROTECTED)
         assert all(record.errors_injected > 0 for record in campaign.records)
 
     def test_unprotected_mode_exposes_more_instructions(self, adpcm):
@@ -86,18 +89,21 @@ class TestCampaignRunner:
         """The paper's central claim at campaign scale: with control data
         protected, runs complete and keep fidelity; without protection the
         same error count produces catastrophic failures and/or worse output."""
-        runner = CampaignRunner(adpcm, CampaignConfig(runs=6, base_seed=7))
+        config = CampaignConfig(runs=6, base_seed=7)
         errors = 30
-        protected = runner.run_campaign(errors, ProtectionMode.PROTECTED)
-        unprotected = runner.run_campaign(errors, ProtectionMode.UNPROTECTED)
+        protected = live_campaign(adpcm, config, errors, PROTECTED)
+        unprotected = live_campaign(adpcm, config, errors,
+                                    ProtectionMode.UNPROTECTED)
         assert protected.failure_percent <= unprotected.failure_percent
         protected_quality = protected.acceptable_percent + protected.completed_percent
         unprotected_quality = unprotected.acceptable_percent + unprotected.completed_percent
         assert protected_quality >= unprotected_quality
 
     def test_sweep_covers_requested_axis(self, adpcm):
-        runner = CampaignRunner(adpcm, CampaignConfig(runs=2))
-        sweep = runner.run_sweep([0, 2, 4], mode=ProtectionMode.PROTECTED)
+        config = CampaignConfig(runs=2)
+        sweep = SweepResult(adpcm.name, PROTECTED, [
+            live_campaign(adpcm, config, errors, PROTECTED)
+            for errors in (0, 2, 4)])
         assert sweep.errors_axis() == [0, 2, 4]
         assert len(sweep.failure_series()) == 3
         assert sweep.cell(2).errors_requested == 2
@@ -115,52 +121,44 @@ class TestCampaignRunner:
         assert completed is not None and completed.perfect
 
     def test_golden_runs_are_memoized_per_workload_seed(self, adpcm):
-        runner = CampaignRunner(adpcm, CampaignConfig(runs=5, base_seed=3))
-        runner.run_campaign(2, ProtectionMode.PROTECTED)
-        # One workload seed -> exactly one memoized golden run, shared with
-        # (not re-simulated from) the application's own cache.
-        assert runner.golden_for(0) is adpcm.golden(0)
+        golden = adpcm.golden(0)
+        live_campaign(adpcm, CampaignConfig(runs=5, base_seed=3), 2, PROTECTED)
+        # One workload seed -> exactly one memoized golden run: the
+        # campaign reads the application's cache, never re-simulates it.
+        assert adpcm.golden(0) is golden
         assert adpcm.golden(0) is adpcm.golden(0)
 
 
 class TestParallelCampaign:
-    """CampaignConfig(parallel=N) must be bit-identical to the serial runner."""
+    """CampaignConfig(parallel=N) must be bit-identical to the serial backend."""
 
     def test_parallel_records_match_serial(self, adpcm):
-        serial = CampaignRunner(
-            adpcm, CampaignConfig(runs=6, base_seed=11)
-        ).run_campaign(4, ProtectionMode.PROTECTED)
-        parallel = CampaignRunner(
-            adpcm, CampaignConfig(runs=6, base_seed=11, parallel=2)
-        ).run_campaign(4, ProtectionMode.PROTECTED)
+        serial = live_campaign(
+            adpcm, CampaignConfig(runs=6, base_seed=11), 4, PROTECTED)
+        parallel = live_campaign(
+            adpcm, CampaignConfig(runs=6, base_seed=11, parallel=2), 4,
+            PROTECTED)
         assert parallel.records == serial.records
 
     def test_parallel_unprotected_matches_serial(self, adpcm):
-        serial = CampaignRunner(
-            adpcm, CampaignConfig(runs=4, base_seed=29)
-        ).run_campaign(8, ProtectionMode.UNPROTECTED)
-        parallel = CampaignRunner(
-            adpcm, CampaignConfig(runs=4, base_seed=29, parallel=4)
-        ).run_campaign(8, ProtectionMode.UNPROTECTED)
+        serial = live_campaign(
+            adpcm, CampaignConfig(runs=4, base_seed=29), 8,
+            ProtectionMode.UNPROTECTED)
+        parallel = live_campaign(
+            adpcm, CampaignConfig(runs=4, base_seed=29, parallel=4), 8,
+            ProtectionMode.UNPROTECTED)
         assert parallel.records == serial.records
         assert parallel.failure_percent == serial.failure_percent
         assert parallel.fidelity_scores() == serial.fidelity_scores()
 
-    def test_quick_campaign_parallel_flag(self, adpcm):
-        serial = run_quick_campaign(adpcm, errors=3, runs=4, base_seed=5)
-        parallel = run_quick_campaign(adpcm, errors=3, runs=4, base_seed=5,
-                                      parallel=2)
-        assert parallel.records == serial.records
-
     def test_parallel_fork_engine_matches_serial_decoded(self, adpcm):
         """Workers rebuild checkpoint stores locally; records stay identical."""
-        serial = CampaignRunner(
-            adpcm, CampaignConfig(runs=4, base_seed=13, engine="decoded")
-        ).run_campaign(4, ProtectionMode.PROTECTED)
-        parallel = CampaignRunner(
+        serial = live_campaign(
+            adpcm, CampaignConfig(runs=4, base_seed=13, engine="decoded"), 4,
+            PROTECTED)
+        parallel = live_campaign(
             adpcm, CampaignConfig(runs=4, base_seed=13, parallel=2,
-                                  engine="fork")
-        ).run_campaign(4, ProtectionMode.PROTECTED)
+                                  engine="fork"), 4, PROTECTED)
         assert parallel.records == serial.records
 
 

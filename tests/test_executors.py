@@ -15,13 +15,16 @@ from pathlib import Path
 import pytest
 
 from repro.apps import create_app
-from repro.core import CampaignConfig, CampaignRunner
+from repro.core import CampaignConfig
 from repro.exec import (
     PoolExecutor,
     SerialExecutor,
     SocketExecutor,
+    create_executor,
     parse_worker_address,
+    resolve_executor_name,
 )
+from repro.experiments import live_campaign
 from repro.sim import InjectionPlan, ProtectionMode, executing_engine
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -35,8 +38,8 @@ def adpcm():
 @pytest.fixture(scope="module")
 def serial_records(adpcm):
     """Reference records: one cell on the serial executor."""
-    runner = CampaignRunner(adpcm, CampaignConfig(runs=5, base_seed=11))
-    return runner.run_campaign(4, ProtectionMode.PROTECTED).records
+    return live_campaign(adpcm, CampaignConfig(runs=5, base_seed=11), 4,
+                         ProtectionMode.PROTECTED).records
 
 
 def _spawn_worker(*extra_args):
@@ -81,9 +84,8 @@ class TestExecutorResolution:
         engine never picks the backend."""
         config = CampaignConfig(runs=4, workers=workers, parallel=parallel,
                                 engine=engine)
-        runner = CampaignRunner(adpcm, config)
-        assert runner.executor_name() == backend.name
-        assert type(runner.make_executor()) is backend
+        assert resolve_executor_name(config) == backend.name
+        assert type(create_executor(adpcm, config)) is backend
 
     def test_parse_worker_address(self):
         assert parse_worker_address("host:7006") == ("host", 7006)
@@ -157,6 +159,26 @@ class TestConfigValidation:
     def test_workers_normalised_to_tuple(self):
         config = CampaignConfig(workers=["a:1", "b:2"])
         assert config.workers == ("a:1", "b:2")
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("options, checkpoints", [
+        ({"engine": "fork"}, True),
+        ({"engine": "batch"}, True),
+        ({"engine": "decoded"}, False),
+        ({"engine": "fork", "model": "memory-bit"}, False),
+        ({"engine": "fork", "parallel": 2}, False),
+    ], ids=["fork", "batch", "decoded", "memory-bit", "pool"])
+    def test_start_warms_the_campaign_goldens(self, options, checkpoints):
+        """Entering an executor caches the golden run of every workload
+        seed, plus its checkpoint store exactly when the runs fork
+        in-process."""
+        app = create_app("adpcm", samples=300)
+        config = CampaignConfig(runs=3, workloads=2, **options)
+        with create_executor(app, config):
+            assert sorted(app._goldens) == [0, 1]
+            built = app.golden(0).checkpoint_store is not None
+        assert built is checkpoints
 
 
 class TestSerialExecutor:
@@ -244,8 +266,7 @@ class TestBatchEngine:
         """engine='batch' reproduces the fork-engine reference records
         bit for bit."""
         config = CampaignConfig(runs=5, base_seed=11, engine="batch")
-        cell = CampaignRunner(adpcm, config).run_campaign(
-            4, ProtectionMode.PROTECTED)
+        cell = live_campaign(adpcm, config, 4, ProtectionMode.PROTECTED)
         assert cell.records == serial_records
 
     def test_state_model_falls_back_to_decoded(self, adpcm):
@@ -270,8 +291,7 @@ class TestBatchEngine:
 class TestPoolExecutor:
     def test_pool_matches_serial(self, adpcm, serial_records):
         config = CampaignConfig(runs=5, base_seed=11, parallel=2)
-        runner = CampaignRunner(adpcm, config)
-        cell = runner.run_campaign(4, ProtectionMode.PROTECTED)
+        cell = live_campaign(adpcm, config, 4, ProtectionMode.PROTECTED)
         assert cell.records == serial_records
 
 
@@ -280,8 +300,7 @@ class TestSocketExecutor:
                                    worker_addresses):
         config = CampaignConfig(runs=5, base_seed=11,
                                 workers=tuple(worker_addresses))
-        runner = CampaignRunner(adpcm, config)
-        cell = runner.run_campaign(4, ProtectionMode.PROTECTED)
+        cell = live_campaign(adpcm, config, 4, ProtectionMode.PROTECTED)
         assert cell.records == serial_records
 
     def test_socket_serves_multiple_cells_per_session(self, adpcm,
@@ -289,13 +308,14 @@ class TestSocketExecutor:
         """One executor session shards a whole sweep, cell after cell."""
         config = CampaignConfig(runs=4, base_seed=23,
                                 workers=tuple(worker_addresses))
-        sweep = CampaignRunner(adpcm, config).run_sweep(
-            [0, 2, 6], mode=ProtectionMode.UNPROTECTED)
-        reference = CampaignRunner(
-            adpcm, CampaignConfig(runs=4, base_seed=23)
-        ).run_sweep([0, 2, 6], mode=ProtectionMode.UNPROTECTED)
-        for socket_cell, serial_cell in zip(sweep.cells, reference.cells):
-            assert socket_cell.records == serial_cell.records
+        cells = [[(index, errors, ProtectionMode.UNPROTECTED)
+                  for index in range(4)] for errors in (0, 2, 6)]
+        with create_executor(adpcm, config) as executor:
+            socket_records = [executor.run(tasks) for tasks in cells]
+        reference = CampaignConfig(runs=4, base_seed=23)
+        with SerialExecutor(adpcm, reference) as executor:
+            serial_records = [executor.run(tasks) for tasks in cells]
+        assert socket_records == serial_records
 
     def test_connect_failure_is_reported_without_fallback(self, adpcm):
         config = CampaignConfig(runs=2,

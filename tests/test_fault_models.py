@@ -17,8 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.apps import create_app
-from repro.core import CampaignConfig, CampaignRunner, RunRecord, ShardStore
+from repro.core import CampaignConfig, RunRecord, ShardStore
 from repro.core.store import StoreMismatchError
+from repro.experiments import live_campaign
 from repro.sim import (
     CONTROL_BIT,
     MODEL_NAMES,
@@ -207,8 +208,8 @@ class TestDeterminismAcrossExecutors:
             runs=self.RUNS, base_seed=31, model=model_name,
             parallel=parallel, workers=workers,
         )
-        runner = CampaignRunner(app, config)
-        return runner.run_records(self.ERRORS, ProtectionMode.UNPROTECTED)
+        return live_campaign(app, config, self.ERRORS,
+                             ProtectionMode.UNPROTECTED).records
 
     @pytest.mark.parametrize("model_name", NON_DEFAULT_MODELS)
     def test_pool_matches_serial(self, adpcm, model_name):

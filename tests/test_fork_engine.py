@@ -22,7 +22,8 @@ import zlib
 import pytest
 
 from repro.apps import small_suite
-from repro.core import CampaignConfig, CampaignRunner
+from repro.core import CampaignConfig
+from repro.experiments import live_campaign
 from repro.isa import F, Opcode, R
 from repro.sim import (
     InjectionPlan,
@@ -361,12 +362,12 @@ def test_fork_engine_with_empty_plan_degrades_to_decoded(suite):
 def test_fork_campaigns_match_decoded_campaigns(suite):
     """Campaign records are independent of the configured engine."""
     app = suite["adpcm"]
-    decoded = CampaignRunner(
-        app, CampaignConfig(runs=8, base_seed=21, engine="decoded")
-    ).run_campaign(4, ProtectionMode.PROTECTED)
-    forked = CampaignRunner(
-        app, CampaignConfig(runs=8, base_seed=21, engine="fork")
-    ).run_campaign(4, ProtectionMode.PROTECTED)
+    decoded = live_campaign(
+        app, CampaignConfig(runs=8, base_seed=21, engine="decoded"), 4,
+        ProtectionMode.PROTECTED)
+    forked = live_campaign(
+        app, CampaignConfig(runs=8, base_seed=21, engine="fork"), 4,
+        ProtectionMode.PROTECTED)
     assert forked.records == decoded.records
 
 
@@ -501,12 +502,12 @@ def test_batch_campaigns_match_decoded_campaigns(suite):
     """Campaign records are independent of the configured engine,
     ``engine="batch"`` included."""
     app = suite["adpcm"]
-    decoded = CampaignRunner(
-        app, CampaignConfig(runs=8, base_seed=21, engine="decoded")
-    ).run_campaign(4, ProtectionMode.PROTECTED)
-    batched = CampaignRunner(
-        app, CampaignConfig(runs=8, base_seed=21, engine="batch")
-    ).run_campaign(4, ProtectionMode.PROTECTED)
+    decoded = live_campaign(
+        app, CampaignConfig(runs=8, base_seed=21, engine="decoded"), 4,
+        ProtectionMode.PROTECTED)
+    batched = live_campaign(
+        app, CampaignConfig(runs=8, base_seed=21, engine="batch"), 4,
+        ProtectionMode.PROTECTED)
     assert batched.records == decoded.records
 
 

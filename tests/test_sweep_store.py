@@ -20,7 +20,6 @@ import pytest
 from repro.apps import AdpcmApp, create_app, small_suite
 from repro.core import (
     CampaignConfig,
-    CampaignRunner,
     RunRecord,
     ShardStore,
     StoppingRule,
@@ -30,6 +29,7 @@ from repro.experiments.sweep import SweepOrchestrator
 from repro.experiments import (
     figure3_mcf,
     grid_errors_axis,
+    live_campaign,
     table2_catastrophic_failures,
 )
 from repro.service.spec import CampaignSpec
@@ -112,8 +112,8 @@ class TestRecordSerialization:
     def test_fresh_records_with_numpy_fidelity_encode(self):
         """mcf's scorer returns numpy scalars; to_json must coerce them."""
         app = create_app("mcf", trips=6)
-        runner = CampaignRunner(app, CampaignConfig(runs=1, base_seed=3))
-        record = runner.run_campaign(2, ProtectionMode.PROTECTED).records[0]
+        record = live_campaign(app, CampaignConfig(runs=1, base_seed=3), 2,
+                               ProtectionMode.PROTECTED).records[0]
         line = json.dumps(record.to_json())
         assert RunRecord.from_json(json.loads(line)) == record
 
