@@ -53,7 +53,10 @@ def _time_cell(engine: str):
     checkpoint-store capture are all inside the timed region.
     """
     app = create_app(APP_NAME, **APP_KWARGS)
-    config = CampaignConfig(runs=RUNS, base_seed=314, engine=engine)
+    # In-process: the ratio compares engines, and the fork counters read
+    # below live on this process's checkpoint store.
+    config = CampaignConfig(runs=RUNS, base_seed=314, engine=engine,
+                            parallel=1)
     start = time.perf_counter()
     cell = live_campaign(app, config, ERRORS, MODE)
     elapsed = time.perf_counter() - start

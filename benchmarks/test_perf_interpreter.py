@@ -79,7 +79,8 @@ def test_perf_interpreter_writes_benchmark_json(show):
     runs, errors, workers = (4, 4, 2) if SMOKE else (12, 4, 4)
     start = time.perf_counter()
     serial = live_campaign(
-        adpcm, CampaignConfig(runs=runs, base_seed=17, engine="decoded"),
+        adpcm, CampaignConfig(runs=runs, base_seed=17, engine="decoded",
+                              parallel=1),
         errors, ProtectionMode.PROTECTED)
     serial_s = time.perf_counter() - start
     start = time.perf_counter()

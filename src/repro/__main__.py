@@ -271,11 +271,13 @@ def _cmd_sweep(args) -> int:
         return 2
     progress = (None if args.json
                 else lambda message: print(message, flush=True))
+    execution = {} if args.parallel is None else {"parallel": args.parallel}
     job = api_submit(
         spec, store, progress=progress, chunk_size=args.chunk_size,
-        parallel=args.parallel, engine=args.engine,
+        engine=args.engine,
         workers=tuple(args.workers or ()), worker_secret=args.secret,
         chunk_timeout=args.chunk_timeout, fallback=not args.no_fallback,
+        **execution,
     )
     if args.json:
         _emit_json(job)
@@ -427,9 +429,8 @@ def _cmd_serve(args) -> int:
     secret = args.secret
     if secret is None:
         secret = os.environ.get("REPRO_WORKER_SECRET") or None
-    execution = {"engine": args.engine, "chunk_size": args.chunk_size}
-    if args.parallel > 1:
-        execution["parallel"] = args.parallel
+    execution = {"engine": args.engine, "chunk_size": args.chunk_size,
+                 "parallel": args.parallel}
     service = CampaignService(args.store, worker_ttl=args.worker_ttl,
                               secret=secret, execution=execution,
                               lanes=args.lanes)
@@ -476,9 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store_argument(sweep)
     _add_grid_arguments(sweep)
     _add_json_argument(sweep)
-    sweep.add_argument("--parallel", type=int, default=1,
-                       help="local process-pool width (default 1: run "
-                            "in-process)")
+    sweep.add_argument("--parallel", type=int, default=None,
+                       help="local process-pool width: one pool of this "
+                            "many workers serves the whole sweep (default: "
+                            "the usable CPU count; 1 runs in-process)")
     sweep.add_argument("--workers", nargs="*", default=None, metavar="HOST:PORT",
                        help="socket-executor worker addresses; when given, "
                             "runs execute on these workers (bracket IPv6 "
@@ -528,8 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulation engine for daemon-run campaigns "
                             "(default fork)")
     serve.add_argument("--parallel", type=int, default=1,
-                       help="local process-pool width when no workers are "
-                            "registered (default 1)")
+                       help="local process-pool width of each job when no "
+                            "workers are registered (default 1: jobs run "
+                            "in their lane, as the lanes take the cores)")
     serve.add_argument("--chunk-size", type=int, default=16,
                        help="runs persisted per store append (default 16)")
     _add_json_argument(serve)

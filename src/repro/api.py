@@ -130,7 +130,8 @@ def submit(spec: CampaignSpec, store: Optional[StoreLike] = None, *,
     Either way the payload's ``report.runs_executed`` is the cache
     contract: resubmitting a spec whose cells are already in the store
     reports 0 executed runs (and 0 ``executors_started`` — no executor
-    backend is even constructed for a fully cached campaign).
+    backend is even constructed for a fully cached campaign; a campaign
+    with work constructs exactly one).
     """
     if (store is None) == (url is None):
         raise ValueError("submit() needs exactly one of store= (run "

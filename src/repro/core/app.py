@@ -7,7 +7,7 @@ costs once per application instance.  The compiled program additionally
 carries the simulator's decode cache (see :mod:`repro.sim.decode`): the
 first run lowers it to threaded code once, and every subsequent run —
 including runs in :class:`~repro.exec.PoolExecutor` worker
-processes, which receive the app pickled warm — reuses the decoded form.
+processes, which inherit the app warm — reuses the decoded form.
 """
 
 from __future__ import annotations

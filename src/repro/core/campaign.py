@@ -8,21 +8,23 @@ every Table 2 cell is one such campaign.
 
 :class:`CampaignConfig` holds its parameters: what the records contain
 (runs, seed, workloads, fault model) and how they are produced (engine,
-executor).  Where a cell's runs execute is delegated to the
+executor).  Where a campaign's runs execute is delegated to the
 :mod:`repro.exec` backends, chosen by one rule: TCP workers on any hosts
 when ``workers=("host:port", ...)`` is set, a local process pool when
-``parallel > 1``, and the calling process otherwise.  Every run's
+``parallel > 1`` (the default on a host with more than one usable CPU,
+see :func:`usable_cpus`), and the calling process otherwise.  Every run's
 injection plan is derived purely from ``(base_seed, run_index, errors)``
 (:func:`injection_seed`), so the records are **bit-identical** across
 backends under the same seeds.
 
-Campaigns are submitted through :func:`repro.api.submit`, which drives
-the executors cell by cell and persists the records.
+Campaigns are submitted through :func:`repro.api.submit`, which hands
+one executor every pending run of the sweep and persists the records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..sim import get_model
@@ -44,6 +46,19 @@ def injection_seed(base_seed: int, run_index: int, errors: int) -> int:
     return base_seed + 7919 * run_index + 104729 * errors
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity mask counts, not the machine: ``taskset`` and container
+    CPU sets shrink it.  Falls back to ``os.cpu_count()`` where the
+    platform has no ``sched_getaffinity``.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @dataclass
 class CampaignConfig:
     """Parameters of a fault-injection campaign."""
@@ -53,11 +68,11 @@ class CampaignConfig:
     #: Number of distinct workloads cycled through the runs.  The paper uses
     #: one input per application; more workloads reduce input-specific bias.
     workloads: int = 1
-    #: Number of worker processes a campaign cell fans out over.  ``1`` runs
-    #: in-process; ``N > 1`` uses a local process pool (unless ``workers``
-    #: is set) and produces records bit-identical to the in-process runner
-    #: under the same seeds.
-    parallel: int = 1
+    #: Number of worker processes a campaign's runs fan out over; defaults
+    #: to the usable CPU count.  ``1`` runs in-process; ``N > 1`` uses a
+    #: local process pool (unless ``workers`` is set) and produces records
+    #: bit-identical to the in-process runner under the same seeds.
+    parallel: int = field(default_factory=usable_cpus)
     #: Execution engine for injected runs: ``"fork"`` (default, and the
     #: fastest) resumes each run from the nearest golden checkpoint and
     #: splices the golden suffix on re-convergence; ``"decoded"`` executes

@@ -1,22 +1,28 @@
 """Pluggable campaign executors.
 
-A campaign cell is a batch of ``(run_index, errors, mode)`` tasks whose
+A sweep is a batch of ``(app_name, run_index, errors, mode)`` tasks whose
 injection plans derive purely from ``(base_seed, run_index, errors)``;
 an executor decides *where* those tasks run:
 
 * :class:`SerialExecutor` — in the calling process (the reference);
-* :class:`PoolExecutor` — a local :class:`~concurrent.futures.ProcessPoolExecutor`;
+* :class:`PoolExecutor` — one local
+  :class:`~concurrent.futures.ProcessPoolExecutor` for the whole sweep;
 * :class:`SocketExecutor` — sharded over TCP to ``python -m repro.exec.worker``
   processes on this or other hosts.
 
 The backend is a pure function of the
 :class:`~repro.core.campaign.CampaignConfig` (:func:`resolve_executor_name`),
-and all backends produce bit-identical record streams.  The engine is
-orthogonal: every backend executes its share of a cell run by run
-(:func:`~repro.exec.base.make_records`) on the configured engine.
+and all backends produce bit-identical record streams.  One executor
+serves every application of a sweep and takes all of its pending tasks
+at once.  The engine is orthogonal: every backend executes its share of
+the tasks run by run (:func:`~repro.exec.base.make_record`) on the
+configured engine.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import Iterable, Optional
 
 from .base import Executor, RunTask, make_record, make_records
 from .local import PoolExecutor, SerialExecutor
@@ -52,9 +58,17 @@ def resolve_executor_name(config) -> str:
     return "serial"
 
 
-def create_executor(app, config) -> Executor:
-    """Instantiate (but do not start) the backend ``config`` resolves to."""
-    return EXECUTORS[resolve_executor_name(config)](app, config)
+def create_executor(apps: Iterable, config,
+                    pending: Optional[int] = None) -> Executor:
+    """Instantiate (but do not start) the backend ``config`` resolves to.
+
+    ``apps`` are the applications the tasks name.  ``pending``, the
+    number of runs the executor will be given, caps the pool width at
+    ``min(parallel, pending)``; a width of 1 runs serially.
+    """
+    if pending is not None and config.parallel > max(1, pending):
+        config = dataclasses.replace(config, parallel=max(1, pending))
+    return EXECUTORS[resolve_executor_name(config)](apps, config)
 
 
 __all__ = [

@@ -1,7 +1,7 @@
-"""Executor protocol: how a campaign cell's runs get executed.
+"""Executor protocol: how a campaign's runs get executed.
 
-A campaign cell is a list of *run tasks* — ``(run_index, errors, mode)``
-tuples — and every injection plan is a pure function of
+A sweep is a list of *run tasks* — ``(app_name, run_index, errors,
+mode)`` tuples — and every injection plan is a pure function of
 ``(config.base_seed, run_index, errors, config.model)``.  That purity is
 the whole contract: an :class:`Executor` may run the tasks in-process, fan them out
 over a local process pool, or shard them over TCP to workers on other
@@ -9,27 +9,32 @@ hosts, and the resulting :class:`~repro.core.outcomes.RunRecord` stream
 must be **bit-identical** in every case (asserted in
 ``tests/test_executors.py``).
 
-Executors are context managers::
+One executor serves a whole sweep: it is built with every application
+the sweep has work for, and one ``run`` call takes every pending task,
+across applications and cells.  Executors are context managers::
 
-    with create_executor(app, config) as executor:
-        records = executor.run([(0, 4, ProtectionMode.PROTECTED), ...])
+    with create_executor([app], config) as executor:
+        for record in executor.run([("adpcm", 0, 4, ProtectionMode.PROTECTED),
+                                    ...]):
+            ...
 
-``run`` always returns records in task order, however the backend
-scheduled them.
+``run`` yields records in task order, however the backend scheduled
+them, so callers persist each one as soon as its turn comes.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.app import ErrorTolerantApp
 from ..core.campaign import injection_seed
 from ..core.outcomes import RunRecord
-from ..sim import InjectionPlan, ProtectionMode, get_model, plan_injections
+from ..sim import (InjectionPlan, ProtectionMode, executing_engine, get_model,
+                   plan_injections)
 
-#: One campaign run: ``(run_index, errors, mode)``.
-RunTask = Tuple[int, int, ProtectionMode]
+#: One campaign run: ``(app_name, run_index, errors, mode)``.
+RunTask = Tuple[str, int, int, ProtectionMode]
 
 
 def _derive_plan(app: ErrorTolerantApp, config, run_index: int, errors: int,
@@ -96,32 +101,43 @@ def _build_record(app: ErrorTolerantApp, config, run_index: int, errors: int,
 
 def make_records(app: ErrorTolerantApp, config,
                  tasks: Sequence[RunTask]) -> List[RunRecord]:
-    """Execute a sequence of campaign run tasks in order (see
+    """Execute a sequence of ``app``'s run tasks in order (see
     :func:`make_record`)."""
-    return [make_record(app, config, *task) for task in tasks]
+    return [make_record(app, config, run_index, errors, mode)
+            for _app_name, run_index, errors, mode in tasks]
 
 
 class Executor(abc.ABC):
     """Pluggable backend that executes campaign run tasks.
 
-    Constructed with the application and the campaign config; ``start``
-    warms the application's golden runs and acquires backend resources
-    (worker processes, TCP connections), ``run`` executes one batch of
-    tasks, and ``close`` releases the resources.  One executor instance
-    may serve many ``run`` calls — a sweep reuses a single warm executor
-    across all of its cells.
+    Constructed with the applications a sweep has work for and the
+    campaign config; ``start`` warms the applications' golden runs and
+    acquires backend resources (worker processes, TCP connections),
+    ``run`` executes a batch of tasks, and ``close`` releases the
+    resources.  One executor serves a whole sweep: a fixed sweep hands
+    it every pending task in one ``run`` call, an adaptive one a chunk
+    per call.
     """
 
     #: Registry name of the backend (``"serial"``, ``"pool"``, ``"socket"``).
     name: str = "abstract"
 
-    def __init__(self, app: ErrorTolerantApp, config) -> None:
-        self.app = app
+    def __init__(self, apps: Iterable[ErrorTolerantApp], config) -> None:
+        #: The applications by name, in the order given.
+        self.apps = {app.name: app for app in apps}
         self.config = config
 
     def start(self) -> None:
-        """Warm the application, then acquire backend resources."""
-        self._warm()
+        """Warm the applications, then acquire backend resources."""
+        self._warm(checkpoints=self._forks())
+
+    def _forks(self) -> bool:
+        """True when injected runs execute on the fork engine."""
+        # Every injected run of the campaign shares the engine and model,
+        # so one plan with a target stands for all of them.
+        probe = InjectionPlan(ProtectionMode.PROTECTED, [0],
+                              model=self.config.model)
+        return executing_engine(self.config.engine, probe) == "fork"
 
     def _warm(self, checkpoints: bool = False) -> None:
         """Simulate the golden run of every workload seed of the campaign.
@@ -132,12 +148,13 @@ class Executor(abc.ABC):
         ``checkpoints`` also builds their fork-engine checkpoint stores.
         """
         config = self.config
-        self.app.warm(seeds=range(min(config.runs, config.workloads)),
-                      checkpoints=checkpoints)
+        for app in self.apps.values():
+            app.warm(seeds=range(min(config.runs, config.workloads)),
+                     checkpoints=checkpoints)
 
     @abc.abstractmethod
-    def run(self, tasks: Sequence[RunTask]) -> List[RunRecord]:
-        """Execute ``tasks`` and return their records in task order."""
+    def run(self, tasks: Sequence[RunTask]) -> Iterator[RunRecord]:
+        """Execute ``tasks``; yield their records in task order."""
 
     def close(self) -> None:
         """Release backend resources."""

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from ..core.app import ErrorTolerantApp
 from ..core.outcomes import RunRecord
-from ..sim import InjectionPlan, ProtectionMode, executing_engine
 from .base import Executor, RunTask, make_record, make_records
 
 
@@ -16,84 +18,116 @@ class SerialExecutor(Executor):
 
     The reference backend: all other executors are tested against its
     record stream.  Golden runs (and, under the fork engine, checkpoint
-    stores) are warmed at start and memoized on the application, so
+    stores) are warmed at start and memoized on the applications, so
     ``run`` calls only pay for the injected executions themselves.
     """
 
     name = "serial"
 
-    def start(self) -> None:
-        """Warm the goldens, and their checkpoint stores when injected runs
-        execute on the fork engine, so runs only pay for divergence."""
-        # Every injected run of the campaign shares the engine and model,
-        # so one plan with a target stands for all of them.
-        probe = InjectionPlan(ProtectionMode.PROTECTED, [0],
-                              model=self.config.model)
-        self._warm(checkpoints=executing_engine(self.config.engine, probe)
-                   == "fork")
-
-    def run(self, tasks: Sequence[RunTask]) -> List[RunRecord]:
-        return make_records(self.app, self.config, tasks)
+    def run(self, tasks: Sequence[RunTask]) -> Iterator[RunRecord]:
+        # One task per call: each record reaches the caller, and so the
+        # store, as soon as it exists.
+        for task in tasks:
+            yield from make_records(self.apps[task[0]], self.config, [task])
 
 
 # ----------------------------------------------------------------------
-# Process-pool plumbing.  The application (pre-compiled, goldens warm) and
-# the config are shipped once per worker via the pool initializer; tasks
-# are tiny (run_index, errors, mode) tuples.
+# Process-pool plumbing.  The applications (compiled, goldens and
+# checkpoint stores warm) and the config reach each worker once, through
+# the pool initializer: inherited copy-on-write under the fork start
+# method, pickled (without checkpoint snapshots) otherwise.  Tasks are
+# tiny (app_name, run_index, errors, mode) tuples.
 # ----------------------------------------------------------------------
-_WORKER_APP: Optional[ErrorTolerantApp] = None
+_WORKER_APPS: Dict[str, ErrorTolerantApp] = {}
 _WORKER_CONFIG = None
 
 
-def _campaign_worker_init(app: ErrorTolerantApp, config) -> None:
-    global _WORKER_APP, _WORKER_CONFIG
-    _WORKER_APP = app
+def _campaign_worker_init(apps: Dict[str, ErrorTolerantApp], config) -> None:
+    global _WORKER_APPS, _WORKER_CONFIG
+    _WORKER_APPS = apps
     _WORKER_CONFIG = config
+    # Ctrl-C is the parent's to handle: it cancels the queued tasks and
+    # waits for the running ones, so a worker must not die mid-task.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _campaign_worker_run(task: RunTask) -> RunRecord:
-    run_index, errors, mode = task
-    return make_record(_WORKER_APP, _WORKER_CONFIG, run_index, errors, mode)
+    app_name, run_index, errors, mode = task
+    return make_record(_WORKER_APPS[app_name], _WORKER_CONFIG, run_index,
+                       errors, mode)
+
+
+@contextlib.contextmanager
+def _interrupts_held():
+    """Hold Ctrl-C until the block ends, then raise it.
+
+    A second interrupt while a pool shuts down would abandon the
+    shutdown: the workers would never get their stop sentinels, and the
+    interpreter would hang at exit joining them.  Only the main thread
+    runs Python signal handlers, so elsewhere nothing can interrupt.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    caught = []
+    previous = signal.signal(signal.SIGINT,
+                             lambda signum, frame: caught.append(signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        if caught:
+            raise KeyboardInterrupt
 
 
 class PoolExecutor(Executor):
     """Fans tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
-    Workers receive the app warm (program compiled, goldens cached) via the
-    pool initializer and rebuild fork-engine checkpoint stores locally on
-    first use — the snapshots are deliberately stripped from the payload
-    the pool ships to its workers.  Results come back in task order.
+    ``start`` warms every application in this process, then creates one
+    pool of ``config.parallel`` workers for the executor's lifetime.  The
+    workers receive the warm applications through the pool initializer,
+    so no worker repeats a golden run or a checkpoint capture under the
+    fork start method.  Records come back in task order as they finish.
     """
 
     name = "pool"
 
-    def __init__(self, app: ErrorTolerantApp, config) -> None:
-        super().__init__(app, config)
+    #: Map chunks per worker: enough to balance a hang-heavy chunk
+    #: against the others.
+    CHUNKS_PER_WORKER = 16
+    #: Most runs in one map chunk.  Each work item costs about 2 kB in
+    #: this process and 0.4 ms of transfer (94,000 no-op items on a 2-CPU
+    #: host), which big sweeps feel; a chunk's records return together.
+    MAX_CHUNK = 16
+
+    def __init__(self, apps, config) -> None:
+        super().__init__(apps, config)
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def start(self) -> None:
         if self._pool is None:
-            # Warm first: the initializer ships the app as it is now.
-            self._warm()
-            # Never spawn more workers than a cell has runs: each idle
-            # worker would still pay interpreter spawn + warm-app
-            # deserialization in the initializer for nothing.
+            # Warm first: the workers get the applications as they are now.
+            super().start()
             self._pool = ProcessPoolExecutor(
-                max_workers=max(1, min(self.config.parallel, self.config.runs)),
+                max_workers=self.config.parallel,
                 initializer=_campaign_worker_init,
-                initargs=(self.app, self.config),
+                initargs=(self.apps, self.config),
             )
 
-    def run(self, tasks: Sequence[RunTask]) -> List[RunRecord]:
+    def run(self, tasks: Sequence[RunTask]) -> Iterator[RunRecord]:
         if self._pool is None:
             self.start()
         tasks = list(tasks)
-        workers = max(1, self.config.parallel)
-        chunksize = max(1, len(tasks) // (workers * 4))
-        return list(self._pool.map(_campaign_worker_run, tasks,
-                                   chunksize=chunksize))
+        chunksize = max(1, min(self.MAX_CHUNK,
+                               len(tasks) // (self.config.parallel
+                                              * self.CHUNKS_PER_WORKER)))
+        return self._pool.map(_campaign_worker_run, tasks,
+                              chunksize=chunksize)
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+            pool, self._pool = self._pool, None
+            # Queued tasks are cancelled, so an interrupted sweep waits
+            # only for the runs already in flight.
+            with _interrupts_held():
+                pool.shutdown(cancel_futures=True)

@@ -75,7 +75,9 @@ import threading
 import time
 import warnings
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.outcomes import RunRecord
 from ..sim import ProtectionMode
@@ -258,13 +260,17 @@ def decode_config(data: Dict):
 
 
 def encode_tasks(tasks: Sequence[RunTask]) -> List[List]:
-    """Run tasks as JSON-safe triples (mode by its enum value)."""
+    """Run tasks as JSON-safe triples (mode by its enum value).
+
+    The application is the session's, named once in its ``init`` frame.
+    """
     return [[run_index, errors, mode.value]
-            for run_index, errors, mode in tasks]
+            for _app_name, run_index, errors, mode in tasks]
 
 
-def decode_tasks(data: Sequence[Sequence]) -> List[RunTask]:
-    return [(int(run_index), int(errors), ProtectionMode(mode))
+def decode_tasks(data: Sequence[Sequence], app_name: str) -> List[RunTask]:
+    """The run tasks of a ``run`` frame, naming the session's application."""
+    return [(app_name, int(run_index), int(errors), ProtectionMode(mode))
             for run_index, errors, mode in data]
 
 
@@ -532,23 +538,26 @@ class _WorkerConnection:
 class _WorkerSlot:
     """Executor-side state of one worker address across (re)connects."""
 
-    def __init__(self, address: str) -> None:
+    def __init__(self, address: str, stats: Dict[str, int]) -> None:
         self.address = address
         self.connection: Optional[_WorkerConnection] = None
         #: False once the reconnect budget is exhausted for the current
         #: ``run`` call; a later call starts fresh.
         self.alive = True
-        self.stats = {"chunks_ok": 0, "retries": 0, "reconnects": 0,
-                      "failures": 0}
+        #: The address's transport counters, kept across wire sessions.
+        self.stats = stats
 
 
 class SocketExecutor(Executor):
     """Shards campaign cells in chunks over TCP to remote worker processes.
 
     ``config.workers`` lists the ``host:port`` addresses of running
-    ``python -m repro.exec.worker`` processes.  Each cell's tasks are cut
-    into ``~4 x len(workers)`` contiguous chunks and pulled from a shared
-    queue by one dispatcher thread per worker, so the shard assignment
+    ``python -m repro.exec.worker`` processes.  The handshake names one
+    application, so each run of same-application tasks gets its own wire
+    session: switching applications closes the connections and dials the
+    fleet again for the next one.  A session's tasks are cut into ``~4 x
+    len(workers)`` contiguous chunks and pulled from a shared queue by
+    one dispatcher thread per worker, so the shard assignment
     load-balances while the assembled record stream stays in task order.
 
     Failure model (details in the module docstring): hung workers are
@@ -576,11 +585,14 @@ class SocketExecutor(Executor):
     RECONNECT_CAP = 8.0
     RECONNECT_ATTEMPTS = 4
 
-    def __init__(self, app, config, connect_timeout: float = 30.0,
+    def __init__(self, apps, config, connect_timeout: float = 30.0,
                  heartbeat_interval: Optional[float] = None,
                  reconnect_attempts: Optional[int] = None,
                  reconnect_base: Optional[float] = None) -> None:
-        super().__init__(app, config)
+        super().__init__(apps, config)
+        #: The application of the open wire session (``None`` before
+        #: ``start`` and after ``close``).
+        self.app = None
         self.connect_timeout = connect_timeout
         self.heartbeat_interval = (heartbeat_interval
                                    if heartbeat_interval is not None
@@ -592,6 +604,8 @@ class SocketExecutor(Executor):
                                if reconnect_base is not None
                                else self.RECONNECT_BASE)
         self._slots: List[_WorkerSlot] = []
+        #: Transport counters by worker address, across wire sessions.
+        self._stats: Dict[str, Dict[str, int]] = {}
         self._lock = threading.Lock()
         self._local_only = False
         self._fallback_runs = 0
@@ -648,16 +662,14 @@ class SocketExecutor(Executor):
             return
         raise last_error
 
-    def start(self) -> None:
-        """Warm the application, then probe every configured worker once.
+    def _slot(self, address: str) -> _WorkerSlot:
+        return _WorkerSlot(address, self._stats.setdefault(
+            address, {"chunks_ok": 0, "retries": 0, "reconnects": 0,
+                      "failures": 0}))
 
-        Addresses that fail to connect are *not* dropped — their
-        dispatchers retry with backoff during :meth:`run` — but a fleet
-        with zero reachable workers at startup is almost always a
-        configuration problem, so it degrades (or fails) immediately
-        rather than after a full backoff cycle per address.
-        """
-        if self._slots or self._local_only:
+    def start(self) -> None:
+        """Warm the applications, then open the first one's session."""
+        if self.app is not None:
             return
         if not self.config.workers:
             raise ValueError("SocketExecutor requires CampaignConfig.workers")
@@ -665,7 +677,25 @@ class SocketExecutor(Executor):
             parse_worker_address(address)  # malformed addresses fail fast
         # Chunk deadlines read the goldens' watchdog budgets.
         self._warm()
-        slots = [_WorkerSlot(address) for address in self.config.workers]
+        self._open_session(next(iter(self.apps.values())))
+
+    def _open_session(self, app) -> None:
+        """Probe every configured worker once with a session for ``app``.
+
+        Addresses that fail to connect are *not* dropped — their
+        dispatchers retry with backoff during :meth:`run` — but a fleet
+        with zero reachable workers at startup is almost always a
+        configuration problem, so it degrades (or fails) immediately
+        rather than after a full backoff cycle per address.  Each session
+        starts undegraded, with its own fallback warning.
+        """
+        if app is self.app:
+            return
+        self._close_session()
+        self.app = app
+        self._local_only = False
+        self._fallback_warned = False
+        slots = [self._slot(address) for address in self.config.workers]
         startup_errors: List[Tuple[str, Exception]] = []
         for slot in slots:
             try:
@@ -686,8 +716,9 @@ class SocketExecutor(Executor):
                 )
             self._degrade(f"no workers reachable at startup ({detail})")
 
-    def _refresh_fleet(self) -> None:
-        """Fold newly-registered workers into the fleet.
+    def _refresh_fleet(self) -> List[_WorkerSlot]:
+        """Fold newly-registered workers into the fleet; returns their
+        new slots.
 
         Existing slots (and their stats/backoff state) are kept — a
         worker that fell out of the registry merely stops getting new
@@ -695,12 +726,13 @@ class SocketExecutor(Executor):
         mid-chunk.  Malformed or duplicate addresses are skipped.
         """
         if self.fleet_source is None or self._local_only:
-            return
+            return []
         try:
             addresses = list(self.fleet_source())
         except Exception:  # noqa: BLE001 — a flaky registry must not
-            return         # kill a healthy campaign
+            return []      # kill a healthy campaign
         known = {slot.address for slot in self._slots}
+        added = []
         for address in addresses:
             if address in known:
                 continue
@@ -708,7 +740,10 @@ class SocketExecutor(Executor):
                 parse_worker_address(address)
             except ValueError:
                 continue
-            self._slots.append(_WorkerSlot(address))
+            known.add(address)
+            added.append(self._slot(address))
+        self._slots.extend(added)
+        return added
 
     def _degrade(self, reason: str) -> None:
         """Switch this executor to local in-process execution, loudly."""
@@ -738,7 +773,7 @@ class SocketExecutor(Executor):
         if self.config.chunk_timeout is not None:
             return self.config.chunk_timeout
         total_budget = 0
-        for run_index, _errors, _mode in chunk:
+        for _app_name, run_index, _errors, _mode in chunk:
             seed = self.config.workload_seed_for(run_index)
             total_budget += self.app.golden(seed).watchdog_budget
         return max(60.0, 4.0 * total_budget
@@ -747,15 +782,24 @@ class SocketExecutor(Executor):
     # ------------------------------------------------------------------
     # Dispatch.
     # ------------------------------------------------------------------
-    def run(self, tasks: Sequence[RunTask]) -> List[RunRecord]:
-        if not self._slots and not self._local_only:
+    def run(self, tasks: Sequence[RunTask]) -> Iterator[RunRecord]:
+        if self.app is None:
             self.start()
+        for app_name, group in groupby(tasks, key=itemgetter(0)):
+            self._open_session(self.apps[app_name])
+            yield from self._run_session(list(group))
+
+    def _run_session(self, tasks: List[RunTask]) -> Iterator[RunRecord]:
+        """Execute tasks of the open session's application.
+
+        Records are yielded in task order, each chunk's as soon as it and
+        every earlier chunk have finished, so the caller can persist them
+        while the fleet works on the rest.
+        """
         self._refresh_fleet()
-        tasks = list(tasks)
-        if not tasks:
-            return []
         if self._local_only:
-            return self._run_locally(tasks)
+            yield from self._run_locally(tasks)
+            return
         for slot in self._slots:
             slot.alive = True
         chunk_size = max(1, -(-len(tasks) // (len(self._slots)
@@ -772,11 +816,22 @@ class SocketExecutor(Executor):
         task_errors: List[WorkerTaskError] = []
         fatal: List[Exception] = []
         stop = threading.Event()
+        # Signalled (under ``self._lock``) when a chunk finishes or a
+        # dispatcher exits.
+        arrived = threading.Condition(self._lock)
         # One poisonous chunk (e.g. one that reproducibly crashes the
         # worker *process*) must not ping-pong around the fleet forever.
         max_attempts = max(3, 2 * len(self._slots))
 
         def dispatch(slot: _WorkerSlot) -> None:
+            try:
+                serve(slot)
+            finally:
+                with arrived:
+                    running[0] -= 1
+                    arrived.notify_all()
+
+        def serve(slot: _WorkerSlot) -> None:
             while not stop.is_set():
                 try:
                     index = pending.get(timeout=0.05)
@@ -842,8 +897,9 @@ class SocketExecutor(Executor):
                             RuntimeWarning, stacklevel=2,
                         )
                         records = self._run_locally(chunks[index])
-                        with self._lock:
+                        with arrived:
                             results[index] = records
+                            arrived.notify_all()
                     try:
                         self._reconnect(slot, stop)
                     except HandshakeError as handshake_exc:
@@ -857,19 +913,45 @@ class SocketExecutor(Executor):
                             slot.alive = False
                         return
                 else:
-                    with self._lock:
+                    with arrived:
                         results[index] = records
                         slot.stats["chunks_ok"] += 1
+                        arrived.notify_all()
 
-        threads = [threading.Thread(target=dispatch, args=(slot,),
-                                    daemon=True)
-                   for slot in self._slots if slot.connection is not None
-                   or slot.alive]
-        for thread in threads:
+        threads: List[threading.Thread] = []
+        running = [0]
+
+        def launch(slot: _WorkerSlot) -> None:
+            thread = threading.Thread(target=dispatch, args=(slot,),
+                                      daemon=True)
+            with arrived:
+                running[0] += 1
+            threads.append(thread)
             thread.start()
-        for thread in threads:
-            thread.join()
-        stop.set()
+
+        for slot in self._slots:
+            launch(slot)
+        emitted = 0
+        try:
+            while emitted < len(chunks):
+                with arrived:
+                    while emitted not in results and running[0]:
+                        arrived.wait()
+                    chunk = results.get(emitted)
+                if chunk is None:
+                    break  # every dispatcher is gone
+                yield from chunk
+                emitted += 1
+                # Workers that registered meanwhile join at this chunk
+                # boundary.
+                for slot in self._refresh_fleet():
+                    launch(slot)
+        finally:
+            # Also reached when the caller stops early: dispatchers finish
+            # their current chunk and exit.
+            stop.set()
+            for thread in threads:
+                thread.join()
 
         if task_errors:
             raise task_errors[0]
@@ -895,8 +977,8 @@ class SocketExecutor(Executor):
                           f"failures: {detail or 'none reported'}")
             for index in missing:
                 results[index] = self._run_locally(chunks[index])
-        return [record for index in range(len(chunks))
-                for record in results[index]]
+        for index in range(emitted, len(chunks)):
+            yield from results[index]
 
     def _run_locally(self, tasks: Sequence[RunTask]) -> List[RunRecord]:
         """Degraded mode: execute tasks in-process, bit-identically."""
@@ -917,12 +999,16 @@ class SocketExecutor(Executor):
         """
         with self._lock:
             return {
-                "workers": {slot.address: dict(slot.stats)
-                            for slot in self._slots},
+                "workers": {address: dict(stats)
+                            for address, stats in self._stats.items()},
                 "fallback_runs": self._fallback_runs,
             }
 
-    def close(self) -> None:
+    def _close_session(self) -> None:
         for slot in self._slots:
             self._drop_connection(slot)
         self._slots = []
+
+    def close(self) -> None:
+        self._close_session()
+        self.app = None

@@ -228,7 +228,7 @@ def _handle_session(connection: socket.socket,
             _refuse(connection, f"unexpected {frame['kind']!r} frame")
             return
         try:
-            tasks = decode_tasks(frame["tasks"])
+            tasks = decode_tasks(frame["tasks"], app.name)
         except (KeyError, TypeError, ValueError) as exc:
             _refuse(connection, f"undecodable run frame: {exc}")
             return

@@ -13,13 +13,13 @@ count or stopping rule) are pinned in ``meta.json``, and its coverage
 parameters select the grid cells (:meth:`CampaignSpec.cells`).
 
 Resumability is the point: the orchestrator plans each cell as the set of
-run indices *missing* from the store, executes them in chunks through
-whatever executor backend the campaign config selects (in-process, local
-process pool, or TCP workers on other hosts), and appends each chunk to
-disk as it completes.  Kill it anywhere — even mid-cell, even mid-write —
-and a later invocation (with any backend) recomputes only the runs whose
-records never landed, producing a store byte-identical to an
-uninterrupted serial sweep.
+run indices *missing* from the store, hands every missing run of the
+sweep to one executor of whatever backend the campaign config selects
+(in-process, local process pool, or TCP workers on other hosts), and
+appends each cell's records to disk in chunks as they arrive.  Kill it
+anywhere — even mid-cell, even mid-write — and a later invocation (with
+any backend) recomputes only the runs whose records never landed,
+producing a store byte-identical to an uninterrupted serial sweep.
 
 Two planning modes share that machinery:
 
@@ -47,6 +47,7 @@ resulting store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Type, Union)
 
@@ -157,7 +158,8 @@ class SweepOrchestrator:
 
     ``spec`` says which campaign; ``campaign`` says how to execute it and
     must be derived as ``spec.campaign_config(**execution)`` (the default
-    is ``spec.campaign_config()``: in-process, fork engine).
+    is ``spec.campaign_config()``: fork engine, one worker process per
+    usable CPU).
     """
 
     def __init__(self, store: ShardStore, spec: CampaignSpec,
@@ -190,12 +192,12 @@ class SweepOrchestrator:
             )
         self.chunk_size = chunk_size
         self._progress = progress
-        #: Called with each executor backend right after construction,
+        #: Called with the executor backend right after construction,
         #: before it starts.  The campaign service uses this to count
-        #: executor start-ups (a fully cached campaign constructs none)
-        #: and to hand the socket executor its dynamic ``fleet_source``
-        #: — per-invocation wiring that must not live in
-        #: ``CampaignConfig``, whose fields travel the wire.
+        #: executor start-ups (one for any sweep with work, none for a
+        #: fully cached campaign) and to hand the socket executor its
+        #: dynamic ``fleet_source`` — per-invocation wiring that must not
+        #: live in ``CampaignConfig``, whose fields travel the wire.
         self.on_executor = on_executor
 
     def _pin_meta(self) -> None:
@@ -255,21 +257,9 @@ class SweepOrchestrator:
         each status carries the rule's convergence verdict plus the
         persisted failure-rate CI half-width.
         """
-        rule = self.spec.stopping
-        if rule is not None:
-            statuses = []
-            for cell in self.plan():
-                done, catastrophic, acceptable = self._cell_counts(cell)
-                interval = (wilson_interval(catastrophic, done,
-                                            rule.confidence)
-                            if done else None)
-                statuses.append(SweepStatus(
-                    cell=cell, done=done, total=rule.cap,
-                    converged=rule.satisfied(done, catastrophic, acceptable),
-                    ci_half_width=(interval.half_width
-                                   if interval is not None else None),
-                ))
-            return statuses
+        if self.spec.stopping is not None:
+            return [self._adaptive_status(cell, self._cell_counts(cell))
+                    for cell in self.plan()]
         runs = self.campaign_config.runs
         return [
             SweepStatus(
@@ -281,87 +271,121 @@ class SweepOrchestrator:
             for cell in self.plan()
         ]
 
-    def run(self) -> SweepReport:
-        """Execute every missing run of the grid, chunk by chunk.
+    def _adaptive_status(self, cell: SweepCell,
+                         counts: Tuple[int, int, int]) -> SweepStatus:
+        """Status of an adaptive cell with persisted ``(total,
+        catastrophic, acceptable)`` counts."""
+        rule = self.spec.stopping
+        done, catastrophic, acceptable = counts
+        interval = (wilson_interval(catastrophic, done, rule.confidence)
+                    if done else None)
+        return SweepStatus(
+            cell=cell, done=done, total=rule.cap,
+            converged=rule.satisfied(done, catastrophic, acceptable),
+            ci_half_width=(interval.half_width
+                           if interval is not None else None),
+        )
 
-        Cells are grouped by application so one warm executor (and one
-        memoized golden run) serves all of an app's cells; each completed
-        chunk is appended to the store before the next starts, bounding
-        the work an interruption can lose to ``chunk_size`` runs.
+    def run(self) -> SweepReport:
+        """Execute every missing run of the grid through one executor.
+
+        The planning pass reads each cell's shard once.  One executor,
+        built with the applications that have pending cells, then serves
+        the whole sweep: a fixed sweep hands it every missing run in one
+        ``run`` call and appends each cell's records in chunks of
+        ``chunk_size`` as they arrive, so an interruption loses only runs
+        not yet appended — those in flight on the backend and the
+        unfilled part of the chunk being collected.
 
         In adaptive mode a cell's "missing" runs are not a fixed set:
         after each chunk the stopping rule re-evaluates the cell, and
         only the records up to the cell's canonical convergence point are
         persisted (see :meth:`_run_adaptive_cell`).
+
+        The report's statuses come from the planning pass plus what the
+        run appended, not from a second read of the store.
         """
         self._pin_meta()
         report = SweepReport()
         cells = self.plan()
         report.cells_total = len(cells)
-        by_app: Dict[str, List[SweepCell]] = {}
-        for cell in cells:
-            by_app.setdefault(cell.app_name, []).append(cell)
-
         rule = self.spec.stopping
         runs = self.campaign_config.runs
-        suite: Optional[Dict[str, ErrorTolerantApp]] = None
-        for app_name, app_cells in by_app.items():
-            pending: List[Tuple[SweepCell, List[int]]] = []
-            adaptive_counts: Dict[SweepCell, Tuple[int, int, int]] = {}
+        statuses: Dict[SweepCell, SweepStatus] = {}
+        fixed: List[Tuple[SweepCell, List[int]]] = []
+        adaptive: List[Tuple[SweepCell, Tuple[int, int, int]]] = []
+        for cell in cells:
             if rule is not None:
-                for cell in app_cells:
-                    counts = self._cell_counts(cell)
-                    report.runs_reused += counts[0]
-                    if rule.satisfied(*counts):
-                        report.cells_skipped += 1
-                    else:
-                        adaptive_counts[cell] = counts
-                        pending.append((cell, []))
+                counts = self._cell_counts(cell)
+                report.runs_reused += counts[0]
+                statuses[cell] = self._adaptive_status(cell, counts)
+                if statuses[cell].complete:
+                    report.cells_skipped += 1
+                else:
+                    adaptive.append((cell, counts))
             else:
-                for cell in app_cells:
-                    missing = self.store.missing_indices(
-                        cell.app_name, cell.mode, cell.errors, runs)
-                    report.runs_reused += runs - len(missing)
-                    if missing:
-                        pending.append((cell, missing))
-                    else:
-                        report.cells_skipped += 1
-            if not pending:
-                continue
-            if suite is None:
-                suite = SUITES[self.spec.suite]()
-            executor = create_executor(suite[app_name], self.campaign_config)
+                missing = self.store.missing_indices(
+                    cell.app_name, cell.mode, cell.errors, runs)
+                report.runs_reused += runs - len(missing)
+                statuses[cell] = SweepStatus(cell=cell,
+                                             done=runs - len(missing),
+                                             total=runs)
+                if missing:
+                    fixed.append((cell, missing))
+                else:
+                    report.cells_skipped += 1
+
+        if fixed or adaptive:
+            suite = SUITES[self.spec.suite]()
+            apps = [suite[name] for name in dict.fromkeys(
+                cell.app_name for cell, _ in fixed + adaptive)]
+            pending_runs = (sum(len(missing) for _, missing in fixed)
+                            + sum(rule.cap - counts[0]
+                                  for _, counts in adaptive))
+            executor = create_executor(apps, self.campaign_config,
+                                       pending=pending_runs)
             if self.on_executor is not None:
                 # Post-construction, pre-start: the hook may attach
                 # per-invocation wiring (e.g. a dynamic fleet source)
                 # that the executor reads when it starts.
                 self.on_executor(executor)
             with executor:
-                for cell, missing in pending:
-                    if rule is not None:
-                        self._run_adaptive_cell(executor, cell,
-                                                adaptive_counts[cell], report)
-                        continue
-                    done = runs - len(missing)
-                    for chunk in _chunks(missing, self.chunk_size):
-                        records = executor.run(_tasks(cell, chunk))
-                        self.store.append_records(cell.app_name, cell.mode,
-                                                  cell.errors, records)
-                        report.runs_executed += len(records)
-                        done += len(records)
-                        self._report(
-                            f"{cell.app_name} {cell.mode.value} "
-                            f"e={cell.errors}: {done}/{runs}"
-                        )
+                self._run_fixed(executor, fixed, statuses, report)
+                for cell, counts in adaptive:
+                    counts = self._run_adaptive_cell(executor, cell, counts,
+                                                     report)
+                    statuses[cell] = self._adaptive_status(cell, counts)
                 self._collect_fleet(executor, report)
-        report.statuses = self.status()
+        report.statuses = [statuses[cell] for cell in cells]
         return report
+
+    def _run_fixed(self, executor: Executor,
+                   pending: List[Tuple[SweepCell, List[int]]],
+                   statuses: Dict[SweepCell, SweepStatus],
+                   report: SweepReport) -> None:
+        """Run every missing run of ``pending`` in one executor call and
+        append each cell's records, chunk by chunk, as they arrive."""
+        runs = self.campaign_config.runs
+        records = iter(executor.run([task for cell, missing in pending
+                                     for task in _tasks(cell, missing)]))
+        for cell, missing in pending:
+            status = statuses[cell]
+            for chunk in _chunks(missing, self.chunk_size):
+                batch = list(islice(records, len(chunk)))
+                self.store.append_records(cell.app_name, cell.mode,
+                                          cell.errors, batch)
+                report.runs_executed += len(batch)
+                status.done += len(batch)
+                self._report(
+                    f"{cell.app_name} {cell.mode.value} "
+                    f"e={cell.errors}: {status.done}/{runs}"
+                )
 
     def _collect_fleet(self, executor, report: SweepReport) -> None:
         """Fold one executor's fleet-health counters into the report/store.
 
         Collected *inside* the executor context (connections are still
-        accounted), once per application group.  In-process backends have
+        accounted), once per sweep.  In-process backends have
         no ``fleet_stats`` and are skipped; all-zero fleets are too, so
         purely local sweeps never grow a ``fleet.json``.
         """
@@ -385,8 +409,9 @@ class SweepOrchestrator:
 
     def _run_adaptive_cell(self, executor: Executor, cell: SweepCell,
                            counts: Tuple[int, int, int],
-                           report: SweepReport) -> None:
-        """Append runs to one cell until the stopping rule is satisfied.
+                           report: SweepReport) -> Tuple[int, int, int]:
+        """Append runs to one cell until the stopping rule is satisfied;
+        returns the cell's final ``(total, catastrophic, acceptable)``.
 
         ``counts`` is the cell's persisted ``(total, catastrophic,
         acceptable)`` tally the planning pass already read — re-reading
@@ -404,8 +429,8 @@ class SweepOrchestrator:
         rule = self.spec.stopping
         total, catastrophic, acceptable = counts
         while not rule.satisfied(total, catastrophic, acceptable):
-            chunk = executor.run(_tasks(cell, range(
-                total, min(total + self.chunk_size, rule.cap))))
+            chunk = list(executor.run(_tasks(cell, range(
+                total, min(total + self.chunk_size, rule.cap)))))
             keep: List[RunRecord] = []
             for record in chunk:
                 keep.append(record)
@@ -425,10 +450,12 @@ class SweepOrchestrator:
                 f"{total} runs, failure CI ±{width:.2f} "
                 f"(target ±{rule.ci_width:.2f}, cap {rule.cap})"
             )
+        return total, catastrophic, acceptable
 
 
 def _tasks(cell: SweepCell, run_indices: Iterable[int]) -> List[RunTask]:
-    return [(run_index, cell.errors, cell.mode) for run_index in run_indices]
+    return [(cell.app_name, run_index, cell.errors, cell.mode)
+            for run_index in run_indices]
 
 
 def _chunks(items: Sequence[int], size: int) -> Iterable[List[int]]:

@@ -70,9 +70,9 @@ def live_campaign(app: ErrorTolerantApp, config: CampaignConfig, errors: int,
     Runs ``config.runs`` executions of ``app`` with ``errors`` injected
     bit flips in ``mode`` on the executor backend ``config`` resolves to.
     """
-    with create_executor(app, config) as executor:
-        records = executor.run([(run_index, errors, mode)
-                                for run_index in range(config.runs)])
+    with create_executor([app], config, pending=config.runs) as executor:
+        records = list(executor.run([(app.name, run_index, errors, mode)
+                                     for run_index in range(config.runs)]))
     return CampaignResult(app_name=app.name, mode=mode,
                           errors_requested=errors, records=records)
 

@@ -56,13 +56,13 @@ HTTP API (all JSON; see ``docs/ARCHITECTURE.md`` for the full table)::
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 import time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core import MissingCellError, ShardStore
+from ..core.campaign import usable_cpus
 from ..exec import SocketExecutor, parse_worker_address
 from .http import HttpError, Request, Response, read_request, split_path
 from .journal import JOURNAL_FILENAME, JobJournal, ReplayedJob
@@ -76,12 +76,12 @@ PROGRESS_TAIL = 50
 
 
 def default_lanes() -> int:
-    """Default scheduler width: one lane per core, capped at four.
+    """Default scheduler width: one lane per usable CPU, capped at four.
 
     The cap keeps a laptop-sized default; operators with wide machines
     and disjoint-store workloads raise it with ``serve --lanes N``.
     """
-    return max(1, min(4, os.cpu_count() or 1))
+    return max(1, min(4, usable_cpus()))
 
 
 class WorkerRegistry:
@@ -145,7 +145,7 @@ class Job:
         #: is the cache-semantics contract: a fully cached job completes
         #: with 0 here and 0 ``executors_started``.
         self.report: Dict = {}
-        #: Executor backends the job actually started — 0 for cache hits.
+        #: Executor backends the job started: 0 for cache hits, 1 otherwise.
         self.executors_started = 0
         #: Scheduler lane the job last ran on (``None`` until started).
         self.lane: Optional[int] = None
@@ -213,6 +213,8 @@ class CampaignService:
     locks).  ``execution`` carries default execution options for every
     job (engine, chunk size, worker secret, ...) — never
     record-determining parameters, which come from each job's spec.
+    Jobs run in their lane's thread (``parallel=1``) unless ``execution``
+    says otherwise: the lanes already take the cores.
     """
 
     def __init__(self, root, *, worker_ttl: float = DEFAULT_WORKER_TTL,
@@ -224,7 +226,7 @@ class CampaignService:
         self.root = Path(root)
         self.registry = WorkerRegistry(ttl=worker_ttl)
         self.secret = secret
-        self.execution = dict(execution or {})
+        self.execution = {"parallel": 1, **(execution or {})}
         self.lanes = default_lanes() if lanes is None else int(lanes)
         if self.lanes < 1:
             raise ValueError(f"--lanes must be >= 1, got {self.lanes}")

@@ -16,6 +16,7 @@ import pytest
 
 from repro.apps import create_app
 from repro.core import CampaignConfig
+from repro.core.campaign import usable_cpus
 from repro.exec import (
     PoolExecutor,
     SerialExecutor,
@@ -85,7 +86,33 @@ class TestExecutorResolution:
         config = CampaignConfig(runs=4, workers=workers, parallel=parallel,
                                 engine=engine)
         assert resolve_executor_name(config) == backend.name
-        assert type(create_executor(adpcm, config)) is backend
+        assert type(create_executor([adpcm], config)) is backend
+
+    def test_default_parallel_is_the_usable_cpu_count(self, adpcm):
+        config = CampaignConfig(runs=4)
+        assert config.parallel == usable_cpus()
+        backend = PoolExecutor if usable_cpus() > 1 else SerialExecutor
+        assert resolve_executor_name(config) == backend.name
+        assert type(create_executor([adpcm], config)) is backend
+
+    def test_one_usable_cpu_runs_serially(self, adpcm, monkeypatch):
+        """The affinity mask, not the machine, sets the defaults: on one
+        usable CPU a default config is serial and the daemon gets one
+        lane."""
+        from repro.service.daemon import default_lanes
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert resolve_executor_name(CampaignConfig(runs=4)) == "serial"
+        assert default_lanes() == 1
+
+    def test_pending_runs_cap_the_pool_width(self, adpcm):
+        config = CampaignConfig(runs=4, parallel=4)
+        assert create_executor([adpcm], config, pending=3).config.parallel == 3
+        assert type(create_executor([adpcm], config, pending=1)) \
+            is SerialExecutor
+        assert type(create_executor([adpcm], config, pending=8)) \
+            is PoolExecutor
 
     def test_parse_worker_address(self):
         assert parse_worker_address("host:7006") == ("host", 7006)
@@ -167,36 +194,41 @@ class TestWarmStart:
         ({"engine": "batch"}, True),
         ({"engine": "decoded"}, False),
         ({"engine": "fork", "model": "memory-bit"}, False),
-        ({"engine": "fork", "parallel": 2}, False),
-    ], ids=["fork", "batch", "decoded", "memory-bit", "pool"])
+        ({"engine": "fork", "parallel": 2}, True),
+        ({"engine": "decoded", "parallel": 2}, False),
+    ], ids=["fork", "batch", "decoded", "memory-bit", "pool",
+            "pool-decoded"])
     def test_start_warms_the_campaign_goldens(self, options, checkpoints):
         """Entering an executor caches the golden run of every workload
-        seed, plus its checkpoint store exactly when the runs fork
-        in-process."""
-        app = create_app("adpcm", samples=300)
-        config = CampaignConfig(runs=3, workloads=2, **options)
-        with create_executor(app, config):
-            assert sorted(app._goldens) == [0, 1]
-            built = app.golden(0).checkpoint_store is not None
-        assert built is checkpoints
+        seed of every application, plus its checkpoint store exactly when
+        injected runs fork — a pool warms both before its workers start,
+        so they inherit them."""
+        apps = [create_app("adpcm", samples=300), create_app("gsm", frames=2)]
+        config = CampaignConfig(runs=3, workloads=2,
+                                **{"parallel": 1, **options})
+        with create_executor(apps, config):
+            for app in apps:
+                assert sorted(app._goldens) == [0, 1]
+                built = app.golden(0).checkpoint_store is not None
+                assert built is checkpoints
 
 
 class TestSerialExecutor:
     def test_matches_run_campaign(self, adpcm, serial_records):
         config = CampaignConfig(runs=5, base_seed=11)
-        with SerialExecutor(adpcm, config) as executor:
-            records = executor.run(
-                [(index, 4, ProtectionMode.PROTECTED) for index in range(5)]
-            )
+        with SerialExecutor([adpcm], config) as executor:
+            records = list(executor.run(
+                [("adpcm", index, 4, ProtectionMode.PROTECTED)
+                 for index in range(5)]))
         assert records == serial_records
 
     def test_subset_of_indices(self, adpcm, serial_records):
         """Partial cells (the resume path) reproduce exactly those records."""
         config = CampaignConfig(runs=5, base_seed=11)
-        with SerialExecutor(adpcm, config) as executor:
-            records = executor.run(
-                [(index, 4, ProtectionMode.PROTECTED) for index in (1, 3)]
-            )
+        with SerialExecutor([adpcm], config) as executor:
+            records = list(executor.run(
+                [("adpcm", index, 4, ProtectionMode.PROTECTED)
+                 for index in (1, 3)]))
         assert records == [serial_records[1], serial_records[3]]
 
     @pytest.mark.parametrize("engine", ["fork", "batch", "decoded"])
@@ -209,11 +241,11 @@ class TestSerialExecutor:
         from repro.sim import Machine
 
         config = CampaignConfig(runs=3, base_seed=11, engine=engine)
-        tasks = [(0, 0, ProtectionMode.PROTECTED),
-                 (1, 0, ProtectionMode.UNPROTECTED),
-                 (2, 4, ProtectionMode.NONE)]
+        tasks = [("adpcm", 0, 0, ProtectionMode.PROTECTED),
+                 ("adpcm", 1, 0, ProtectionMode.UNPROTECTED),
+                 ("adpcm", 2, 4, ProtectionMode.NONE)]
         expected = []
-        for run_index, errors, mode in tasks:
+        for _app_name, run_index, errors, mode in tasks:
             seed = config.workload_seed_for(run_index)
             machine = Machine(adpcm.program())
             adpcm.apply_workload(machine, adpcm.workload(seed))
@@ -226,7 +258,7 @@ class TestSerialExecutor:
 
         monkeypatch.setattr(Machine, "run", no_simulation)
         assert exec_base.make_records(adpcm, config, tasks) == expected
-        assert [exec_base.make_record(adpcm, config, *task)
+        assert [exec_base.make_record(adpcm, config, *task[1:])
                 for task in tasks] == expected
 
 
@@ -274,17 +306,18 @@ class TestBatchEngine:
         degrades to decoded with identical records."""
         import warnings
 
-        tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(4)]
+        tasks = [("adpcm", index, 4, ProtectionMode.PROTECTED)
+                 for index in range(4)]
         config = CampaignConfig(runs=4, base_seed=11, engine="batch",
                                 model="memory-bit")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with SerialExecutor(adpcm, config) as executor:
-                records = executor.run(tasks)
+            with SerialExecutor([adpcm], config) as executor:
+                records = list(executor.run(tasks))
         reference = CampaignConfig(runs=4, base_seed=11, engine="decoded",
                                    model="memory-bit")
-        with SerialExecutor(adpcm, reference) as executor:
-            expected = executor.run(tasks)
+        with SerialExecutor([adpcm], reference) as executor:
+            expected = list(executor.run(tasks))
         assert records == expected
 
 
@@ -293,6 +326,100 @@ class TestPoolExecutor:
         config = CampaignConfig(runs=5, base_seed=11, parallel=2)
         cell = live_campaign(adpcm, config, 4, ProtectionMode.PROTECTED)
         assert cell.records == serial_records
+
+    def test_close_cancels_queued_tasks(self, adpcm, monkeypatch):
+        """An interrupted sweep must not wait for every queued run."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        calls = []
+        shutdown = ProcessPoolExecutor.shutdown
+
+        def recording_shutdown(pool, *args, **kwargs):
+            calls.append(kwargs)
+            return shutdown(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "shutdown",
+                            recording_shutdown)
+        config = CampaignConfig(runs=4, base_seed=11, parallel=2)
+        with PoolExecutor([adpcm], config) as executor:
+            records = executor.run([("adpcm", index, 4,
+                                     ProtectionMode.PROTECTED)
+                                    for index in range(40)])
+            next(records)
+        assert calls == [{"cancel_futures": True}]
+
+    def test_interrupt_during_close_still_stops_the_workers(self, adpcm,
+                                                            monkeypatch):
+        """A second Ctrl-C while the pool shuts down is held until the
+        workers are stopped; abandoning them hangs the interpreter at
+        exit."""
+        import multiprocessing
+        import signal
+        from concurrent.futures import ProcessPoolExecutor
+
+        shutdown = ProcessPoolExecutor.shutdown
+
+        def interrupted_shutdown(pool, *args, **kwargs):
+            os.kill(os.getpid(), signal.SIGINT)
+            return shutdown(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "shutdown",
+                            interrupted_shutdown)
+        config = CampaignConfig(runs=4, base_seed=11, parallel=2)
+        with pytest.raises(KeyboardInterrupt):
+            with PoolExecutor([adpcm], config) as executor:
+                next(executor.run([("adpcm", index, 4,
+                                    ProtectionMode.PROTECTED)
+                                   for index in range(8)]))
+        assert multiprocessing.active_children() == []
+
+
+def _two_app_tasks():
+    """Tasks that cross application boundaries, back and forth."""
+    return ([("adpcm", index, 2, ProtectionMode.PROTECTED)
+             for index in range(3)]
+            + [("gsm", index, 4, ProtectionMode.UNPROTECTED)
+               for index in range(3)]
+            + [("adpcm", index, 0, ProtectionMode.UNPROTECTED)
+               for index in range(2)])
+
+
+@pytest.fixture(scope="module")
+def two_app_records():
+    """Each task's record, built on its own in-process."""
+    from repro.exec.base import make_record
+
+    apps = {"adpcm": create_app("adpcm", samples=300),
+            "gsm": create_app("gsm", frames=2)}
+    config = CampaignConfig(runs=3, base_seed=5, parallel=1)
+    return [make_record(apps[name], config, *task)
+            for name, *task in _two_app_tasks()]
+
+
+class TestTaskOrder:
+    """One executor serves several applications; ``run`` yields records
+    in task order across application boundaries on every backend."""
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_local_backends(self, two_app_records, parallel):
+        apps = [create_app("adpcm", samples=300), create_app("gsm", frames=2)]
+        config = CampaignConfig(runs=3, base_seed=5, parallel=parallel)
+        with create_executor(apps, config) as executor:
+            assert executor.name == ("pool" if parallel > 1 else "serial")
+            assert list(executor.run(_two_app_tasks())) == two_app_records
+
+    def test_socket_switches_sessions_between_apps(self, two_app_records,
+                                                   worker_addresses):
+        apps = [create_app("adpcm", samples=300), create_app("gsm", frames=2)]
+        config = CampaignConfig(runs=3, base_seed=5,
+                                workers=tuple(worker_addresses))
+        with create_executor(apps, config) as executor:
+            records = list(executor.run(_two_app_tasks()))
+            stats = executor.fleet_stats()
+        assert records == two_app_records
+        assert stats["fallback_runs"] == 0
+        assert sum(counters["chunks_ok"]
+                   for counters in stats["workers"].values()) > 0
 
 
 class TestSocketExecutor:
@@ -308,19 +435,43 @@ class TestSocketExecutor:
         """One executor session shards a whole sweep, cell after cell."""
         config = CampaignConfig(runs=4, base_seed=23,
                                 workers=tuple(worker_addresses))
-        cells = [[(index, errors, ProtectionMode.UNPROTECTED)
+        cells = [[("adpcm", index, errors, ProtectionMode.UNPROTECTED)
                   for index in range(4)] for errors in (0, 2, 6)]
-        with create_executor(adpcm, config) as executor:
-            socket_records = [executor.run(tasks) for tasks in cells]
+        with create_executor([adpcm], config) as executor:
+            socket_records = [list(executor.run(tasks)) for tasks in cells]
         reference = CampaignConfig(runs=4, base_seed=23)
-        with SerialExecutor(adpcm, reference) as executor:
-            serial_records = [executor.run(tasks) for tasks in cells]
+        with SerialExecutor([adpcm], reference) as executor:
+            serial_records = [list(executor.run(tasks)) for tasks in cells]
         assert socket_records == serial_records
+
+    def test_workers_registered_mid_session_join(self, adpcm, serial_records,
+                                                 worker_addresses):
+        """The fleet source is re-queried at every chunk boundary, not
+        only when a session opens: a daemon job's single ``run`` call
+        still picks up workers that register while it runs."""
+        config = CampaignConfig(runs=5, base_seed=11,
+                                workers=(worker_addresses[0],))
+        queries = []
+
+        def fleet():
+            queries.append(len(queries))
+            return list(worker_addresses[:1 + (len(queries) > 1)])
+
+        executor = SocketExecutor([adpcm], config, reconnect_base=0.01)
+        executor.fleet_source = fleet
+        with executor:
+            records = list(executor.run(
+                [("adpcm", index, 4, ProtectionMode.PROTECTED)
+                 for index in range(5)]))
+            stats = executor.fleet_stats()
+        assert records == serial_records
+        assert len(queries) > 1
+        assert sorted(stats["workers"]) == sorted(worker_addresses)
 
     def test_connect_failure_is_reported_without_fallback(self, adpcm):
         config = CampaignConfig(runs=2,
                                 workers=("127.0.0.1:1",), fallback=False)
-        executor = SocketExecutor(adpcm, config, connect_timeout=0.5)
+        executor = SocketExecutor([adpcm], config, connect_timeout=0.5)
         with pytest.raises(OSError, match="no socket workers reachable"):
             executor.start()
 
@@ -332,12 +483,15 @@ class TestSocketExecutor:
 
         config = CampaignConfig(runs=5, base_seed=11,
                                 workers=("127.0.0.1:1",))
-        tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(5)]
+        tasks = [("adpcm", index, 4, ProtectionMode.PROTECTED)
+                 for index in range(5)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with SocketExecutor(adpcm, config, connect_timeout=0.5) as executor:
-                records = executor.run(tasks)
-                again = executor.run(tasks)  # still local, still no new warning
+            with SocketExecutor([adpcm], config,
+                                connect_timeout=0.5) as executor:
+                records = list(executor.run(tasks))
+                # Still local, still no new warning.
+                again = list(executor.run(tasks))
                 stats = executor.fleet_stats()
         fleet_warnings = [w for w in caught
                           if "falling back to local" in str(w.message)]
@@ -391,7 +545,7 @@ class TestSocketRobustness:
         kwargs.setdefault("heartbeat_interval", 0.2)
         kwargs.setdefault("reconnect_attempts", 1)
         kwargs.setdefault("reconnect_base", 0.01)
-        return SocketExecutor(app, config, **kwargs)
+        return SocketExecutor([app], config, **kwargs)
 
     def test_hung_worker_is_detected_and_degraded_around(self, adpcm,
                                                          serial_records):
@@ -417,12 +571,13 @@ class TestSocketRobustness:
         hung = _ScriptedWorker(accept_chunk_then_hang)
         config = CampaignConfig(runs=5, base_seed=11,
                                 workers=(hung.address,))
-        tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(5)]
+        tasks = [("adpcm", index, 4, ProtectionMode.PROTECTED)
+                 for index in range(5)]
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with self._fast_executor(adpcm, config) as executor:
-                    records = executor.run(tasks)
+                    records = list(executor.run(tasks))
                     stats = executor.fleet_stats()
         finally:
             hung.close()
@@ -447,11 +602,12 @@ class TestSocketRobustness:
         hung = _ScriptedWorker(accept_chunk_then_hang)
         config = CampaignConfig(runs=5, base_seed=11,
                                 workers=(hung.address,), fallback=False)
-        tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(5)]
+        tasks = [("adpcm", index, 4, ProtectionMode.PROTECTED)
+                 for index in range(5)]
         try:
             with self._fast_executor(adpcm, config) as executor:
                 with pytest.raises(FleetLostError, match="fallback disabled"):
-                    executor.run(tasks)
+                    list(executor.run(tasks))
         finally:
             hung.close()
 
@@ -505,7 +661,7 @@ class TestSocketRobustness:
         try:
             with pytest.raises(HandshakeError, match="requires a shared "
                                                      "secret"):
-                SocketExecutor(adpcm, config).start()
+                SocketExecutor([adpcm], config).start()
         finally:
             process.terminate()
             process.wait(timeout=10)
@@ -518,7 +674,7 @@ class TestSocketRobustness:
                                 workers=(address,), worker_secret="wrong")
         try:
             with pytest.raises(HandshakeError, match="HMAC verification"):
-                SocketExecutor(adpcm, config).start()
+                SocketExecutor([adpcm], config).start()
         finally:
             process.terminate()
             process.wait(timeout=10)
@@ -528,10 +684,11 @@ class TestSocketRobustness:
         process, address = _spawn_worker("--secret", "sesame")
         config = CampaignConfig(runs=5, base_seed=11,
                                 workers=(address,), worker_secret="sesame")
-        tasks = [(index, 4, ProtectionMode.PROTECTED) for index in range(5)]
+        tasks = [("adpcm", index, 4, ProtectionMode.PROTECTED)
+                 for index in range(5)]
         try:
-            with SocketExecutor(adpcm, config) as executor:
-                assert executor.run(tasks) == serial_records
+            with SocketExecutor([adpcm], config) as executor:
+                assert list(executor.run(tasks)) == serial_records
         finally:
             process.terminate()
             process.wait(timeout=10)
@@ -544,7 +701,7 @@ class TestSocketRobustness:
                                 workers=(worker_addresses[0],),
                                 worker_secret="sesame")
         with pytest.raises(HandshakeError, match="did not authenticate"):
-            SocketExecutor(adpcm, config).start()
+            SocketExecutor([adpcm], config).start()
 
 
 class TestWireFraming:

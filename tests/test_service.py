@@ -431,7 +431,7 @@ class TestServiceSmoke:
         # folds it in as a fresh slot — the mechanism that lets workers
         # register mid-campaign and join at the next chunk boundary.
         spec = CampaignSpec(runs_per_cell=4, base_seed=23)
-        executor = SocketExecutor(small_suite()["susan"],
+        executor = SocketExecutor([small_suite()["susan"]],
                                   spec.campaign_config())
         fleet = []
         executor.fleet_source = lambda: list(fleet)

@@ -89,11 +89,16 @@ def run_sweep(root, campaign=None, chunk_size=2, progress=None, **overrides):
     return orchestrator, orchestrator.run()
 
 
+#: In-process execution options: the serial reference every default
+#: (pool, on a multi-CPU host) sweep is compared against.
+SERIAL = SPEC.campaign_config(parallel=1)
+
+
 @pytest.fixture(scope="module")
 def reference_store(tmp_path_factory):
     """The uninterrupted serial sweep every other store is compared against."""
     root = tmp_path_factory.mktemp("reference-store")
-    _, report = run_sweep(root)
+    _, report = run_sweep(root, campaign=SERIAL)
     assert report.runs_executed == 6 * 4
     return ShardStore(root)
 
@@ -247,6 +252,115 @@ class TestResumableSweep:
         assert store_bytes(ShardStore(root)) == store_bytes(reference_store)
 
 
+#: Three applications, so the pool sweep crosses application boundaries.
+THREE_APPS = {"apps": ("adpcm", "gsm", "mcf"), "errors": (0, 3)}
+
+
+@pytest.fixture(scope="module")
+def three_app_serial_store(tmp_path_factory):
+    """A serial three-application sweep appended in chunks of three."""
+    root = tmp_path_factory.mktemp("three-app-serial")
+    _, report = run_sweep(root, campaign=SERIAL, chunk_size=3, **THREE_APPS)
+    assert report.runs_executed == 3 * 4 * 4
+    return ShardStore(root)
+
+
+class TestSweepPool:
+    """One process pool serves the whole sweep, fed every pending run."""
+
+    POOL = SPEC.campaign_config(parallel=2)
+
+    def test_one_pool_per_sweep(self, tmp_path, monkeypatch,
+                                three_app_serial_store):
+        from repro.exec import local
+
+        widths = []
+        pool_class = local.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            widths.append(kwargs["max_workers"])
+            return pool_class(*args, **kwargs)
+
+        monkeypatch.setattr(local, "ProcessPoolExecutor", counting_pool)
+        root = tmp_path / "pool"
+        _, report = run_sweep(root, campaign=self.POOL, chunk_size=3,
+                              **THREE_APPS)
+        assert widths == [2]
+        assert report.runs_executed == 3 * 4 * 4
+        assert store_bytes(ShardStore(root)) == store_bytes(
+            three_app_serial_store)
+
+    def test_interrupted_pool_sweep_resumes_bit_identically(
+            self, tmp_path, three_app_serial_store):
+        root = tmp_path / "interrupted"
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(root, campaign=self.POOL, chunk_size=3,
+                      progress=_InterruptAfter(1), **THREE_APPS)
+        interrupted = ShardStore(root)
+        assert len(store_bytes(interrupted)) == 2  # meta.json + one shard
+        _, resumed = run_sweep(root, campaign=self.POOL, chunk_size=3,
+                               **THREE_APPS)
+        assert resumed.runs_executed == 3 * 4 * 4 - 3
+        assert store_bytes(interrupted) == store_bytes(three_app_serial_store)
+
+    def test_one_pending_run_runs_serially(self, tmp_path, reference_store):
+        """The pool width is min(parallel, pending runs); 1 is serial."""
+        import shutil
+
+        root = tmp_path / "one-missing"
+        shutil.copytree(reference_store.root, root)
+        shard = ShardStore(root).shard_path("adpcm",
+                                            ProtectionMode.PROTECTED, 2)
+        lines = shard.read_bytes().splitlines(keepends=True)
+        shard.write_bytes(b"".join(lines[:-1]))
+        backends = []
+        orchestrator = SweepOrchestrator(
+            ShardStore(root), SPEC, self.POOL,
+            on_executor=lambda executor: backends.append(executor.name))
+        assert orchestrator.run().runs_executed == 1
+        assert backends == ["serial"]
+        assert store_bytes(ShardStore(root)) == store_bytes(reference_store)
+
+
+class TestReportStatuses:
+    """A submit reads each cell's shard once: the report's statuses come
+    from the planning pass plus what the run appended."""
+
+    def test_cached_resubmit_reads_each_cell_once(self, tmp_path,
+                                                  monkeypatch,
+                                                  reference_store):
+        import shutil
+
+        root = tmp_path / "cached"
+        shutil.copytree(reference_store.root, root)
+        reads = []
+        load_records = ShardStore.load_records
+
+        def counting_load(store, app_name, mode, errors):
+            reads.append((app_name, mode, errors))
+            return load_records(store, app_name, mode, errors)
+
+        monkeypatch.setattr(ShardStore, "load_records", counting_load)
+        _, report = run_sweep(root)
+        assert report.runs_executed == 0
+        assert len(reads) == len(set(reads)) == report.cells_total == 6
+
+    @pytest.mark.parametrize("kind", ["fixed", "adaptive", "partial"])
+    def test_statuses_match_a_fresh_status_read(self, tmp_path, kind):
+        root = tmp_path / kind
+        if kind == "adaptive":
+            orchestrator, report = run_adaptive(root)
+        else:
+            if kind == "partial":
+                # Sweep part of the grid first, then all of it.
+                run_sweep(root, campaign=SERIAL, errors=(2,))
+            orchestrator, report = run_sweep(root)
+        assert report.statuses == orchestrator.status()
+        assert all(status.complete for status in report.statuses)
+        if kind == "partial":
+            assert report.runs_reused == 2 * 4
+
+
 #: Stopping rule for the adaptive tests: at ±25pp a clean (all-completed
 #: or all-failed) cell converges at 4 runs, comfortably inside the cap.
 ADAPTIVE_RULE = StoppingRule(ci_width=25.0, floor=2, cap=8)
@@ -262,7 +376,8 @@ def run_adaptive(root, campaign=None, chunk_size=2, progress=None,
 def adaptive_reference(tmp_path_factory):
     """The uninterrupted serial adaptive sweep the others are compared to."""
     root = tmp_path_factory.mktemp("adaptive-reference")
-    run_adaptive(root)
+    run_adaptive(root, campaign=dataclasses.replace(
+        SPEC, stopping=ADAPTIVE_RULE).campaign_config(parallel=1))
     return ShardStore(root)
 
 
