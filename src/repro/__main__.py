@@ -274,9 +274,8 @@ def _cmd_sweep(args) -> int:
     execution = {} if args.parallel is None else {"parallel": args.parallel}
     job = api_submit(
         spec, store, progress=progress, chunk_size=args.chunk_size,
-        engine=args.engine,
-        workers=tuple(args.workers or ()), worker_secret=args.secret,
-        chunk_timeout=args.chunk_timeout, fallback=not args.no_fallback,
+        engine=args.engine, workers=tuple(args.workers or ()),
+        worker_secret=args.secret, fallback=not args.no_fallback,
         **execution,
     )
     if args.json:
@@ -490,11 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "handshake; must match the workers' --secret "
                             "(default: unauthenticated, loopback fleets "
                             "only)")
-    sweep.add_argument("--chunk-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="hard wall-clock deadline per remote chunk "
-                            "(default: derived from the runs' watchdog "
-                            "budgets)")
     sweep.add_argument("--no-fallback", action="store_true",
                        help="abort (resumably) instead of degrading to "
                             "local execution when the whole worker fleet "

@@ -184,9 +184,6 @@ class ArtApp(ErrorTolerantApp):
     # ------------------------------------------------------------------
     # Workload.
     # ------------------------------------------------------------------
-    def _windows_per_row(self) -> int:
-        return (self.image_size - self.window_size) // self.stride + 1
-
     def generate_workload(self, seed: int) -> Dict[str, Any]:
         image, placements = thermal_image_with_objects(
             self.image_size, self.image_size, self.window_size, object_count=2, seed=seed)

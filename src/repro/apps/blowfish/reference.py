@@ -113,10 +113,3 @@ class BlowfishReference:
             left, right = self.encrypt_block(words[index], words[index + 1])
             output.extend([_signed(left), _signed(right)])
         return output
-
-    def decrypt_words(self, words: Sequence[int]) -> List[int]:
-        output: List[int] = []
-        for index in range(0, len(words), 2):
-            left, right = self.decrypt_block(words[index], words[index + 1])
-            output.extend([_signed(left), _signed(right)])
-        return output

@@ -48,12 +48,6 @@ class ControlFlowGraph:
     def block_instructions(self, block: BasicBlock) -> List[Instruction]:
         return self.program.instructions[block.start:block.end]
 
-    def entry_block(self) -> BasicBlock:
-        return self.blocks[self.block_of_index[self.program.entry_index]]
-
-    def blocks_of_function(self, name: str) -> List[BasicBlock]:
-        return [block for block in self.blocks if block.function == name]
-
     def successors(self, block: BasicBlock) -> List[BasicBlock]:
         return [self.blocks[s] for s in block.successors]
 

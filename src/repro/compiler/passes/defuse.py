@@ -117,11 +117,6 @@ class DefUseInfo:
     #: Analysis options (same knobs as the tagging pass's transfer).
     options: Dict[str, bool]
 
-    def defined_register(self, index: int) -> Optional[Reg]:
-        """The register defined at ``index`` (None for non-writing ops)."""
-        defs = self.program.instructions[index].defs()
-        return defs[0] if defs else None
-
     def tagged_sites(
         self,
         respect_eligibility: bool = True,

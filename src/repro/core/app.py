@@ -126,7 +126,7 @@ class ErrorTolerantApp(abc.ABC):
     def wire_params(self) -> Dict[str, Any]:
         """Constructor kwargs that rebuild this instance via the registry.
 
-        The socket executor's v2 wire protocol ships ``(name,
+        The socket executor's wire protocol ships ``(name,
         wire_params())`` instead of a serialized object, and the worker
         calls ``create_app(name, **params)`` — so any subclass whose
         constructor takes workload-shaping parameters must return them

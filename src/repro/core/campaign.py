@@ -86,10 +86,6 @@ class CampaignConfig:
     #: mutual).  Must match the workers' ``--secret``; ``None`` skips
     #: authentication (loopback fleets).  Never sent over the wire.
     worker_secret: Optional[str] = None
-    #: Hard wall-clock deadline (seconds) for one remote chunk.  ``None``
-    #: derives a generous deadline from the chunk's watchdog budgets; set
-    #: it explicitly to bound tail latency on known-fast campaigns.
-    chunk_timeout: Optional[float] = None
     #: When the socket fleet shrinks to zero mid-sweep: ``True`` (default)
     #: degrades to local in-process execution with one loud warning —
     #: records stay bit-identical; ``False`` aborts the sweep with
@@ -125,11 +121,6 @@ class CampaignConfig:
             # workload and writes the same records.  Existing callers (the
             # end-to-end benchmark among them) still ask for it by name.
             self.engine = "fork"
-        if self.chunk_timeout is not None and self.chunk_timeout <= 0:
-            raise ValueError(
-                f"CampaignConfig.chunk_timeout must be > 0 (or None for "
-                f"watchdog-derived deadlines), got {self.chunk_timeout}"
-            )
         get_model(self.model)  # raises ValueError on unknown model names
         if self.engine == "reference" and self.model != "control-bit":
             raise ValueError(

@@ -211,18 +211,6 @@ class CampaignResult:
         """Wilson interval around :attr:`failure_percent`."""
         return self._rate_ci(self.catastrophic_runs, confidence)
 
-    def crash_ci(self, confidence: float = 0.95) -> Optional[ConfidenceInterval]:
-        """Wilson interval around :attr:`crash_percent`."""
-        return self._rate_ci(self.crash_runs, confidence)
-
-    def hang_ci(self, confidence: float = 0.95) -> Optional[ConfidenceInterval]:
-        """Wilson interval around :attr:`hang_percent`."""
-        return self._rate_ci(self.hang_runs, confidence)
-
-    def completed_ci(self, confidence: float = 0.95) -> Optional[ConfidenceInterval]:
-        """Wilson interval around :attr:`completed_percent`."""
-        return self._rate_ci(self.completed_runs, confidence)
-
     def acceptable_ci(self, confidence: float = 0.95) -> Optional[ConfidenceInterval]:
         """Wilson interval around :attr:`acceptable_percent`."""
         return self._rate_ci(self.acceptable_runs, confidence)

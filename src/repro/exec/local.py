@@ -10,7 +10,7 @@ from typing import Dict, Iterator, Optional, Sequence
 
 from ..core.app import ErrorTolerantApp
 from ..core.outcomes import RunRecord
-from .base import Executor, RunTask, make_record, make_records
+from .base import Executor, RunTask, chunk_size, make_record, make_records
 
 
 class SerialExecutor(Executor):
@@ -28,7 +28,7 @@ class SerialExecutor(Executor):
         # One task per call: each record reaches the caller, and so the
         # store, as soon as it exists.
         for task in tasks:
-            yield from make_records(self.apps[task[0]], self.config, [task])
+            yield from make_records(self.apps, self.config, [task])
 
 
 # ----------------------------------------------------------------------
@@ -92,14 +92,6 @@ class PoolExecutor(Executor):
 
     name = "pool"
 
-    #: Map chunks per worker: enough to balance a hang-heavy chunk
-    #: against the others.
-    CHUNKS_PER_WORKER = 16
-    #: Most runs in one map chunk.  Each work item costs about 2 kB in
-    #: this process and 0.4 ms of transfer (94,000 no-op items on a 2-CPU
-    #: host), which big sweeps feel; a chunk's records return together.
-    MAX_CHUNK = 16
-
     def __init__(self, apps, config) -> None:
         super().__init__(apps, config)
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -118,11 +110,9 @@ class PoolExecutor(Executor):
         if self._pool is None:
             self.start()
         tasks = list(tasks)
-        chunksize = max(1, min(self.MAX_CHUNK,
-                               len(tasks) // (self.config.parallel
-                                              * self.CHUNKS_PER_WORKER)))
-        return self._pool.map(_campaign_worker_run, tasks,
-                              chunksize=chunksize)
+        return self._pool.map(
+            _campaign_worker_run, tasks,
+            chunksize=chunk_size(len(tasks), self.config.parallel))
 
     def close(self) -> None:
         if self._pool is not None:

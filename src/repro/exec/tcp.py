@@ -1,9 +1,9 @@
 """TCP campaign executor: shard run tasks over sockets to remote workers.
 
-Wire protocol v2 — versioned, **non-executable**, length-prefixed JSON
+Wire protocol v3 — versioned, **non-executable**, length-prefixed JSON
 frames.  Nothing on the wire can make either peer execute code: the init
-payload names an application from the registry instead of shipping an
-object, and records travel in their deterministic
+payload names applications from the registry instead of shipping
+objects, and records travel in their deterministic
 :meth:`~repro.core.outcomes.RunRecord.to_json` form (the same codec the
 shard store writes to disk).
 
@@ -22,10 +22,11 @@ Frame table (``kind`` / direction / payload):
 ``welcome``      wkr→exec   ``protocol``, ``nonce``, ``auth`` (HMAC hex or null)
 ``auth``         exec→wkr   ``mac`` (HMAC hex or null)
 ``ready``        wkr→exec   —  (handshake complete)
-``init``         exec→wkr   ``app`` ({``name``, ``params``}), ``config``
+``init``         exec→wkr   ``apps`` (``[{name, params}, ...]``), ``config``
                             (CampaignConfig fields), ``heartbeat`` (seconds)
-``init-ok``      wkr→exec   —  (application constructed)
-``run``          exec→wkr   ``tasks`` (``[[run_index, errors, mode], ...]``)
+``init-ok``      wkr→exec   —  (applications constructed)
+``run``          exec→wkr   ``tasks``
+                            (``[[app, run_index, errors, mode], ...]``)
 ``heartbeat``    wkr→exec   —  (sent while a chunk is computing)
 ``records``      wkr→exec   ``records`` (``[RunRecord.to_json(), ...]``)
 ``error``        wkr→exec   ``message`` (handshake refusal or chunk traceback)
@@ -43,18 +44,18 @@ instead of being retried.
 
 Liveness: workers emit ``heartbeat`` frames while a chunk computes, so
 the executor distinguishes a *slow* worker from a *hung* one — a
-connection that stays silent for ``heartbeat_interval x
-heartbeat_misses`` seconds times out, its chunk is requeued, and the
+connection that stays silent for ``HEARTBEAT_INTERVAL x
+HEARTBEAT_MISSES`` seconds times out, its chunk is requeued, and the
 dispatcher reconnects with exponential backoff (a worker restart is a
 delay, not a permanent eviction).  Every chunk additionally carries a
-hard deadline — ``CampaignConfig.chunk_timeout`` when set, else derived
-from the watchdog budgets of the chunk's runs — so even a worker that
-heartbeats forever cannot stall a cell indefinitely.
+hard deadline derived from the watchdog budgets of its runs, so even a
+worker that heartbeats forever cannot stall a sweep indefinitely.
 
-Degradation: when every worker of the fleet is gone mid-cell, the
-executor falls back to local in-process execution with one loud
+Degradation: when no worker is reachable at start, or every worker of
+the fleet is gone mid-sweep, the executor falls back to local in-process
+execution for the rest of its lifetime, with one loud
 :class:`RuntimeWarning` (``CampaignConfig.fallback=False`` /
-``--no-fallback`` raises :class:`FleetLostError` instead).  Because every
+``--no-fallback`` raises instead).  Because every
 injection plan is a pure function of ``(base_seed, run_index, errors,
 model)``, the record stream — and therefore the shard store — stays
 byte-identical whichever path produced it (asserted against chaos
@@ -75,21 +76,19 @@ import threading
 import time
 import warnings
 import zlib
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.outcomes import RunRecord
 from ..sim import ProtectionMode
-from .base import Executor, RunTask, make_records
+from .base import Executor, RunTask, chunk_size, make_records
 
 #: Version spoken by this module; peers must match exactly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Frame header: payload length (u64) and payload CRC32 (u32), big-endian.
 _HEADER = struct.Struct(">QI")
 
-#: Safety cap on a single frame.  The v2 payloads are small (the largest —
+#: Safety cap on a single frame.  The payloads are small (the largest —
 #: a chunk of records — is bounded by the orchestrator's chunk size), so
 #: anything near this limit is a protocol error, not a big campaign.
 MAX_FRAME_BYTES = 1 << 26
@@ -260,18 +259,15 @@ def decode_config(data: Dict):
 
 
 def encode_tasks(tasks: Sequence[RunTask]) -> List[List]:
-    """Run tasks as JSON-safe triples (mode by its enum value).
-
-    The application is the session's, named once in its ``init`` frame.
-    """
-    return [[run_index, errors, mode.value]
-            for _app_name, run_index, errors, mode in tasks]
+    """Run tasks as JSON-safe lists (mode by its enum value)."""
+    return [[app_name, run_index, errors, mode.value]
+            for app_name, run_index, errors, mode in tasks]
 
 
-def decode_tasks(data: Sequence[Sequence], app_name: str) -> List[RunTask]:
-    """The run tasks of a ``run`` frame, naming the session's application."""
-    return [(app_name, int(run_index), int(errors), ProtectionMode(mode))
-            for run_index, errors, mode in data]
+def decode_tasks(data: Sequence[Sequence]) -> List[RunTask]:
+    """The run tasks of a ``run`` frame."""
+    return [(str(app_name), int(run_index), int(errors), ProtectionMode(mode))
+            for app_name, run_index, errors, mode in data]
 
 
 def encode_records(records: Sequence[RunRecord]) -> List[Dict]:
@@ -353,12 +349,11 @@ def parse_listen_address(address: str) -> Tuple[str, int]:
 
 
 class _WorkerConnection:
-    """One authenticated protocol-v2 session with a remote worker."""
+    """One authenticated wire session with a remote worker."""
 
-    def __init__(self, address: str, app, config, timeout: float,
+    def __init__(self, address: str, apps, config, timeout: float,
                  heartbeat_interval: float) -> None:
         self.address = address
-        self.heartbeat_interval = heartbeat_interval
         self.sock = socket.create_connection(parse_worker_address(address),
                                              timeout=timeout)
         try:
@@ -370,7 +365,8 @@ class _WorkerConnection:
             self._handshake(config.worker_secret)
             send_frame(self.sock, {
                 "kind": "init",
-                "app": {"name": app.name, "params": app.wire_params()},
+                "apps": [{"name": app.name, "params": app.wire_params()}
+                         for app in apps],
                 "config": encode_config(config),
                 "heartbeat": heartbeat_interval,
             })
@@ -462,7 +458,7 @@ class _WorkerConnection:
     # Chunk execution.
     # ------------------------------------------------------------------
     def run_chunk(self, tasks: Sequence[RunTask], frame_timeout: float,
-                  deadline: Optional[float]) -> List[RunRecord]:
+                  deadline: float) -> List[RunRecord]:
         """Execute one chunk remotely, supervising liveness.
 
         ``frame_timeout`` bounds the silence between any two frames
@@ -472,22 +468,19 @@ class _WorkerConnection:
         requeues the chunk.
         """
         send_frame(self.sock, {"kind": "run", "tasks": encode_tasks(tasks)})
-        limit = (time.monotonic() + deadline) if deadline else None
+        limit = time.monotonic() + deadline
         while True:
-            wait = frame_timeout
-            if limit is not None:
-                remaining = limit - time.monotonic()
-                if remaining <= 0:
-                    raise ChunkDeadlineError(
-                        f"worker {self.address}: chunk of {len(tasks)} "
-                        f"run(s) exceeded its {deadline:.0f}s deadline"
-                    )
-                wait = min(wait, remaining)
-            self.sock.settimeout(wait)
+            remaining = limit - time.monotonic()
+            if remaining <= 0:
+                raise ChunkDeadlineError(
+                    f"worker {self.address}: chunk of {len(tasks)} "
+                    f"run(s) exceeded its {deadline:.0f}s deadline"
+                )
+            self.sock.settimeout(min(frame_timeout, remaining))
             try:
                 frame = recv_frame(self.sock)
             except socket.timeout as exc:
-                if limit is not None and time.monotonic() >= limit:
+                if time.monotonic() >= limit:
                     raise ChunkDeadlineError(
                         f"worker {self.address}: chunk of {len(tasks)} "
                         f"run(s) exceeded its {deadline:.0f}s deadline"
@@ -541,23 +534,20 @@ class _WorkerSlot:
     def __init__(self, address: str, stats: Dict[str, int]) -> None:
         self.address = address
         self.connection: Optional[_WorkerConnection] = None
-        #: False once the reconnect budget is exhausted for the current
-        #: ``run`` call; a later call starts fresh.
-        self.alive = True
         #: The address's transport counters, kept across wire sessions.
         self.stats = stats
 
 
 class SocketExecutor(Executor):
-    """Shards campaign cells in chunks over TCP to remote worker processes.
+    """Shards campaign run tasks in chunks over TCP to remote workers.
 
     ``config.workers`` lists the ``host:port`` addresses of running
-    ``python -m repro.exec.worker`` processes.  The handshake names one
-    application, so each run of same-application tasks gets its own wire
-    session: switching applications closes the connections and dials the
-    fleet again for the next one.  A session's tasks are cut into ``~4 x
-    len(workers)`` contiguous chunks and pulled from a shared queue by
-    one dispatcher thread per worker, so the shard assignment
+    ``python -m repro.exec.worker`` processes.  ``start`` opens one wire
+    session per worker for the executor's lifetime; its ``init`` frame
+    names every application of the executor, so one session serves every
+    task of the sweep.  Each ``run`` call cuts its tasks into chunks
+    (:func:`~repro.exec.base.chunk_size`) that one dispatcher thread per
+    worker pulls from a shared queue, so the shard assignment
     load-balances while the assembled record stream stays in task order.
 
     Failure model (details in the module docstring): hung workers are
@@ -565,15 +555,15 @@ class SocketExecutor(Executor):
     workers are re-dialled with exponential backoff; chunks lost to
     either are requeued for the surviving workers (with a per-chunk
     attempt cap so one poisonous chunk cannot loop forever); and a fleet
-    that shrinks to zero degrades to local in-process execution — with
-    one loud warning — unless ``config.fallback`` is off.
+    that shrinks to zero degrades to local in-process execution for the
+    rest of the executor's lifetime — with one loud warning — unless
+    ``config.fallback`` is off.
     """
 
     name = "socket"
 
-    #: Chunks queued per worker: small enough to amortize round-trips,
-    #: large enough that a slow worker cannot stall the whole cell.
-    CHUNKS_PER_WORKER = 4
+    #: Seconds a connect and its handshake may take.
+    CONNECT_TIMEOUT = 30.0
     #: Seconds between worker heartbeats while a chunk computes.
     HEARTBEAT_INTERVAL = DEFAULT_HEARTBEAT_INTERVAL
     #: Missed heartbeats before a silent connection is declared hung.
@@ -585,31 +575,14 @@ class SocketExecutor(Executor):
     RECONNECT_CAP = 8.0
     RECONNECT_ATTEMPTS = 4
 
-    def __init__(self, apps, config, connect_timeout: float = 30.0,
-                 heartbeat_interval: Optional[float] = None,
-                 reconnect_attempts: Optional[int] = None,
-                 reconnect_base: Optional[float] = None) -> None:
+    def __init__(self, apps, config) -> None:
         super().__init__(apps, config)
-        #: The application of the open wire session (``None`` before
-        #: ``start`` and after ``close``).
-        self.app = None
-        self.connect_timeout = connect_timeout
-        self.heartbeat_interval = (heartbeat_interval
-                                   if heartbeat_interval is not None
-                                   else self.HEARTBEAT_INTERVAL)
-        self.reconnect_attempts = (reconnect_attempts
-                                   if reconnect_attempts is not None
-                                   else self.RECONNECT_ATTEMPTS)
-        self.reconnect_base = (reconnect_base
-                               if reconnect_base is not None
-                               else self.RECONNECT_BASE)
         self._slots: List[_WorkerSlot] = []
         #: Transport counters by worker address, across wire sessions.
         self._stats: Dict[str, Dict[str, int]] = {}
         self._lock = threading.Lock()
         self._local_only = False
         self._fallback_runs = 0
-        self._fallback_warned = False
         #: Optional zero-argument callable returning the *current* worker
         #: addresses (the campaign daemon passes its registry's ``live``).
         #: Re-queried before every :meth:`run` call, so workers that dial
@@ -623,12 +596,12 @@ class SocketExecutor(Executor):
     # Connection management.
     # ------------------------------------------------------------------
     def _frame_timeout(self) -> float:
-        return max(1.0, self.heartbeat_interval * self.HEARTBEAT_MISSES)
+        return max(1.0, self.HEARTBEAT_INTERVAL * self.HEARTBEAT_MISSES)
 
     def _connect(self, slot: _WorkerSlot) -> None:
         slot.connection = _WorkerConnection(
-            slot.address, self.app, self.config, self.connect_timeout,
-            self.heartbeat_interval,
+            slot.address, self.apps.values(), self.config,
+            self.CONNECT_TIMEOUT, self.HEARTBEAT_INTERVAL,
         )
 
     def _drop_connection(self, slot: _WorkerSlot) -> None:
@@ -645,8 +618,8 @@ class SocketExecutor(Executor):
         """
         last_error: Exception = ConnectionError(
             f"worker {slot.address}: no reconnect attempts configured")
-        for attempt in range(self.reconnect_attempts):
-            delay = min(self.reconnect_base * (2 ** attempt),
+        for attempt in range(self.RECONNECT_ATTEMPTS):
+            delay = min(self.RECONNECT_BASE * (2 ** attempt),
                         self.RECONNECT_CAP)
             if stop.wait(delay):
                 raise ConnectionError("executor shutting down")
@@ -668,8 +641,15 @@ class SocketExecutor(Executor):
                       "failures": 0}))
 
     def start(self) -> None:
-        """Warm the applications, then open the first one's session."""
-        if self.app is not None:
+        """Warm the applications, then probe every worker once.
+
+        Addresses that fail to connect are *not* dropped — their
+        dispatchers retry with backoff during :meth:`run` — but a fleet
+        with zero reachable workers at startup is almost always a
+        configuration problem, so it degrades (or fails) immediately
+        rather than after a full backoff cycle per address.
+        """
+        if self._slots or self._local_only:
             return
         if not self.config.workers:
             raise ValueError("SocketExecutor requires CampaignConfig.workers")
@@ -677,24 +657,6 @@ class SocketExecutor(Executor):
             parse_worker_address(address)  # malformed addresses fail fast
         # Chunk deadlines read the goldens' watchdog budgets.
         self._warm()
-        self._open_session(next(iter(self.apps.values())))
-
-    def _open_session(self, app) -> None:
-        """Probe every configured worker once with a session for ``app``.
-
-        Addresses that fail to connect are *not* dropped — their
-        dispatchers retry with backoff during :meth:`run` — but a fleet
-        with zero reachable workers at startup is almost always a
-        configuration problem, so it degrades (or fails) immediately
-        rather than after a full backoff cycle per address.  Each session
-        starts undegraded, with its own fallback warning.
-        """
-        if app is self.app:
-            return
-        self._close_session()
-        self.app = app
-        self._local_only = False
-        self._fallback_warned = False
         slots = [self._slot(address) for address in self.config.workers]
         startup_errors: List[Tuple[str, Exception]] = []
         for slot in slots:
@@ -746,36 +708,33 @@ class SocketExecutor(Executor):
         return added
 
     def _degrade(self, reason: str) -> None:
-        """Switch this executor to local in-process execution, loudly."""
+        """Switch this executor to local in-process execution for the rest
+        of its lifetime, loudly."""
         self._local_only = True
-        if not self._fallback_warned:
-            self._fallback_warned = True
-            warnings.warn(
-                f"socket executor lost its whole worker fleet — falling "
-                f"back to local in-process execution ({reason}); records "
-                f"stay bit-identical but throughput drops to one host",
-                RuntimeWarning, stacklevel=3,
-            )
+        warnings.warn(
+            f"socket executor lost its whole worker fleet — falling "
+            f"back to local in-process execution ({reason}); records "
+            f"stay bit-identical but throughput drops to one host",
+            RuntimeWarning, stacklevel=3,
+        )
 
     # ------------------------------------------------------------------
     # Chunk deadlines.
     # ------------------------------------------------------------------
-    def _chunk_deadline(self, chunk: Sequence[RunTask]) -> Optional[float]:
+    def _chunk_deadline(self, chunk: Sequence[RunTask]) -> float:
         """Hard wall-clock budget for one chunk.
 
-        ``config.chunk_timeout`` when set; otherwise derived from the
-        watchdog budgets of the chunk's runs — a run can execute at most
-        ``watchdog_budget`` instructions, so dividing the chunk's total
-        budget by a very conservative interpret rate (with 4x headroom
-        and a 60s floor) bounds how long a *live* chunk can possibly
-        take.  Anything past that is stuck, heartbeats or not.
+        Derived from the watchdog budgets of the chunk's runs: a run can
+        execute at most its application's ``watchdog_budget``
+        instructions, so dividing the chunk's total budget by a very
+        conservative interpret rate (with 4x headroom and a 60s floor)
+        bounds how long a *live* chunk can possibly take.  Anything past
+        that is stuck, heartbeats or not.
         """
-        if self.config.chunk_timeout is not None:
-            return self.config.chunk_timeout
-        total_budget = 0
-        for _app_name, run_index, _errors, _mode in chunk:
-            seed = self.config.workload_seed_for(run_index)
-            total_budget += self.app.golden(seed).watchdog_budget
+        total_budget = sum(
+            self.apps[app_name].golden(
+                self.config.workload_seed_for(run_index)).watchdog_budget
+            for app_name, run_index, _errors, _mode in chunk)
         return max(60.0, 4.0 * total_budget
                    / ASSUMED_MIN_INSTRUCTIONS_PER_SECOND)
 
@@ -783,29 +742,21 @@ class SocketExecutor(Executor):
     # Dispatch.
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[RunTask]) -> Iterator[RunRecord]:
-        if self.app is None:
-            self.start()
-        for app_name, group in groupby(tasks, key=itemgetter(0)):
-            self._open_session(self.apps[app_name])
-            yield from self._run_session(list(group))
-
-    def _run_session(self, tasks: List[RunTask]) -> Iterator[RunRecord]:
-        """Execute tasks of the open session's application.
+        """Execute ``tasks`` over the fleet.
 
         Records are yielded in task order, each chunk's as soon as it and
         every earlier chunk have finished, so the caller can persist them
         while the fleet works on the rest.
         """
+        self.start()
+        tasks = list(tasks)
         self._refresh_fleet()
         if self._local_only:
             yield from self._run_locally(tasks)
             return
-        for slot in self._slots:
-            slot.alive = True
-        chunk_size = max(1, -(-len(tasks) // (len(self._slots)
-                                              * self.CHUNKS_PER_WORKER)))
-        chunks = [tasks[start:start + chunk_size]
-                  for start in range(0, len(tasks), chunk_size)]
+        size = chunk_size(len(tasks), len(self._slots))
+        chunks = [tasks[start:start + size]
+                  for start in range(0, len(tasks), size)]
 
         pending: "queue.Queue[int]" = queue.Queue()
         for index in range(len(chunks)):
@@ -848,7 +799,7 @@ class SocketExecutor(Executor):
                         self._chunk_deadline(chunks[index]))
                 except WorkerTaskError as exc:
                     # Deterministic application error: retrying elsewhere
-                    # would fail identically.  Abort the cell.
+                    # would fail identically.  Abort the run.
                     pending.put(index)
                     with self._lock:
                         task_errors.append(exc)
@@ -910,7 +861,6 @@ class SocketExecutor(Executor):
                     except (OSError, ProtocolError) as reconnect_exc:
                         with self._lock:
                             failures.append((slot.address, reconnect_exc))
-                            slot.alive = False
                         return
                 else:
                     with arrived:
@@ -960,7 +910,7 @@ class SocketExecutor(Executor):
         missing = [index for index in range(len(chunks))
                    if index not in results]
         if missing:
-            # Fleet lost mid-cell: every dispatcher exhausted its
+            # Fleet lost mid-run: every dispatcher exhausted its
             # reconnect budget with chunks still unfinished.
             for slot in self._slots:
                 self._drop_connection(slot)
@@ -984,7 +934,7 @@ class SocketExecutor(Executor):
         """Degraded mode: execute tasks in-process, bit-identically."""
         with self._lock:
             self._fallback_runs += len(tasks)
-        return make_records(self.app, self.config, tasks)
+        return make_records(self.apps, self.config, tasks)
 
     # ------------------------------------------------------------------
     # Fleet health.
@@ -1004,11 +954,7 @@ class SocketExecutor(Executor):
                 "fallback_runs": self._fallback_runs,
             }
 
-    def _close_session(self) -> None:
+    def close(self) -> None:
         for slot in self._slots:
             self._drop_connection(slot)
         self._slots = []
-
-    def close(self) -> None:
-        self._close_session()
-        self.app = None

@@ -2,8 +2,9 @@
 
 Listens on a TCP port, accepts sessions from a
 :class:`~repro.exec.tcp.SocketExecutor`, and executes the chunks of
-campaign run tasks it is sent (wire protocol v2; frame table in
-:mod:`repro.exec.tcp`).  Start one per host (or per core) you want a
+campaign run tasks it is sent (wire protocol v3; frame table in
+:mod:`repro.exec.tcp`).  One session serves every application its
+``init`` frame names.  Start one per host (or per core) you want a
 distributed sweep to use::
 
     python -m repro.exec.worker --listen 0.0.0.0:7006 --secret S3CR3T
@@ -23,10 +24,10 @@ params)``, so a reconnecting executor does not pay program compilation
 or golden-run warmup again.
 
 .. note:: Security model
-   The v2 wire protocol is **non-executable**: every frame is plain JSON
-   validated against a fixed schema, the init payload names an
-   application from :mod:`repro.apps.registry` rather than shipping a
-   serialized object, and nothing received from the socket is ever
+   The wire protocol is **non-executable**: every frame is plain JSON
+   validated against a fixed schema, the init payload names
+   applications from :mod:`repro.apps.registry` rather than shipping
+   serialized objects, and nothing received from the socket is ever
    deserialized into code, eval'd or imported.  A hostile peer can therefore waste
    this worker's CPU (any registered app, any campaign size) but cannot
    execute code as the worker user.  For fleets crossing a trust
@@ -112,7 +113,7 @@ def _refuse(connection: socket.socket, message: str) -> None:
 
 def _handshake(connection: socket.socket,
                secret: Optional[str]) -> bool:
-    """Run the worker side of the v2 handshake; True when it succeeded."""
+    """Run the worker side of the handshake; True when it succeeded."""
     hello = recv_frame(connection)
     if hello is None:
         return False
@@ -157,7 +158,7 @@ def _handshake(connection: socket.socket,
     return True
 
 
-def _compute_with_heartbeats(connection: socket.socket, app, config, tasks,
+def _compute_with_heartbeats(connection: socket.socket, apps, config, tasks,
                              interval: float) -> Optional[Dict]:
     """Execute one chunk, heartbeating while it runs.
 
@@ -173,7 +174,7 @@ def _compute_with_heartbeats(connection: socket.socket, app, config, tasks,
     def compute() -> None:
         try:
             with _COMPUTE_LOCK:
-                records = make_records(app, config, tasks)
+                records = make_records(apps, config, tasks)
             outcome["reply"] = {
                 "kind": "records",
                 "records": encode_records(records),
@@ -210,9 +211,12 @@ def _handle_session(connection: socket.socket,
         _refuse(connection, f"expected an init frame, got {init['kind']!r}")
         return
     try:
-        app_spec = init["app"]
-        app = _cached_app(str(app_spec["name"]),
-                          dict(app_spec.get("params") or {}))
+        apps = {}
+        for app_spec in init["apps"]:
+            name = str(app_spec["name"])
+            if name in apps:
+                raise ValueError(f"application {name!r} is named twice")
+            apps[name] = _cached_app(name, dict(app_spec.get("params") or {}))
         config = decode_config(init["config"])
     except Exception as exc:  # noqa: BLE001 — refuse with the reason
         _refuse(connection, f"init payload rejected: {exc}")
@@ -228,11 +232,15 @@ def _handle_session(connection: socket.socket,
             _refuse(connection, f"unexpected {frame['kind']!r} frame")
             return
         try:
-            tasks = decode_tasks(frame["tasks"], app.name)
+            tasks = decode_tasks(frame["tasks"])
+            unknown = {name for name, *_ in tasks} - apps.keys()
+            if unknown:
+                raise ValueError(f"application(s) {sorted(unknown)} not "
+                                 f"named in this session's init frame")
         except (KeyError, TypeError, ValueError) as exc:
             _refuse(connection, f"undecodable run frame: {exc}")
             return
-        reply = _compute_with_heartbeats(connection, app, config, tasks,
+        reply = _compute_with_heartbeats(connection, apps, config, tasks,
                                          interval)
         if reply is None:
             return

@@ -11,7 +11,6 @@ single-bit flips, keeping the rest of the library free of bit-twiddling.
 
 from __future__ import annotations
 
-import math
 import struct
 
 INT_BITS = 32
@@ -76,10 +75,3 @@ def flip_value_bit(value, bit: int):
 def value_bit_width(value) -> int:
     """Number of encodable bits of ``value`` under the fault model."""
     return INT_BITS if isinstance(value, int) else FLOAT_BITS
-
-
-def is_finite(value) -> bool:
-    """True when a (possibly corrupted) float value is still finite."""
-    if isinstance(value, int):
-        return True
-    return math.isfinite(value)

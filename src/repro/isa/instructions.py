@@ -13,7 +13,7 @@ instruction encoding itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .opcodes import OPCODE_INFO, Opcode, OpcodeInfo
@@ -127,13 +127,3 @@ class Instruction:
 
     def __str__(self) -> str:
         return self.render()
-
-
-@dataclass
-class SourceSpan:
-    """Optional mapping back to MiniC source, attached by the compiler."""
-
-    line: int = 0
-    column: int = 0
-    snippet: str = ""
-    annotations: dict = field(default_factory=dict)

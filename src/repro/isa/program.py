@@ -223,14 +223,6 @@ class Program:
                 return info.name
         return None
 
-    def eligible_instruction_indices(self) -> List[int]:
-        """Indices belonging to functions marked as eligible for tagging."""
-        indices: List[int] = []
-        for info in self.functions.values():
-            if info.eligible:
-                indices.extend(info.instruction_indices())
-        return sorted(indices)
-
     def tagged_indices(self) -> List[int]:
         """Indices of instructions tagged low-reliability by the analysis."""
         return [

@@ -101,9 +101,6 @@ class RunResult:
         """Values written with ``OUT``/``FOUT`` to the given channel."""
         return self.outputs.get(channel, [])
 
-    def read_memory(self, address: int, count: int) -> List[float]:
-        return self.memory.read_block(address, count)
-
 
 #: Default stack size (cells) reserved at the top of memory.
 STACK_CELLS = 1 << 16

@@ -13,7 +13,7 @@ way a wild pointer produces a segmentation fault on real hardware.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from .errors import MemoryFault
 
@@ -69,20 +69,5 @@ class Memory:
         get = self.cells.get
         return [get(address + offset, 0) for offset in range(count)]
 
-    def read_ints(self, address: int, count: int) -> List[int]:
-        """Read a block and coerce every cell to int (truncating floats)."""
-        return [int(value) for value in self.read_block(address, count)]
-
-    def read_floats(self, address: int, count: int) -> List[float]:
-        """Read a block and coerce every cell to float."""
-        return [float(value) for value in self.read_block(address, count)]
-
     def clear(self) -> None:
         self.cells.clear()
-
-    def footprint(self) -> int:
-        """Number of cells that have ever been written."""
-        return len(self.cells)
-
-    def written_addresses(self) -> Iterable[int]:
-        return self.cells.keys()

@@ -18,6 +18,7 @@ from repro.apps import create_app
 from repro.core import CampaignConfig
 from repro.core.campaign import usable_cpus
 from repro.exec import (
+    PROTOCOL_VERSION,
     PoolExecutor,
     SerialExecutor,
     SocketExecutor,
@@ -169,8 +170,6 @@ class TestConfigValidation:
         ({"parallel": 0}, "parallel must be >= 1"),
         ({"workloads": 0}, "workloads must be >= 1"),
         ({"engine": "quantum"}, "unknown engine 'quantum'"),
-        ({"chunk_timeout": 0}, "chunk_timeout must be > 0"),
-        ({"chunk_timeout": -2.5}, "chunk_timeout must be > 0"),
     ])
     def test_invalid_configs_raise(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -257,7 +256,8 @@ class TestSerialExecutor:
             raise AssertionError("an injection-free run was simulated")
 
         monkeypatch.setattr(Machine, "run", no_simulation)
-        assert exec_base.make_records(adpcm, config, tasks) == expected
+        assert exec_base.make_records({"adpcm": adpcm}, config,
+                                      tasks) == expected
         assert [exec_base.make_record(adpcm, config, *task[1:])
                 for task in tasks] == expected
 
@@ -408,8 +408,8 @@ class TestTaskOrder:
             assert executor.name == ("pool" if parallel > 1 else "serial")
             assert list(executor.run(_two_app_tasks())) == two_app_records
 
-    def test_socket_switches_sessions_between_apps(self, two_app_records,
-                                                   worker_addresses):
+    def test_socket_serves_every_app_in_one_session(self, two_app_records,
+                                                    worker_addresses):
         apps = [create_app("adpcm", samples=300), create_app("gsm", frames=2)]
         config = CampaignConfig(runs=3, base_seed=5,
                                 workers=tuple(worker_addresses))
@@ -420,6 +420,46 @@ class TestTaskOrder:
         assert stats["fallback_runs"] == 0
         assert sum(counters["chunks_ok"]
                    for counters in stats["workers"].values()) > 0
+
+    def test_socket_needs_one_session_per_worker(self):
+        """A worker that serves a single session runs every application
+        of the executor: no session is reopened at an app boundary."""
+        process, address = _spawn_worker("--max-sessions", "1")
+        apps = [create_app("adpcm", samples=300), create_app("gsm", frames=2)]
+        config = CampaignConfig(runs=3, base_seed=5, workers=(address,),
+                                fallback=False)
+        try:
+            with SocketExecutor(apps, config) as executor:
+                records = list(executor.run(_two_app_tasks()))
+        finally:
+            process.terminate()
+            process.wait(timeout=10)
+        serial = CampaignConfig(runs=3, base_seed=5, parallel=1)
+        with SerialExecutor(apps, serial) as executor:
+            assert records == list(executor.run(_two_app_tasks()))
+
+    def test_unreachable_fleet_degrades_once_across_apps(self,
+                                                         two_app_records,
+                                                         monkeypatch):
+        """An adpcm, gsm, adpcm task list against a dead address dials it
+        once and warns once; the executor stays local afterwards."""
+        import warnings
+
+        monkeypatch.setattr(SocketExecutor, "CONNECT_TIMEOUT", 0.5)
+        apps = [create_app("adpcm", samples=300), create_app("gsm", frames=2)]
+        config = CampaignConfig(runs=3, base_seed=5,
+                                workers=("127.0.0.1:1",))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with SocketExecutor(apps, config) as executor:
+                records = list(executor.run(_two_app_tasks()))
+                stats = executor.fleet_stats()
+        fleet_warnings = [w for w in caught
+                          if "falling back to local" in str(w.message)]
+        assert len(fleet_warnings) == 1
+        assert stats["workers"]["127.0.0.1:1"]["failures"] == 1
+        assert stats["fallback_runs"] == len(_two_app_tasks())
+        assert records == two_app_records
 
 
 class TestSocketExecutor:
@@ -445,7 +485,8 @@ class TestSocketExecutor:
         assert socket_records == serial_records
 
     def test_workers_registered_mid_session_join(self, adpcm, serial_records,
-                                                 worker_addresses):
+                                                 worker_addresses,
+                                                 monkeypatch):
         """The fleet source is re-queried at every chunk boundary, not
         only when a session opens: a daemon job's single ``run`` call
         still picks up workers that register while it runs."""
@@ -457,7 +498,8 @@ class TestSocketExecutor:
             queries.append(len(queries))
             return list(worker_addresses[:1 + (len(queries) > 1)])
 
-        executor = SocketExecutor([adpcm], config, reconnect_base=0.01)
+        monkeypatch.setattr(SocketExecutor, "RECONNECT_BASE", 0.01)
+        executor = SocketExecutor([adpcm], config)
         executor.fleet_source = fleet
         with executor:
             records = list(executor.run(
@@ -468,27 +510,30 @@ class TestSocketExecutor:
         assert len(queries) > 1
         assert sorted(stats["workers"]) == sorted(worker_addresses)
 
-    def test_connect_failure_is_reported_without_fallback(self, adpcm):
+    def test_connect_failure_is_reported_without_fallback(self, adpcm,
+                                                          monkeypatch):
+        monkeypatch.setattr(SocketExecutor, "CONNECT_TIMEOUT", 0.5)
         config = CampaignConfig(runs=2,
                                 workers=("127.0.0.1:1",), fallback=False)
-        executor = SocketExecutor([adpcm], config, connect_timeout=0.5)
+        executor = SocketExecutor([adpcm], config)
         with pytest.raises(OSError, match="no socket workers reachable"):
             executor.start()
 
     def test_connect_failure_degrades_locally_by_default(self, adpcm,
-                                                         serial_records):
+                                                         serial_records,
+                                                         monkeypatch):
         """Graceful degradation: an unreachable fleet produces the same
         records in-process, with exactly one loud warning."""
         import warnings
 
+        monkeypatch.setattr(SocketExecutor, "CONNECT_TIMEOUT", 0.5)
         config = CampaignConfig(runs=5, base_seed=11,
                                 workers=("127.0.0.1:1",))
         tasks = [("adpcm", index, 4, ProtectionMode.PROTECTED)
                  for index in range(5)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with SocketExecutor([adpcm], config,
-                                connect_timeout=0.5) as executor:
+            with SocketExecutor([adpcm], config) as executor:
                 records = list(executor.run(tasks))
                 # Still local, still no new warning.
                 again = list(executor.run(tasks))
@@ -502,7 +547,7 @@ class TestSocketExecutor:
 
 
 class _ScriptedWorker:
-    """Minimal in-test v2 worker whose post-handshake behaviour is a
+    """Minimal in-test worker whose post-handshake behaviour is a
     callable — the executor-facing failure modes (hangs, version skew)
     that a healthy real worker cannot exhibit."""
 
@@ -538,14 +583,14 @@ class _ScriptedWorker:
 
 
 class TestSocketRobustness:
-    """Liveness and handshake-failure behaviour of the v2 wire protocol."""
+    """Liveness and handshake-failure behaviour of the wire protocol."""
 
-    def _fast_executor(self, app, config, **kwargs):
-        kwargs.setdefault("connect_timeout", 5.0)
-        kwargs.setdefault("heartbeat_interval", 0.2)
-        kwargs.setdefault("reconnect_attempts", 1)
-        kwargs.setdefault("reconnect_base", 0.01)
-        return SocketExecutor([app], config, **kwargs)
+    @pytest.fixture(autouse=True)
+    def fast_liveness(self, monkeypatch):
+        monkeypatch.setattr(SocketExecutor, "CONNECT_TIMEOUT", 5.0)
+        monkeypatch.setattr(SocketExecutor, "HEARTBEAT_INTERVAL", 0.2)
+        monkeypatch.setattr(SocketExecutor, "RECONNECT_ATTEMPTS", 1)
+        monkeypatch.setattr(SocketExecutor, "RECONNECT_BASE", 0.01)
 
     def test_hung_worker_is_detected_and_degraded_around(self, adpcm,
                                                          serial_records):
@@ -576,7 +621,7 @@ class TestSocketRobustness:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                with self._fast_executor(adpcm, config) as executor:
+                with SocketExecutor([adpcm], config) as executor:
                     records = list(executor.run(tasks))
                     stats = executor.fleet_stats()
         finally:
@@ -605,7 +650,7 @@ class TestSocketRobustness:
         tasks = [("adpcm", index, 4, ProtectionMode.PROTECTED)
                  for index in range(5)]
         try:
-            with self._fast_executor(adpcm, config) as executor:
+            with SocketExecutor([adpcm], config) as executor:
                 with pytest.raises(FleetLostError, match="fallback disabled"):
                     list(executor.run(tasks))
         finally:
@@ -628,7 +673,7 @@ class TestSocketRobustness:
         config = CampaignConfig(runs=2,
                                 workers=(stale.address,))
         try:
-            executor = self._fast_executor(adpcm, config)
+            executor = SocketExecutor([adpcm], config)
             with pytest.raises(HandshakeError,
                                match=r"v1.*v2|speaks wire protocol"):
                 executor.start()
@@ -650,7 +695,37 @@ class TestSocketRobustness:
             frame = recv_frame(sock)
         assert frame["kind"] == "error"
         assert "version mismatch" in frame["message"]
-        assert "v99" in frame["message"] and "v2" in frame["message"]
+        assert "v99" in frame["message"]
+        assert f"v{PROTOCOL_VERSION}" in frame["message"]
+
+    @pytest.mark.parametrize("apps, tasks, refusal", [
+        ([{"name": "adpcm"}, {"name": "adpcm"}], None, "named twice"),
+        ([{"name": "no-such-app"}], None, "init payload rejected"),
+        ([{"name": "adpcm"}], [["gsm", 0, 0, "protected"]], "not named"),
+    ], ids=["duplicate", "unknown", "outside-session"])
+    def test_worker_refuses_apps_outside_its_session(self, worker_addresses,
+                                                     apps, tasks, refusal):
+        """A session runs only the applications its init frame names,
+        each named once."""
+        import socket as socket_module
+
+        from repro.exec.tcp import encode_config, recv_frame, send_frame
+
+        with socket_module.create_connection(
+                parse_worker_address(worker_addresses[0]), timeout=10.0) as sock:
+            send_frame(sock, {"kind": "hello", "protocol": PROTOCOL_VERSION,
+                              "nonce": "00"})
+            assert recv_frame(sock)["kind"] == "welcome"
+            send_frame(sock, {"kind": "auth", "mac": None})
+            assert recv_frame(sock)["kind"] == "ready"
+            send_frame(sock, {"kind": "init", "apps": apps, "heartbeat": 1.0,
+                              "config": encode_config(CampaignConfig(runs=1))})
+            if tasks is not None:
+                assert recv_frame(sock)["kind"] == "init-ok"
+                send_frame(sock, {"kind": "run", "tasks": tasks})
+            frame = recv_frame(sock)
+        assert frame["kind"] == "error"
+        assert refusal in frame["message"]
 
     def test_secret_required_by_worker_is_actionable(self, adpcm):
         from repro.exec import HandshakeError
