@@ -111,9 +111,13 @@ def make_records(apps: Mapping[str, ErrorTolerantApp], config,
 #: Chunks per worker: enough to balance a hang-heavy chunk against the
 #: others.
 CHUNKS_PER_WORKER = 16
-#: Most runs in one chunk.  Each work item costs about 2 kB in the parent
-#: and 0.4 ms of transfer (94,000 no-op pool items on a 2-CPU host), which
-#: big sweeps feel; a chunk's records return together.
+#: Most runs in one chunk.  In a process pool each work item costs about
+#: 2 kB in the parent and 0.4 ms of transfer (94,000 no-op pool items on a
+#: 2-CPU host), which big sweeps feel; a chunk's records return together.
+#: Over two loopback socket workers on the same 2-CPU host this rule is
+#: no slower than one chunk per four runs per worker: a default-grid
+#: 4-run sweep took 4.3 s against 5.1 s (medians of ten pairs), an
+#: adaptive sweep of 1-run chunks 33.5 s against 34.0 s (six pairs).
 MAX_CHUNK = 16
 
 

@@ -38,7 +38,8 @@ chunks to whichever worker is idle (the socket executor's shared chunk
 queue is the work-stealing mechanism); workers that register mid-job
 join at the next chunk boundary via the executor's ``fleet_source``
 hook, and workers that die mid-chunk have their leases requeued by the
-PR 7 liveness layer.
+PR 7 liveness layer.  A job that loses its whole fleet runs the rest
+locally; workers that register after that serve the next job.
 
 HTTP API (all JSON; see ``docs/ARCHITECTURE.md`` for the full table)::
 

@@ -6,7 +6,7 @@ schedule**: every event fires on the Nth frame of a given kind in a given
 direction, so a chaos test run is exactly reproducible — no timing
 randomness, no flaky assertions.
 
-The proxy speaks just enough of wire protocol v2 to cut the byte stream
+The proxy speaks just enough of the wire protocol to cut the byte stream
 on frame boundaries (12-byte length+CRC header, JSON payload) and peek at
 each frame's ``kind``.  Supported actions:
 

@@ -675,7 +675,7 @@ class TestSocketRobustness:
         try:
             executor = SocketExecutor([adpcm], config)
             with pytest.raises(HandshakeError,
-                               match=r"v1.*v2|speaks wire protocol"):
+                               match=rf"v1.*v{PROTOCOL_VERSION}"):
                 executor.start()
         finally:
             stale.close()
