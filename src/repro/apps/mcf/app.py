@@ -4,13 +4,15 @@ SPEC CPU2000 181.mcf chains timetabled transit trips into vehicle blocks by
 solving a minimum-cost network-flow problem (the reference code uses a
 network simplex).  We solve the same flow problem with the successive
 shortest path algorithm (Bellman-Ford based), which is a different — but
-exact — min-cost-flow method; DESIGN.md records the substitution.
+exact — min-cost-flow method.
 
 The network is the classic assignment formulation: a source feeds every
 trip's "end" node, every trip's "start" node drains into the sink, and a
 link arc end(i) -> start(j) with reduced cost ``deadhead(i, j) - pull_cost``
 exists whenever trip ``j`` can feasibly follow trip ``i``.  Augmenting while
-the shortest path cost is negative yields the cheapest schedule.
+the shortest path cost is negative yields the cheapest schedule, so the
+fault-free (golden) schedule is the optimum that injected runs are scored
+against.
 
 Fidelity follows the paper (Figure 3): the percentage of runs that still
 produce the optimal schedule, and how much extra cost non-optimal but
@@ -24,7 +26,7 @@ from typing import Any, Dict, List
 
 from ...core.app import ErrorTolerantApp
 from ...core.fidelity import FidelityMeasure, FidelityResult
-from ...fidelity import compare_schedules
+from ...fidelity import compare_schedules, schedule_cost
 from ...sim import Machine, RunResult
 from ...workloads import INFEASIBLE, SchedulingInstance, transit_instance
 
@@ -164,9 +166,7 @@ class McfApp(ErrorTolerantApp):
     # ------------------------------------------------------------------
     def generate_workload(self, seed: int) -> Dict[str, Any]:
         instance = transit_instance(self.trips, seed=seed)
-        network = self._build_network(instance)
-        return {"instance": instance, "network": network,
-                "optimal_cost": instance.optimal_cost()}
+        return {"instance": instance, "network": self._build_network(instance)}
 
     def _build_network(self, instance: SchedulingInstance) -> Dict[str, List[int]]:
         trips = instance.trip_count
@@ -234,10 +234,11 @@ class McfApp(ErrorTolerantApp):
     def score(self, reference: List[int], observed: List[int],
               workload: Dict[str, Any]) -> FidelityResult:
         instance: SchedulingInstance = workload["instance"]
+        costs = instance.cost_matrix()
         comparison = compare_schedules(
             observed,
-            optimal_cost=workload["optimal_cost"],
-            trip_costs=instance.cost_matrix(),
+            optimal_cost=schedule_cost(reference, costs, instance.pull_cost),
+            trip_costs=costs,
             pull_cost=instance.pull_cost,
             infeasible_marker=INFEASIBLE,
         )

@@ -65,9 +65,9 @@ class RunRecord:
         """
         fidelity = None
         if self.fidelity is not None:
-            # Coerce through builtins: application scorers may hand back
-            # numpy scalars (np.bool_, np.float64), which the json encoder
-            # rejects.  float() preserves the exact double, so the
+            # Coerce through builtins so the stored types do not depend on
+            # the scorer: float() writes an int detail value as the float
+            # from_json reads back, and keeps a double exact, so the
             # round-trip stays bit-identical.
             fidelity = {
                 "score": float(self.fidelity.score),

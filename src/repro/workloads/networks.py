@@ -6,10 +6,8 @@ minimum-cost flow problem whose solution chains trips into vehicle blocks.
 The reference inputs are proprietary timetables, so we generate synthetic
 ones: trips with start/end times and stop coordinates, deadhead costs from
 the travel distance between a trip's end and the next trip's start, and a
-per-vehicle pull-in/pull-out cost.
-
-The module also computes the instance's optimal cost with a linear
-assignment solver (scipy), used as the fidelity reference.
+per-vehicle pull-in/pull-out cost.  The MCF program solves the instance
+exactly, so fidelity takes the optimum from its fault-free (golden) run.
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import List, Tuple
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 #: Marker used in cost tables for connections that are not feasible.
 INFEASIBLE = 1_000_000.0
@@ -56,62 +51,6 @@ class SchedulingInstance:
         """Deadhead costs with INFEASIBLE markers, ready for the fidelity check."""
         count = self.trip_count
         return [[self.link_cost(i, j) for j in range(count)] for i in range(count)]
-
-    # ------------------------------------------------------------------
-    # Reference optimum (assignment formulation).
-    # ------------------------------------------------------------------
-    def optimal_cost(self) -> float:
-        """Optimal schedule cost, via a linear assignment reduction.
-
-        Linking trip ``j`` after trip ``i`` replaces one depot pull
-        (``pull_cost``) by the deadhead cost, so each feasible link has a
-        reduced cost ``deadhead - pull_cost``.  Minimising total cost is a
-        maximum-saving matching between trip ends and trip starts; we solve
-        it exactly with ``linear_sum_assignment`` on the standard padded
-        2n x 2n matrix that allows every trip to stay unlinked.
-        """
-        count = self.trip_count
-        if count == 0:
-            return 0.0
-        big = INFEASIBLE
-        size = 2 * count
-        matrix = np.full((size, size), 0.0)
-        matrix[:count, :count] = big
-        for i in range(count):
-            for j in range(count):
-                if i != j and self.feasible[i][j]:
-                    reduced = self.deadhead[i][j] - self.pull_cost
-                    matrix[i, j] = min(reduced, big)
-            matrix[i, count + i] = 0.0
-            matrix[count + i, i] = 0.0
-        rows, cols = linear_sum_assignment(matrix)
-        linked = 0.0
-        for row, col in zip(rows, cols):
-            if row < count and col < count and matrix[row, col] < big:
-                linked += matrix[row, col]
-        return self.pull_cost * count + linked
-
-    def optimal_successors(self) -> List[int]:
-        """An optimal successor assignment (``-1`` meaning depot)."""
-        count = self.trip_count
-        successors = [-1] * count
-        if count == 0:
-            return successors
-        big = INFEASIBLE
-        size = 2 * count
-        matrix = np.full((size, size), 0.0)
-        matrix[:count, :count] = big
-        for i in range(count):
-            for j in range(count):
-                if i != j and self.feasible[i][j]:
-                    matrix[i, j] = min(self.deadhead[i][j] - self.pull_cost, big)
-            matrix[i, count + i] = 0.0
-            matrix[count + i, i] = 0.0
-        rows, cols = linear_sum_assignment(matrix)
-        for row, col in zip(rows, cols):
-            if row < count and col < count and matrix[row, col] < big:
-                successors[row] = int(col)
-        return successors
 
 
 def _distance(a: Tuple[int, int], b: Tuple[int, int]) -> float:

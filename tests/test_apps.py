@@ -5,7 +5,8 @@ import pytest
 from repro.apps import APP_ORDER, create_app, small_suite
 from repro.apps.blowfish.app import initial_box_constants
 from repro.apps.blowfish.reference import BlowfishReference
-from repro.fidelity import signal_to_noise_db
+from repro.apps.mcf.app import MAX_TRIPS
+from repro.fidelity import schedule_cost, signal_to_noise_db
 from repro.sim import Outcome
 
 
@@ -83,6 +84,50 @@ class TestBlowfish:
         assert cipher.decrypt_block(left, right) == (0x01234567, 0x89ABCDEF)
 
 
+def brute_force_optimum(instance):
+    """Cheapest schedule cost by exhaustive search, independent of MCF.
+
+    A depth-first walk over injective successor maps restricted to
+    ``instance.feasible``; feasible links strictly advance in time, so
+    every such map is a set of vehicle chains.  All costs are positive,
+    so a partial cost at or above the best so far prunes the branch.
+    """
+    count = instance.trip_count
+    used = [False] * count
+    best = [float("inf")]
+
+    def visit(trip, cost):
+        if cost >= best[0]:
+            return
+        if trip == count:
+            best[0] = cost
+            return
+        for successor in range(count):
+            if instance.feasible[trip][successor] and not used[successor]:
+                used[successor] = True
+                visit(trip + 1, cost + instance.deadhead[trip][successor])
+                used[successor] = False
+        visit(trip + 1, cost + instance.pull_cost)
+
+    visit(0, 0.0)
+    return best[0]
+
+
+#: Optimal schedule costs per trip count and seed, computed with an
+#: independent linear-assignment solver (scipy's linear_sum_assignment).
+PINNED_OPTIMA = {
+    6: {0: 1039.0, 1: 1322.0, 2: 954.0, 3: 1702.0},
+    10: {0: 1462.0, 1: 1785.0, 2: 1420.0, 3: 1850.0},
+    MAX_TRIPS: {0: 2937.0, 1: 3251.0},
+}
+
+
+def golden_schedule_cost(app, seed):
+    instance = app.generate_workload(seed)["instance"]
+    return schedule_cost(app.golden(seed).reference_output,
+                         instance.cost_matrix(), instance.pull_cost)
+
+
 class TestMcf:
     def test_golden_schedule_is_optimal(self, suite):
         app = suite["mcf"]
@@ -91,16 +136,33 @@ class TestMcf:
         fidelity = app.score(golden.reference_output,
                              app.read_output(golden.result, workload), workload)
         assert fidelity.detail["optimal"] == 1.0
-        assert fidelity.detail["cost"] == pytest.approx(workload["optimal_cost"])
+        assert fidelity.detail["cost"] == PINNED_OPTIMA[app.trips][0]
+        assert fidelity.detail["optimal_cost"] == PINNED_OPTIMA[app.trips][0]
 
-    def test_multiple_seeds_remain_optimal(self):
-        app = create_app("mcf", trips=6)
-        for seed in range(3):
-            golden = app.golden(seed)
-            workload = app.generate_workload(seed)
-            fidelity = app.score(golden.reference_output,
-                                 app.read_output(golden.result, workload), workload)
-            assert fidelity.detail["optimal"] == 1.0
+    @pytest.mark.parametrize("trips", [6, 10])
+    def test_multiple_seeds_remain_optimal(self, trips):
+        app = create_app("mcf", trips=trips)
+        for seed in range(4):
+            optimum = brute_force_optimum(app.generate_workload(seed)["instance"])
+            assert golden_schedule_cost(app, seed) == optimum
+
+    @pytest.mark.parametrize("trips", sorted(PINNED_OPTIMA))
+    def test_golden_cost_matches_pinned_optima(self, trips):
+        app = create_app("mcf", trips=trips)
+        assert {seed: golden_schedule_cost(app, seed)
+                for seed in PINNED_OPTIMA[trips]} == PINNED_OPTIMA[trips]
+
+    def test_non_optimal_schedule_is_scored_against_golden_cost(self, suite):
+        app = suite["mcf"]
+        workload = app.generate_workload(0)
+        reference = app.golden(0).reference_output
+        all_depot = [-1] * len(reference)
+        fidelity = app.score(reference, all_depot, workload)
+        optimum = PINNED_OPTIMA[app.trips][0]
+        assert fidelity.detail["optimal"] == 0.0
+        assert fidelity.detail["optimal_cost"] == optimum
+        assert fidelity.score == pytest.approx(
+            100.0 * (400.0 * len(reference) - optimum) / optimum)
 
 
 class TestSusan:

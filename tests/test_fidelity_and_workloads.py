@@ -30,7 +30,6 @@ from repro.workloads import (
     synthetic_scene,
     text_to_bytes,
     thermal_image_with_objects,
-    transit_instance,
     words_to_bytes,
 )
 
@@ -212,11 +211,3 @@ class TestWorkloads:
         # Hot pixels exist where the objects were placed.
         _, x, y = placements[0]
         assert image.at(x + 1, y) > 150 or image.at(x, y) > 150
-
-    def test_transit_instance_optimal_cost_is_consistent(self):
-        instance = transit_instance(8, seed=3)
-        optimal_cost = instance.optimal_cost()
-        successors = instance.optimal_successors()
-        rebuilt = schedule_cost(successors, instance.cost_matrix(), instance.pull_cost)
-        assert rebuilt == pytest.approx(optimal_cost)
-        assert is_complete(successors, instance.trip_count)

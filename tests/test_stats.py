@@ -1,7 +1,7 @@
 """Unit and property tests of the statistical confidence subsystem.
 
-The quantile functions are checked against textbook table values (no
-scipy in the environment, so the implementations in
+The quantile functions are checked against textbook table values (the
+runtime is stdlib-only, so the implementations in
 ``repro.core.stats`` are from-scratch); the Wilson interval against a
 hand-computed reference; and the interval properties the adaptive sweep
 relies on — bounds, point-estimate containment, monotone shrinkage —

@@ -1,0 +1,55 @@
+"""The runtime is stdlib-only: nothing under ``repro`` needs numpy or scipy.
+
+The check runs in a fresh interpreter with both names blocked in
+``sys.modules``, so any import of either raises ``ImportError`` even on a
+host where they are installed.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+BLOCKED_RUNTIME = """
+import importlib
+import pkgutil
+import sys
+
+sys.modules["numpy"] = sys.modules["scipy"] = None
+
+import repro
+
+
+def reraise(name):
+    raise
+
+
+names = [info.name for info in
+         pkgutil.walk_packages(repro.__path__, "repro.", onerror=reraise)]
+assert "repro.workloads.networks" in names, names
+for name in names:
+    importlib.import_module(name)
+
+from repro.apps import small_suite
+
+suite = small_suite()
+for app in suite.values():
+    app.warm(checkpoints=True)
+mcf = suite["mcf"]
+golden = mcf.golden(0)
+workload = mcf.generate_workload(0)
+fidelity = mcf.score(golden.reference_output,
+                     mcf.read_output(golden.result, workload), workload)
+assert fidelity.detail["optimal"] == 1.0, fidelity
+"""
+
+
+def test_runtime_imports_and_warms_without_numpy_or_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run([sys.executable, "-c", BLOCKED_RUNTIME],
+                               capture_output=True, text=True, env=env,
+                               timeout=300)
+    assert completed.returncode == 0, completed.stderr

@@ -114,8 +114,8 @@ class TestRecordSerialization:
                 # the repr round-trip exactly.
                 assert json.dumps(decoded.to_json(), sort_keys=True) == encoded
 
-    def test_fresh_records_with_numpy_fidelity_encode(self):
-        """mcf's scorer returns numpy scalars; to_json must coerce them."""
+    def test_fresh_mcf_records_round_trip(self):
+        """A freshly scored mcf record survives to_json/from_json exactly."""
         app = create_app("mcf", trips=6)
         record = live_campaign(app, CampaignConfig(runs=1, base_seed=3), 2,
                                ProtectionMode.PROTECTED).records[0]
