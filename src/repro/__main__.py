@@ -296,18 +296,7 @@ def _cmd_status(args) -> int:
     done_cells = sum(status.complete for status in statuses)
     if args.json:
         payload = {
-            "cells": [
-                {
-                    "app": status.cell.app_name,
-                    "mode": status.cell.mode.value,
-                    "errors": status.cell.errors,
-                    "done": status.done,
-                    "total": status.total,
-                    "complete": status.complete,
-                    "ci_half_width": status.ci_half_width,
-                }
-                for status in statuses
-            ],
+            "cells": [status.to_json() for status in statuses],
             "cells_complete": done_cells,
             "cells_total": len(statuses),
             "adaptive": stopping.as_meta() if adaptive else None,
@@ -428,8 +417,7 @@ def _cmd_serve(args) -> int:
     secret = args.secret
     if secret is None:
         secret = os.environ.get("REPRO_WORKER_SECRET") or None
-    execution = {"engine": args.engine, "chunk_size": args.chunk_size,
-                 "parallel": args.parallel}
+    execution = {"engine": args.engine, "chunk_size": args.chunk_size}
     service = CampaignService(args.store, worker_ttl=args.worker_ttl,
                               secret=secret, execution=execution,
                               lanes=args.lanes)
@@ -523,10 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--engine", default="fork", choices=ENGINES,
                        help="simulation engine for daemon-run campaigns "
                             "(default fork)")
-    serve.add_argument("--parallel", type=int, default=1,
-                       help="local process-pool width of each job when no "
-                            "workers are registered (default 1: jobs run "
-                            "in their lane, as the lanes take the cores)")
     serve.add_argument("--chunk-size", type=int, default=16,
                        help="runs persisted per store append (default 16)")
     _add_json_argument(serve)

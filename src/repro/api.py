@@ -20,8 +20,9 @@ to execute it* with keyword execution options (``executor``,
 store a content-addressed cache: execution options can never change
 record bytes.
 
-:func:`submit` always returns the same job-status payload shape the
-daemon's HTTP API serves, whether the campaign ran locally or remotely,
+:func:`submit` always returns the job-status payload the daemon's HTTP
+API serves — a local run builds the daemon's own
+:class:`~repro.service.journal.Job` record and returns its ``to_json`` —
 so callers are insensitive to where the work happened.
 """
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .core import ShardStore
+from .service.journal import Job
 from .service.spec import CampaignSpec
 
 __all__ = [
@@ -91,29 +93,6 @@ def build_orchestrator(spec: CampaignSpec, store: StoreLike, *,
     )
 
 
-def _job_payload(spec: CampaignSpec, report, executors_started: int,
-                 submitted: Optional[float] = None,
-                 finished: Optional[float] = None) -> Dict:
-    """A local run's report in the daemon's job-status payload shape.
-
-    ``lane`` is ``None`` and ``restored`` ``False`` by construction: a
-    local run has no scheduler lane and no journal to be restored from —
-    the keys exist so the payload shape stays identical to the daemon's.
-    """
-    return {
-        "job": spec.cache_key,
-        "store": spec.store_key,
-        **report.job_fields(),
-        "spec": spec.to_json(),
-        "executors_started": executors_started,
-        "lane": None,
-        "restored": False,
-        "submitted": submitted,
-        "finished": finished,
-        "progress": [],
-    }
-
-
 def submit(spec: CampaignSpec, store: Optional[StoreLike] = None, *,
            url: Optional[str] = None, wait: bool = True,
            timeout: Optional[float] = None,
@@ -148,23 +127,10 @@ def submit(spec: CampaignSpec, store: Optional[StoreLike] = None, *,
         if wait and job["state"] not in ("complete", "failed"):
             job = client.wait(job["job"], timeout=timeout)
         return job
-    import time
-
-    executors = {"count": 0}
-    user_hook = execution.pop("on_executor", None)
-
-    def _count_executors(executor) -> None:
-        executors["count"] += 1
-        if user_hook is not None:
-            user_hook(executor)
-
-    submitted = time.time()
-    orchestrator = build_orchestrator(spec, store, progress=progress,
-                                      on_executor=_count_executors,
-                                      chunk_size=chunk_size, **execution)
-    report = orchestrator.run()
-    return _job_payload(spec, report, executors["count"],
-                        submitted=submitted, finished=time.time())
+    job = Job(spec)
+    job.finish(build_orchestrator(spec, store, progress=progress,
+                                  chunk_size=chunk_size, **execution).run())
+    return job.to_json()
 
 
 def status(store: Optional[StoreLike] = None,

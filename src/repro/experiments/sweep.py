@@ -95,6 +95,19 @@ class SweepStatus:
             return self.converged
         return self.done >= self.total
 
+    def to_json(self) -> Dict:
+        """The cell's entry in ``status --json`` and the daemon's
+        ``?cells=1`` status payloads."""
+        return {
+            "app": self.cell.app_name,
+            "mode": self.cell.mode.value,
+            "errors": self.cell.errors,
+            "done": self.done,
+            "total": self.total,
+            "complete": self.complete,
+            "ci_half_width": self.ci_half_width,
+        }
+
 
 @dataclass
 class SweepReport:
@@ -116,28 +129,9 @@ class SweepReport:
     #: in-process backends.  Also accumulated into the store's
     #: ``fleet.json`` so later ``status`` calls can surface it.
     fleet: Dict = field(default_factory=dict)
-
-    def job_fields(self) -> Dict:
-        """The ``state``, ``error`` and ``report`` of a job-status payload.
-
-        The one derivation behind local submits and daemon jobs: a job is
-        ``complete`` when every planned cell is.
-        """
-        complete = sum(1 for status in self.statuses if status.complete)
-        incomplete = self.cells_total - complete
-        return {
-            "state": "failed" if incomplete else "complete",
-            "error": (f"{incomplete} cell(s) incomplete after the sweep"
-                      if incomplete else None),
-            "report": {
-                "cells_total": self.cells_total,
-                "cells_complete": complete,
-                "runs_executed": self.runs_executed,
-                "runs_reused": self.runs_reused,
-                "runs_discarded": self.runs_discarded,
-                "fleet": self.fleet,
-            },
-        }
+    #: Executor backends the sweep built: 0 when every cell was already
+    #: in the store, else 1 (one executor serves the whole sweep).
+    executors_started: int = 0
 
 
 def grid_errors_axis(app: Union[ErrorTolerantApp, Type[ErrorTolerantApp]],
@@ -193,11 +187,10 @@ class SweepOrchestrator:
         self.chunk_size = chunk_size
         self._progress = progress
         #: Called with the executor backend right after construction,
-        #: before it starts.  The campaign service uses this to count
-        #: executor start-ups (one for any sweep with work, none for a
-        #: fully cached campaign) and to hand the socket executor its
-        #: dynamic ``fleet_source`` — per-invocation wiring that must not
-        #: live in ``CampaignConfig``, whose fields travel the wire.
+        #: before it starts.  The campaign service uses this to hand the
+        #: socket executor its dynamic ``fleet_source`` — per-invocation
+        #: wiring that must not live in ``CampaignConfig``, whose fields
+        #: travel the wire.
         self.on_executor = on_executor
 
     def _pin_meta(self) -> None:
@@ -344,6 +337,7 @@ class SweepOrchestrator:
                                   for _, counts in adaptive))
             executor = create_executor(apps, self.campaign_config,
                                        pending=pending_runs)
+            report.executors_started = 1
             if self.on_executor is not None:
                 # Post-construction, pre-start: the hook may attach
                 # per-invocation wiring (e.g. a dynamic fleet source)
@@ -396,16 +390,9 @@ class SweepOrchestrator:
         interesting = (stats.get("fallback_runs", 0)
                        or any(any(counters.values()) for counters
                               in (stats.get("workers") or {}).values()))
-        if not interesting:
-            return
-        workers = report.fleet.setdefault("workers", {})
-        for address, counters in (stats.get("workers") or {}).items():
-            slot = workers.setdefault(address, {})
-            for key, value in counters.items():
-                slot[key] = slot.get(key, 0) + value
-        report.fleet["fallback_runs"] = (report.fleet.get("fallback_runs", 0)
-                                         + stats.get("fallback_runs", 0))
-        self.store.record_fleet_stats(stats)
+        if interesting:
+            report.fleet = stats
+            self.store.record_fleet_stats(stats)
 
     def _run_adaptive_cell(self, executor: Executor, cell: SweepCell,
                            counts: Tuple[int, int, int],

@@ -17,8 +17,11 @@ Modules:
 * :mod:`repro.service.http`   — minimal stdlib asyncio HTTP/1.1 layer;
 * :mod:`repro.service.daemon` — :class:`CampaignService`, the daemon
   (concurrent-lane scheduler, per-store locking);
-* :mod:`repro.service.journal` — :class:`JobJournal`, the crash-safe
-  job ledger the daemon replays on restart;
+* :mod:`repro.service.journal` — ``Job``, the one job record (its
+  ``to_json`` is the job-status payload of daemon jobs, journal-replayed
+  jobs and local :func:`repro.api.submit` runs alike), and
+  :class:`JobJournal`, the crash-safe job ledger the daemon replays on
+  restart;
 * :mod:`repro.service.client` — :class:`ServiceClient`, the blocking
   HTTP client the CLI ``submit`` command and the worker registration
   loop use.

@@ -24,11 +24,14 @@ still never compute a cell twice, while jobs with distinct store keys
 run genuinely in parallel.  The fan-out *inside* a job happens across
 the worker fleet, exactly as before.
 
-Every job transition is journalled to ``<root>/jobs.jsonl``
+Jobs are :class:`~repro.service.journal.Job` records, the same class a
+local :func:`repro.api.submit` returns.  Every job transition is
+journalled to ``<root>/jobs.jsonl``
 (:class:`~repro.service.journal.JobJournal`); on startup the daemon
-replays the journal, restoring finished jobs for status queries and
-re-enqueueing interrupted ones, which resume from their partial shard
-stores via the orchestrator's missing-index planning.
+adopts the jobs the journal replay folds, restoring finished jobs for
+status queries and re-enqueueing interrupted ones, which resume from
+their partial shard stores via the orchestrator's missing-index
+planning.
 
 Workers dial in: a ``python -m repro worker --register <url>`` process
 re-POSTs its address to ``/v1/workers`` every few seconds, and the
@@ -60,13 +63,13 @@ import asyncio
 import threading
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core import MissingCellError, ShardStore
 from ..core.campaign import usable_cpus
 from ..exec import SocketExecutor, parse_worker_address
 from .http import HttpError, Request, Response, read_request, split_path
-from .journal import JOURNAL_FILENAME, JobJournal, ReplayedJob
+from .journal import JOURNAL_FILENAME, Job, JobJournal
 from .spec import CampaignSpec
 
 #: Seconds a worker stays in the live fleet after its last heartbeat.
@@ -132,88 +135,20 @@ class WorkerRegistry:
                     for address, seen in sorted(self._last_seen.items())]
 
 
-class Job:
-    """One submitted campaign: spec, lifecycle state and counters."""
-
-    def __init__(self, spec: CampaignSpec) -> None:
-        self.spec = spec
-        self.key = spec.cache_key
-        self.state = "queued"  # queued -> running -> complete | failed
-        self.error: Optional[str] = None
-        self.submitted = time.time()
-        self.finished: Optional[float] = None
-        #: ``SweepReport`` counters once the job ran.  ``runs_executed``
-        #: is the cache-semantics contract: a fully cached job completes
-        #: with 0 here and 0 ``executors_started``.
-        self.report: Dict = {}
-        #: Executor backends the job started: 0 for cache hits, 1 otherwise.
-        self.executors_started = 0
-        #: Scheduler lane the job last ran on (``None`` until started).
-        self.lane: Optional[int] = None
-        #: True when this job's state came from a journal replay rather
-        #: than a live run in this daemon process.
-        self.restored = False
-        self.progress: List[str] = []
-
-    @classmethod
-    def from_replay(cls, entry: ReplayedJob) -> "Job":
-        """Rebuild a job from its folded journal state (marked restored)."""
-        job = cls(entry.spec)
-        job.state = "queued" if entry.interrupted else entry.state
-        job.submitted = entry.submitted or job.submitted
-        job.finished = entry.finished
-        job.error = entry.error
-        job.report = dict(entry.report)
-        job.executors_started = entry.executors_started
-        job.lane = None
-        job.restored = True
-        return job
-
-    def reset_for_requeue(self) -> None:
-        """Return a restored terminal job to the queue for a re-run.
-
-        Used when a journal-restored job is resubmitted: the re-run
-        flows through the content-addressed cache, so a genuinely
-        finished job completes again with 0 runs and 0 executors —
-        re-verification is free, and an incomplete store gets healed.
-        """
-        self.state = "queued"
-        self.error = None
-        self.report = {}
-        self.executors_started = 0
-        self.finished = None
-        self.lane = None
-        self.restored = False
-        self.submitted = time.time()
-
-    def to_json(self) -> Dict:
-        """Status payload for the HTTP API."""
-        return {
-            "job": self.key,
-            "store": self.spec.store_key,
-            "state": self.state,
-            "error": self.error,
-            "spec": self.spec.to_json(),
-            "report": self.report,
-            "executors_started": self.executors_started,
-            "lane": self.lane,
-            "restored": self.restored,
-            "submitted": self.submitted,
-            "finished": self.finished,
-            "progress": self.progress[-10:],
-        }
-
-
 class CampaignService:
     """The campaign daemon: HTTP front end + concurrent-lane scheduler.
 
     ``root`` is the cache root; each distinct ``store_key`` gets a shard
     store under ``root/stores/`` and job transitions are journalled to
-    ``root/jobs.jsonl``.  ``lanes`` sets the scheduler width (how many
-    jobs may run at once; same-store jobs still serialize on the store
-    locks).  ``execution`` carries default execution options for every
-    job (engine, chunk size, worker secret, ...) — never
-    record-determining parameters, which come from each job's spec.
+    ``root/jobs.jsonl``.  The job table maps cache keys to
+    :class:`~repro.service.journal.Job` records: a submit creates one, a
+    restart adopts the ones the journal replay folds, and a lane finishes
+    one with :meth:`Job.finish` on the sweep's report.  ``lanes`` sets
+    the scheduler width (how many jobs may run at once; same-store jobs
+    still serialize on the store locks).  ``execution`` carries default
+    execution options for every job (engine, chunk size, worker secret,
+    ...) — never record-determining parameters, which come from each
+    job's spec.
     Jobs run in their lane's thread (``parallel=1``) unless ``execution``
     says otherwise: the lanes already take the cores.
     """
@@ -275,17 +210,11 @@ class CampaignService:
                 execution.setdefault("worker_secret", self.secret)
         return execution
 
-    def _on_executor(self, job: Job) -> Callable:
-        """Hook counting executor start-ups and wiring the dynamic fleet."""
-
-        def _hook(executor) -> None:
-            job.executors_started += 1
-            if isinstance(executor, SocketExecutor):
-                # Workers that register while the job runs join at the
-                # next chunk boundary.
-                executor.fleet_source = self.registry.live
-
-        return _hook
+    def _on_executor(self, executor) -> None:
+        """Hand a job's socket executor the dynamic fleet: workers that
+        register while the job runs join at the next chunk boundary."""
+        if isinstance(executor, SocketExecutor):
+            executor.fleet_source = self.registry.live
 
     def _run_job(self, job: Job) -> None:
         """Run one campaign to completion (blocking; a lane's thread).
@@ -305,14 +234,11 @@ class CampaignService:
         store = self.store_for(job.spec)
         orchestrator = build_orchestrator(
             job.spec, store, progress=_progress,
-            on_executor=self._on_executor(job),
+            on_executor=self._on_executor,
             **self._job_execution(self.registry.live()),
         )
         with store.exclusive_lock():
-            report = orchestrator.run()
-        fields = report.job_fields()
-        job.state, job.error = fields["state"], fields["error"]
-        job.report = fields["report"]
+            job.finish(orchestrator.run())
 
     async def _lane(self, index: int) -> None:
         """One scheduler lane: drain the queue, one campaign at a time.
@@ -341,7 +267,6 @@ class CampaignService:
                 job.finished = time.time()
                 self.journal.record("fail", job.key, error=job.error)
             else:
-                job.finished = time.time()
                 self.journal.record(
                     "finish", job.key, state=job.state, error=job.error,
                     report=job.report,
@@ -374,12 +299,12 @@ class CampaignService:
             self.journal.record("submit", job.key, spec=spec.to_json())
             await self._queue.put(job)
             return Response.json(job.to_json(), status=202)
-        if job.restored and job.state in ("complete", "failed"):
+        if job.restored and not job.interrupted:
             # A journal-restored terminal job: this process never ran it,
             # so re-verify through the cache — a truly finished store
             # completes again with 0 runs / 0 executors, an incomplete
             # one is healed by the missing-index resume path.
-            job.reset_for_requeue()
+            job.requeue()
             self.journal.record("submit", job.key, spec=spec.to_json())
             await self._queue.put(job)
             return Response.json(job.to_json(), status=202)
@@ -392,17 +317,7 @@ class CampaignService:
         if request.query.get("cells"):
             orchestrator = self._read_orchestrator(job.spec)
             statuses = await asyncio.to_thread(orchestrator.status)
-            payload["cells"] = [
-                {
-                    "app": status.cell.app_name,
-                    "mode": status.cell.mode.value,
-                    "errors": status.cell.errors,
-                    "done": status.done,
-                    "total": status.total,
-                    "complete": status.complete,
-                }
-                for status in statuses
-            ]
+            payload["cells"] = [status.to_json() for status in statuses]
         return Response.json(payload)
 
     def _read_orchestrator(self, spec: CampaignSpec):
@@ -562,12 +477,14 @@ class CampaignService:
         """
         replay = self.journal.replay()
         self.journal_skipped = replay.skipped
-        for entry in replay.jobs:
-            if entry.spec.cache_key in self.jobs:
+        for job in replay.jobs:
+            if job.key in self.jobs:
                 continue  # an earlier serve() in this process restored it
-            job = Job.from_replay(entry)
+            job.restored = True
+            job.lane = None
             self.jobs[job.key] = job
-            if entry.interrupted:
+            if job.interrupted:
+                job.state = "queued"
                 self.jobs_resumed += 1
                 await self._queue.put(job)
             else:

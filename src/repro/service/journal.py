@@ -19,8 +19,10 @@ One line per job *transition*, in the canonical compact JSON encoding::
 
 ``submit`` carries the full :class:`CampaignSpec` (its canonical
 ``to_json`` form), so replay needs nothing but the journal.  Replay
-(:meth:`JobJournal.replay`) folds each job's events in order to its last
-state: jobs whose last event is ``finish``/``fail`` are *restored* —
+(:meth:`JobJournal.replay`) folds each job's events in order into a
+:class:`Job` — the same record the daemon schedules and a local
+:func:`repro.api.submit` returns: jobs whose last event is
+``finish``/``fail`` are *restored* —
 status queries keep answering for them across restarts — while jobs
 whose last event is ``submit``/``start`` were interrupted and are
 *resumed*: the daemon re-enqueues them, and the sweep orchestrator's
@@ -49,29 +51,94 @@ JOURNAL_FILENAME = "jobs.jsonl"
 EVENT_KINDS = ("submit", "start", "finish", "fail")
 
 
-@dataclass
-class ReplayedJob:
-    """One job's folded state after a journal replay.
+class Job:
+    """One submitted campaign: spec, lifecycle state and status payload.
 
-    ``state`` is ``"queued"`` for interrupted jobs (last event was
-    ``submit`` or ``start`` — the daemon re-enqueues these) and
-    ``"complete"``/``"failed"`` for finished ones (restored for status
-    queries only).
+    The one job record: the daemon schedules it, the journal replay
+    folds events into it, and a local :func:`repro.api.submit` runs one
+    and returns its :meth:`to_json`, so every surface answers the same
+    payload.
     """
 
-    spec: CampaignSpec
-    state: str = "queued"
-    submitted: float = 0.0
-    finished: Optional[float] = None
-    error: Optional[str] = None
-    report: Dict = field(default_factory=dict)
-    executors_started: int = 0
-    lane: Optional[int] = None
+    def __init__(self, spec: CampaignSpec) -> None:
+        self.spec = spec
+        self.key = spec.cache_key
+        self.state = "queued"  # queued -> running -> complete | failed
+        self.error: Optional[str] = None
+        self.submitted = time.time()
+        self.finished: Optional[float] = None
+        #: ``SweepReport`` counters once the job ran.  ``runs_executed``
+        #: is the cache-semantics contract: a fully cached job completes
+        #: with 0 here and 0 ``executors_started``.
+        self.report: Dict = {}
+        #: Executor backends the job started: 0 for cache hits, 1 otherwise.
+        self.executors_started = 0
+        #: Scheduler lane the job last ran on (``None`` until started).
+        self.lane: Optional[int] = None
+        #: True when this job's state came from a journal replay rather
+        #: than a live run in this daemon process.
+        self.restored = False
+        self.progress: List[str] = []
 
     @property
     def interrupted(self) -> bool:
-        """True when the job never reached a terminal journal event."""
+        """True when the job never reached a terminal state."""
         return self.state not in ("complete", "failed")
+
+    def requeue(self) -> None:
+        """Return the job to the queue for a re-run.
+
+        Used when a journal-restored terminal job is resubmitted: the
+        re-run flows through the content-addressed cache, so a genuinely
+        finished job completes again with 0 runs and 0 executors —
+        re-verification is free, and an incomplete store gets healed.
+        """
+        self.state = "queued"
+        self.error = None
+        self.report = {}
+        self.executors_started = 0
+        self.finished = None
+        self.lane = None
+        self.restored = False
+        self.submitted = time.time()
+
+    def finish(self, report) -> None:
+        """Take the outcome of a :class:`~repro.experiments.sweep.SweepReport`.
+
+        A job is ``complete`` when every planned cell is.
+        """
+        complete = sum(1 for status in report.statuses if status.complete)
+        incomplete = report.cells_total - complete
+        self.state = "failed" if incomplete else "complete"
+        self.error = (f"{incomplete} cell(s) incomplete after the sweep"
+                      if incomplete else None)
+        self.report = {
+            "cells_total": report.cells_total,
+            "cells_complete": complete,
+            "runs_executed": report.runs_executed,
+            "runs_reused": report.runs_reused,
+            "runs_discarded": report.runs_discarded,
+            "fleet": report.fleet,
+        }
+        self.executors_started = report.executors_started
+        self.finished = time.time()
+
+    def to_json(self) -> Dict:
+        """The job-status payload every surface serves."""
+        return {
+            "job": self.key,
+            "store": self.spec.store_key,
+            "state": self.state,
+            "error": self.error,
+            "spec": self.spec.to_json(),
+            "report": self.report,
+            "executors_started": self.executors_started,
+            "lane": self.lane,
+            "restored": self.restored,
+            "submitted": self.submitted,
+            "finished": self.finished,
+            "progress": self.progress[-10:],
+        }
 
 
 @dataclass
@@ -79,7 +146,7 @@ class JournalReplay:
     """Everything a daemon restart learns from its journal."""
 
     #: Folded jobs in first-submission order.
-    jobs: List[ReplayedJob] = field(default_factory=list)
+    jobs: List[Job] = field(default_factory=list)
     #: Total journal lines read (including skipped ones).
     events: int = 0
     #: Lines dropped: unparseable events, refused specs, or transitions
@@ -130,12 +197,13 @@ class JobJournal:
     def replay(self) -> JournalReplay:
         """Fold the journal into per-job last states, oldest submit first.
 
-        A later ``submit`` for an already-terminal job (the daemon's
+        Events fold straight into :class:`Job` records.  A later
+        ``submit`` for an already-terminal job (the daemon's
         re-verification path for journal-restored jobs) resets that job
-        to ``queued`` in place, keeping its original position.
+        with :meth:`Job.requeue`, keeping its original position.
         """
         replay = JournalReplay()
-        jobs: Dict[str, ReplayedJob] = {}
+        jobs: Dict[str, Job] = {}
         with self._lock:
             lines = read_jsonl(self.path)
         for data in lines:
@@ -153,40 +221,31 @@ class JobJournal:
                 if spec.cache_key != key:
                     replay.skipped += 1  # journal edited or key drifted
                     continue
-                entry = jobs.get(key)
-                if entry is None:
-                    entry = ReplayedJob(spec=spec)
-                    jobs[key] = entry
-                    replay.jobs.append(entry)
+                job = jobs.get(key)
+                if job is None:
+                    job = jobs[key] = Job(spec)
+                    replay.jobs.append(job)
                 else:
-                    # Re-verification submit: back to the queue in place.
-                    entry.state = "queued"
-                    entry.error = None
-                    entry.report = {}
-                    entry.executors_started = 0
-                    entry.finished = None
-                    entry.lane = None
-                entry.submitted = data.get("time", 0.0)
+                    job.requeue()  # re-verification: back to the queue
+                job.submitted = data.get("time") or job.submitted
             elif event in ("start", "finish", "fail"):
-                entry = jobs.get(key)
-                if entry is None:
+                job = jobs.get(key)
+                if job is None:
                     replay.skipped += 1  # transition without a submit
                     continue
                 if event == "start":
-                    entry.state = "running"
-                    entry.lane = data.get("lane")
-                elif event == "finish":
-                    entry.state = data.get("state", "complete")
-                    entry.report = data.get("report") or {}
-                    entry.executors_started = data.get(
-                        "executors_started", 0)
-                    entry.error = data.get("error")
-                    entry.finished = data.get("time")
+                    job.state = "running"
+                    job.lane = data.get("lane")
+                    continue
+                if event == "finish":
+                    job.state = data.get("state", "complete")
+                    job.executors_started = data.get("executors_started", 0)
+                    job.error = data.get("error")
                 else:
-                    entry.state = "failed"
-                    entry.error = data.get("error") or "unknown failure"
-                    entry.report = data.get("report") or {}
-                    entry.finished = data.get("time")
+                    job.state = "failed"
+                    job.error = data.get("error") or "unknown failure"
+                job.report = data.get("report") or {}
+                job.finished = data.get("time")
             else:
                 replay.skipped += 1
         self._events = replay.events

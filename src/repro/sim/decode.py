@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..isa import Opcode, Program
-from ..isa.encoding import FLOAT_BITS, INT_BITS, flip_float_bit, flip_int_bit, wrap_int
+from ..isa.encoding import wrap_int
 from .faults import (
     InjectionEvent,
     InjectionPlan,
@@ -88,65 +88,16 @@ Handler = Callable[[], int]
 Spec = Tuple[int, int, int, int, object, int, int]
 
 
-def _wrap_exposed(compute, is_float, d, nxt, index, opname, plan, targets, state,
-                  int_regs, float_regs):
+def _wrap_exposed(compute, corrupt, consumes, is_float, d, nxt, index,
+                  opname, plan, targets, state, int_regs, float_regs):
     """Injection wrapper for one exposed static instruction.
 
-    Replicates the seed interpreter's writeback block exactly: when this
-    dynamic occurrence is the plan's next target, flip one result bit and
-    record the event; the exposed-dynamic counter advances on every
-    occurrence; ``$0`` destination writes are discarded.
-    """
-    ntargets = len(targets)
-    choose_bit = plan.choose_bit
-    record = plan.record
-    if is_float:
-        def h():
-            result = compute()
-            tp = state[0]
-            ec = state[1]
-            if tp < ntargets and ec == targets[tp]:
-                bit = choose_bit(FLOAT_BITS)
-                corrupted = flip_float_bit(result, bit)
-                record(InjectionEvent(
-                    dynamic_index=ec, static_index=index, opcode=opname,
-                    bit=bit, original=result, corrupted=corrupted,
-                ))
-                result = corrupted
-                state[0] = tp + 1
-            state[1] = ec + 1
-            float_regs[d] = result
-            return nxt
-    else:
-        def h():
-            result = compute()
-            tp = state[0]
-            ec = state[1]
-            if tp < ntargets and ec == targets[tp]:
-                bit = choose_bit(INT_BITS)
-                corrupted = flip_int_bit(result, bit)
-                record(InjectionEvent(
-                    dynamic_index=ec, static_index=index, opcode=opname,
-                    bit=bit, original=result, corrupted=corrupted,
-                ))
-                result = corrupted
-                state[0] = tp + 1
-            state[1] = ec + 1
-            if d:  # the zero register stays hard-wired
-                int_regs[d] = result
-            return nxt
-    return h
-
-
-def _wrap_exposed_model(compute, corrupt, consumes, is_float, d, nxt, index,
-                        opname, plan, targets, state, int_regs, float_regs):
-    """Generic injection wrapper for non-default fault models.
-
-    Same shape as :func:`_wrap_exposed` (which stays the specialised,
-    bit-identical wrapper for the default ``control-bit`` model), but the
-    corruption is delegated to the model's corruptor closure, which
-    returns ``(corrupted, bit, detail)`` — see
-    :class:`repro.sim.models.FaultModel.make_corruptor`.
+    Replicates the seed interpreter's writeback block: when this dynamic
+    occurrence is the plan's next target, corrupt the result and record
+    the event; the exposed-dynamic counter advances on every occurrence;
+    ``$0`` destination writes are discarded.  The corruption is delegated
+    to the fault model's corruptor closure, which returns ``(corrupted,
+    bit, detail)`` — see :class:`repro.sim.models.FaultModel.make_corruptor`.
 
     When ``consumes`` is False (``FaultModel.consumes_result``) the
     victim's own operation is **not executed** at a fired occurrence: the
@@ -290,10 +241,9 @@ class DecodedProgram:
         occurrences to ``state[1]`` -- and drop the wrappers altogether
         once ``state[0]`` reaches the number of targets.
 
-        The default ``control-bit`` model keeps the original specialised
-        wrapper (bit-identical to the pre-model engine); other result
-        models go through the generic wrapper with a model-built corruptor.
-        State-kind models (``memory-bit``) never reach this method -- the
+        Every result model goes through one wrapper with a model-built
+        corruptor; the default ``control-bit`` model's corruptor makes the
+        same bit draws as the pre-model engine.  State-kind models (``memory-bit``) never reach this method -- the
         machine runs them by pausing at each target instead.
         """
         model = plan.model_impl
@@ -302,9 +252,7 @@ class DecodedProgram:
                 f"fault model {model.name!r} corrupts machine state, not "
                 f"instruction results; it cannot be bound as handlers"
             )
-        default_model = model.name == "control-bit"
-        flags = (self.exposure(plan.mode) if default_model
-                 else model.exposure(self, plan.mode))
+        flags = model.exposure(self, plan.mode)
         targets = list(plan.targets)
         state = [0, exposed_start]
         ir = machine.int_regs
@@ -320,11 +268,8 @@ class DecodedProgram:
             nxt = spec[5] if op is Opcode.JAL else spec[6]
             is_float = op in FLOAT_RESULT_OPS
             opname = self.opnames[index]
-            if default_model:
-                return _wrap_exposed(compute, is_float, spec[1], nxt, index,
-                                     opname, plan, targets, state, ir, fr)
             corrupt = model.make_corruptor(op, spec, machine, is_float, plan)
-            return _wrap_exposed_model(
+            return _wrap_exposed(
                 compute, corrupt, model.consumes_result, is_float, spec[1],
                 nxt, index, opname, plan, targets, state, ir, fr)
 

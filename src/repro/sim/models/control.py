@@ -10,9 +10,8 @@ writeback.
 
 This is the default model and the one all of the paper's tables and
 figures use; its behaviour is bit-identical to the pre-model codebase
-(the decode layer keeps its original specialised wrapper for it, and this
-class reproduces the same draws for engines that go through the generic
-path).
+(its corruptor makes the same bit draws the original writeback did, and
+the decode layer's one injection wrapper calls it).
 """
 
 from __future__ import annotations

@@ -271,6 +271,18 @@ class TestDaemonHttp:
         assert len(status["cells"]) == 4
         assert all(cell["complete"] for cell in status["cells"])
 
+    def test_cells_payload_matches_status_json(self, service, capsys):
+        # The daemon's ?cells=1 entries and `status --json` share one
+        # encoding, SweepStatus.to_json.
+        client = ServiceClient(service.url)
+        spec = quick_spec()
+        client.wait(client.submit(spec)["job"], timeout=300)
+        cells = client.status(spec.cache_key, cells=True)["cells"]
+        assert main(["status", "--store", str(service.store_for(spec).root),
+                     "--json", "--apps", "adpcm", "--errors", "0", "2",
+                     "--no-table2-points"]) == 0
+        assert json.loads(capsys.readouterr().out)["cells"] == cells
+
     def test_resubmission_coalesces_onto_the_same_job(self, service):
         client = ServiceClient(service.url)
         spec = quick_spec()

@@ -27,6 +27,7 @@ from repro.core.store import advisory_lock
 from repro.service import CampaignService, CampaignSpec, JobJournal, ServiceClient
 from repro.service.client import ServiceError
 from repro.service.daemon import default_lanes
+from repro.service.journal import Job
 from repro.sim import ProtectionMode
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -141,6 +142,42 @@ class TestJobJournal:
         (job,) = replay.jobs
         assert job.interrupted and job.state == "queued"
         assert job.report == {} and job.executors_started == 0
+
+    def test_second_submit_resets_through_job_requeue(self, tmp_path,
+                                                      monkeypatch):
+        requeued = []
+        requeue = Job.requeue
+
+        def spy(job):
+            requeued.append(job.key)
+            requeue(job)
+
+        monkeypatch.setattr(Job, "requeue", spy)
+        journal = JobJournal(tmp_path / "jobs.jsonl")
+        spec = quick_spec()
+        journal.record("submit", spec.cache_key, spec=spec.to_json())
+        journal.record("finish", spec.cache_key, state="complete",
+                       report={"runs_executed": 12}, executors_started=1,
+                       error=None)
+        journal.record("submit", spec.cache_key, spec=spec.to_json())
+        (job,) = journal.replay().jobs
+        assert requeued == [spec.cache_key]
+        assert job.state == "queued" and job.finished is None
+
+    def test_replayed_jobs_have_the_local_submit_payload_keys(self,
+                                                             tmp_path):
+        spec = quick_spec(errors=(0,))
+        local = submit(spec, store=tmp_path / "store", parallel=1)
+        journal = JobJournal(tmp_path / "jobs.jsonl")
+        journal.record("submit", spec.cache_key, spec=spec.to_json())
+        journal.record("finish", spec.cache_key, state=local["state"],
+                       report=local["report"],
+                       executors_started=local["executors_started"],
+                       error=local["error"])
+        (job,) = journal.replay().jobs
+        assert isinstance(job, Job)
+        assert set(job.to_json()) == set(local)
+        assert job.to_json()["report"] == local["report"]
 
     def test_torn_trailing_line_is_skipped_then_repaired(self, tmp_path):
         path = tmp_path / "jobs.jsonl"

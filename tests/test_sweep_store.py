@@ -345,6 +345,14 @@ class TestReportStatuses:
         assert report.runs_executed == 0
         assert len(reads) == len(set(reads)) == report.cells_total == 6
 
+    def test_executors_started_is_one_with_work_and_zero_cached(self,
+                                                                 tmp_path):
+        root = tmp_path / "executors"
+        _, fresh = run_sweep(root, campaign=SERIAL, errors=(0,))
+        assert fresh.runs_executed > 0 and fresh.executors_started == 1
+        _, cached = run_sweep(root, campaign=SERIAL, errors=(0,))
+        assert cached.runs_executed == 0 and cached.executors_started == 0
+
     @pytest.mark.parametrize("kind", ["fixed", "adaptive", "partial"])
     def test_statuses_match_a_fresh_status_read(self, tmp_path, kind):
         root = tmp_path / kind
