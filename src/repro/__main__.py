@@ -406,6 +406,7 @@ def _cmd_figures(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
     import os
+    import signal
 
     from .service.daemon import CampaignService
 
@@ -421,6 +422,10 @@ def _cmd_serve(args) -> int:
     service = CampaignService(args.store, worker_ttl=args.worker_ttl,
                               secret=secret, execution=execution,
                               lanes=args.lanes)
+    # SIGTERM, what service managers and `kill` send, stops the daemon as
+    # Ctrl-C does (even where Ctrl-C is ignored, as in a background job):
+    # serve() unwinds and stops the local pool's workers.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         asyncio.run(service.serve(*listen))
     except KeyboardInterrupt:

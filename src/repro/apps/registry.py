@@ -14,7 +14,9 @@ specs, the CLI and the static oracle validate against it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Type
+import json
+import threading
+from typing import Callable, Dict, Iterable, List, Mapping, Type
 
 from ..core.app import ErrorTolerantApp
 from .adpcm.app import AdpcmApp
@@ -106,6 +108,43 @@ def app_class(name: str) -> Type[ErrorTolerantApp]:
 def create_app(name: str, **kwargs) -> ErrorTolerantApp:
     """Create a single application by name with custom workload parameters."""
     return app_class(name)(**kwargs)
+
+
+#: Applications this process has built (and progressively warmed), keyed
+#: by ``(name, params)``.  A socket worker's reconnecting executor, or a
+#: pool worker's next task, finds its application here instead of
+#: recompiling the program and re-simulating golden runs.
+_APP_CACHE: Dict[str, ErrorTolerantApp] = {}
+_APP_CACHE_LOCK = threading.Lock()
+
+
+def _cache_key(name: str, params: Mapping) -> str:
+    return json.dumps([name, sorted(params.items())], sort_keys=True)
+
+
+def cached_app(name: str, params: Mapping) -> ErrorTolerantApp:
+    """This process's one ``create_app(name, **params)`` instance.
+
+    Built on first use; later calls get the same instance, with whatever
+    golden runs and checkpoint stores it has warmed since.
+    """
+    key = _cache_key(name, params)
+    with _APP_CACHE_LOCK:
+        app = _APP_CACHE.get(key)
+        if app is None:
+            app = _APP_CACHE[key] = create_app(name, **params)
+        return app
+
+
+def seed_app_cache(apps: Iterable[ErrorTolerantApp]) -> None:
+    """Adopt already-warm instances as this process's cached apps.
+
+    A pool worker forked from a sweep gets the parent's warm apps this
+    way, so it repeats no golden run or checkpoint build.
+    """
+    with _APP_CACHE_LOCK:
+        for app in apps:
+            _APP_CACHE[_cache_key(app.name, app.wire_params())] = app
 
 
 def app_names() -> List[str]:

@@ -6,7 +6,8 @@ an executor decides *where* those tasks run:
 
 * :class:`SerialExecutor` — in the calling process (the reference);
 * :class:`PoolExecutor` — one local
-  :class:`~concurrent.futures.ProcessPoolExecutor` for the whole sweep;
+  :class:`~concurrent.futures.ProcessPoolExecutor` for the whole sweep,
+  its own or one it borrows (the campaign daemon's, shared by its jobs);
 * :class:`SocketExecutor` — sharded over TCP to ``python -m repro.exec.worker``
   processes on this or other hosts.
 

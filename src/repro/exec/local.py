@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import os
 import signal
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
+from ..apps.registry import cached_app, seed_app_cache
 from ..core.app import ErrorTolerantApp
 from ..core.outcomes import RunRecord
 from .base import Executor, RunTask, chunk_size, make_record, make_records
@@ -32,29 +35,67 @@ class SerialExecutor(Executor):
 
 
 # ----------------------------------------------------------------------
-# Process-pool plumbing.  The applications (compiled, goldens and
-# checkpoint stores warm) and the config reach each worker once, through
-# the pool initializer: inherited copy-on-write under the fork start
-# method, pickled (without checkpoint snapshots) otherwise.  Tasks are
-# tiny (app_name, run_index, errors, mode) tuples.
+# Process-pool plumbing.  A pool task names its application by ``(name,
+# wire_params())`` and carries the config, and the worker looks the
+# application up in its process's warm-app cache
+# (:func:`~repro.apps.registry.cached_app`).  A sweep's own pool seeds
+# that cache with the sweep's warm applications through the initializer
+# (inherited copy-on-write under the fork start method, pickled without
+# checkpoint snapshots otherwise); a pool shared by many sweeps builds
+# and warms each application on its first task.
 # ----------------------------------------------------------------------
-_WORKER_APPS: Dict[str, ErrorTolerantApp] = {}
-_WORKER_CONFIG = None
+#: Seconds between a pool worker's checks that its parent still lives.
+PARENT_POLL = 1.0
 
 
-def _campaign_worker_init(apps: Dict[str, ErrorTolerantApp], config) -> None:
-    global _WORKER_APPS, _WORKER_CONFIG
-    _WORKER_APPS = apps
-    _WORKER_CONFIG = config
+def _pool_worker_init(apps: Sequence[ErrorTolerantApp]) -> None:
+    seed_app_cache(apps)
     # Ctrl-C is the parent's to handle: it cancels the queued tasks and
     # waits for the running ones, so a worker must not die mid-task.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # The parent's own SIGTERM handler is not the worker's.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     daemon=True).start()
 
 
-def _campaign_worker_run(task: RunTask) -> RunRecord:
-    app_name, run_index, errors, mode = task
-    return make_record(_WORKER_APPS[app_name], _WORKER_CONFIG, run_index,
+def _exit_with_parent(parent: int) -> None:
+    """End this worker once its parent is gone.
+
+    A parent killed outright (SIGKILL) cannot stop its pool, and an idle
+    worker would otherwise wait for tasks forever.
+    """
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL)
+    os._exit(1)
+
+
+def _pool_worker_run(task) -> RunRecord:
+    config, app_name, params, run_index, errors, mode = task
+    return make_record(cached_app(app_name, params), config, run_index,
                        errors, mode)
+
+
+def start_pool(width: int,
+               apps: Sequence[ErrorTolerantApp] = ()) -> ProcessPoolExecutor:
+    """A process pool of ``width`` campaign workers, started now.
+
+    ``apps`` seed each worker's warm-app cache.  Under the fork start
+    method every worker is forked before this returns, so each inherits
+    the caller's state as it is at this call, not at the first task.
+    """
+    pool = ProcessPoolExecutor(max_workers=width,
+                               initializer=_pool_worker_init,
+                               initargs=(tuple(apps),))
+    pool.submit(int)  # the first submit starts the workers
+    return pool
+
+
+def stop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down: cancel its queued tasks, wait for the running
+    ones and reap its workers."""
+    with _interrupts_held():
+        pool.shutdown(cancel_futures=True)
 
 
 @contextlib.contextmanager
@@ -88,36 +129,56 @@ class PoolExecutor(Executor):
     workers receive the warm applications through the pool initializer,
     so no worker repeats a golden run or a checkpoint capture under the
     fork start method.  Records come back in task order as they finish.
+
+    A ``shared_pool`` set before ``start`` is borrowed instead: a pool
+    that outlives this executor and serves other executors too (the
+    campaign daemon's).  Nothing is warmed here for it, since its
+    workers warm each application on first use, and ``close`` leaves it
+    running.
     """
 
     name = "pool"
 
     def __init__(self, apps, config) -> None:
         super().__init__(apps, config)
+        #: A pool owned elsewhere to run on instead of a pool of our own.
+        self.shared_pool: Optional[ProcessPoolExecutor] = None
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._results: Optional[Iterator[RunRecord]] = None
 
     def start(self) -> None:
         if self._pool is None:
-            # Warm first: the workers get the applications as they are now.
-            super().start()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.parallel,
-                initializer=_campaign_worker_init,
-                initargs=(self.apps, self.config),
-            )
+            if self.shared_pool is not None:
+                self._pool = self.shared_pool
+            else:
+                # Warm first: the workers get the applications as they
+                # are now.
+                super().start()
+                self._pool = start_pool(self.config.parallel,
+                                        list(self.apps.values()))
 
     def run(self, tasks: Sequence[RunTask]) -> Iterator[RunRecord]:
         if self._pool is None:
             self.start()
-        tasks = list(tasks)
-        return self._pool.map(
-            _campaign_worker_run, tasks,
+        # One params dict per application and one config for all tasks:
+        # a chunk's pickle then carries each of them once.
+        params = {name: app.wire_params() for name, app in self.apps.items()}
+        config = self.config
+        tasks = [(config, app_name, params[app_name], run_index, errors, mode)
+                 for app_name, run_index, errors, mode in tasks]
+        self._results = self._pool.map(
+            _pool_worker_run, tasks,
             chunksize=chunk_size(len(tasks), self.config.parallel))
+        return self._results
 
     def close(self) -> None:
+        if self._results is not None:
+            # Closing a part-consumed run() cancels its tasks still queued.
+            self._results.close()
+            self._results = None
         if self._pool is not None:
             pool, self._pool = self._pool, None
-            # Queued tasks are cancelled, so an interrupted sweep waits
-            # only for the runs already in flight.
-            with _interrupts_held():
-                pool.shutdown(cancel_futures=True)
+            if pool is not self.shared_pool:
+                # Queued tasks are cancelled, so an interrupted sweep
+                # waits only for the runs already in flight.
+                stop_pool(pool)

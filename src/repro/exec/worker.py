@@ -20,8 +20,8 @@ session never blocks an executor's reconnect — but chunk *computation*
 is serialized through one lock: campaign chunks are CPU-bound, so a host
 wanting N-way parallelism runs N worker processes rather than one worker
 with N threads.  Applications are cached across sessions by ``(name,
-params)``, so a reconnecting executor does not pay program compilation
-or golden-run warmup again.
+params)`` (:func:`~repro.apps.registry.cached_app`), so a reconnecting
+executor does not pay program compilation or golden-run warmup again.
 
 .. note:: Security model
    The wire protocol is **non-executable**: every frame is plain JSON
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import hmac
-import json
 import os
 import secrets
 import socket
@@ -53,8 +52,7 @@ import threading
 import traceback
 from typing import Callable, Dict, Optional
 
-from ..apps.registry import create_app
-from ..core.app import ErrorTolerantApp
+from ..apps.registry import cached_app
 from .base import make_records
 from .tcp import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -68,13 +66,6 @@ from .tcp import (
     recv_frame,
     send_frame,
 )
-
-#: Applications already constructed (and progressively warmed) by this
-#: worker process, keyed by their init payload.  Reconnects after a
-#: dropped session hit this cache instead of recompiling the program and
-#: re-simulating golden runs.
-_APP_CACHE: Dict[str, ErrorTolerantApp] = {}
-_APP_CACHE_LOCK = threading.Lock()
 
 #: Chunks are CPU-bound: one at a time per worker process, even when
 #: several sessions are connected (e.g. an executor reconnect racing a
@@ -91,16 +82,6 @@ HANDSHAKE_TIMEOUT = 60.0
 #: — comfortably inside the daemon's default 30s worker TTL, so one lost
 #: heartbeat never drops a healthy worker from the fleet.
 REGISTER_INTERVAL = 5.0
-
-
-def _cached_app(name: str, params: Dict) -> ErrorTolerantApp:
-    key = json.dumps([name, sorted(params.items())], sort_keys=True)
-    with _APP_CACHE_LOCK:
-        app = _APP_CACHE.get(key)
-        if app is None:
-            app = create_app(name, **params)
-            _APP_CACHE[key] = app
-        return app
 
 
 def _refuse(connection: socket.socket, message: str) -> None:
@@ -216,7 +197,7 @@ def _handle_session(connection: socket.socket,
             name = str(app_spec["name"])
             if name in apps:
                 raise ValueError(f"application {name!r} is named twice")
-            apps[name] = _cached_app(name, dict(app_spec.get("params") or {}))
+            apps[name] = cached_app(name, dict(app_spec.get("params") or {}))
         config = decode_config(init["config"])
     except Exception as exc:  # noqa: BLE001 — refuse with the reason
         _refuse(connection, f"init payload rejected: {exc}")

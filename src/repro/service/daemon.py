@@ -22,7 +22,8 @@ advisory lock file (:meth:`~repro.core.store.ShardStore.exclusive_lock`),
 so two jobs — or two daemons sharing a root — that touch the same store
 still never compute a cell twice, while jobs with distinct store keys
 run genuinely in parallel.  The fan-out *inside* a job happens across
-the worker fleet, exactly as before.
+the worker fleet, or, with no fleet, across one local process pool that
+every lane shares (see below).
 
 Jobs are :class:`~repro.service.journal.Job` records, the same class a
 local :func:`repro.api.submit` returns.  Every job transition is
@@ -41,8 +42,20 @@ chunks to whichever worker is idle (the socket executor's shared chunk
 queue is the work-stealing mechanism); workers that register mid-job
 join at the next chunk boundary via the executor's ``fleet_source``
 hook, and workers that die mid-chunk have their leases requeued by the
-PR 7 liveness layer.  A job that loses its whole fleet runs the rest
+socket liveness layer.  A job that loses its whole fleet runs the rest
 locally; workers that register after that serve the next job.
+
+Jobs without a fleet run on the daemon's local process pool: one pool
+of ``usable_cpus()`` workers that lives as long as :meth:`serve` and
+that every lane's jobs borrow, so simulation never competes with the
+event loop for the interpreter lock and cached reads answer beside it.  It is forked
+before the listener is bound and before any lane thread starts; its
+workers build and warm each application on first use and keep it warm
+for later jobs (:func:`~repro.apps.registry.cached_app`).  A worker that
+dies fails the jobs running on the pool, and the next job gets a fresh
+pool.  Stopping the daemon cancels the pool's queued runs and reaps its
+workers; an interrupted job keeps ``start`` as its last journal event,
+so the next daemon on the root resumes it.
 
 HTTP API (all JSON; see ``docs/ARCHITECTURE.md`` for the full table)::
 
@@ -63,11 +76,14 @@ import asyncio
 import threading
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence
 
 from ..core import MissingCellError, ShardStore
 from ..core.campaign import usable_cpus
-from ..exec import SocketExecutor, parse_worker_address
+from ..exec import PoolExecutor, SocketExecutor, parse_worker_address
+from ..exec.local import start_pool, stop_pool
 from .http import HttpError, Request, Response, read_request, split_path
 from .journal import JOURNAL_FILENAME, Job, JobJournal
 from .spec import CampaignSpec
@@ -149,8 +165,9 @@ class CampaignService:
     execution options for every job (engine, chunk size, worker secret,
     ...) — never record-determining parameters, which come from each
     job's spec.
-    Jobs run in their lane's thread (``parallel=1``) unless ``execution``
-    says otherwise: the lanes already take the cores.
+    Jobs without a worker fleet share one local process pool of
+    ``usable_cpus()`` workers, which :meth:`serve` starts and stops; a
+    job's pool executor borrows it rather than starting its own.
     """
 
     def __init__(self, root, *, worker_ttl: float = DEFAULT_WORKER_TTL,
@@ -162,7 +179,7 @@ class CampaignService:
         self.root = Path(root)
         self.registry = WorkerRegistry(ttl=worker_ttl)
         self.secret = secret
-        self.execution = {"parallel": 1, **(execution or {})}
+        self.execution = dict(execution or {})
         self.lanes = default_lanes() if lanes is None else int(lanes)
         if self.lanes < 1:
             raise ValueError(f"--lanes must be >= 1, got {self.lanes}")
@@ -178,6 +195,10 @@ class CampaignService:
         self._store_locks: Dict[str, asyncio.Lock] = {}
         self._lane_busy: List[Optional[str]] = []
         self._draining = False
+        # The local pool every lane's jobs borrow (see _local_pool).
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+        self._pool_closed = False
         self._stop = asyncio.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -211,10 +232,40 @@ class CampaignService:
         return execution
 
     def _on_executor(self, executor) -> None:
-        """Hand a job's socket executor the dynamic fleet: workers that
-        register while the job runs join at the next chunk boundary."""
+        """Wire a job's executor to the daemon: a socket executor gets the
+        dynamic fleet (workers that register while the job runs join at
+        the next chunk boundary), a pool executor borrows the local pool."""
         if isinstance(executor, SocketExecutor):
             executor.fleet_source = self.registry.live
+        elif isinstance(executor, PoolExecutor):
+            executor.shared_pool = self._local_pool()
+
+    def _local_pool(self) -> ProcessPoolExecutor:
+        """The process pool every local job shares, started on first use.
+
+        A pool whose worker died is broken for good: the jobs that were
+        using it fail, and the next caller gets a fresh pool.
+        """
+        with self._pool_lock:
+            if self._pool_closed:
+                raise RuntimeError("the campaign service is shutting down")
+            # ``_broken`` is how ProcessPoolExecutor marks a pool that lost
+            # a worker; every later submit to it fails.
+            if self._pool is not None and self._pool._broken:
+                stop_pool(self._pool)
+                self._pool = None
+            if self._pool is None:
+                self._pool = start_pool(usable_cpus())
+            return self._pool
+
+    def _close_local_pool(self) -> None:
+        """Stop the local pool: queued runs are cancelled, running ones
+        finish, and the workers are reaped."""
+        with self._pool_lock:
+            self._pool_closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            stop_pool(pool)
 
     def _run_job(self, job: Job) -> None:
         """Run one campaign to completion (blocking; a lane's thread).
@@ -238,7 +289,13 @@ class CampaignService:
             **self._job_execution(self.registry.live()),
         )
         with store.exclusive_lock():
-            job.finish(orchestrator.run())
+            try:
+                report = orchestrator.run()
+            except BrokenProcessPool as exc:
+                raise BrokenProcessPool(
+                    "a worker of the daemon's process pool died while this "
+                    "job ran; the next job gets a fresh pool") from exc
+            job.finish(report)
 
     async def _lane(self, index: int) -> None:
         """One scheduler lane: drain the queue, one campaign at a time.
@@ -498,6 +555,8 @@ class CampaignService:
         Prints ``repro-service listening on http://HOST:PORT`` once bound
         — with ``port=0`` the banner (or :attr:`url`) is how callers
         learn the chosen port, mirroring the worker banner contract.
+        On the way out the lanes are cancelled and the local pool is
+        stopped, so no pool worker outlives the loop.
         """
         import sys
 
@@ -508,25 +567,32 @@ class CampaignService:
         self._queue = asyncio.Queue()
         self._store_locks = {}
         self._lane_busy = [None] * self.lanes
-        await self._replay_journal()
-        server = await asyncio.start_server(self._handle, host, port)
-        bound_host, bound_port = server.sockets[0].getsockname()[:2]
-        if ":" in bound_host:
-            bound_host = f"[{bound_host}]"
-        self.url = f"http://{bound_host}:{bound_port}"
-        stream = banner_stream if banner_stream is not None else sys.stdout
-        print(f"repro-service listening on {self.url}", file=stream,
-              flush=True)
-        lanes = [asyncio.create_task(self._lane(index))
-                 for index in range(self.lanes)]
-        if ready is not None:
-            ready.set()
+        self._pool_closed = False
+        lanes: List[asyncio.Task] = []
         try:
+            if usable_cpus() > 1:
+                # Fork the pool's workers now, before the listener or any
+                # lane thread exists, so they inherit neither.
+                self._local_pool()
+            await self._replay_journal()
+            server = await asyncio.start_server(self._handle, host, port)
+            bound_host, bound_port = server.sockets[0].getsockname()[:2]
+            if ":" in bound_host:
+                bound_host = f"[{bound_host}]"
+            self.url = f"http://{bound_host}:{bound_port}"
+            stream = banner_stream if banner_stream is not None else sys.stdout
+            print(f"repro-service listening on {self.url}", file=stream,
+                  flush=True)
+            lanes = [asyncio.create_task(self._lane(index))
+                     for index in range(self.lanes)]
+            if ready is not None:
+                ready.set()
             async with server:
                 await self._stop.wait()
         finally:
             for task in lanes:
                 task.cancel()
+            self._close_local_pool()
 
     def drain(self) -> None:
         """Stop accepting new campaigns; queued/running jobs keep going.

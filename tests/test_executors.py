@@ -6,6 +6,7 @@ the serial reference under the same seeds, because injection plans derive
 purely from ``(base_seed, run_index, errors)``.
 """
 
+import multiprocessing
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import create_app
+from repro.apps import create_app, registry
 from repro.core import CampaignConfig
 from repro.core.campaign import usable_cpus
 from repro.exec import (
@@ -26,6 +27,7 @@ from repro.exec import (
     parse_worker_address,
     resolve_executor_name,
 )
+from repro.exec.local import start_pool, stop_pool
 from repro.experiments import live_campaign
 from repro.sim import InjectionPlan, ProtectionMode, executing_engine
 
@@ -211,6 +213,40 @@ class TestWarmStart:
                 built = app.golden(0).checkpoint_store is not None
                 assert built is checkpoints
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers share the parent's "
+                               "objects")
+    def test_pool_workers_run_on_the_parents_warm_apps(self):
+        """A sweep's pool seeds its workers' warm-app caches with the
+        parent's applications, so no worker runs a golden run or builds
+        a checkpoint store of its own."""
+        apps = [create_app("adpcm", samples=300), create_app("gsm", frames=2)]
+        config = CampaignConfig(runs=3, workloads=2, parallel=2)
+        with create_executor(apps, config) as executor:
+            list(executor.run(_two_app_tasks()))
+            warm = {registry._cache_key(app.name, app.wire_params()):
+                    _warm_state(app) for app in apps}
+            with multiprocessing.Manager() as manager:
+                barrier = manager.Barrier(2)
+                futures = [executor._pool.submit(_worker_warm_state,
+                                                 barrier, sorted(warm))
+                           for _ in range(2)]
+                states = [future.result(timeout=120) for future in futures]
+        assert states == [warm, warm]
+
+
+def _warm_state(app) -> tuple:
+    """An application's identity and its goldens' checkpoint stores."""
+    return id(app), {seed: id(golden.checkpoint_store)
+                     for seed, golden in app._goldens.items()}
+
+
+def _worker_warm_state(barrier, keys) -> dict:
+    """``_warm_state`` of a pool worker's cached apps; the barrier holds
+    each worker until all have taken one probe."""
+    barrier.wait(timeout=60)
+    return {key: _warm_state(registry._APP_CACHE[key]) for key in keys}
+
 
 class TestSerialExecutor:
     def test_matches_run_campaign(self, adpcm, serial_records):
@@ -347,6 +383,40 @@ class TestPoolExecutor:
                                     for index in range(40)])
             next(records)
         assert calls == [{"cancel_futures": True}]
+
+    def test_a_borrowed_pool_is_neither_warmed_nor_stopped(self,
+                                                          serial_records,
+                                                          monkeypatch):
+        """An executor on a shared pool warms nothing in the parent, and
+        its close cancels its own queued tasks but leaves the pool up."""
+        from concurrent.futures import Future
+
+        cancelled = []
+        cancel = Future.cancel
+
+        def recording_cancel(future):
+            cancelled.append(cancel(future))
+            return cancelled[-1]
+
+        monkeypatch.setattr(Future, "cancel", recording_cancel)
+        tasks = [("adpcm", index, 4, ProtectionMode.PROTECTED)
+                 for index in range(40)]
+        config = CampaignConfig(runs=5, base_seed=11, parallel=2)
+        app = create_app("adpcm", samples=300)
+        pool = start_pool(2)
+        try:
+            first, second = (PoolExecutor([app], config) for _ in range(2))
+            for executor in (first, second):
+                executor.shared_pool = pool
+            with first:
+                records = first.run(tasks)
+                next(records)
+            assert any(cancelled)
+            assert app._goldens == {}
+            with second:
+                assert list(second.run(tasks[:5])) == serial_records
+        finally:
+            stop_pool(pool)
 
     def test_interrupt_during_close_still_stops_the_workers(self, adpcm,
                                                             monkeypatch):

@@ -10,21 +10,28 @@ admission contract.
 """
 
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+from typing import Dict, List
 
 import pytest
 
 from repro.api import submit
 from repro.api import status as api_status
+from repro.apps import registry
 from repro.core import ShardStore
+from repro.core.campaign import usable_cpus
 from repro.core.store import advisory_lock
+from repro.exec import local
 from repro.service import CampaignService, CampaignSpec, JobJournal, ServiceClient
+from repro.service import daemon as daemon_module
 from repro.service.client import ServiceError
 from repro.service.daemon import default_lanes
 from repro.service.journal import Job
@@ -432,6 +439,7 @@ class TestCrashDurability:
         # Daemon 1: submit, wait for the first record to hit disk
         # (--chunk-size 1 appends run by run), then SIGKILL mid-job.
         process, url = spawn_daemon(root, "--chunk-size", "1")
+        workers = children(process.pid)
         try:
             client = ServiceClient(url)
             job = client.submit(CRASH_SPEC)
@@ -444,6 +452,12 @@ class TestCrashDurability:
         finally:
             process.kill()
             process.wait(timeout=30)
+        # Pool workers notice their parent is gone and exit on their own.
+        deadline = time.monotonic() + 30
+        while any(alive(pid) for pid in workers):
+            assert time.monotonic() < deadline, "pool workers outlived a " \
+                                                "SIGKILLed daemon"
+            time.sleep(0.05)
 
         # Daemon 2: the journal replays the interrupted job, re-enqueues
         # it, and the missing-index resume path completes the store.
@@ -487,6 +501,190 @@ class TestCrashDurability:
         finally:
             process.terminate()
             process.wait(timeout=30)
+
+
+# ----------------------------------------------------------------------
+# The shared local pool: byte identity, warm apps, SIGTERM, dead workers.
+# ----------------------------------------------------------------------
+needs_pool = pytest.mark.skipif(
+    usable_cpus() < 2 or not Path("/proc/self/stat").exists(),
+    reason="jobs run serially on a 1-CPU host; process checks read /proc")
+
+#: Long enough (about 2 s on two workers) that a signal sent after its
+#: first record lands mid-job.
+LONG_SPEC = CampaignSpec(suite="small", runs_per_cell=24, base_seed=71,
+                         apps=("mpeg", "art", "adpcm"), modes=("protected",),
+                         errors=(2, 3), include_table2=False)
+
+
+def pool_spec(base_seed: int, apps=("adpcm", "susan")) -> CampaignSpec:
+    return CampaignSpec(suite="small", runs_per_cell=6, base_seed=base_seed,
+                        apps=apps, modes=("protected",), errors=(1, 2),
+                        include_table2=False)
+
+
+def _cache_probe(barrier) -> "tuple":
+    """A pool worker's pid and warm-app cache ``{key: id(app)}``; the
+    barrier holds each worker until all have taken one probe."""
+    barrier.wait(timeout=60)
+    return os.getpid(), {key: id(app)
+                         for key, app in registry._APP_CACHE.items()}
+
+
+def probe_pool(service: CampaignService, width: int) -> Dict:
+    """Every pool worker's warm-app cache, by pid."""
+    with multiprocessing.Manager() as manager:
+        barrier = manager.Barrier(width)
+        pool = service._local_pool()
+        futures = [pool.submit(_cache_probe, barrier) for _ in range(width)]
+        return dict(future.result(timeout=120) for future in futures)
+
+
+def children(pid: int) -> List[int]:
+    """Pids of the live processes whose parent is ``pid``."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def alive(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie awaiting its reaper is dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def wait_for_first_record(store_root: Path, process) -> None:
+    deadline = time.monotonic() + 120
+    while not any(shard.stat().st_size
+                  for shard in store_root.rglob("*.jsonl")):
+        assert process.poll() is None, "daemon exited"
+        assert time.monotonic() < deadline, "no record appeared"
+        time.sleep(0.01)
+
+
+@needs_pool
+class TestSharedPool:
+    @pytest.mark.parametrize("engine", ["fork", "decoded"])
+    def test_concurrent_jobs_share_one_warm_pool(self, tmp_path, engine,
+                                                 monkeypatch):
+        specs = [pool_spec(61), pool_spec(62)]
+        # Every worker builds adpcm on one of the first tasks.
+        third = pool_spec(63, apps=("adpcm",))
+        references = {}
+        for spec in specs + [third]:
+            root = tmp_path / f"serial-{spec.base_seed}"
+            submit(spec, root, parallel=1, engine=engine)
+            references[spec.base_seed] = store_bytes(ShardStore(root))
+
+        own_pools = []
+        monkeypatch.setattr(local, "start_pool",
+                            lambda *args: own_pools.append(args))
+        monkeypatch.setattr(daemon_module, "usable_cpus", lambda: 2)
+        daemon = CampaignService(tmp_path / "cache", lanes=2,
+                                 execution={"engine": engine})
+        daemon.start_in_background()
+        try:
+            client = ServiceClient(daemon.url)
+            with HealthPoller(daemon.url) as poller:
+                keys = [client.submit(spec)["job"] for spec in specs]
+                finals = [client.wait(key, timeout=300, poll=0.02)
+                          for key in keys]
+            assert [final["state"] for final in finals] == ["complete"] * 2
+            assert poller.max_busy == 2, "the two jobs never overlapped"
+            for spec in specs:
+                assert store_bytes(daemon.store_for(spec)) \
+                    == references[spec.base_seed]
+            warm = probe_pool(daemon, 2)
+            assert len(warm) == 2
+            for cache in warm.values():
+                assert "adpcm" in {json.loads(key)[0] for key in cache}
+
+            # A third job on a warm app builds no app.
+            final = client.wait(client.submit(third)["job"], timeout=300,
+                                poll=0.02)
+            assert final["state"] == "complete"
+            assert store_bytes(daemon.store_for(third)) == references[63]
+            assert probe_pool(daemon, 2) == warm
+        finally:
+            daemon.shutdown()
+        assert own_pools == [], "a daemon job started a pool of its own"
+
+    def test_sigterm_reaps_the_pool_and_the_job_resumes(self, tmp_path):
+        serial_root = tmp_path / "serial"
+        submit(LONG_SPEC, serial_root, parallel=1)
+        reference = store_bytes(ShardStore(serial_root))
+
+        root = tmp_path / "cache"
+        store_root = root / "stores" / LONG_SPEC.store_dir
+        process, url = spawn_daemon(root, "--chunk-size", "1")
+        try:
+            workers = children(process.pid)
+            assert workers, "the daemon started no pool"
+            ServiceClient(url).submit(LONG_SPEC)
+            wait_for_first_record(store_root, process)
+            process.terminate()
+            assert process.wait(timeout=60) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)
+            process.stdout.close()
+        assert [pid for pid in workers if alive(pid)] == []
+        (job,) = JobJournal(root / "jobs.jsonl").replay().jobs
+        assert job.interrupted and job.state == "running"
+
+        process, url = spawn_daemon(root, "--chunk-size", "1")
+        try:
+            client = ServiceClient(url)
+            assert client.health()["journal"]["jobs_resumed"] == 1
+            final = client.wait(LONG_SPEC.cache_key, timeout=600)
+            assert final["state"] == "complete"
+            assert final["report"]["runs_reused"] > 0
+            assert store_bytes(ShardStore(store_root)) == reference
+        finally:
+            process.terminate()
+            process.wait(timeout=60)
+            process.stdout.close()
+
+    def test_a_dead_worker_fails_its_job_and_the_next_gets_a_fresh_pool(
+            self, tmp_path):
+        root = tmp_path / "cache"
+        process, url = spawn_daemon(root, "--chunk-size", "1")
+        try:
+            client = ServiceClient(url)
+            client.submit(LONG_SPEC)
+            wait_for_first_record(root / "stores" / LONG_SPEC.store_dir,
+                                  process)
+            broken = children(process.pid)
+            os.kill(broken[0], signal.SIGKILL)
+            failed = client.wait(LONG_SPEC.cache_key, timeout=300)
+            assert failed["state"] == "failed"
+            assert "worker" in failed["error"] and "died" in failed["error"]
+
+            spec = quick_spec(base_seed=72)
+            final = client.wait(client.submit(spec)["job"], timeout=300)
+            assert final["state"] == "complete"
+            assert final["executors_started"] == 1
+            fresh = children(process.pid)
+            assert fresh and not set(fresh) & set(broken)
+        finally:
+            process.terminate()
+            process.wait(timeout=60)
+            process.stdout.close()
+        jobs = {job.key: job for job
+                in JobJournal(root / "jobs.jsonl").replay().jobs}
+        assert jobs[LONG_SPEC.cache_key].state == "failed"
+        assert "died" in jobs[LONG_SPEC.cache_key].error
+        assert jobs[spec.cache_key].state == "complete"
 
 
 # ----------------------------------------------------------------------
