@@ -279,26 +279,18 @@ class SweepOrchestrator:
                            if interval is not None else None),
         )
 
-    def run(self) -> SweepReport:
-        """Execute every missing run of the grid through one executor.
+    def _plan_pass(self) -> Tuple[
+            SweepReport, Dict[SweepCell, SweepStatus],
+            List[Tuple[SweepCell, List[int]]],
+            List[Tuple[SweepCell, Tuple[int, int, int]]]]:
+        """Read each planned cell's shard once and sort the cells.
 
-        The planning pass reads each cell's shard once.  One executor,
-        built with the applications that have pending cells, then serves
-        the whole sweep: a fixed sweep hands it every missing run in one
-        ``run`` call and appends each cell's records in chunks of
-        ``chunk_size`` as they arrive, so an interruption loses only runs
-        not yet appended — those in flight on the backend and the
-        unfilled part of the chunk being collected.
-
-        In adaptive mode a cell's "missing" runs are not a fixed set:
-        after each chunk the stopping rule re-evaluates the cell, and
-        only the records up to the cell's canonical convergence point are
-        persisted (see :meth:`_run_adaptive_cell`).
-
-        The report's statuses come from the planning pass plus what the
-        run appended, not from a second read of the store.
+        Returns the report of a sweep that runs nothing (``statuses`` in
+        cell order, ``runs_reused``, ``cells_skipped``), each cell's
+        status, and the pending cells: fixed ones with their missing run
+        indices, adaptive ones with their persisted ``(total,
+        catastrophic, acceptable)`` counts.
         """
-        self._pin_meta()
         report = SweepReport()
         cells = self.plan()
         report.cells_total = len(cells)
@@ -327,13 +319,52 @@ class SweepOrchestrator:
                     fixed.append((cell, missing))
                 else:
                     report.cells_skipped += 1
+        report.statuses = [statuses[cell] for cell in cells]
+        return report, statuses, fixed, adaptive
 
+    def cached_report(self) -> Optional[SweepReport]:
+        """The report :meth:`run` would return if the store already holds
+        every planned run, else ``None``.
+
+        Read-only: it writes nothing, builds no executor and takes no
+        lock.  A cell once complete is never written again, so reading
+        complete cells beside a writer is safe; a cell a writer is still
+        filling reads as pending.  Raises as :meth:`run` does on a store
+        pinned to other parameters or an adaptive cell with a gap.
+        """
+        if self.store.read_meta() is None:
+            return None  # a fresh store holds no run
+        self._pin_meta()  # only compares: the store's meta exists
+        report, _, fixed, adaptive = self._plan_pass()
+        return None if fixed or adaptive else report
+
+    def run(self) -> SweepReport:
+        """Execute every missing run of the grid through one executor.
+
+        The planning pass reads each cell's shard once.  One executor,
+        built with the applications that have pending cells, then serves
+        the whole sweep: a fixed sweep hands it every missing run in one
+        ``run`` call and appends each cell's records in chunks of
+        ``chunk_size`` as they arrive, so an interruption loses only runs
+        not yet appended — those in flight on the backend and the
+        unfilled part of the chunk being collected.
+
+        In adaptive mode a cell's "missing" runs are not a fixed set:
+        after each chunk the stopping rule re-evaluates the cell, and
+        only the records up to the cell's canonical convergence point are
+        persisted (see :meth:`_run_adaptive_cell`).
+
+        The report's statuses come from the planning pass plus what the
+        run appended, not from a second read of the store.
+        """
+        self._pin_meta()
+        report, statuses, fixed, adaptive = self._plan_pass()
         if fixed or adaptive:
             suite = SUITES[self.spec.suite]()
             apps = [suite[name] for name in dict.fromkeys(
                 cell.app_name for cell, _ in fixed + adaptive)]
             pending_runs = (sum(len(missing) for _, missing in fixed)
-                            + sum(rule.cap - counts[0]
+                            + sum(self.spec.stopping.cap - counts[0]
                                   for _, counts in adaptive))
             executor = create_executor(apps, self.campaign_config,
                                        pending=pending_runs)
@@ -350,7 +381,8 @@ class SweepOrchestrator:
                                                      report)
                     statuses[cell] = self._adaptive_status(cell, counts)
                 self._collect_fleet(executor, report)
-        report.statuses = [statuses[cell] for cell in cells]
+        report.statuses = [statuses[status.cell]
+                           for status in report.statuses]
         return report
 
     def _run_fixed(self, executor: Executor,

@@ -100,7 +100,10 @@ class ServiceClient:
 
         Idempotent by construction: a byte-identical spec coalesces onto
         the existing job server-side, so retrying a submit never queues
-        duplicate work.
+        duplicate work.  A spec whose cells are all in the daemon's store
+        already is answered from it in this call: the payload is
+        ``complete`` with 0 runs executed and ``lane`` ``None``, and
+        there is nothing to :meth:`wait` for.
         """
         return self._request("POST", "/v1/campaigns", body=spec.to_json())
 

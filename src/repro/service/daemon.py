@@ -25,6 +25,15 @@ run genuinely in parallel.  The fan-out *inside* a job happens across
 the worker fleet, or, with no fleet, across one local process pool that
 every lane shares (see below).
 
+A submission is planned against its store before it is queued
+(:meth:`~repro.experiments.sweep.SweepOrchestrator.cached_report`, one
+read off the event loop).  When every cell of the spec is already
+complete, the job finishes in the POST itself: journalled ``submit``
+then ``finish`` and answered 200 ``complete`` with ``lane: null``, 0
+runs executed and 0 executors started.  It takes no lane, no store lock
+and no flock: a complete cell is never written again, so reading it
+beside a writer is safe.  Every other spec is queued.
+
 Jobs are :class:`~repro.service.journal.Job` records, the same class a
 local :func:`repro.api.submit` returns.  Every job transition is
 journalled to ``<root>/jobs.jsonl``
@@ -158,8 +167,9 @@ class CampaignService:
     store under ``root/stores/`` and job transitions are journalled to
     ``root/jobs.jsonl``.  The job table maps cache keys to
     :class:`~repro.service.journal.Job` records: a submit creates one, a
-    restart adopts the ones the journal replay folds, and a lane finishes
-    one with :meth:`Job.finish` on the sweep's report.  ``lanes`` sets
+    restart adopts the ones the journal replay folds, and a lane — or,
+    for a fully cached spec, the submit itself — finishes one with
+    :meth:`Job.finish` on the sweep's report.  ``lanes`` sets
     the scheduler width (how many jobs may run at once; same-store jobs
     still serialize on the store locks).  ``execution`` carries default
     execution options for every job (engine, chunk size, worker secret,
@@ -297,6 +307,11 @@ class CampaignService:
                     "job ran; the next job gets a fresh pool") from exc
             job.finish(report)
 
+    def _journal_finish(self, job: Job) -> None:
+        self.journal.record("finish", job.key, state=job.state,
+                            error=job.error, report=job.report,
+                            executors_started=job.executors_started)
+
     async def _lane(self, index: int) -> None:
         """One scheduler lane: drain the queue, one campaign at a time.
 
@@ -324,10 +339,7 @@ class CampaignService:
                 job.finished = time.time()
                 self.journal.record("fail", job.key, error=job.error)
             else:
-                self.journal.record(
-                    "finish", job.key, state=job.state, error=job.error,
-                    report=job.report,
-                    executors_started=job.executors_started)
+                self._journal_finish(job)
             finally:
                 self._lane_busy[index] = None
                 self._queue.task_done()
@@ -342,6 +354,16 @@ class CampaignService:
         return job
 
     async def _submit(self, request: Request) -> Response:
+        """``POST /v1/campaigns``: coalesce, answer from the store, or queue.
+
+        A job that is queued or running, or that completed in this
+        process, coalesces (200, its current payload).  Any other job —
+        new, restored from the journal, or failed — is journalled
+        ``submit`` and planned against its store: fully cached, it
+        finishes here (200 ``complete``); otherwise it is queued (202).
+        A planning error queues it too, so it fails in its lane with the
+        error a run reports.
+        """
         if self._draining:
             raise HttpError(503, "service is draining; "
                                  "not accepting new campaigns")
@@ -350,23 +372,29 @@ class CampaignService:
         except ValueError as exc:
             raise HttpError(400, f"invalid campaign spec: {exc}") from exc
         job = self.jobs.get(spec.cache_key)
+        if job is not None and (job.state in ("queued", "running")
+                                or (job.state == "complete"
+                                    and not job.restored)):
+            # Byte-identical resubmission of a live job or of one this
+            # process completed: coalesce onto it.
+            return Response.json(job.to_json(), status=200)
         if job is None:
-            job = Job(spec)
-            self.jobs[job.key] = job
-            self.journal.record("submit", job.key, spec=spec.to_json())
-            await self._queue.put(job)
-            return Response.json(job.to_json(), status=202)
-        if job.restored and not job.interrupted:
-            # A journal-restored terminal job: this process never ran it,
-            # so re-verify through the cache — a truly finished store
-            # completes again with 0 runs / 0 executors, an incomplete
-            # one is healed by the missing-index resume path.
+            job = self.jobs[spec.cache_key] = Job(spec)
+        else:
+            # Failed, or restored from the journal: this process has not
+            # seen it complete, so plan it again through the cache.
             job.requeue()
-            self.journal.record("submit", job.key, spec=spec.to_json())
+        self.journal.record("submit", job.key, spec=spec.to_json())
+        try:
+            report = await asyncio.to_thread(
+                self._read_orchestrator(spec).cached_report)
+        except Exception:  # noqa: BLE001 — the lane plans again, reports it
+            report = None
+        if report is None:
             await self._queue.put(job)
             return Response.json(job.to_json(), status=202)
-        # Byte-identical resubmission: coalesce onto the existing job —
-        # already-complete jobs answer straight from the cache.
+        job.finish(report)
+        self._journal_finish(job)
         return Response.json(job.to_json(), status=200)
 
     async def _job_status(self, job: Job, request: Request) -> Response:

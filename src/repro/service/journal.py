@@ -88,7 +88,7 @@ class Job:
     def requeue(self) -> None:
         """Return the job to the queue for a re-run.
 
-        Used when a journal-restored terminal job is resubmitted: the
+        Used when a failed or journal-restored job is resubmitted: the
         re-run flows through the content-addressed cache, so a genuinely
         finished job completes again with 0 runs and 0 executors —
         re-verification is free, and an incomplete store gets healed.
@@ -198,9 +198,9 @@ class JobJournal:
         """Fold the journal into per-job last states, oldest submit first.
 
         Events fold straight into :class:`Job` records.  A later
-        ``submit`` for an already-terminal job (the daemon's
-        re-verification path for journal-restored jobs) resets that job
-        with :meth:`Job.requeue`, keeping its original position.
+        ``submit`` for an already-terminal job (a resubmitted failed or
+        journal-restored job) resets that job with :meth:`Job.requeue`,
+        keeping its original position.
         """
         replay = JournalReplay()
         jobs: Dict[str, Job] = {}

@@ -27,7 +27,6 @@ from .faults import (
 )
 from .machine import (
     DEFAULT_MAX_INSTRUCTIONS,
-    DEFAULT_WATCHDOG_FACTOR,
     Machine,
     Outcome,
     RunResult,
@@ -51,7 +50,6 @@ __all__ = [
     "ControlFault",
     "DEFAULT_CHECKPOINT_COUNT",
     "DEFAULT_MAX_INSTRUCTIONS",
-    "DEFAULT_WATCHDOG_FACTOR",
     "DecodedProgram",
     "InjectionEvent",
     "InjectionPlan",

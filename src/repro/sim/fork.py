@@ -34,8 +34,9 @@ O(divergence) instead of O(program length):
   counters advance exactly as a full replay would advance them.
 
 The comparison is *exact*, not probabilistic: a splice happens only when
-registers, pc, per-channel output lengths and the full memory image equal
-the golden state at the same dynamic instruction index, which (execution
+registers, pc, per-channel output lengths and the full memory image are
+bit-identical to the golden state at the same dynamic instruction index
+(``-0.0`` is not ``0.0``, nor ``5.0`` ``5``), which (execution
 being deterministic) guarantees the spliced :class:`RunResult` is
 bit-identical to what a full run would have produced.  Runs that never
 re-converge — crashes, hangs, persistently corrupted state — simply run to
@@ -386,24 +387,27 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
                         and int_regs == golden.int_regs
                         and float_regs == golden.float_regs
                         and {ch: len(v) for ch, v in outputs.items()}
-                        == golden.output_lens):
-                    if cells == shadow:
+                        == golden.output_lens
+                        # ``==`` forgives -0.0 against 0.0 and 5 against
+                        # 5.0: the registers must match bit for bit.
+                        and all(map(_same_value, int_regs, golden.int_regs))
+                        and all(map(_same_value, float_regs,
+                                    golden.float_regs))):
+                    if cells == shadow and all(
+                            _same_value(value, shadow[address])
+                            for address, value in cells.items()):
                         converged = golden
                         break
                     diverged = {address for address, _ in
                                 cells.items() ^ shadow.items()}
                     if _all_dead(diverged, last_read, epoch - 1):
-                        # ``==`` forgives -0.0 against 0.0 and 5 against
-                        # 5.0; the rest of the run is the golden run only
-                        # if nothing but dead cells differs bit for bit.
+                        # The rest of the run is the golden run only if
+                        # nothing but dead cells differs bit for bit.
                         exact = {address for address in cells.keys() | shadow.keys()
                                  if not _same_value(cells.get(address, _ABSENT),
                                                     shadow.get(address, _ABSENT))}
-                        if (_all_dead(exact, last_read, epoch - 1)
-                                and all(map(_same_value, int_regs, golden.int_regs))
-                                and all(map(_same_value, float_regs,
-                                            golden.float_regs))):
-                            dead = diverged
+                        if _all_dead(exact, last_read, epoch - 1):
+                            dead = exact
                             break
             next_boundary += interval
     except SimFault as exc:

@@ -104,9 +104,6 @@ class RunResult:
 
 #: Default stack size (cells) reserved at the top of memory.
 STACK_CELLS = 1 << 16
-#: Default multiplier applied to a golden run's length to derive the hang
-#: watchdog budget for injected runs.
-DEFAULT_WATCHDOG_FACTOR = 8
 #: Absolute fallback instruction budget when no golden length is known.
 DEFAULT_MAX_INSTRUCTIONS = 50_000_000
 

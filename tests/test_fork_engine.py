@@ -247,10 +247,25 @@ def test_dead_divergence_fast_forward_matches_full_replay(tail, monkeypatch):
         assert program.data_address("out") + 5 in fast.final_writes
 
 
-def test_fast_forward_needs_bit_identical_live_state():
-    """A live cell holding -0.0 where golden holds 0.0 compares equal
-    under ``==`` but reaches the output, so it blocks the fast-forward."""
+def _signed_zero_program(x_live=True):
+    """A loop storing squares to dead cells, then ``x = 0.0 - 0.0`` saved
+    to a cell, then a second loop.  With ``x_live`` the program outputs
+    ``x`` after the loop; without, the loop overwrites the squares and
+    ``x`` is never read again.
+
+    Returns the program, its checkpoint store, the exposed-stream index
+    of the MUL of loop iteration 4 and that of the FSUB.
+    """
     F1, F3, F4 = F(1), F(3), F(4)
+    tail = ([op(Opcode.ADDI, _A, _A, imm=1),
+             op(Opcode.BLT, rs1=_A, rs2=_B, label="W"),
+             op(Opcode.FLW, F4, _SUM, imm=0),
+             op(Opcode.FOUT, rs1=F4, imm=0)] if x_live else
+            [op(Opcode.ADD, _D, _BUF, _A),
+             op(Opcode.SW, rs1=_D, rs2=R(0), imm=0),
+             op(Opcode.ADDI, _A, _A, imm=1),
+             op(Opcode.BLT, rs1=_A, rs2=_B, label="W"),
+             op(Opcode.OUT, rs1=_A, imm=0)])
     program = assemble([
         op(Opcode.LA, _BUF, label="out"),
         op(Opcode.LA, _SUM, label="x"),
@@ -269,32 +284,59 @@ def test_fast_forward_needs_bit_identical_live_state():
         op(Opcode.FLI, F3, imm=7.0),
         op(Opcode.LI, _A, imm=0),
         "W",
-        op(Opcode.ADDI, _A, _A, imm=1),
-        op(Opcode.BLT, rs1=_A, rs2=_B, label="W"),
-        op(Opcode.FLW, F4, _SUM, imm=0),
-        op(Opcode.FOUT, rs1=F4, imm=0),
+        *tail,
         op(Opcode.HALT),
     ], data=[("out", [0] * 24), ("x", [0.0])])
     golden = Machine(program).run()
     store = build_checkpoint_store(Machine(program), golden, 8)
-    mul_site = 6 + 3 * 4       # MUL of iteration 4 in the exposed stream
-    fsub_site = 6 + 3 * 20     # the FSUB after the loop
+    return program, store, 6 + 3 * 4, 6 + 3 * 20
+
+
+def _sign_flip_run(program, store, targets):
+    """Run ``targets`` under the first plan seed whose last injection
+    flips bit 63 of the FSUB result, on the decoded and the fork engine;
+    returns the decoded run after checking the fork run matches it."""
     for seed in range(2000):
-        plan = InjectionPlan(ProtectionMode.UNPROTECTED, [mul_site, fsub_site],
-                             seed=seed)
+        plan = InjectionPlan(ProtectionMode.UNPROTECTED, targets, seed=seed)
         decoded = Machine(program).run(injection=plan)
-        if [event.bit for event in plan.events][1] == 63:
+        if [event.bit for event in plan.events][-1] == 63:
             break
     else:
         pytest.fail("no seed flips the sign of the FSUB result")
-    assert math.copysign(1.0, decoded.outputs[0][0]) == -1.0
     forked = Machine(program).run(
-        injection=InjectionPlan(ProtectionMode.UNPROTECTED,
-                                [mul_site, fsub_site], seed=seed),
+        injection=InjectionPlan(ProtectionMode.UNPROTECTED, targets,
+                                seed=seed),
         engine="fork", checkpoints=store)
     for name in ("outcome", "executed", "exec_counts", "outputs"):
         assert bit_equal(getattr(forked, name), getattr(decoded, name)), name
     assert bit_equal(forked.memory.cells, decoded.memory.cells)
+    return decoded
+
+
+def test_fast_forward_needs_bit_identical_live_state():
+    """A live cell holding -0.0 where golden holds 0.0 compares equal
+    under ``==`` but reaches the output, so it blocks the fast-forward."""
+    program, store, mul_site, fsub_site = _signed_zero_program()
+    decoded = _sign_flip_run(program, store, [mul_site, fsub_site])
+    assert math.copysign(1.0, decoded.outputs[0][0]) == -1.0
+
+
+def test_splice_needs_bit_identical_state():
+    """The same -0.0 with no dead cell beside it: memory and registers
+    then compare ``==`` to the golden state, yet the run must not adopt
+    the golden suffix, whose output is +0.0."""
+    program, store, _, fsub_site = _signed_zero_program()
+    decoded = _sign_flip_run(program, store, [fsub_site])
+    assert math.copysign(1.0, decoded.outputs[0][0]) == -1.0
+
+
+def test_fast_forward_keeps_a_dead_cells_sign():
+    """A dead cell holding -0.0 where golden holds 0.0: the fast-forward
+    may skip past it, but the final memory image keeps its sign."""
+    program, store, mul_site, fsub_site = _signed_zero_program(x_live=False)
+    decoded = _sign_flip_run(program, store, [mul_site, fsub_site])
+    x = decoded.memory.cells[program.data_address("x")]
+    assert x == 0.0 and math.copysign(1.0, x) == -1.0
 
 
 def test_fork_respects_tiny_instruction_budgets(suite):

@@ -26,7 +26,7 @@ import pytest
 from repro.api import submit
 from repro.api import status as api_status
 from repro.apps import registry
-from repro.core import ShardStore
+from repro.core import ShardStore, StoppingRule
 from repro.core.campaign import usable_cpus
 from repro.core.store import advisory_lock
 from repro.exec import local
@@ -360,6 +360,215 @@ class TestLaneParallelism:
 
 
 # ----------------------------------------------------------------------
+# Fully cached submits are answered in the POST, without a lane.
+# ----------------------------------------------------------------------
+def post_spec(url: str, spec: CampaignSpec) -> "tuple":
+    """``POST /v1/campaigns`` by hand: ``(HTTP status, payload)``."""
+    import http.client
+    from urllib.parse import urlsplit
+
+    parts = urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port,
+                                            timeout=60)
+    try:
+        connection.request("POST", "/v1/campaigns",
+                           body=json.dumps(spec.to_json()),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def journal_events(root: Path, key: str) -> List[str]:
+    lines = map(json.loads, (root / "jobs.jsonl").read_text().splitlines())
+    return [line["event"] for line in lines if line["job"] == key]
+
+
+@pytest.fixture()
+def held_lane(monkeypatch):
+    """Jobs that reach a lane wait on the returned event, then complete."""
+    release = threading.Event()
+
+    def _hold(self, job):
+        release.wait(timeout=120)
+        job.state = "complete"
+
+    monkeypatch.setattr(CampaignService, "_run_job", _hold)
+    yield release
+    release.set()
+
+
+ADAPTIVE = StoppingRule(ci_width=25.0, floor=2, cap=4)
+
+
+class TestCachedSubmit:
+    @pytest.mark.parametrize("stopping", [None, ADAPTIVE],
+                             ids=["fixed", "adaptive"])
+    def test_a_complete_spec_is_answered_beside_a_held_lane(
+            self, tmp_path, held_lane, stopping):
+        root = tmp_path / "cache"
+        daemon = CampaignService(root, lanes=1)
+        full = quick_spec(stopping=stopping)
+        submit(full, store=daemon.store_for(full), parallel=1)
+        daemon.start_in_background()
+        try:
+            client = ServiceClient(daemon.url)
+            blocker = client.submit(quick_spec(base_seed=900))
+            assert blocker["state"] == "queued"
+            deadline = time.monotonic() + 30
+            while client.health()["lanes"]["busy"] != 1:
+                assert time.monotonic() < deadline, "the lane never started"
+                time.sleep(0.01)
+            subset = quick_spec(stopping=stopping, errors=(2,))
+            status, payload = post_spec(daemon.url, subset)
+            assert status == 200
+            assert payload["state"] == "complete"
+            assert payload["lane"] is None
+            assert payload["executors_started"] == 0
+            assert payload["report"]["runs_executed"] == 0
+            assert payload["report"]["cells_complete"] == 2
+            store = daemon.store_for(full)
+            assert payload["report"]["runs_reused"] == sum(
+                len(store.load_records("adpcm", mode, 2))
+                for mode in ProtectionMode)
+            assert journal_events(root, subset.cache_key) == ["submit",
+                                                              "finish"]
+            assert client.health()["lanes"]["jobs"] == [blocker["job"]]
+        finally:
+            held_lane.set()
+            daemon.shutdown()
+
+    def test_a_partial_spec_runs_in_a_lane_with_the_same_payload_keys(
+            self, tmp_path):
+        root = tmp_path / "cache"
+        daemon = CampaignService(root, lanes=1)
+        cached = quick_spec(errors=(0,))
+        submit(cached, store=daemon.store_for(cached), parallel=1)
+        daemon.start_in_background()
+        try:
+            client = ServiceClient(daemon.url)
+            partial = quick_spec(errors=(0, 2))
+            status, queued = post_spec(daemon.url, partial)
+            assert status == 202 and queued["state"] == "queued"
+            ran = client.wait(partial.cache_key, timeout=300, poll=0.02)
+            assert ran["state"] == "complete" and ran["lane"] == 0
+            assert ran["report"]["runs_executed"] == 6
+            assert ran["report"]["runs_reused"] == 6
+            assert ran["executors_started"] == 1
+            status, inline = post_spec(daemon.url, cached)
+            assert status == 200 and inline["lane"] is None
+            assert inline.keys() == ran.keys()
+            assert inline["report"].keys() == ran["report"].keys()
+        finally:
+            daemon.shutdown()
+
+        reborn = CampaignService(root, lanes=1)
+        reborn.start_in_background()
+        try:
+            restored = ServiceClient(reborn.url).status(cached.cache_key)
+            assert restored["state"] == "complete"
+            assert restored["restored"] is True
+            assert restored["report"]["runs_executed"] == 0
+            assert restored["executors_started"] == 0
+        finally:
+            reborn.shutdown()
+
+    def test_a_planning_error_queues_the_job_to_fail_in_its_lane(
+            self, tmp_path):
+        root = tmp_path / "cache"
+        daemon = CampaignService(root, lanes=1)
+        spec = quick_spec()
+        store = daemon.store_for(spec)
+        submit(spec, store=store, parallel=1)
+        meta = json.loads(store.meta_path.read_text())
+        store.meta_path.write_text(json.dumps({**meta, "base_seed": 12}))
+        daemon.start_in_background()
+        try:
+            status, queued = post_spec(daemon.url, spec)
+            assert status == 202 and queued["state"] == "queued"
+            failed = ServiceClient(daemon.url).wait(spec.cache_key,
+                                                    timeout=60, poll=0.02)
+            assert failed["state"] == "failed"
+            assert "StoreMismatchError" in failed["error"]
+        finally:
+            daemon.shutdown()
+
+
+# ----------------------------------------------------------------------
+# A job that failed in this process runs again when resubmitted.
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def fails_once(monkeypatch):
+    """The first job to reach a lane raises; later ones run for real.
+    Yields the list of job keys ``_run_job`` was called with."""
+    real = CampaignService._run_job
+    calls: List[str] = []
+
+    def _flaky(self, job):
+        calls.append(job.key)
+        if len(calls) == 1:
+            raise RuntimeError("injected lane failure")
+        real(self, job)
+
+    monkeypatch.setattr(CampaignService, "_run_job", _flaky)
+    return calls
+
+
+class TestFailedJobRetry:
+    def test_resubmit_requeues_a_failed_job(self, tmp_path, fails_once):
+        root = tmp_path / "cache"
+        spec = quick_spec()
+        reference = ShardStore(tmp_path / "reference")
+        submit(spec, store=reference, parallel=1)
+        daemon = CampaignService(root, lanes=1)
+        daemon.start_in_background()
+        try:
+            client = ServiceClient(daemon.url)
+            first = client.wait(client.submit(spec)["job"], timeout=60,
+                                poll=0.02)
+            assert first["state"] == "failed"
+            assert "injected lane failure" in first["error"]
+            status, again = post_spec(daemon.url, spec)
+            assert status == 202 and again["state"] == "queued"
+            final = client.wait(spec.cache_key, timeout=300, poll=0.02)
+            assert final["state"] == "complete" and final["error"] is None
+            assert final["report"]["runs_executed"] == 12
+        finally:
+            daemon.shutdown()
+        assert fails_once == [spec.cache_key, spec.cache_key]
+        assert journal_events(root, spec.cache_key) == [
+            "submit", "start", "fail", "submit", "start", "finish"]
+        assert store_bytes(daemon.store_for(spec)) == store_bytes(reference)
+
+    def test_repro_submit_retries_a_failed_job(self, tmp_path, fails_once,
+                                               capsys):
+        from repro.__main__ import main
+
+        spec = quick_spec()
+        reference = ShardStore(tmp_path / "reference")
+        submit(spec, store=reference, parallel=1)
+        daemon = CampaignService(tmp_path / "cache", lanes=1)
+        daemon.start_in_background()
+        grid = ["--suite", "small", "--runs", "3", "--base-seed", "11",
+                "--apps", "adpcm", "--errors", "0", "2",
+                "--no-table2-points"]
+        try:
+            assert main(["submit", "--url", daemon.url, "--json",
+                         *grid]) == 1
+            assert json.loads(capsys.readouterr().out)["state"] == "failed"
+            assert main(["submit", "--url", daemon.url, "--json",
+                         *grid]) == 0
+            job = json.loads(capsys.readouterr().out)
+            assert job["job"] == spec.cache_key
+            assert job["state"] == "complete"
+        finally:
+            daemon.shutdown()
+        assert len(fails_once) == 2
+        assert store_bytes(daemon.store_for(spec)) == store_bytes(reference)
+
+
+# ----------------------------------------------------------------------
 # Stress: real campaigns across lanes stay byte-identical to serial.
 # ----------------------------------------------------------------------
 class TestConcurrentLanes:
@@ -476,8 +685,9 @@ class TestCrashDurability:
             process.wait(timeout=30)
 
         # Daemon 3: the finished job is journal-restored (no recompute),
-        # and resubmitting it re-verifies as a pure cache hit — zero
-        # runs executed, zero executor backends constructed.
+        # and resubmitting it re-verifies as a pure cache hit, answered
+        # in the POST — zero runs executed, zero executor backends
+        # constructed, no lane.
         process, url = spawn_daemon(root, "--chunk-size", "1")
         try:
             client = ServiceClient(url)
@@ -487,10 +697,9 @@ class TestCrashDurability:
             assert restored["restored"] is True
             assert restored["report"]["runs_executed"] + \
                 restored["report"]["runs_reused"] == 10
-            resubmitted = client.submit(CRASH_SPEC)
-            assert resubmitted["state"] == "queued"
-            final = client.wait(CRASH_SPEC.cache_key, timeout=300)
+            final = client.submit(CRASH_SPEC)
             assert final["state"] == "complete"
+            assert final["lane"] is None
             assert final["report"]["runs_executed"] == 0
             assert final["report"]["runs_reused"] == 10
             assert final["executors_started"] == 0
