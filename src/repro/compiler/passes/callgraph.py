@@ -22,22 +22,6 @@ class CallGraph:
     callers: Dict[str, Set[str]] = field(default_factory=dict)
     call_sites: Dict[str, List[int]] = field(default_factory=dict)
 
-    def reachable_from(self, root: str) -> Set[str]:
-        """Functions transitively reachable from ``root`` (including it)."""
-        seen: Set[str] = set()
-        frontier = [root]
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            frontier.extend(self.callees.get(name, ()))
-        return seen
-
-    def leaf_functions(self) -> Set[str]:
-        """Functions that call nothing."""
-        return {name for name, callees in self.callees.items() if not callees}
-
 
 def build_call_graph(program: Program) -> CallGraph:
     """Build the static call graph of ``program``."""

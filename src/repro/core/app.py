@@ -26,7 +26,8 @@ from ..sim import (
     RunResult,
     executing_engine,
 )
-from ..sim.fork import CheckpointStore, build_checkpoint_store
+from ..sim.errors import SimFault, WatchdogExpired
+from ..sim.fork import CheckpointStore, build_checkpoint_store, golden_result
 from .fidelity import FidelityMeasure, FidelityResult
 
 #: Watchdog budget multiplier relative to the golden run length: a run that
@@ -44,10 +45,10 @@ class GoldenRun:
     executed: int
     exposed_protected: int
     exposed_unprotected: int
-    #: Lazily built golden checkpoint trace for the fork engine
-    #: (:mod:`repro.sim.fork`).  Deliberately dropped when the golden run is
-    #: pickled into campaign worker processes — the snapshots dwarf the rest
-    #: of the payload and workers rebuild the store locally on first use.
+    #: Golden checkpoint trace for the fork engine (:mod:`repro.sim.fork`).
+    #: Deliberately dropped when the golden run is pickled into campaign
+    #: worker processes — the snapshots dwarf the rest of the payload and
+    #: workers rebuild the store locally on first use.
     checkpoint_store: Optional[CheckpointStore] = None
 
     @property
@@ -180,22 +181,24 @@ class ErrorTolerantApp(abc.ABC):
         cached = self._goldens.get(seed)
         if cached is not None:
             return cached
-        workload = self.workload(seed)
-        machine = self._make_machine(workload)
-        result = machine.run()
+        result = self._make_machine(self.workload(seed)).run()
         if result.outcome != Outcome.COMPLETED:
             raise RuntimeError(
                 f"golden run of {self.name!r} did not complete: {result.outcome} "
                 f"({result.fault})"
             )
-        golden = GoldenRun(
+        return self._memoize_golden(seed, result)
+
+    def _memoize_golden(self, seed: int, result: RunResult,
+                        store: Optional[CheckpointStore] = None) -> GoldenRun:
+        golden = self._goldens[seed] = GoldenRun(
             result=result,
-            reference_output=self.read_output(result, workload),
+            reference_output=self.read_output(result, self.workload(seed)),
             executed=result.executed,
             exposed_protected=result.statistics.exposed_protected,
             exposed_unprotected=result.statistics.exposed_unprotected,
+            checkpoint_store=store,
         )
-        self._goldens[seed] = golden
         return golden
 
     def warm(self, seeds: Sequence[int] = (0,), checkpoints: bool = False) -> None:
@@ -207,22 +210,33 @@ class ErrorTolerantApp(abc.ABC):
         store inside the timed run loop.
         """
         for seed in seeds:
-            self.golden(seed)
             if checkpoints:
                 self.checkpoint_store(seed)
+            else:
+                self.golden(seed)
 
     def checkpoint_store(self, seed: int = 0) -> CheckpointStore:
         """Golden checkpoint trace for ``seed``, built at most once.
 
-        The capture re-executes the golden run with snapshotting enabled and
-        verifies it against the memoized golden result; the cost (about two
-        golden runs) is amortized over every forked run of a campaign cell.
+        With no golden run memoized yet, the capture is the golden run,
+        which shares the store's final state.  A golden run memoized
+        without a store (unpickled, or run first) is the reference the
+        capture must reproduce exactly.
         """
-        golden = self.golden(seed)
-        if golden.checkpoint_store is None:
-            machine = self._make_machine(self.workload(seed))
+        golden = self._goldens.get(seed)
+        if golden is not None and golden.checkpoint_store is not None:
+            return golden.checkpoint_store
+        machine = self._make_machine(self.workload(seed))
+        if golden is not None:
             golden.checkpoint_store = build_checkpoint_store(machine, golden.result)
-        return golden.checkpoint_store
+            return golden.checkpoint_store
+        try:
+            store = build_checkpoint_store(machine)
+        except (SimFault, WatchdogExpired, OverflowError, ValueError) as exc:
+            raise RuntimeError(
+                f"golden run of {self.name!r} did not complete: {exc}") from exc
+        self._memoize_golden(seed, golden_result(machine, store), store)
+        return store
 
     def run_once(self, injection=None, seed: int = 0,
                  max_instructions: Optional[int] = None,
@@ -236,16 +250,17 @@ class ErrorTolerantApp(abc.ABC):
         degrades to the decoded engine.  Campaigns select the engine via
         ``CampaignConfig.engine``.
         """
+        engine = executing_engine(engine, injection)
+        store = self.checkpoint_store(seed) if engine == "fork" else None
         golden = self.golden(seed)
         budget = max_instructions if max_instructions is not None else golden.watchdog_budget
-        engine = executing_engine(engine, injection)
-        if engine == "fork":
+        if store is not None:
             # The fork engine restores memory wholesale from the
             # checkpoint store, so the machine is built bare: no workload
             # application, no golden prefix re-execution.
             machine = Machine(self.program())
             return machine.run(max_instructions=budget, injection=injection,
-                               engine=engine, checkpoints=self.checkpoint_store(seed))
+                               engine=engine, checkpoints=store)
         machine = self._make_machine(self.workload(seed))
         return machine.run(max_instructions=budget, injection=injection,
                            engine=engine)

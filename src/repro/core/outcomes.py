@@ -156,13 +156,6 @@ class CampaignResult:
     def acceptable_runs(self) -> int:
         return sum(1 for record in self.records if record.is_acceptable)
 
-    @property
-    def perfect_runs(self) -> int:
-        return sum(
-            1 for record in self.records
-            if record.fidelity is not None and record.fidelity.perfect
-        )
-
     # ------------------------------------------------------------------
     # Rates (all in percent, matching the paper's tables/figures).
     # ------------------------------------------------------------------
@@ -192,10 +185,6 @@ class CampaignResult:
     def acceptable_percent(self) -> float:
         """Percent of all runs that completed with acceptable fidelity."""
         return self._percent(self.acceptable_runs)
-
-    @property
-    def perfect_percent(self) -> float:
-        return self._percent(self.perfect_runs)
 
     # ------------------------------------------------------------------
     # Confidence intervals (see repro.core.stats).
@@ -237,17 +226,6 @@ class CampaignResult:
     def mean_fidelity(self) -> Optional[float]:
         scores = self.fidelity_scores()
         return fmean(scores) if scores else None
-
-    @property
-    def min_fidelity(self) -> Optional[float]:
-        scores = self.fidelity_scores()
-        return min(scores) if scores else None
-
-    @property
-    def mean_injected_errors(self) -> float:
-        if not self.records:
-            return 0.0
-        return fmean(record.errors_injected for record in self.records)
 
     def detail_mean(self, key: str) -> Optional[float]:
         """Mean of a named fidelity detail across completed runs."""

@@ -133,9 +133,3 @@ class TableData:
     def column(self, header: str) -> List:
         index = self.headers.index(header)
         return [row[index] for row in self.rows]
-
-    def row_by_key(self, key) -> List:
-        for row in self.rows:
-            if row and row[0] == key:
-                return row
-        raise KeyError(key)

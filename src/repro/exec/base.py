@@ -25,6 +25,7 @@ them, so callers persist each one as soon as its turn comes.
 from __future__ import annotations
 
 import abc
+from functools import lru_cache
 from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Tuple)
 
@@ -49,6 +50,8 @@ def _derive_plan(app: ErrorTolerantApp, config, run_index: int, errors: int,
     workload_seed = config.workload_seed_for(run_index)
     if errors <= 0 or mode is ProtectionMode.NONE:
         return workload_seed, None
+    if forks(config.engine, config.model):
+        app.checkpoint_store(workload_seed)  # also memoizes the golden run
     model = get_model(config.model)
     population = model.population(app.golden(workload_seed), mode)
     plan = plan_injections(errors, population, mode,
@@ -56,6 +59,16 @@ def _derive_plan(app: ErrorTolerantApp, config, run_index: int, errors: int,
                                                errors),
                            model=model.name)
     return workload_seed, plan
+
+
+@lru_cache(maxsize=None)
+def forks(engine: str, model: str) -> bool:
+    """True when injected runs under ``engine`` and ``model`` execute on
+    the fork engine."""
+    # Every injected run of a campaign shares the engine and model, so
+    # one plan with a target stands for all of them.
+    probe = InjectionPlan(ProtectionMode.PROTECTED, [0], model=model)
+    return executing_engine(engine, probe) == "fork"
 
 
 def _execute(app: ErrorTolerantApp, config, workload_seed: int,
@@ -150,15 +163,7 @@ class Executor(abc.ABC):
 
     def start(self) -> None:
         """Warm the applications, then acquire backend resources."""
-        self._warm(checkpoints=self._forks())
-
-    def _forks(self) -> bool:
-        """True when injected runs execute on the fork engine."""
-        # Every injected run of the campaign shares the engine and model,
-        # so one plan with a target stands for all of them.
-        probe = InjectionPlan(ProtectionMode.PROTECTED, [0],
-                              model=self.config.model)
-        return executing_engine(self.config.engine, probe) == "fork"
+        self._warm(checkpoints=forks(self.config.engine, self.config.model))
 
     def _warm(self, checkpoints: bool = False) -> None:
         """Simulate the golden run of every workload seed of the campaign.

@@ -7,11 +7,12 @@ bit-identical to the memoized golden run, and a fully-masked fault makes the
 *suffix* bit-identical too.  This module makes injected runs cost
 O(divergence) instead of O(program length):
 
-* :func:`build_checkpoint_store` re-executes the golden run once per
+* :func:`build_checkpoint_store` executes the golden run once per
   workload seed and snapshots machine state (registers, memory cells
   touched since the previous snapshot, program counter, execution-count
-  vector, per-mode exposed-dynamic counters) at periodic instruction-count
-  checkpoints.
+  vector) at periodic instruction-count checkpoints.  That execution is
+  the golden run itself (:func:`golden_result`), so warming an
+  application for the fork engine costs one golden execution, not two.
 * :func:`run_forked` restores the nearest checkpoint at or before the
   run's first injection target, replays only the short gap with the
   resumable injection wrappers (:meth:`DecodedProgram.injection` with
@@ -48,20 +49,24 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
 from ..isa.registers import RV
-from .decode import DecodedProgram, decode_program
+from .decode import decode_program
 from .errors import SimFault, WatchdogExpired
 from .faults import InjectionPlan, ProtectionMode
 from .stepper import Stepper
 
-#: Default number of checkpoints captured over a golden run.  The grid
-#: interval is ``golden_executed // count``: finer grids shorten both the
-#: replay gap and the convergence-detection latency, at the cost of capture
-#: time and snapshot memory.
+#: Default number of checkpoints captured over a golden run: at most
+#: ``count``, at least ``count / 2`` (see :func:`build_checkpoint_store`).
+#: Finer grids shorten both the replay gap and the convergence-detection
+#: latency, at the cost of capture time and snapshot memory.
 DEFAULT_CHECKPOINT_COUNT = 128
+#: Grid interval a capture starts from.  Each doubling of it costs
+#: ``count / 2`` snapshots, so far below the final interval is waste.
+FIRST_INTERVAL = 256
 
 
 class _TrackingCells(dict):
@@ -71,17 +76,17 @@ class _TrackingCells(dict):
     code, so every store — all of which go through plain item assignment —
     lands in ``touched`` (the cells written since the last checkpoint), and
     every load — all of which go through ``get`` — that reads a cell not
-    yet written in the current checkpoint interval records that interval
-    in ``read_first``.
+    yet written in the current checkpoint interval records the interval's
+    first dynamic index, ``since``, in ``read_first``.
     """
 
-    __slots__ = ("touched", "read_first", "interval")
+    __slots__ = ("touched", "read_first", "since")
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self.touched = set()
         self.read_first: Dict[int, int] = {}
-        self.interval = 0
+        self.since = 0
 
     def __setitem__(self, key, value) -> None:
         dict.__setitem__(self, key, value)
@@ -89,7 +94,7 @@ class _TrackingCells(dict):
 
     def get(self, key, default=None):
         if key not in self.touched:
-            self.read_first[key] = self.interval
+            self.read_first[key] = self.since
         return dict.get(self, key, default)
 
 
@@ -112,15 +117,6 @@ class Checkpoint:
     memory_delta: Dict[int, float]
     output_lens: Dict[int, int]
     exec_counts: List[int]
-    exposed_protected: int
-    exposed_unprotected: int
-
-    def exposed_count(self, mode: ProtectionMode) -> int:
-        if mode is ProtectionMode.PROTECTED:
-            return self.exposed_protected
-        if mode is ProtectionMode.UNPROTECTED:
-            return self.exposed_unprotected
-        return 0
 
 
 @dataclass
@@ -164,10 +160,14 @@ class CheckpointStore:
     _exposed_grid: Dict[ProtectionMode, List[int]] = field(default_factory=dict)
 
     def exposed_grid(self, mode: ProtectionMode) -> List[int]:
+        """Per checkpoint, the dynamic instructions so far that ``mode``
+        exposes."""
         grid = self._exposed_grid.get(mode)
         if grid is None:
-            grid = [ckpt.exposed_count(mode) for ckpt in self.checkpoints]
-            self._exposed_grid[mode] = grid
+            flags = decode_program(self.program).exposure(mode)
+            grid = self._exposed_grid[mode] = [
+                sum(compress(ckpt.exec_counts, flags))
+                for ckpt in self.checkpoints]
         return grid
 
     def select(self, first_target: int, mode: ProtectionMode,
@@ -186,10 +186,8 @@ class CheckpointStore:
         return index
 
 
-def _snapshot(machine, decoded: DecodedProgram, executed: int, pc: int,
-              exec_counts: List[int], delta: Dict[int, float]) -> Checkpoint:
-    classes = decoded.classes
-    count_at = exec_counts.__getitem__
+def _snapshot(machine, executed: int, pc: int, exec_counts: List[int],
+              delta: Dict[int, float]) -> Checkpoint:
     return Checkpoint(
         executed=executed,
         pc=pc,
@@ -198,23 +196,31 @@ def _snapshot(machine, decoded: DecodedProgram, executed: int, pc: int,
         memory_delta=delta,
         output_lens={ch: len(values) for ch, values in machine.outputs.items()},
         exec_counts=list(exec_counts),
-        exposed_protected=sum(map(count_at, classes.exposed_protected)),
-        exposed_unprotected=sum(map(count_at, classes.exposed_unprotected)),
     )
 
 
-def build_checkpoint_store(machine, expected,
+def build_checkpoint_store(machine, expected=None,
                            count: int = DEFAULT_CHECKPOINT_COUNT) -> CheckpointStore:
-    """Re-execute the golden run on ``machine``, capturing checkpoints.
+    """Execute the golden run on ``machine``, capturing checkpoints.
 
     ``machine`` must be freshly constructed with the workload applied but
-    not yet run; ``expected`` is the memoized golden :class:`RunResult` for
-    the same workload, used to size the checkpoint grid and to verify that
-    the capture run reproduced it exactly (a cheap one-time guard against
-    the capture loop ever drifting from the engine it mirrors).
+    not yet run.  The capture *is* the golden run (:func:`golden_result`);
+    one that does not complete raises its fault, or
+    :class:`WatchdogExpired`.  ``expected``, a golden result run apart from
+    this capture, makes the capture check that it reproduced it exactly.
+
+    The golden length is not known up front, so the grid starts at
+    :data:`FIRST_INTERVAL`.  Whenever ``count`` checkpoints are held and
+    another is due, the interval doubles and every odd checkpoint is
+    dropped, its memory delta merged into the next one: the store never
+    holds more than ``count``, and more than ``count / 2`` once the run
+    is longer than ``FIRST_INTERVAL * count / 2`` instructions.
     """
+    from .machine import DEFAULT_MAX_INSTRUCTIONS
+
     decoded = decode_program(machine.program)
-    interval = max(1, expected.executed // max(1, count))
+    budget = (DEFAULT_MAX_INSTRUCTIONS if expected is None
+              else expected.executed + 1)
 
     tracked = _TrackingCells(machine.memory.cells)
     machine.memory.cells = tracked
@@ -223,27 +229,39 @@ def build_checkpoint_store(machine, expected,
     # Code must bind *after* the swap so stores hit the tracking dict; the
     # stepper binds lazily, so every binding happens after it.
     stepper = Stepper(decoded, machine, decoded.entry_index)
-    guard = expected.executed  # golden runs complete in exactly this many
 
-    checkpoints = [_snapshot(machine, decoded, 0, stepper.pc,
-                             stepper.exec_counts, {})]
-    next_boundary = interval
+    checkpoints = [_snapshot(machine, 0, stepper.pc, stepper.exec_counts, {})]
+    interval = FIRST_INTERVAL
     while True:
-        stepper.run(next_boundary)
-        if stepper.halted or stepper.executed > guard:
+        stepper.run(min(checkpoints[-1].executed + interval, budget))
+        executed = stepper.executed
+        if stepper.halted or executed >= budget:
             break
+        if len(checkpoints) == count:
+            interval *= 2
+            kept = checkpoints[::2]
+            for index, dropped in enumerate(checkpoints[1::2], 1):
+                if index < len(kept):
+                    dropped.memory_delta.update(kept[index].memory_delta)
+                    kept[index].memory_delta = dropped.memory_delta
+                else:  # its cells count as written since the last one kept
+                    tracked.touched.update(dropped.memory_delta)
+            checkpoints = kept
+            if executed % interval:
+                continue
         delta = {address: tracked[address] for address in tracked.touched}
         tracked.touched.clear()
-        tracked.interval += 1
-        checkpoints.append(_snapshot(machine, decoded, stepper.executed,
-                                     stepper.pc, stepper.flush(), delta))
-        next_boundary += interval
-    executed = stepper.executed
+        tracked.since = executed
+        checkpoints.append(_snapshot(machine, executed, stepper.pc,
+                                     stepper.flush(), delta))
     exec_counts = stepper.flush()
+    if expected is None and not stepper.halted:
+        raise WatchdogExpired(executed, budget)
 
     final_cells = dict(tracked)
     machine.memory.cells = final_cells
-    if (executed != expected.executed
+    if expected is not None and (
+            executed != expected.executed
             or exec_counts != expected.exec_counts
             or machine.outputs != expected.outputs
             or final_cells != expected.memory.cells):
@@ -258,13 +276,33 @@ def build_checkpoint_store(machine, expected,
         checkpoints=checkpoints,
         base_cells=base_cells,
         final_cells=final_cells,
-        final_outputs={ch: list(values) for ch, values in machine.outputs.items()},
+        final_outputs=machine.outputs,
         final_exec_counts=exec_counts,
         final_executed=executed,
         exit_value=machine.int_regs[RV],
-        last_read=tracked.read_first,
+        # A read before a write in an interval merged into a coarser one
+        # may not be one there: over-approximating only forgoes
+        # fast-forwards.
+        last_read={address: start // interval
+                   for address, start in tracked.read_first.items()},
         final_writes=frozenset(tracked.touched),
     )
+
+
+def golden_result(machine, store: CheckpointStore):
+    """The golden :class:`RunResult` of the capture that built ``store``
+    on ``machine``, sharing the store's final state rather than copying
+    it."""
+    from .machine import Outcome, RunResult, summarise_counts
+
+    counts = store.final_exec_counts
+    return RunResult(
+        outcome=Outcome.COMPLETED, executed=store.final_executed,
+        exit_value=store.exit_value, outputs=store.final_outputs,
+        fault=None, fault_kind=None,
+        statistics=summarise_counts(decode_program(machine.program), counts),
+        exec_counts=counts, injection=None, memory=machine.memory,
+        program=machine.program)
 
 
 #: Marks a cell the run never wrote, in a fast-forward's memory patch.
@@ -339,7 +377,7 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
         outputs[channel] = store.final_outputs[channel][:length]
     stepper = Stepper(decoded, machine, start.pc, start.executed,
                       list(start.exec_counts), plan=plan,
-                      exposed_start=start.exposed_count(grid_mode))
+                      exposed_start=store.exposed_grid(grid_mode)[start_index])
 
     # Golden shadow image: the golden memory at the grid boundary the run
     # is currently crossing, maintained incrementally from the deltas.

@@ -191,13 +191,6 @@ class Machine:
             )
         self.memory.write_block(self.program.data_address(name) + offset, list(values))
 
-    def read_global(self, name: str, count: Optional[int] = None, offset: int = 0):
-        """Read values from a named global array (defaults to the whole array)."""
-        obj = self.program.data_objects[name]
-        if count is None:
-            count = obj.size - offset
-        return self.memory.read_block(self.program.data_address(name) + offset, count)
-
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------

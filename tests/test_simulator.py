@@ -13,6 +13,11 @@ from repro.sim import (
 )
 
 
+def _out_buffer(machine):
+    """The 32 cells of the ``out_buffer`` global."""
+    return machine.memory.read_block(machine.data_address("out_buffer"), 32)
+
+
 def run_builder(body, **run_kwargs):
     builder = ProgramBuilder()
     with builder.function("main"):
@@ -240,13 +245,13 @@ class TestInjection:
         program = self._program()
         golden_machine = Machine(program)
         golden = golden_machine.run()
-        golden_values = golden_machine.read_global("out_buffer", 32)
+        golden_values = _out_buffer(golden_machine)
 
         plan = plan_injections(3, golden.statistics.exposed_protected,
                                ProtectionMode.PROTECTED, seed=11)
         injected_machine = Machine(program)
         injected = injected_machine.run(injection=plan)
-        corrupted_values = injected_machine.read_global("out_buffer", 32)
+        corrupted_values = _out_buffer(injected_machine)
         assert injected.outcome == Outcome.COMPLETED
         assert corrupted_values != golden_values
 
@@ -257,5 +262,4 @@ class TestInjection:
         plan = plan_injections(0, 100, ProtectionMode.PROTECTED, seed=1)
         machine = Machine(program)
         machine.run(injection=plan)
-        assert machine.read_global("out_buffer", 32) == \
-            golden_machine.read_global("out_buffer", 32)
+        assert _out_buffer(machine) == _out_buffer(golden_machine)

@@ -233,8 +233,7 @@ class TestAggregationEdgeCases:
         assert cell.failure_percent == 0.0
         assert cell.acceptable_percent == 0.0
         assert cell.mean_fidelity is None
-        assert cell.min_fidelity is None
-        assert cell.mean_injected_errors == 0.0
+        assert cell.fidelity_scores() == []
         assert cell.detail_mean("anything") is None
         assert cell.failure_ci() is None
         assert cell.acceptable_ci() is None
