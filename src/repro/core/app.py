@@ -19,14 +19,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..compiler.minic import compile_source
 from ..compiler.passes import ControlTaggingPass, TaggingReport
 from ..isa import Program
-from ..sim import (
-    Machine,
-    Outcome,
-    ProtectionMode,
-    RunResult,
-    executing_engine,
-)
-from ..sim.errors import SimFault, WatchdogExpired
+from ..sim import (Machine, Outcome, ProtectionMode, RunResult, SimFault,
+                   WatchdogExpired, executing_engine)
 from ..sim.fork import CheckpointStore, build_checkpoint_store, golden_result
 from .fidelity import FidelityMeasure, FidelityResult
 
@@ -209,11 +203,9 @@ class ErrorTolerantApp(abc.ABC):
         when ``checkpoints`` is set — so the fork engine never captures a
         store inside the timed run loop.
         """
+        build = self.checkpoint_store if checkpoints else self.golden
         for seed in seeds:
-            if checkpoints:
-                self.checkpoint_store(seed)
-            else:
-                self.golden(seed)
+            build(seed)
 
     def checkpoint_store(self, seed: int = 0) -> CheckpointStore:
         """Golden checkpoint trace for ``seed``, built at most once.
@@ -221,22 +213,23 @@ class ErrorTolerantApp(abc.ABC):
         With no golden run memoized yet, the capture is the golden run,
         which shares the store's final state.  A golden run memoized
         without a store (unpickled, or run first) is the reference the
-        capture must reproduce exactly.
+        capture must reproduce exactly.  Only the simulator's own faults
+        and its watchdog mean the golden run failed; any other error in
+        the capture propagates.
         """
         golden = self._goldens.get(seed)
-        if golden is not None and golden.checkpoint_store is not None:
-            return golden.checkpoint_store
-        machine = self._make_machine(self.workload(seed))
-        if golden is not None:
-            golden.checkpoint_store = build_checkpoint_store(machine, golden.result)
-            return golden.checkpoint_store
-        try:
-            store = build_checkpoint_store(machine)
-        except (SimFault, WatchdogExpired, OverflowError, ValueError) as exc:
-            raise RuntimeError(
-                f"golden run of {self.name!r} did not complete: {exc}") from exc
-        self._memoize_golden(seed, golden_result(machine, store), store)
-        return store
+        if golden is None:
+            machine = self._make_machine(self.workload(seed))
+            try:
+                store = build_checkpoint_store(machine)
+            except (SimFault, WatchdogExpired) as exc:
+                raise RuntimeError(
+                    f"golden run of {self.name!r} did not complete: {exc}") from exc
+            golden = self._memoize_golden(seed, golden_result(machine, store), store)
+        elif golden.checkpoint_store is None:
+            golden.checkpoint_store = build_checkpoint_store(
+                self._make_machine(self.workload(seed)), golden.result)
+        return golden.checkpoint_store
 
     def run_once(self, injection=None, seed: int = 0,
                  max_instructions: Optional[int] = None,

@@ -228,6 +228,7 @@ class TestAttribution:
     def test_tally_rates(self):
         tally = SiteTally(site=3, hits=4, failures=1, degraded=2)
         assert tally.impacts == 3
+        assert tally.failure_rate == 0.25
         assert tally.impact_rate == 0.75
         assert SiteTally(site=0).impact_rate == 0.0
 

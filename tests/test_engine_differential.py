@@ -127,7 +127,7 @@ def test_injected_run_is_identical(suite, name, mode):
                       errors=5, mode=mode)
     _assert_identical(pairs)
     # The plans must actually have fired for the comparison to mean much.
-    assert len(pairs["decoded"][1].injection.targets) == 5
+    assert pairs["decoded"][1].injection.requested_errors == 5
 
 
 @pytest.mark.parametrize("name", APP_NAMES)

@@ -103,7 +103,7 @@ def test_forked_run_is_bit_identical(suite, name, mode, errors, model_name):
     full, forked = _run_both(app, errors, mode, seed, model_name)
     _assert_identical(full, forked)
     population = get_model(model_name).population(app.golden(0), mode)
-    assert len(forked.injection.targets) == min(errors, population)
+    assert forked.injection.requested_errors == min(errors, population)
 
 
 def test_catastrophic_paths_are_identical(suite):

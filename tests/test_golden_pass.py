@@ -21,6 +21,7 @@ import pytest
 
 from repro.apps import SUITES, create_app, registry
 from repro.core import CampaignConfig
+from repro.core import app as app_module
 from repro.exec import SocketExecutor, create_executor
 from repro.exec.local import _pool_worker_run
 from repro.sim import Machine, ProtectionMode, build_checkpoint_store
@@ -186,6 +187,19 @@ def test_a_golden_run_that_fails_raises(monkeypatch):
     monkeypatch.setattr(machine_module, "DEFAULT_MAX_INSTRUCTIONS", 1000)
     app = create_app("adpcm", samples=300)
     with pytest.raises(RuntimeError, match="did not complete"):
+        app.checkpoint_store(0)
+    assert app._goldens == {}
+
+
+def test_an_error_in_the_capture_is_not_a_failed_golden_run(monkeypatch):
+    """Only the simulator's faults and its watchdog mean the golden run
+    failed; any other error raised by the capture propagates as itself."""
+    def broken_capture(machine, expected=None):
+        raise ValueError("capture bug")
+
+    monkeypatch.setattr(app_module, "build_checkpoint_store", broken_capture)
+    app = create_app("adpcm", samples=300)
+    with pytest.raises(ValueError, match="capture bug"):
         app.checkpoint_store(0)
     assert app._goldens == {}
 
