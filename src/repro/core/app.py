@@ -19,8 +19,14 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..compiler.minic import compile_source
 from ..compiler.passes import ControlTaggingPass, TaggingReport
 from ..isa import Program
-from ..sim import (Machine, Outcome, ProtectionMode, RunResult, SimFault,
-                   WatchdogExpired, executing_engine)
+from ..sim import (
+    Machine,
+    Outcome,
+    ProtectionMode,
+    RunResult,
+    executing_engine,
+)
+from ..sim.errors import SimFault, WatchdogExpired
 from ..sim.fork import CheckpointStore, build_checkpoint_store, golden_result
 from .fidelity import FidelityMeasure, FidelityResult
 
