@@ -97,13 +97,6 @@ class SiteTally:
     degraded: int = 0
 
     @property
-    def failure_rate(self) -> float:
-        """Fraction of hits that ended catastrophically (crash/hang)."""
-        if self.hits == 0:
-            return 0.0
-        return self.failures / self.hits
-
-    @property
     def impacts(self) -> int:
         """Hits with any architecturally visible impact.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import signal
 import threading
@@ -49,6 +50,10 @@ PARENT_POLL = 1.0
 
 
 def _pool_worker_init(apps: Sequence[ErrorTolerantApp]) -> None:
+    # The heap a forked worker inherits (warm apps, decodes, checkpoint
+    # stores) lives as long as the worker: keep it out of the collector's
+    # full collections, which would otherwise walk all of it again.
+    gc.freeze()
     seed_app_cache(apps)
     # Ctrl-C is the parent's to handle: it cancels the queued tasks and
     # waits for the running ones, so a worker must not die mid-task.

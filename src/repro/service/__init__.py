@@ -29,14 +29,25 @@ Modules:
 Everything here is stdlib-only: no web framework, no new dependencies.
 """
 
-from .client import ServiceClient
-from .daemon import CampaignService
-from .journal import JobJournal
-from .spec import CampaignSpec
+from importlib import import_module
 
-__all__ = [
-    "CampaignService",
-    "CampaignSpec",
-    "JobJournal",
-    "ServiceClient",
-]
+#: Export -> the submodule that defines it, imported on first access
+#: (PEP 562): ``import repro.api`` loads :mod:`repro.service.spec` and
+#: :mod:`repro.service.journal` only, not the daemon with its asyncio
+#: and HTTP layers.
+_EXPORTS = {
+    "CampaignService": "daemon",
+    "CampaignSpec": "spec",
+    "JobJournal": "journal",
+    "ServiceClient": "client",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Resolve the package's exports on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)

@@ -131,10 +131,6 @@ class InjectionPlan:
         self._rng = random.Random(self.seed ^ 0x5DEECE66D)
 
     @property
-    def requested_errors(self) -> int:
-        return len(self.targets)
-
-    @property
     def injected_errors(self) -> int:
         return len(self.events)
 

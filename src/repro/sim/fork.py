@@ -10,9 +10,11 @@ O(divergence) instead of O(program length):
 * :func:`build_checkpoint_store` executes the golden run once per
   workload seed and snapshots machine state (registers, memory cells
   touched since the previous snapshot, program counter, execution-count
-  vector) at periodic instruction-count checkpoints.  That execution is
-  the golden run itself (:func:`golden_result`), so warming an
-  application for the fork engine costs one golden execution, not two.
+  vector) at the first unit leader past each point of an
+  instruction-count grid, so the capture runs every unit whole.  Each
+  checkpoint records its own dynamic index.  That execution is the
+  golden run itself (:func:`golden_result`), so warming an application
+  for the fork engine costs one golden execution, not two.
 * :func:`run_forked` restores the nearest checkpoint at or before the
   run's first injection target, replays only the short gap with the
   resumable injection wrappers (:meth:`DecodedProgram.injection` with
@@ -20,17 +22,17 @@ O(divergence) instead of O(program length):
   and simulates forward from there.
 * **Convergence early-exit**: once every planned injection has fired, the
   engine compares machine state against the golden trace at each
-  checkpoint-grid boundary (registers and pc directly, memory against an
+  checkpoint's dynamic index (registers and pc directly, memory against an
   incrementally maintained golden shadow image).  On re-convergence the
   golden suffix is spliced in — outputs, remaining execution counts, final
   memory image, exit value — and the run terminates immediately, so
   fully-masked faults cost little more than the replay gap.
 * **Dead-divergence fast-forward**: when everything but some memory cells
-  matches at a boundary, and the golden run never reads those cells
+  matches at a checkpoint, and the golden run never reads those cells
   again before overwriting them (the capture run records each cell's
   last read-before-write interval), the rest of the run *is* the golden
   run apart from those cells.  It is not executed: the result is the
-  golden suffix with the cells patched in, at the boundary where a full
+  golden suffix with the cells patched in, at the checkpoint where a full
   replay would have spliced or at the golden completion, and the store's
   counters advance exactly as a full replay would advance them.
 
@@ -100,7 +102,8 @@ class _TrackingCells(dict):
 
 @dataclass
 class Checkpoint:
-    """Machine state at one instruction-count grid point of the golden run.
+    """Machine state of the golden run at dynamic index ``executed``, a
+    unit leader.
 
     ``memory_delta`` holds only the cells written since the previous
     checkpoint; the full image at this point is the run's base image plus
@@ -124,12 +127,13 @@ class CheckpointStore:
     """Golden-run checkpoint trace plus final artefacts for suffix splicing.
 
     Built once per (program, workload) by :func:`build_checkpoint_store`;
-    consumed by every injected run of the campaign cell.  Checkpoint ``j``
-    sits at dynamic index ``j * interval`` (checkpoint 0 is the run start),
-    so the fork loop can align its own instruction counter with the golden
-    grid.  The store is deliberately **not** shipped to campaign worker
-    processes (see ``GoldenRun.__getstate__``); workers rebuild it from the
-    decode cache on first use.
+    consumed by every injected run of the campaign cell.  Checkpoint 0 is
+    the run start; every later one sits at the first unit leader at or
+    past a multiple of ``interval``, at the dynamic index it records, and
+    the fork loop stops its own run at each of those indices.  The store
+    is deliberately **not** shipped to campaign worker processes (see
+    ``GoldenRun.__getstate__``); workers rebuild it from the decode cache
+    on first use.
     """
 
     program: object
@@ -141,10 +145,10 @@ class CheckpointStore:
     final_exec_counts: List[int]
     final_executed: int
     exit_value: Optional[int]
-    #: Address -> the last checkpoint interval in which the golden run read
-    #: the cell before writing it; a cell absent from here, or with an
-    #: entry below ``k``, is never read again from checkpoint ``k`` on
-    #: without first being overwritten.
+    #: Address -> the index of the last checkpoint whose interval (up to
+    #: the next checkpoint) holds a read of the cell before a write; a
+    #: cell absent from here, or with an entry below ``k``, is never read
+    #: again from checkpoint ``k`` on without first being overwritten.
     last_read: Dict[int, int]
     #: Cells the golden run writes after its last checkpoint.
     final_writes: FrozenSet[int]
@@ -199,6 +203,31 @@ def _snapshot(machine, executed: int, pc: int, exec_counts: List[int],
     )
 
 
+def _coarsen(checkpoints: List[Checkpoint], interval: int,
+             touched: set) -> List[Checkpoint]:
+    """The checkpoints of a grid of ``interval``, from those of the grid of
+    half of it.
+
+    A checkpoint sits at the first leader stop at or past a grid point,
+    so it serves every grid point after the checkpoint before it, up to
+    its own position.  It stays if one of those is on the coarser grid;
+    a dropped checkpoint's memory delta merges into the next one kept,
+    or, after the last one kept, back into ``touched``.
+    """
+    kept = checkpoints[:1]
+    merged: Dict[int, float] = {}
+    for previous, ckpt in zip(checkpoints, checkpoints[1:]):
+        if ckpt.executed // interval == previous.executed // interval:
+            merged.update(ckpt.memory_delta)
+            continue
+        if merged:
+            merged.update(ckpt.memory_delta)
+            ckpt.memory_delta, merged = merged, {}
+        kept.append(ckpt)
+    touched.update(merged)
+    return kept
+
+
 def build_checkpoint_store(machine, expected=None,
                            count: int = DEFAULT_CHECKPOINT_COUNT) -> CheckpointStore:
     """Execute the golden run on ``machine``, capturing checkpoints.
@@ -209,12 +238,16 @@ def build_checkpoint_store(machine, expected=None,
     :class:`WatchdogExpired`.  ``expected``, a golden result run apart from
     this capture, makes the capture check that it reproduced it exactly.
 
+    Checkpoint 0 is the run start.  Each later one sits at the first
+    unit leader the run reaches at or past a grid point, a multiple of
+    the interval (:meth:`Stepper.run_to_leader`), so the capture runs
+    every unit whole; a stop past several grid points serves them all.
     The golden length is not known up front, so the grid starts at
-    :data:`FIRST_INTERVAL`.  Whenever ``count`` checkpoints are held and
-    another is due, the interval doubles and every odd checkpoint is
-    dropped, its memory delta merged into the next one: the store never
-    holds more than ``count``, and more than ``count / 2`` once the run
-    is longer than ``FIRST_INTERVAL * count / 2`` instructions.
+    :data:`FIRST_INTERVAL`.  Whenever more than ``count`` checkpoints
+    are held, the interval doubles and the checkpoints that serve no
+    point of the coarser grid are dropped (:func:`_coarsen`), until at
+    most ``count`` remain.  No two neighbours are dropped together, so
+    more than ``count / 2`` remain once the grid has coarsened.
     """
     from .machine import DEFAULT_MAX_INSTRUCTIONS
 
@@ -233,27 +266,19 @@ def build_checkpoint_store(machine, expected=None,
     checkpoints = [_snapshot(machine, 0, stepper.pc, stepper.exec_counts, {})]
     interval = FIRST_INTERVAL
     while True:
-        stepper.run(min(checkpoints[-1].executed + interval, budget))
+        stepper.run_to_leader(
+            (checkpoints[-1].executed // interval + 1) * interval, budget)
         executed = stepper.executed
         if stepper.halted or executed >= budget:
             break
-        if len(checkpoints) == count:
-            interval *= 2
-            kept = checkpoints[::2]
-            for index, dropped in enumerate(checkpoints[1::2], 1):
-                if index < len(kept):
-                    dropped.memory_delta.update(kept[index].memory_delta)
-                    kept[index].memory_delta = dropped.memory_delta
-                else:  # its cells count as written since the last one kept
-                    tracked.touched.update(dropped.memory_delta)
-            checkpoints = kept
-            if executed % interval:
-                continue
         delta = {address: tracked[address] for address in tracked.touched}
         tracked.touched.clear()
         tracked.since = executed
         checkpoints.append(_snapshot(machine, executed, stepper.pc,
                                      stepper.flush(), delta))
+        while len(checkpoints) > count:
+            interval *= 2
+            checkpoints = _coarsen(checkpoints, interval, tracked.touched)
     exec_counts = stepper.flush()
     if expected is None and not stepper.halted:
         raise WatchdogExpired(executed, budget)
@@ -270,6 +295,7 @@ def build_checkpoint_store(machine, expected=None,
             "refusing to build a fork store from inconsistent state"
         )
 
+    positions = [ckpt.executed for ckpt in checkpoints]
     return CheckpointStore(
         program=machine.program,
         interval=interval,
@@ -280,10 +306,11 @@ def build_checkpoint_store(machine, expected=None,
         final_exec_counts=exec_counts,
         final_executed=executed,
         exit_value=machine.int_regs[RV],
-        # A read before a write in an interval merged into a coarser one
-        # may not be one there: over-approximating only forgoes
-        # fast-forwards.
-        last_read={address: start // interval
+        # A read recorded at a dropped checkpoint belongs to the interval
+        # of the last one kept before it; a read before a write in an
+        # interval merged into a coarser one may not be one there, but
+        # over-approximating only forgoes fast-forwards.
+        last_read={address: bisect_right(positions, start) - 1
                    for address, start in tracked.read_first.items()},
         final_writes=frozenset(tracked.touched),
     )
@@ -379,14 +406,12 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
                       list(start.exec_counts), plan=plan,
                       exposed_start=store.exposed_grid(grid_mode)[start_index])
 
-    # Golden shadow image: the golden memory at the grid boundary the run
-    # is currently crossing, maintained incrementally from the deltas.
+    # Golden shadow image: the golden memory at the checkpoint the run is
+    # currently crossing, maintained incrementally from the deltas.
     shadow = dict(cells)
     epoch = start_index + 1
     n_checkpoints = len(checkpoints)
 
-    interval = store.interval
-    next_boundary = start.executed + interval
     int_regs = machine.int_regs
     float_regs = machine.float_regs
 
@@ -406,48 +431,50 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
 
     try:
         while True:
-            stepper.run(min(next_boundary, max_instructions))
+            # Stop at the next checkpoint; after the last one, run to the
+            # end.
+            boundary = (checkpoints[epoch].executed if epoch < n_checkpoints
+                        else max_instructions)
+            stepper.run(min(boundary, max_instructions))
             if stepper.halted:
                 break
             executed = stepper.executed
             if executed >= max_instructions:
                 raise WatchdogExpired(executed, max_instructions)
-            # Crossing a golden grid boundary: advance the shadow image
-            # and, once every injection has fired, test re-convergence
-            # against the golden state.
-            if epoch < n_checkpoints and checkpoints[epoch].executed == executed:
-                golden = checkpoints[epoch]
-                epoch += 1
-                shadow.update(golden.memory_delta)
-                if (can_splice
-                        and not stepper.pending
-                        and stepper.pc == golden.pc
-                        and int_regs == golden.int_regs
-                        and float_regs == golden.float_regs
-                        and {ch: len(v) for ch, v in outputs.items()}
-                        == golden.output_lens
-                        # ``==`` forgives -0.0 against 0.0 and 5 against
-                        # 5.0: the registers must match bit for bit.
-                        and all(map(_same_value, int_regs, golden.int_regs))
-                        and all(map(_same_value, float_regs,
-                                    golden.float_regs))):
-                    if cells == shadow and all(
-                            _same_value(value, shadow[address])
-                            for address, value in cells.items()):
-                        converged = golden
+            # At a golden checkpoint: advance the shadow image and, once
+            # every injection has fired, test re-convergence against the
+            # golden state.
+            golden = checkpoints[epoch]
+            epoch += 1
+            shadow.update(golden.memory_delta)
+            if (can_splice
+                    and not stepper.pending
+                    and stepper.pc == golden.pc
+                    and int_regs == golden.int_regs
+                    and float_regs == golden.float_regs
+                    and {ch: len(v) for ch, v in outputs.items()}
+                    == golden.output_lens
+                    # ``==`` forgives -0.0 against 0.0 and 5 against
+                    # 5.0: the registers must match bit for bit.
+                    and all(map(_same_value, int_regs, golden.int_regs))
+                    and all(map(_same_value, float_regs,
+                                golden.float_regs))):
+                if cells == shadow and all(
+                        _same_value(value, shadow[address])
+                        for address, value in cells.items()):
+                    converged = golden
+                    break
+                diverged = {address for address, _ in
+                            cells.items() ^ shadow.items()}
+                if _all_dead(diverged, last_read, epoch - 1):
+                    # The rest of the run is the golden run only if
+                    # nothing but dead cells differs bit for bit.
+                    exact = {address for address in cells.keys() | shadow.keys()
+                             if not _same_value(cells.get(address, _ABSENT),
+                                                shadow.get(address, _ABSENT))}
+                    if _all_dead(exact, last_read, epoch - 1):
+                        dead = exact
                         break
-                    diverged = {address for address, _ in
-                                cells.items() ^ shadow.items()}
-                    if _all_dead(diverged, last_read, epoch - 1):
-                        # The rest of the run is the golden run only if
-                        # nothing but dead cells differs bit for bit.
-                        exact = {address for address in cells.keys() | shadow.keys()
-                                 if not _same_value(cells.get(address, _ABSENT),
-                                                    shadow.get(address, _ABSENT))}
-                        if _all_dead(exact, last_read, epoch - 1):
-                            dead = exact
-                            break
-            next_boundary += interval
     except SimFault as exc:
         outcome = Outcome.CRASH
         fault = exc
@@ -461,15 +488,15 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
 
     executed = stepper.executed
     exec_counts = stepper.flush()
-    adopted = converged  # the grid point whose golden suffix the run takes
+    adopted = converged  # the checkpoint whose golden suffix the run takes
     patch: Dict[int, object] = {}  # cells that end up off the golden image
     if dead is not None:
         # ------------------------------------------------------------------
         # Dead-divergence fast-forward.  State equals the golden state at
-        # this grid point except for cells the golden run overwrites before
+        # this checkpoint except for cells the golden run overwrites before
         # it reads them again, so the rest of the run is the golden run:
         # the same instructions over the same register values.  Step over
-        # it without executing: to the grid point where the golden run has
+        # it without executing: to the checkpoint where the golden run has
         # overwritten every such cell -- where a full replay would splice
         # -- or to the golden completion, keeping the cells it never
         # rewrites.  Records, splices and replay counts are what the full
@@ -493,7 +520,7 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
 
     if adopted is not None:
         # ------------------------------------------------------------------
-        # Golden-suffix splice.  State equals the golden state at this grid
+        # Golden-suffix splice.  State equals the golden state at this
         # point, so the rest of the run is deterministic and already known:
         # append the golden output suffixes, add the golden remaining
         # execution counts, and adopt the golden final memory image (with

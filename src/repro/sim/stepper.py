@@ -23,12 +23,15 @@ drives one run::
             ...                         # one instruction
 
 A unit runs whole only from its leader, when it fits before ``limit``
-(the caller's next checkpoint boundary, state-model target or watchdog
-budget) and, while a result plan has targets left, when none of them
-falls inside the unit's exposed occurrences.  Everywhere else -- a pc
-that is not a leader (after a target fired, at a checkpoint boundary,
-after a ``JR`` into a block's middle), the tail before a limit, the rows
-before the next target -- a span runs as many rows as it may.  The
+(the caller's next checkpoint, state-model target or watchdog budget)
+and, while a result plan has targets left, when none of them falls
+inside the unit's exposed occurrences.  Everywhere else -- a pc that is
+not a leader (after a target fired, after a ``JR`` into a block's
+middle), the tail before a limit, the rows before the next target -- a
+span runs as many rows as it may.  The checkpoint capture instead stops
+at the first leader at or past each grid point
+(:meth:`Stepper.run_to_leader`), so checkpoints sit at leaders and a
+golden run, or a forked run that rejoins it, splits no unit.  The
 target row itself is found by bisecting the unit's prefix sums of the
 plan's exposure flags and is the only row that single-steps, through its
 injection wrapper.  Code also single-steps until its leader is hot
@@ -119,7 +122,17 @@ class Stepper:
         """
         if self.pending:
             self._run_injected(limit)
-        self._run_fast(limit)
+        self._run_fast(limit, limit)
+
+    def run_to_leader(self, stop: int, limit: int) -> None:
+        """Execute until the program halts, or to the first unit leader
+        reached with ``executed`` at or past ``stop``.
+
+        A unit that starts before ``stop`` runs whole past it, so the run
+        splits no unit; ``limit`` stays a hard stop (a unit that would
+        pass it runs as a span up to it).  For a stepper without a plan.
+        """
+        self._run_fast(limit, stop)
 
     def flush(self) -> List[int]:
         """Expand the unit and span counts into ``exec_counts`` and
@@ -218,7 +231,7 @@ class Stepper:
     # ------------------------------------------------------------------
     # The loops.
     # ------------------------------------------------------------------
-    def _run_fast(self, limit: int) -> None:
+    def _run_fast(self, limit: int, stop: int) -> None:
         decoded = self.decoded
         text_len = decoded.text_len
         sizes = decoded.block_sizes
@@ -235,6 +248,8 @@ class Stepper:
             while pc != text_len:
                 size = sizes[pc]
                 if size and executed + size <= limit:
+                    if executed >= stop:
+                        break
                     block = blocks[pc] or self._block(pc)
                     if block is not None:
                         try:

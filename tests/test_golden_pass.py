@@ -13,9 +13,14 @@ every checkpoint it keeps.
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,7 @@ from repro.exec.local import _pool_worker_run
 from repro.sim import Machine, ProtectionMode, build_checkpoint_store
 from repro.sim import fork as fork_module
 from repro.sim import machine as machine_module
+from repro.sim import stepper as stepper_module
 from repro.sim.fork import golden_result
 from repro.sim.stepper import Stepper
 
@@ -233,52 +239,87 @@ class _AccessLog(dict):
 
 @pytest.fixture(scope="module")
 def gsm_accesses():
-    """A short application and its golden run's memory accesses, taken
-    one instruction at a time."""
+    """A short application, its golden run's memory accesses and its pc
+    at every dynamic index, taken one instruction at a time."""
     app = create_app("gsm", frames=2)
     machine = _fresh_machine(app)
     cells = machine.memory.cells = _AccessLog(machine.memory.cells)
     decoded = fork_module.decode_program(app.program())
     stepper = Stepper(decoded, machine, decoded.entry_index)
+    trace = []
     while not stepper.halted:
         cells.now = stepper.executed
+        trace.append(stepper.pc)
         stepper.run(stepper.executed + 1)
-    return app, cells.log
+    return app, cells.log, trace
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 8, 128])
+def _leader_stops(decoded, trace):
+    """The dynamic indices at which a run with every unit compiled comes
+    back to its dispatch loop at a unit leader: a unit runs whole from
+    its leader, a span from a block's middle to its unit's end."""
+    sizes, owners = decoded.block_sizes, decoded.block_owner
+    stops, index = [], 0
+    while index < len(trace):
+        pc = trace[index]
+        if sizes[pc]:
+            stops.append(index)
+            index += sizes[pc]
+        else:
+            index += sizes[owners[pc]] - (pc - owners[pc])
+    return stops
+
+
+def _grid(stops, interval):
+    """Checkpoint positions on a grid of ``interval``: 0, then the first
+    stop at or past the next grid point after each."""
+    positions = [0]
+    while True:
+        at = bisect_left(stops, (positions[-1] // interval + 1) * interval)
+        if at == len(stops):
+            return positions
+        positions.append(stops[at])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 128, 4096])
 @pytest.mark.parametrize("first", [1, 64])
 def test_grid_keeps_exact_checkpoints(count, first, gsm_accesses,
                                       monkeypatch):
-    """The capture's result is the decoded golden run; the grid never
-    exceeds ``count`` and keeps more than half of it; every checkpoint
-    holds the golden state at ``j * interval``; and ``last_read`` never
-    calls a cell dead at a checkpoint from which the golden run reads it
-    before writing it."""
+    """The capture's result is the decoded golden run.  Every checkpoint
+    sits at a unit leader, the first the run reaches at or past a grid
+    point, and holds the golden state there.  The grid never exceeds
+    ``count``, keeps more than half of it once coarsened, and coarsens
+    no further than it must.  ``last_read`` never calls a cell dead at a
+    checkpoint from which the golden run reads it before writing it, nor
+    live past the checkpoint before its last read."""
     monkeypatch.setattr(fork_module, "FIRST_INTERVAL", first)
-    app, accesses = gsm_accesses
+    # Every unit compiles on its first visit, so the run stops only where
+    # :func:`_leader_stops` says.
+    monkeypatch.setattr(stepper_module, "HOT_VISITS", 0)
+    app, accesses, trace = gsm_accesses
     capture = _fresh_machine(app)
     store = build_checkpoint_store(capture, count=count)
     result, reference = golden_result(capture, store), _fresh_machine(app).run()
     for field in RESULT_FIELDS:
         assert bit_equal(getattr(result, field), getattr(reference, field))
     assert bit_equal(result.memory.cells, reference.memory.cells)
-    executed = store.final_executed
+    decoded = fork_module.decode_program(app.program())
     interval = store.interval
     checkpoints = store.checkpoints
+    positions = [ckpt.executed for ckpt in checkpoints]
+    assert all(decoded.block_sizes[ckpt.pc] for ckpt in checkpoints)
+    assert all(map(int.__lt__, positions, positions[1:]))
+    stops = _leader_stops(decoded, trace)
+    assert positions == _grid(stops, interval)
     assert len(checkpoints) <= count
-    if executed > first * count / 2:
-        assert len(checkpoints) > count / 2
     assert interval % first == 0
     assert (interval // first) & (interval // first - 1) == 0
-    assert [ckpt.executed for ckpt in checkpoints] == [
-        index * interval for index in range(len(checkpoints))]
-    assert (len(checkpoints) - 1) * interval < executed \
-        <= len(checkpoints) * interval
+    if interval > first:
+        assert len(checkpoints) > count / 2
+        assert len(_grid(stops, interval // 2)) > count
 
-    # A plain stepper stopped at each grid point holds the golden state.
+    # A plain stepper stopped at each checkpoint holds the golden state.
     machine = _fresh_machine(app)
-    decoded = fork_module.decode_program(app.program())
     stepper = Stepper(decoded, machine, decoded.entry_index)
     image = dict(store.base_cells)
     for ckpt in checkpoints[1:]:
@@ -292,14 +333,45 @@ def test_grid_keeps_exact_checkpoints(count, first, gsm_accesses,
         assert ckpt.output_lens == {channel: len(values) for channel, values
                                     in machine.outputs.items()}
 
-    # A load at index t reads a cell live at checkpoint t // interval
+    # A load at index t reads a cell live at the checkpoint before t
     # unless a store to it lies between that checkpoint and the load.
-    last = checkpoints[-1].executed
+    last = positions[-1]
     for address, log in accesses.items():
-        stored = -1
+        stored = loaded = -1
         for index, is_store in log:
             if is_store:
                 stored = index
-            elif stored < index // interval * interval:
-                assert store.last_read.get(address, -1) >= index // interval
+                continue
+            loaded = index
+            before = bisect_right(positions, index) - 1
+            if stored < positions[before]:
+                assert store.last_read.get(address, -1) >= before
+        assert store.last_read.get(address, -1) \
+            <= bisect_right(positions, loaded) - 1
         assert (address in store.final_writes) == (stored >= last)
+
+
+SMALL_SUITE_WARM = """
+from repro.apps import small_suite
+from repro.sim import semantics
+
+for app in small_suite().values():
+    app.warm(checkpoints=True)
+spans = sum(span for _, span in semantics._UNIT_MAKERS)
+print(spans, len(semantics._UNIT_MAKERS) - spans)
+"""
+
+
+def test_a_cold_capture_compiles_no_span_maker():
+    """The capture stops only at unit leaders, so warming the small suite
+    in a fresh process runs every unit whole and binds no span."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run([sys.executable, "-c", SMALL_SUITE_WARM],
+                               capture_output=True, text=True, env=env,
+                               timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    spans, units = map(int, completed.stdout.split())
+    assert spans == 0
+    assert units > 0

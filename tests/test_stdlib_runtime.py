@@ -2,7 +2,8 @@
 
 The check runs in a fresh interpreter with both names blocked in
 ``sys.modules``, so any import of either raises ``ImportError`` even on a
-host where they are installed.
+host where they are installed.  Another fresh interpreter checks that
+importing the library facade leaves the daemon unloaded.
 """
 
 import os
@@ -53,3 +54,25 @@ def test_runtime_imports_and_warms_without_numpy_or_scipy():
                                capture_output=True, text=True, env=env,
                                timeout=300)
     assert completed.returncode == 0, completed.stderr
+
+
+LIBRARY_IMPORT = """
+import sys
+
+import repro.api
+
+loaded = {"asyncio", "repro.service.daemon", "repro.service.http"}
+print(sorted(loaded & set(sys.modules)))
+"""
+
+
+def test_importing_the_api_loads_no_daemon():
+    """``repro.api`` is what every library sweep imports first; the daemon,
+    its HTTP layer and asyncio load only when a service is started."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run([sys.executable, "-c", LIBRARY_IMPORT],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
