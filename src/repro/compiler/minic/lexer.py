@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import functools
+import re
+from typing import List, NamedTuple
 
 KEYWORDS = {
     "int",
@@ -38,8 +39,7 @@ class LexerError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str      # "ident", "int", "float", "keyword", "op", "eof"
     text: str
     line: int
@@ -53,75 +53,69 @@ class Token:
         return float(self.text)
 
 
+@functools.lru_cache(maxsize=16)
+def _token_pattern(odd_digits: str = "", odd_numerals: str = "") -> "re.Pattern":
+    """The master regex, one named group per outcome of a token.
+
+    Alternatives are tried in order, as the rules are: blanks and
+    comments (``skip``), an unterminated ``/*`` (``open``), numbers,
+    keywords, identifiers, operators longest first, and any other
+    character (``bad``).  A number is a hex literal, or a greedy run of
+    digits, ``.``, ``e`` and ``E`` (``+``/``-`` only right after an
+    ``e``/``E``) starting at a digit or at a ``.`` before a digit; it is
+    a float when that run holds a ``.``, ``e`` or ``E``.  Identifiers
+    start at a letter or ``_`` and go on over letters, digits and ``_``.
+
+    "Digit" and "letter" mean ``str.isdigit`` and ``str.isalpha``.  The
+    regex's own ``\\d`` is ``str.isdecimal`` and ``\\w`` is ``str.isalnum``
+    or ``_``, which agree with them on every character but two rare
+    kinds: digits that are not decimal (``²``), passed as
+    ``odd_digits``, and numerals that are neither digits nor letters
+    (``½``), passed as ``odd_numerals``.
+    """
+    digit = rf"[\d{odd_digits}]"
+    not_letter = rf"[\d{odd_digits}{odd_numerals}]"
+    number_tail = rf"(?:{digit}|[.eE]|(?<=[eE])[+-])*"
+    keywords = "|".join(sorted(KEYWORDS))
+    operators = "|".join(map(re.escape, OPERATORS))
+    return re.compile(
+        rf"(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)"
+        rf"|(?P<open>/\*)"
+        rf"|(?P<int>0[xX][0-9a-fA-F]*|{digit}+(?!{digit}|[.eE]))"
+        rf"|(?P<float>(?:{digit}|\.{digit}){number_tail})"
+        rf"|(?P<keyword>(?:{keywords})(?!\w))"
+        rf"|(?P<ident>(?!{not_letter})[^\W]\w*)"
+        rf"|(?P<op>{operators})"
+        rf"|(?P<bad>.)",
+        re.DOTALL)
+
+
+def _pattern_for(source: str) -> "re.Pattern":
+    if source.isascii():
+        return _token_pattern()
+    odd = sorted(char for char in set(source) if not char.isascii()
+                 and char.isnumeric() and not char.isdecimal())
+    return _token_pattern(
+        re.escape("".join(char for char in odd if char.isdigit())),
+        re.escape("".join(char for char in odd
+                          if not char.isdigit() and not char.isalpha())))
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenise MiniC source text."""
     tokens: List[Token] = []
+    append = tokens.append
     line = 1
-    position = 0
-    length = len(source)
-
-    while position < length:
-        char = source[position]
-
-        if char == "\n":
-            line += 1
-            position += 1
-            continue
-        if char in " \t\r":
-            position += 1
-            continue
-
-        # Comments: // to end of line and /* ... */.
-        if source.startswith("//", position):
-            end = source.find("\n", position)
-            position = length if end < 0 else end
-            continue
-        if source.startswith("/*", position):
-            end = source.find("*/", position + 2)
-            if end < 0:
-                raise LexerError("unterminated block comment", line)
-            line += source.count("\n", position, end)
-            position = end + 2
-            continue
-
-        # Numbers (ints, hex ints, floats).
-        if char.isdigit() or (char == "." and position + 1 < length and source[position + 1].isdigit()):
-            start = position
-            is_float = False
-            if source.startswith("0x", position) or source.startswith("0X", position):
-                position += 2
-                while position < length and source[position] in "0123456789abcdefABCDEF":
-                    position += 1
-            else:
-                while position < length and (source[position].isdigit() or source[position] in ".eE+-"):
-                    current = source[position]
-                    if current in "+-" and source[position - 1] not in "eE":
-                        break
-                    if current in ".eE":
-                        is_float = True
-                    position += 1
-            text = source[start:position]
-            tokens.append(Token("float" if is_float else "int", text, line))
-            continue
-
-        # Identifiers and keywords.
-        if char.isalpha() or char == "_":
-            start = position
-            while position < length and (source[position].isalnum() or source[position] == "_"):
-                position += 1
-            text = source[start:position]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line))
-            continue
-
-        # Operators and punctuation.
-        for operator in OPERATORS:
-            if source.startswith(operator, position):
-                tokens.append(Token("op", operator, line))
-                position += len(operator)
-                break
+    for match in _pattern_for(source).finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "skip":
+            line += text.count("\n")
+        elif kind == "open":
+            raise LexerError("unterminated block comment", line)
+        elif kind == "bad":
+            raise LexerError(f"unexpected character {text!r}", line)
         else:
-            raise LexerError(f"unexpected character {char!r}", line)
-
+            append(Token(kind, text, line))
     tokens.append(Token("eof", "", line))
     return tokens

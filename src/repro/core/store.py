@@ -95,22 +95,44 @@ def _encode_line(record: RunRecord) -> str:
                       separators=(",", ":")) + "\n"
 
 
-def repair_jsonl(path: Path) -> None:
-    """Truncate a partially-written trailing line left by a mid-write kill.
+#: Bytes read per step while a torn tail is scanned back for its last
+#: complete line.
+_TAIL_BLOCK = 1 << 16
 
-    The one corruption a whole-line-at-a-time JSONL appender can suffer.
-    Appenders call this before appending (writer-owned repair); readers
-    must use :func:`read_jsonl` instead, which skips the torn tail in
-    memory without mutating the file.
+
+def append_jsonl(path: Path, payload: str) -> None:
+    """Append whole JSONL lines to ``path`` in one fsynced write.
+
+    A partially-written trailing line left by a mid-write kill (the one
+    corruption a whole-line-at-a-time appender can suffer) is truncated
+    first: the appender owns that repair.  Readers must use
+    :func:`read_jsonl` instead, which skips the torn tail in memory
+    without mutating the file.  Only the file's last byte is read unless
+    the tail is torn, so an append costs the same however long the file
+    has grown.
     """
-    if not path.exists():
-        return
-    data = path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return
-    keep = data.rfind(b"\n") + 1
-    with path.open("r+b") as handle:
-        handle.truncate(keep)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                handle.truncate(_last_line_end(handle, end - 1))
+        handle.write(payload.encode("utf-8"))
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def _last_line_end(handle, end: int) -> int:
+    """Offset just past the last newline before ``end`` (0 if none)."""
+    while end > 0:
+        start = max(0, end - _TAIL_BLOCK)
+        handle.seek(start)
+        newline = handle.read(end - start).rfind(b"\n")
+        if newline >= 0:
+            return start + newline + 1
+        end = start
+    return 0
 
 
 def read_jsonl(path: Path) -> List[Dict]:
@@ -319,14 +341,8 @@ class ShardStore:
         """
         if not records:
             return
-        path = self.shard_path(app_name, mode, errors)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        repair_jsonl(path)
-        payload = "".join(_encode_line(record) for record in records)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_jsonl(self.shard_path(app_name, mode, errors),
+                     "".join(_encode_line(record) for record in records))
 
     # ------------------------------------------------------------------
     # Fleet health telemetry (distributed sweeps).

@@ -49,11 +49,17 @@ class SerialExecutor(Executor):
 PARENT_POLL = 1.0
 
 
-def _pool_worker_init(apps: Sequence[ErrorTolerantApp]) -> None:
+def _pool_worker_init(apps: Sequence[ErrorTolerantApp], nice: int) -> None:
     # The heap a forked worker inherits (warm apps, decodes, checkpoint
     # stores) lives as long as the worker: keep it out of the collector's
     # full collections, which would otherwise walk all of it again.
     gc.freeze()
+    if nice and hasattr(os, "nice"):
+        # A pool whose owner answers requests while it runs (the campaign
+        # daemon's) works below that owner's CPU priority, so the
+        # owner's event loop and lane threads preempt job work.  A
+        # sweep's own pool passes 0: its owner only waits for records.
+        os.nice(nice)
     seed_app_cache(apps)
     # Ctrl-C is the parent's to handle: it cancels the queued tasks and
     # waits for the running ones, so a worker must not die mid-task.
@@ -81,17 +87,19 @@ def _pool_worker_run(task) -> RunRecord:
                        errors, mode)
 
 
-def start_pool(width: int,
-               apps: Sequence[ErrorTolerantApp] = ()) -> ProcessPoolExecutor:
+def start_pool(width: int, apps: Sequence[ErrorTolerantApp] = (), *,
+               nice: int = 0) -> ProcessPoolExecutor:
     """A process pool of ``width`` campaign workers, started now.
 
-    ``apps`` seed each worker's warm-app cache.  Under the fork start
-    method every worker is forked before this returns, so each inherits
-    the caller's state as it is at this call, not at the first task.
+    ``apps`` seed each worker's warm-app cache.  Each worker lowers its
+    own CPU priority by ``nice`` (:func:`os.nice`) as it starts.  Under
+    the fork start method every worker is forked before this returns, so
+    each inherits the caller's state as it is at this call, not at the
+    first task.
     """
     pool = ProcessPoolExecutor(max_workers=width,
                                initializer=_pool_worker_init,
-                               initargs=(tuple(apps),))
+                               initargs=(tuple(apps), nice))
     pool.submit(int)  # the first submit starts the workers
     return pool
 

@@ -25,14 +25,15 @@ run genuinely in parallel.  The fan-out *inside* a job happens across
 the worker fleet, or, with no fleet, across one local process pool that
 every lane shares (see below).
 
-A submission is planned against its store before it is queued
-(:meth:`~repro.experiments.sweep.SweepOrchestrator.cached_report`, one
-read off the event loop).  When every cell of the spec is already
-complete, the job finishes in the POST itself: journalled ``submit``
-then ``finish`` and answered 200 ``complete`` with ``lane: null``, 0
-runs executed and 0 executors started.  It takes no lane, no store lock
-and no flock: a complete cell is never written again, so reading it
-beside a writer is safe.  Every other spec is queued.
+A submission is planned against its store before it is journalled or
+queued (:meth:`~repro.experiments.sweep.SweepOrchestrator.cached_report`,
+one read off the event loop).  When every cell of the spec is already
+complete, the job finishes in the POST itself: ``submit`` then
+``finish`` journalled in one fsynced write and answered 200 ``complete``
+with ``lane: null``, 0 runs executed and 0 executors started.  It takes
+no lane, no store lock and no flock: a complete cell is never written
+again, so reading it beside a writer is safe.  Every other spec has its
+``submit`` journalled, then is queued.
 
 Jobs are :class:`~repro.service.journal.Job` records, the same class a
 local :func:`repro.api.submit` returns.  Every job transition is
@@ -57,14 +58,16 @@ locally; workers that register after that serve the next job.
 Jobs without a fleet run on the daemon's local process pool: one pool
 of ``usable_cpus()`` workers that lives as long as :meth:`serve` and
 that every lane's jobs borrow, so simulation never competes with the
-event loop for the interpreter lock and cached reads answer beside it.  It is forked
-before the listener is bound and before any lane thread starts; its
-workers build and warm each application on first use and keep it warm
-for later jobs (:func:`~repro.apps.registry.cached_app`).  A worker that
-dies fails the jobs running on the pool, and the next job gets a fresh
-pool.  Stopping the daemon cancels the pool's queued runs and reaps its
-workers; an interrupted job keeps ``start`` as its last journal event,
-so the next daemon on the root resumes it.
+event loop for the interpreter lock.  Its workers run ``POOL_NICE``
+steps below the daemon's CPU priority, so the event loop and the lanes
+preempt job work and cached answers stay fast beside running jobs.  It
+is forked before the listener is bound and before any lane thread
+starts; its workers build and warm each application on first use and
+keep it warm for later jobs (:func:`~repro.apps.registry.cached_app`).
+A worker that dies fails the jobs running on the pool, and the next job
+gets a fresh pool.  Stopping the daemon cancels the pool's queued runs
+and reaps its workers; an interrupted job keeps ``start`` as its last
+journal event, so the next daemon on the root resumes it.
 
 HTTP API (all JSON; see ``docs/ARCHITECTURE.md`` for the full table)::
 
@@ -102,6 +105,11 @@ DEFAULT_WORKER_TTL = 30.0
 
 #: Progress lines retained per job (a ring buffer; status reporting only).
 PROGRESS_TAIL = 50
+
+#: How far the local pool's workers lower their CPU priority (``os.nice``
+#: step), so the event loop and lane threads preempt job work and cached
+#: answers stay fast while jobs run.
+POOL_NICE = 10
 
 
 def default_lanes() -> int:
@@ -265,7 +273,7 @@ class CampaignService:
                 stop_pool(self._pool)
                 self._pool = None
             if self._pool is None:
-                self._pool = start_pool(usable_cpus())
+                self._pool = start_pool(usable_cpus(), nice=POOL_NICE)
             return self._pool
 
     def _close_local_pool(self) -> None:
@@ -307,10 +315,13 @@ class CampaignService:
                     "job ran; the next job gets a fresh pool") from exc
             job.finish(report)
 
-    def _journal_finish(self, job: Job) -> None:
-        self.journal.record("finish", job.key, state=job.state,
-                            error=job.error, report=job.report,
-                            executors_started=job.executors_started)
+    @staticmethod
+    def _finish_event(job: Job) -> tuple:
+        """The journal's ``finish`` transition of a finished job."""
+        return ("finish", job.key,
+                {"state": job.state, "error": job.error,
+                 "report": job.report,
+                 "executors_started": job.executors_started})
 
     async def _lane(self, index: int) -> None:
         """One scheduler lane: drain the queue, one campaign at a time.
@@ -339,7 +350,7 @@ class CampaignService:
                 job.finished = time.time()
                 self.journal.record("fail", job.key, error=job.error)
             else:
-                self._journal_finish(job)
+                self.journal.record_many([self._finish_event(job)])
             finally:
                 self._lane_busy[index] = None
                 self._queue.task_done()
@@ -358,11 +369,12 @@ class CampaignService:
 
         A job that is queued or running, or that completed in this
         process, coalesces (200, its current payload).  Any other job —
-        new, restored from the journal, or failed — is journalled
-        ``submit`` and planned against its store: fully cached, it
-        finishes here (200 ``complete``); otherwise it is queued (202).
-        A planning error queues it too, so it fails in its lane with the
-        error a run reports.
+        new, restored from the journal, or failed — is planned against
+        its store first.  Fully cached, it finishes here: its ``submit``
+        and ``finish`` go to the journal in one fsynced write, then it
+        answers 200 ``complete``.  Otherwise its ``submit`` is journalled
+        (fsynced) and it is queued (202).  A planning error queues it
+        too, so it fails in its lane with the error a run reports.
         """
         if self._draining:
             raise HttpError(503, "service is draining; "
@@ -384,17 +396,18 @@ class CampaignService:
             # Failed, or restored from the journal: this process has not
             # seen it complete, so plan it again through the cache.
             job.requeue()
-        self.journal.record("submit", job.key, spec=spec.to_json())
         try:
             report = await asyncio.to_thread(
                 self._read_orchestrator(spec).cached_report)
         except Exception:  # noqa: BLE001 — the lane plans again, reports it
             report = None
+        submitted = ("submit", job.key, {"spec": spec.to_json()})
         if report is None:
+            self.journal.record_many([submitted])
             await self._queue.put(job)
             return Response.json(job.to_json(), status=202)
         job.finish(report)
-        self._journal_finish(job)
+        self.journal.record_many([submitted, self._finish_event(job)])
         return Response.json(job.to_json(), status=200)
 
     async def _job_status(self, job: Job, request: Request) -> Response:

@@ -5,8 +5,8 @@ durable, but before this module the daemon's job table lived only in
 memory: a restart forgot every submitted and running job.  The journal
 closes that gap with the same append-only JSONL idiom the
 :class:`~repro.core.store.ShardStore` uses — whole-line appends, fsynced,
-writer-owned repair of a torn trailing line
-(:func:`~repro.core.store.repair_jsonl`), torn-tail-tolerant reads
+with writer-owned repair of a torn trailing line
+(:func:`~repro.core.store.append_jsonl`), and torn-tail-tolerant reads
 (:func:`~repro.core.store.read_jsonl`).
 
 One line per job *transition*, in the canonical compact JSON encoding::
@@ -34,14 +34,13 @@ a restart.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.store import read_jsonl, repair_jsonl
+from ..core.store import append_jsonl, read_jsonl
 from .spec import CampaignSpec, canonical_json
 
 #: The journal's filename under the daemon's cache root.
@@ -158,12 +157,14 @@ class JobJournal:
     """Append-only JSONL journal of job transitions, keyed by cache key.
 
     Thread-safe: the daemon appends from scheduler-lane threads and the
-    HTTP submit path concurrently.  Every append repairs a torn trailing
-    line first (the writer owns the file) and fsyncs, so the journal
-    survives a SIGKILL at any byte offset with at most the in-flight
-    line lost — and that line's transition is recoverable: a lost
-    ``start`` replays as a queued job, a lost ``finish`` replays as an
-    interrupted job whose re-run is a pure cache hit.
+    HTTP submit path concurrently.  Every write repairs a torn trailing
+    line first (the writer owns the file; only the last byte is read
+    unless it is torn) and fsyncs, so the journal survives a SIGKILL at
+    any byte offset with at most the in-flight write lost — and that
+    write's transitions are recoverable: a lost ``start`` replays as a
+    queued job, a lost ``finish`` replays as an interrupted job whose
+    re-run is a pure cache hit, and a lost ``submit`` + ``finish`` pair
+    of a fully cached job was never answered.
     """
 
     def __init__(self, path) -> None:
@@ -178,21 +179,29 @@ class JobJournal:
         ``lane`` for starts, ``state``/``report``/``error`` for
         terminals); ``time`` is stamped here.
         """
-        if event not in EVENT_KINDS:
-            raise ValueError(f"unknown journal event {event!r}; "
-                             f"expected one of {EVENT_KINDS}")
-        payload = {"event": event, "job": job_key,
-                   "time": round(time.time(), 3), **fields}
-        line = canonical_json(payload) + "\n"
+        self.record_many([(event, job_key, fields)])
+
+    def record_many(self, events: Sequence[Tuple[str, str, Dict]]) -> None:
+        """Append ``(event, job_key, fields)`` transitions, in order, in
+        one fsynced write.
+
+        The daemon journals a fully cached submit's ``submit`` and
+        ``finish`` this way, one write per answer.  A kill mid-write
+        keeps a prefix of whole lines, so at worst the ``finish`` is
+        lost and the job replays as interrupted.
+        """
+        now = round(time.time(), 3)
+        lines = []
+        for event, job_key, fields in events:
+            if event not in EVENT_KINDS:
+                raise ValueError(f"unknown journal event {event!r}; "
+                                 f"expected one of {EVENT_KINDS}")
+            payload = {"event": event, "job": job_key, "time": now, **fields}
+            lines.append(canonical_json(payload) + "\n")
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            repair_jsonl(self.path)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_jsonl(self.path, "".join(lines))
             if self._events is not None:
-                self._events += 1
+                self._events += len(lines)
 
     def replay(self) -> JournalReplay:
         """Fold the journal into per-job last states, oldest submit first.

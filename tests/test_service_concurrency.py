@@ -25,13 +25,14 @@ import pytest
 
 from repro.api import submit
 from repro.api import status as api_status
-from repro.apps import registry
-from repro.core import ShardStore, StoppingRule
+from repro.apps import create_app, registry
+from repro.core import CampaignConfig, ShardStore, StoppingRule
 from repro.core.campaign import usable_cpus
 from repro.core.store import advisory_lock
-from repro.exec import local
+from repro.exec import PoolExecutor, local
 from repro.service import CampaignService, CampaignSpec, JobJournal, ServiceClient
 from repro.service import daemon as daemon_module
+from repro.service import journal as journal_module
 from repro.service.client import ServiceError
 from repro.service.daemon import default_lanes
 from repro.service.journal import Job
@@ -399,6 +400,39 @@ def held_lane(monkeypatch):
     release.set()
 
 
+@pytest.fixture()
+def daemon_log(monkeypatch):
+    """What the process does, in order: each journal write as
+    ``("write", [(event, job), ...])``, each ``("fsync",)`` and each HTTP
+    answer as ``("answer", status)``."""
+    log: List[tuple] = []
+    append, fsync = journal_module.append_jsonl, os.fsync
+    encode = daemon_module.Response.encode
+
+    def _append(path, payload):
+        log.append(("write", [(line["event"], line["job"]) for line
+                              in map(json.loads, payload.splitlines())]))
+        append(path, payload)
+
+    def _fsync(fd):
+        log.append(("fsync",))
+        fsync(fd)
+
+    def _encode(response):
+        log.append(("answer", response.status))
+        return encode(response)
+
+    monkeypatch.setattr(journal_module, "append_jsonl", _append)
+    monkeypatch.setattr(os, "fsync", _fsync)
+    monkeypatch.setattr(daemon_module.Response, "encode", _encode)
+    return log
+
+
+def before_answer(log: List[tuple], status: int) -> List[tuple]:
+    """The log entries before the first answer with ``status``."""
+    return log[:log.index(("answer", status))]
+
+
 ADAPTIVE = StoppingRule(ci_width=25.0, floor=2, cap=4)
 
 
@@ -439,6 +473,44 @@ class TestCachedSubmit:
             held_lane.set()
             daemon.shutdown()
 
+    def test_a_cached_answer_is_one_journal_write_and_one_fsync(
+            self, tmp_path, daemon_log):
+        root = tmp_path / "cache"
+        daemon = CampaignService(root, lanes=1)
+        spec = quick_spec()
+        submit(spec, store=daemon.store_for(spec), parallel=1)
+        daemon.start_in_background()
+        try:
+            del daemon_log[:]
+            status, payload = post_spec(daemon.url, spec)
+            assert status == 200 and payload["state"] == "complete"
+            assert daemon_log == [
+                ("write", [("submit", spec.cache_key),
+                           ("finish", spec.cache_key)]),
+                ("fsync",),
+                ("answer", 200),
+            ]
+        finally:
+            daemon.shutdown()
+
+    def test_a_queued_job_journals_its_submit_before_the_202(
+            self, tmp_path, held_lane, daemon_log):
+        root = tmp_path / "cache"
+        daemon = CampaignService(root, lanes=1)
+        cached = quick_spec(errors=(0,))
+        submit(cached, store=daemon.store_for(cached), parallel=1)
+        daemon.start_in_background()
+        try:
+            del daemon_log[:]
+            partial = quick_spec(errors=(0, 2))
+            status, queued = post_spec(daemon.url, partial)
+            assert status == 202 and queued["state"] == "queued"
+            assert before_answer(daemon_log, 202) == [
+                ("write", [("submit", partial.cache_key)]), ("fsync",)]
+        finally:
+            held_lane.set()
+            daemon.shutdown()
+
     def test_a_partial_spec_runs_in_a_lane_with_the_same_payload_keys(
             self, tmp_path):
         root = tmp_path / "cache"
@@ -475,7 +547,7 @@ class TestCachedSubmit:
             reborn.shutdown()
 
     def test_a_planning_error_queues_the_job_to_fail_in_its_lane(
-            self, tmp_path):
+            self, tmp_path, daemon_log):
         root = tmp_path / "cache"
         daemon = CampaignService(root, lanes=1)
         spec = quick_spec()
@@ -485,12 +557,17 @@ class TestCachedSubmit:
         store.meta_path.write_text(json.dumps({**meta, "base_seed": 12}))
         daemon.start_in_background()
         try:
+            del daemon_log[:]
             status, queued = post_spec(daemon.url, spec)
             assert status == 202 and queued["state"] == "queued"
+            assert before_answer(daemon_log, 202) == [
+                ("write", [("submit", spec.cache_key)]), ("fsync",)]
             failed = ServiceClient(daemon.url).wait(spec.cache_key,
                                                     timeout=60, poll=0.02)
             assert failed["state"] == "failed"
             assert "StoreMismatchError" in failed["error"]
+            assert journal_events(root, spec.cache_key) == [
+                "submit", "start", "fail"]
         finally:
             daemon.shutdown()
 
@@ -778,6 +855,33 @@ def wait_for_first_record(store_root: Path, process) -> None:
         assert process.poll() is None, "daemon exited"
         assert time.monotonic() < deadline, "no record appeared"
         time.sleep(0.01)
+
+
+def _nice_and_parent() -> "tuple":
+    return os.nice(0), os.getppid()
+
+
+@pytest.mark.skipif(not hasattr(os, "nice"), reason="needs os.nice")
+class TestPoolPriority:
+    def test_the_daemons_pool_runs_below_the_daemon(self, tmp_path):
+        service = CampaignService(tmp_path / "cache")
+        try:
+            pool = service._local_pool()
+            worker, parent = pool.submit(_nice_and_parent).result(timeout=60)
+        finally:
+            service._close_local_pool()
+        assert parent == os.getpid()
+        assert worker == min(19, os.nice(0) + daemon_module.POOL_NICE)
+        assert worker > os.nice(0) or os.nice(0) == 19
+
+    def test_a_sweeps_own_pool_keeps_its_parents_priority(self):
+        config = CampaignConfig(runs=1, base_seed=11, parallel=2)
+        app = create_app("adpcm", samples=300)
+        with PoolExecutor([app], config) as executor:
+            worker, parent = executor._pool.submit(
+                _nice_and_parent).result(timeout=60)
+        assert parent == os.getpid()
+        assert worker == os.nice(0)
 
 
 @needs_pool

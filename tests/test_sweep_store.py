@@ -103,6 +103,12 @@ def reference_store(tmp_path_factory):
     return ShardStore(root)
 
 
+def bytes_read() -> int:
+    """Bytes this process has read so far (``rchar``)."""
+    io_stats = Path("/proc/self/io").read_text().split()
+    return int(io_stats[io_stats.index("rchar:") + 1])
+
+
 class TestRecordSerialization:
     def test_round_trip_is_exact(self, reference_store):
         for app, mode, errors, _path in reference_store.shards():
@@ -150,6 +156,42 @@ class TestShardStore:
         full = ShardStore(tmp_path / "full")
         full.append_records("adpcm", mode, 2, records)
         assert path.read_bytes() == full.shard_path("adpcm", mode, 2).read_bytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/io").exists(),
+                        reason="counts bytes read through /proc/self/io")
+    def test_an_append_reads_the_tail_not_the_file(self, tmp_path,
+                                                   reference_store):
+        from repro.service import JobJournal
+
+        mode = ProtectionMode.PROTECTED
+        records = reference_store.load_records("adpcm", mode, 2)
+        spec = CampaignSpec(suite="small", apps=("adpcm",))
+        store = ShardStore(tmp_path / "s")
+        shard = store.shard_path("adpcm", mode, 2)
+        journal = JobJournal(tmp_path / "jobs.jsonl")
+        appends = [
+            (shard, lambda: store.append_records("adpcm", mode, 2,
+                                                 records[:1])),
+            (journal.path, lambda: journal.record(
+                "submit", spec.cache_key, spec=spec.to_json())),
+        ]
+        filler = b'{"pad":"' + b"x" * 1000 + b'"}\n'
+        for path, append in appends:
+            append()  # loads whatever an append imports
+            intact = filler * 4096  # about 4 MB
+            torn = b'{"pad":"' + b"y" * 150_000  # longer than a read block
+            for tail in (b"", torn):
+                path.write_bytes(intact + tail)
+                before = bytes_read()
+                append()
+                # The last byte; for a torn tail, the blocks back to its
+                # last newline (64 KiB each).
+                limit = (16 << 10) + (len(tail) + (64 << 10) if tail else 0)
+                assert bytes_read() - before < limit
+                data = path.read_bytes()
+                assert data.startswith(intact)
+                assert data.endswith(b"\n") and data.count(b"\n") == 4097
+                json.loads(data[len(intact):])
 
     def test_meta_mismatch_refuses_resume(self, tmp_path):
         store = ShardStore(tmp_path / "s")
