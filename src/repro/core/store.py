@@ -38,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -60,6 +61,11 @@ FLEET_FILENAME = "fleet.json"
 #: The default fault model, elided from shard filenames and assumed for
 #: pre-model stores whose ``meta.json`` has no ``model`` key.
 DEFAULT_MODEL = "control-bit"
+
+#: Parsed ``meta.json`` files of this process, keyed by path, each with
+#: the ``(st_ino, st_mtime_ns, st_size)`` it was parsed at; see
+#: :meth:`ShardStore.read_meta`.
+_META_CACHE: Dict[str, Tuple[Tuple[int, int, int], Dict]] = {}
 
 
 def _normalise_meta(meta: Dict) -> Dict:
@@ -93,6 +99,14 @@ class StoreMismatchError(ValueError):
 def _encode_line(record: RunRecord) -> str:
     return json.dumps(record.to_json(), sort_keys=True,
                       separators=(",", ":")) + "\n"
+
+
+#: The top-level ``run_index`` of a shard line.  Inside a JSON string a
+#: quote is escaped, so ``"run_index":`` only matches an object key; the
+#: one nested object with free-form keys (``fidelity.detail``) holds
+#: floats, whose JSON never follows its leading digits with ``,`` or
+#: ``}`` (``1.0``, ``1e-05``).
+_RUN_INDEX = re.compile(rb'"run_index":(\d+)[,}]')
 
 
 #: Bytes read per step while a torn tail is scanned back for its last
@@ -135,21 +149,31 @@ def _last_line_end(handle, end: int) -> int:
     return 0
 
 
+def _complete_lines(path: Path) -> bytes:
+    """The bytes of ``path`` up to its last newline (``b""`` if missing).
+
+    A trailing line without its newline (mid-write kill, or an append
+    racing this read from another process) is cut in memory, never
+    truncated on disk — so concurrent readers can't race an appender.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return b""
+    if data and not data.endswith(b"\n"):
+        data = data[:data.rfind(b"\n") + 1]
+    return data
+
+
 def read_jsonl(path: Path) -> List[Dict]:
     """Parse a JSONL file's complete lines; read-only and torn-tail safe.
 
-    A trailing line without its newline (mid-write kill, or an append
-    racing this read from another process) is skipped in memory, never
-    truncated on disk — so concurrent readers can't race an appender.
+    A torn trailing line is skipped in memory (:func:`_complete_lines`).
     Returns ``[]`` for a missing file.
     """
-    if not path.exists():
-        return []
-    data = path.read_bytes()
-    if data and not data.endswith(b"\n"):
-        data = data[:data.rfind(b"\n") + 1]
-    return [json.loads(line)
-            for line in data.decode("utf-8").splitlines() if line]
+    return [json.loads(line) for line
+            in _complete_lines(path).decode("utf-8").splitlines() if line]
+
 
 
 @contextlib.contextmanager
@@ -192,7 +216,6 @@ class ShardStore:
         # empty directories behind.
         self.root = Path(root)
         self.model = model
-        self._meta_cache: Optional[Dict] = None
 
     # ------------------------------------------------------------------
     # Store metadata: guards against resuming with a mismatched grid.
@@ -205,15 +228,26 @@ class ShardStore:
     def read_meta(self) -> Optional[Dict]:
         """The pinned campaign parameters, or ``None`` for a fresh store.
 
-        Cached per store instance after the first successful read: a
-        ``meta.json`` is written at most once in a store's lifetime, and
-        the artefact builders consult it once per cell.
+        One parse per process, shared by every store instance on this
+        root (the daemon and :func:`repro.api.submit` build a store per
+        request): each call checks the cached parse with one ``os.stat``
+        of ``(st_ino, st_mtime_ns, st_size)``.  :meth:`ensure_meta`
+        writes through ``os.replace``, so a rewrite always carries a new
+        inode and is parsed afresh; a deleted ``meta.json`` reads
+        ``None``.
         """
-        if self._meta_cache is None:
-            if not self.meta_path.exists():
-                return None
-            self._meta_cache = json.loads(self.meta_path.read_text())
-        return dict(self._meta_cache)
+        path = os.fspath(self.meta_path)
+        try:
+            stat = os.stat(path)
+        except FileNotFoundError:
+            _META_CACHE.pop(path, None)
+            return None
+        signature = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+        cached = _META_CACHE.get(path)
+        if cached is None or cached[0] != signature:
+            with open(path, "rb") as handle:
+                cached = _META_CACHE[path] = (signature, json.load(handle))
+        return dict(cached[1])
 
     def stopping_rule(self) -> Optional[StoppingRule]:
         """The adaptive stopping rule this store pins, or ``None``.
@@ -245,7 +279,6 @@ class ShardStore:
             scratch = self.meta_path.with_suffix(".json.tmp")
             scratch.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
             os.replace(scratch, self.meta_path)
-            self._meta_cache = dict(meta)
         elif _normalise_meta(existing) != _normalise_meta(meta):
             raise StoreMismatchError(
                 f"store {self.root} was created with {existing}; "
@@ -317,9 +350,15 @@ class ShardStore:
 
     def present_indices(self, app_name: str, mode: ProtectionMode,
                         errors: int) -> Set[int]:
-        """Run indices of one cell that already have persisted records."""
-        return {record.run_index
-                for record in self.load_records(app_name, mode, errors)}
+        """Run indices of one cell that already have persisted records.
+
+        Read from the shard's complete lines alone, under
+        :func:`read_jsonl`'s torn-tail rule: no record is decoded, so
+        planning a cached cell costs one file read and one scan however
+        large its records are.
+        """
+        data = _complete_lines(self.shard_path(app_name, mode, errors))
+        return {int(index) for index in _RUN_INDEX.findall(data)}
 
     def missing_indices(self, app_name: str, mode: ProtectionMode,
                         errors: int, runs: int) -> List[int]:

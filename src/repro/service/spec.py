@@ -37,6 +37,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
@@ -191,7 +192,10 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     # Content addressing.
     # ------------------------------------------------------------------
-    @property
+    # The keys are computed once per instance: ``cached_property`` stores
+    # them in the instance ``__dict__``, which a frozen dataclass leaves
+    # writable and which equality and hashing (fields only) never read.
+    @cached_property
     def cache_key(self) -> str:
         """Content address of the whole spec — the service's job id.
 
@@ -201,7 +205,7 @@ class CampaignSpec:
         """
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
-    @property
+    @cached_property
     def store_key(self) -> str:
         """Content address of the record-determining parameters only.
 

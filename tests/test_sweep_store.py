@@ -24,6 +24,7 @@ from repro.core import (
     ShardStore,
     StoppingRule,
 )
+from repro.core import store as store_module
 from repro.core.store import StoreMismatchError
 from repro.experiments.sweep import SweepOrchestrator
 from repro.experiments import (
@@ -376,13 +377,15 @@ class TestReportStatuses:
         root = tmp_path / "cached"
         shutil.copytree(reference_store.root, root)
         reads = []
-        load_records = ShardStore.load_records
+        complete_lines = store_module._complete_lines
 
-        def counting_load(store, app_name, mode, errors):
-            reads.append((app_name, mode, errors))
-            return load_records(store, app_name, mode, errors)
+        def counting_read(path):
+            reads.append(path)
+            return complete_lines(path)
 
-        monkeypatch.setattr(ShardStore, "load_records", counting_load)
+        # Every shard read (records or run indices alone) goes through
+        # this one helper.
+        monkeypatch.setattr(store_module, "_complete_lines", counting_read)
         _, report = run_sweep(root)
         assert report.runs_executed == 0
         assert len(reads) == len(set(reads)) == report.cells_total == 6
