@@ -22,7 +22,7 @@ The package is organised as:
 """
 
 from .compiler import compile_source, tag_control_data
-from .sim import Machine, Outcome, ProtectionMode, run_program
+from .sim import Machine, Outcome, ProtectionMode
 
 __version__ = "1.0.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "Outcome",
     "ProtectionMode",
     "compile_source",
-    "run_program",
     "tag_control_data",
     "__version__",
     *_API_EXPORTS,

@@ -15,7 +15,7 @@ See ``docs/STATIC_ANALYSIS.md``.
 
 from .attribution import SiteTally, attribute_first_flips, exposed_site_stream
 from .oracle import SUITES, build_report
-from .report import SCHEMA_VERSION, StaticSusceptibilityReport, summarize
+from .report import SCHEMA_VERSION, StaticSusceptibilityReport
 from .susceptibility import (
     FATE_CONTROL,
     FATE_DATA,
@@ -51,5 +51,4 @@ __all__ = [
     "exposed_site_stream",
     "score_sites",
     "site_risk",
-    "summarize",
 ]

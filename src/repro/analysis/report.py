@@ -100,18 +100,4 @@ class StaticSusceptibilityReport:
         )
 
 
-def summarize(report: StaticSusceptibilityReport) -> Dict:
-    """Compact rollup-only view (the non-``--json`` CLI rendering input)."""
-    return {
-        "app": report.app,
-        "suite": report.suite,
-        "model": report.model,
-        "static_total": report.static_total,
-        "site_count": len(report.sites),
-        "tagged_count": report.tagged_count(),
-        "fate_counts": report.fate_counts(),
-        "score_mass": report.score_mass(),
-    }
-
-
-__all__ = ["SCHEMA_VERSION", "StaticSusceptibilityReport", "summarize"]
+__all__ = ["SCHEMA_VERSION", "StaticSusceptibilityReport"]

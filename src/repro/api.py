@@ -188,9 +188,10 @@ def tables(store: Optional[StoreLike], numbers: Sequence[int] = (1, 2, 3),
     """Render the paper's tables; returns :class:`TableData` objects.
 
     Store-backed tables (2, 5) read records from ``store`` under its
-    pinned parameters; analysis tables (1, 3) and the cross-model table
-    (4) simulate live.  ``config`` defaults to the store's pinned spec
-    (``CampaignSpec()`` without a store).  Raises
+    pinned parameters; analysis tables (1, 3) need no records; the
+    cross-model table (4), and Table 2 without a store, sweep their
+    cells into temporary stores.  ``config`` defaults to the store's
+    pinned spec (``CampaignSpec()`` without a store).  Raises
     :class:`~repro.core.store.MissingCellError` with resume guidance when
     the store lacks a required cell.
     """

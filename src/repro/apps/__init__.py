@@ -6,7 +6,7 @@ from .blowfish.app import BlowfishApp
 from .gsm.app import GsmApp
 from .mcf.app import McfApp
 from .mpeg.app import MpegApp
-from .registry import APP_ORDER, SUITES, TABLE1_FIDELITY, app_names, create_app, small_suite, standard_suite
+from .registry import APP_ORDER, SUITES, TABLE1_FIDELITY, create_app, small_suite, standard_suite
 from .susan.app import SusanApp
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "SUITES",
     "SusanApp",
     "TABLE1_FIDELITY",
-    "app_names",
     "create_app",
     "small_suite",
     "standard_suite",

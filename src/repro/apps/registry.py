@@ -145,7 +145,3 @@ def seed_app_cache(apps: Iterable[ErrorTolerantApp]) -> None:
     with _APP_CACHE_LOCK:
         for app in apps:
             _APP_CACHE[_cache_key(app.name, app.wire_params())] = app
-
-
-def app_names() -> List[str]:
-    return list(APP_ORDER)

@@ -54,17 +54,6 @@ class ControlFlowGraph:
     def predecessors(self, block: BasicBlock) -> List[BasicBlock]:
         return [self.blocks[p] for p in block.predecessors]
 
-    def render(self) -> str:
-        """Human readable dump of the CFG (for debugging and documentation)."""
-        lines = []
-        for block in self.blocks:
-            succ = ", ".join(str(s) for s in block.successors)
-            lines.append(
-                f"block {block.index} [{block.start}:{block.end}) "
-                f"fn={block.function or '?'} -> [{succ}]"
-            )
-        return "\n".join(lines)
-
 
 def _find_leaders(program: Program) -> Set[int]:
     leaders: Set[int] = set()

@@ -118,10 +118,6 @@ class FunctionDominators:
     #: block -> number of enclosing loops.
     loop_depth: Dict[int, int] = field(default_factory=dict)
 
-    def dominates(self, a: int, b: int) -> bool:
-        """True when block ``a`` dominates block ``b``."""
-        return a in self.dominators.get(b, frozenset())
-
 
 def _function_subgraph(
     cfg: ControlFlowGraph, blocks: List[int], entry: int

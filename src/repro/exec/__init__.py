@@ -14,8 +14,8 @@ an executor decides *where* those tasks run:
 The backend is a pure function of the
 :class:`~repro.core.campaign.CampaignConfig` (:func:`resolve_executor_name`),
 and all backends produce bit-identical record streams.  One executor
-serves every application of a sweep and takes all of its pending tasks
-at once.  The engine is orthogonal: every backend executes its share of
+serves every application of a sweep and takes each round's pending
+tasks, across cells, in one call.  The engine is orthogonal: every backend executes its share of
 the tasks run by run (:func:`~repro.exec.base.make_record`) on the
 configured engine.
 """

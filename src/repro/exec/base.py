@@ -148,9 +148,9 @@ class Executor(abc.ABC):
     campaign config; ``start`` warms the applications' golden runs and
     acquires backend resources (worker processes, TCP connections),
     ``run`` executes a batch of tasks, and ``close`` releases the
-    resources.  One executor serves a whole sweep: a fixed sweep hands
-    it every pending task in one ``run`` call, an adaptive one a chunk
-    per call.
+    resources.  One executor serves a whole sweep, one ``run`` call per
+    round: a fixed sweep is one round of every pending task, an adaptive
+    one hands it each unconverged cell's next chunk per round.
     """
 
     #: Registry name of the backend (``"serial"``, ``"pool"``, ``"socket"``).

@@ -6,10 +6,16 @@ campaign here: the sweep orchestrator, its grid walk
 whole.  Campaigns are submitted through :mod:`repro.api` (a spec plus
 execution options): :func:`repro.api.submit` runs them, and the rare
 embedding that needs the orchestrator object itself calls
-:func:`repro.api.build_orchestrator`.  Artefact cells rendered without a
-store are simulated by :func:`live_campaign`.
+:func:`repro.api.build_orchestrator`.  Artefacts always read a shard
+store; rendered without one, a builder sweeps the cells it needs into a
+temporary store (:func:`~repro.experiments.tables.swept_store`).
+:func:`live_campaign` runs one cell of an application instance that no
+suite builds, outside any store.
 """
 
+from ..core import CampaignConfig, CampaignResult, ErrorTolerantApp
+from ..exec import create_executor
+from ..sim import ProtectionMode
 from .figures import (
     ALL_FIGURES,
     figure1_susan,
@@ -27,13 +33,28 @@ from .sweep import (
 )
 from .tables import (
     TABLE2_ERROR_COUNTS,
-    live_campaign,
     table1_applications,
     table2_catastrophic_failures,
     table3_low_reliability_instructions,
     table4_fault_models,
     table5_static_vs_dynamic,
 )
+
+
+
+def live_campaign(app: ErrorTolerantApp, config: CampaignConfig, errors: int,
+                  mode: ProtectionMode) -> CampaignResult:
+    """One campaign cell of an application instance, outside any store.
+
+    Runs ``config.runs`` executions of ``app`` with ``errors`` injected
+    bit flips in ``mode`` on the executor backend ``config`` resolves to.
+    """
+    with create_executor([app], config, pending=config.runs) as executor:
+        records = list(executor.run([(app.name, run_index, errors, mode)
+                                     for run_index in range(config.runs)]))
+    return CampaignResult(app_name=app.name, mode=mode,
+                          errors_requested=errors, records=records)
+
 
 __all__ = [
     "ALL_FIGURES",

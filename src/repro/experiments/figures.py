@@ -23,44 +23,48 @@ Every builder takes the campaign as ``config``, a
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import dataclasses
+from typing import List, Optional, Sequence, Tuple
 
-from ..apps import SUITES
+from ..apps.registry import app_class
 from ..core import FigureData, ShardStore, SweepResult
-from ..core.app import ErrorTolerantApp
 from ..service.spec import CampaignSpec
 from ..sim import ProtectionMode
-from .tables import artefact_spec, live_campaign, store_confidence
+from .tables import artefact_spec, store_confidence, swept_store
 
 
-def _sweep(app: ErrorTolerantApp, config: CampaignSpec,
-           errors_axis: Sequence[int], mode: ProtectionMode,
-           store: Optional[ShardStore] = None):
-    """One figure series: simulated live, or loaded from a sweep's store.
+def _sweeps(config: Optional[CampaignSpec], name: str,
+            errors_axis: Optional[Sequence[int]],
+            store: Optional[ShardStore], *modes: ProtectionMode
+            ) -> Tuple[List[int], float, List[SweepResult]]:
+    """A figure's error axis, CI level, and one series per mode.
 
     With ``store`` the cells come from ``python -m repro sweep`` shards;
     a cell missing from the store raises ``KeyError`` instead of silently
     re-simulating, so figures regenerated from a store are exactly the
-    persisted records.
+    persisted records.  Without one, the figure's cells are swept into a
+    temporary store.  The axis defaults to the application's figure
+    series.
     """
-    if store is not None:
-        return store.load_sweep(app.name, mode, errors_axis,
-                                expect_runs=config.runs_per_cell)
-    campaign = config.campaign_config()
-    return SweepResult(app.name, mode, [
-        live_campaign(app, campaign, errors, mode) for errors in errors_axis])
+    config = artefact_spec(config)
+    axis = list(errors_axis if errors_axis is not None
+                else app_class(name).default_error_sweep)
+    spec = dataclasses.replace(config, apps=(name,), errors=tuple(axis),
+                               modes=tuple(mode.value for mode in modes))
+    with swept_store(store, [spec]) as cells:
+        return axis, store_confidence(store), [
+            cells.load_sweep(name, mode, axis,
+                             expect_runs=config.runs_per_cell)
+            for mode in modes]
 
 
 def figure1_susan(config: Optional[CampaignSpec] = None,
                   errors_axis: Optional[Sequence[int]] = None,
                   store: Optional[ShardStore] = None) -> FigureData:
     """Susan: PSNR vs. injected errors, static analysis ON vs. OFF."""
-    config = artefact_spec(config)
-    confidence = store_confidence(store)
-    app = SUITES[config.suite]()["susan"]
-    axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
-    protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
-    unprotected = _sweep(app, config, axis, ProtectionMode.UNPROTECTED, store)
+    axis, confidence, (protected, unprotected) = _sweeps(
+        config, "susan", errors_axis, store, ProtectionMode.PROTECTED,
+        ProtectionMode.UNPROTECTED)
     figure = FigureData(
         title="Figure 1: Susan — PSNR of pictures with errors",
         x_label="errors inserted",
@@ -82,11 +86,8 @@ def figure2_mpeg(config: Optional[CampaignSpec] = None,
                  errors_axis: Optional[Sequence[int]] = None,
                  store: Optional[ShardStore] = None) -> FigureData:
     """MPEG: % bad frames and % failed executions (protection ON)."""
-    config = artefact_spec(config)
-    confidence = store_confidence(store)
-    app = SUITES[config.suite]()["mpeg"]
-    axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
-    protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
+    axis, confidence, (protected,) = _sweeps(
+        config, "mpeg", errors_axis, store, ProtectionMode.PROTECTED)
     figure = FigureData(
         title="Figure 2: MPEG — bad frames vs. errors (static analysis ON)",
         x_label="errors inserted",
@@ -104,11 +105,8 @@ def figure3_mcf(config: Optional[CampaignSpec] = None,
                 errors_axis: Optional[Sequence[int]] = None,
                 store: Optional[ShardStore] = None) -> FigureData:
     """MCF: % optimal schedules found and % failed runs."""
-    config = artefact_spec(config)
-    confidence = store_confidence(store)
-    app = SUITES[config.suite]()["mcf"]
-    axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
-    protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
+    axis, confidence, (protected,) = _sweeps(
+        config, "mcf", errors_axis, store, ProtectionMode.PROTECTED)
     optimal_series = [
         100.0 * cell.detail_mean("optimal") if cell.detail_mean("optimal") is not None else None
         for cell in protected.cells
@@ -128,11 +126,8 @@ def figure4_blowfish(config: Optional[CampaignSpec] = None,
                      errors_axis: Optional[Sequence[int]] = None,
                      store: Optional[ShardStore] = None) -> FigureData:
     """Blowfish: % bytes correct and % failed executions."""
-    config = artefact_spec(config)
-    confidence = store_confidence(store)
-    app = SUITES[config.suite]()["blowfish"]
-    axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
-    protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
+    axis, confidence, (protected,) = _sweeps(
+        config, "blowfish", errors_axis, store, ProtectionMode.PROTECTED)
     figure = FigureData(
         title="Figure 4: Blowfish — bytes correct vs. errors (static analysis ON)",
         x_label="errors inserted",
@@ -149,11 +144,8 @@ def figure5_gsm(config: Optional[CampaignSpec] = None,
                 errors_axis: Optional[Sequence[int]] = None,
                 store: Optional[ShardStore] = None) -> FigureData:
     """GSM: SNR relative to the error-free decode and % failed executions."""
-    config = artefact_spec(config)
-    confidence = store_confidence(store)
-    app = SUITES[config.suite]()["gsm"]
-    axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
-    protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
+    axis, confidence, (protected,) = _sweeps(
+        config, "gsm", errors_axis, store, ProtectionMode.PROTECTED)
     snr_percent = [cell.detail_mean("snr_percent_of_optimal") for cell in protected.cells]
     snr_loss = [cell.detail_mean("snr_loss_db") for cell in protected.cells]
     figure = FigureData(
@@ -172,11 +164,8 @@ def figure6_art(config: Optional[CampaignSpec] = None,
                 errors_axis: Optional[Sequence[int]] = None,
                 store: Optional[ShardStore] = None) -> FigureData:
     """ART: % images recognised and % failed executions."""
-    config = artefact_spec(config)
-    confidence = store_confidence(store)
-    app = SUITES[config.suite]()["art"]
-    axis = list(errors_axis if errors_axis is not None else app.default_error_sweep)
-    protected = _sweep(app, config, axis, ProtectionMode.PROTECTED, store)
+    axis, confidence, (protected,) = _sweeps(
+        config, "art", errors_axis, store, ProtectionMode.PROTECTED)
     recognised = [
         100.0 * cell.detail_mean("recognized") if cell.detail_mean("recognized") is not None else None
         for cell in protected.cells

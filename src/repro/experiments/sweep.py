@@ -12,36 +12,37 @@ whole: its content parameters (suite, seed, workloads, fault model, run
 count or stopping rule) are pinned in ``meta.json``, and its coverage
 parameters select the grid cells (:meth:`CampaignSpec.cells`).
 
-Resumability is the point: the orchestrator plans each cell as the set of
-run indices *missing* from the store, hands every missing run of the
-sweep to one executor of whatever backend the campaign config selects
-(in-process, local process pool, or TCP workers on other hosts), and
-appends each cell's records to disk in chunks as they arrive.  Kill it
-anywhere — even mid-cell, even mid-write — and a later invocation (with
-any backend) recomputes only the runs whose records never landed,
+Resumability is the point: the orchestrator plans each cell as the run
+indices *missing* from the store and asks one executor of whatever
+backend the campaign config selects (in-process, local process pool, or
+TCP workers on other hosts) for them in *rounds*: one ``run`` call per
+round, carrying the pending runs of every cell that still needs runs.
+Each cell's records are appended to disk in chunks as they arrive.  Kill
+it anywhere — even mid-cell, even mid-write — and a later invocation
+(with any backend) recomputes only the runs whose records never landed,
 producing a store byte-identical to an uninterrupted serial sweep.
 
-Two planning modes share that machinery:
+Two planning modes share that one round loop:
 
 * **Fixed** (the default): every cell gets exactly ``runs_per_cell``
-  runs, pinned in ``meta.json``.
+  runs, pinned in ``meta.json``, all in one round.
 * **Adaptive** (a spec with ``stopping=StoppingRule(...)``, CLI ``sweep
-  --adaptive``): each cell keeps appending runs until the
-  failure-rate and acceptable-rate Wilson intervals are narrower than
-  the rule's target half-width (with a floor and a cap), so the sweep
-  spends runs where the estimates are still noisy and stops early where
-  they have converged.  The canonical run count of a cell is the
-  *smallest* ``n`` in ``[floor, cap]`` whose first ``n`` records satisfy
-  the rule — a pure function of the record stream, which itself is a
-  pure function of ``(base_seed, run_index, errors, model)`` — so
-  adaptive stores stay byte-deterministic across executor backends,
-  interruptions and chunk sizes.  ``meta.json`` pins the rule
-  ``(ci_width, run_floor, run_cap, confidence)`` instead of an exact
-  ``runs_per_cell``.
+  --adaptive``): each cell adds its next chunk of runs to every round
+  until the failure-rate and acceptable-rate Wilson intervals are
+  narrower than the rule's target half-width (with a floor and a cap),
+  so the sweep spends runs where the estimates are still noisy and stops
+  early where they have converged.  The canonical run count of a cell
+  is the *smallest* ``n`` in ``[floor, cap]`` whose first ``n`` records
+  satisfy the rule — a pure function of the cell's own record stream,
+  which itself is a pure function of ``(base_seed, run_index, errors,
+  model)`` — so adaptive stores stay byte-deterministic across executor
+  backends, interruptions, chunk sizes and the other cells of a round.
+  ``meta.json`` pins the rule ``(ci_width, run_floor, run_cap,
+  confidence)`` instead of an exact ``runs_per_cell``.
 
 ``python -m repro sweep`` is the CLI front end; ``experiments.tables``
-and ``experiments.figures`` regenerate the paper artefacts from the
-resulting store.
+and ``experiments.figures`` regenerate the paper artefacts from a store:
+the resulting one, or a temporary one they sweep themselves.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class SweepReport:
     runs_executed: int = 0
     runs_reused: int = 0
     #: Adaptive mode only: runs computed past a cell's convergence point
-    #: inside the final chunk and therefore never persisted (the price of
+    #: in its last round and therefore never persisted (the price of
     #: chunked execution; bounded by ``chunk_size - 1`` per cell).
     runs_discarded: int = 0
     statuses: List[SweepStatus] = field(default_factory=list)
@@ -250,19 +251,7 @@ class SweepOrchestrator:
         each status carries the rule's convergence verdict plus the
         persisted failure-rate CI half-width.
         """
-        if self.spec.stopping is not None:
-            return [self._adaptive_status(cell, self._cell_counts(cell))
-                    for cell in self.plan()]
-        runs = self.campaign_config.runs
-        return [
-            SweepStatus(
-                cell=cell,
-                done=runs - len(self.store.missing_indices(
-                    cell.app_name, cell.mode, cell.errors, runs)),
-                total=runs,
-            )
-            for cell in self.plan()
-        ]
+        return self._plan_pass()[0].statuses
 
     def _adaptive_status(self, cell: SweepCell,
                          counts: Tuple[int, int, int]) -> SweepStatus:
@@ -279,16 +268,15 @@ class SweepOrchestrator:
                            if interval is not None else None),
         )
 
-    def _plan_pass(self) -> Tuple[
-            SweepReport, Dict[SweepCell, SweepStatus],
-            List[Tuple[SweepCell, List[int]]],
-            List[Tuple[SweepCell, Tuple[int, int, int]]]]:
+    def _plan_pass(self) -> Tuple[SweepReport, Dict[SweepCell, SweepStatus],
+                                  List[Tuple[SweepCell, List[int]]],
+                                  Dict[SweepCell, Tuple[int, int, int]]]:
         """Read each planned cell's shard once and sort the cells.
 
         Returns the report of a sweep that runs nothing (``statuses`` in
         cell order, ``runs_reused``, ``cells_skipped``), each cell's
-        status, and the pending cells: fixed ones with their missing run
-        indices, adaptive ones with their persisted ``(total,
+        status, the pending cells with the run indices of their first
+        round, and each adaptive cell's persisted ``(total,
         catastrophic, acceptable)`` counts.
         """
         report = SweepReport()
@@ -297,30 +285,34 @@ class SweepOrchestrator:
         rule = self.spec.stopping
         runs = self.campaign_config.runs
         statuses: Dict[SweepCell, SweepStatus] = {}
-        fixed: List[Tuple[SweepCell, List[int]]] = []
-        adaptive: List[Tuple[SweepCell, Tuple[int, int, int]]] = []
+        pending: List[Tuple[SweepCell, List[int]]] = []
+        counts: Dict[SweepCell, Tuple[int, int, int]] = {}
         for cell in cells:
             if rule is not None:
-                counts = self._cell_counts(cell)
-                report.runs_reused += counts[0]
-                statuses[cell] = self._adaptive_status(cell, counts)
-                if statuses[cell].complete:
-                    report.cells_skipped += 1
-                else:
-                    adaptive.append((cell, counts))
+                counts[cell] = self._cell_counts(cell)
+                status = self._adaptive_status(cell, counts[cell])
+                runs_next = self._adaptive_round(status.done)
             else:
-                missing = self.store.missing_indices(
+                runs_next = self.store.missing_indices(
                     cell.app_name, cell.mode, cell.errors, runs)
-                report.runs_reused += runs - len(missing)
-                statuses[cell] = SweepStatus(cell=cell,
-                                             done=runs - len(missing),
-                                             total=runs)
-                if missing:
-                    fixed.append((cell, missing))
-                else:
-                    report.cells_skipped += 1
+                status = SweepStatus(cell=cell, done=runs - len(runs_next),
+                                     total=runs)
+            statuses[cell] = status
+            report.runs_reused += status.done
+            if status.complete:
+                report.cells_skipped += 1
+            else:
+                pending.append((cell, runs_next))
         report.statuses = [statuses[cell] for cell in cells]
-        return report, statuses, fixed, adaptive
+        return report, statuses, pending, counts
+
+    def _adaptive_round(self, total: int) -> List[int]:
+        """The runs an adaptive cell with ``total`` records asks for in
+        its next round: its next ``chunk_size``, or all up to the rule's
+        floor (below which no run is discarded), within the cap."""
+        rule = self.spec.stopping
+        return list(range(total, min(max(total + self.chunk_size,
+                                          rule.floor), rule.cap)))
 
     def cached_report(self) -> Optional[SweepReport]:
         """The report :meth:`run` would return if the store already holds
@@ -335,39 +327,39 @@ class SweepOrchestrator:
         if self.store.read_meta() is None:
             return None  # a fresh store holds no run
         self._pin_meta()  # only compares: the store's meta exists
-        report, _, fixed, adaptive = self._plan_pass()
-        return None if fixed or adaptive else report
+        report, _, pending, _ = self._plan_pass()
+        return None if pending else report
 
     def run(self) -> SweepReport:
         """Execute every missing run of the grid through one executor.
 
         The planning pass reads each cell's shard once.  One executor,
         built with the applications that have pending cells, then serves
-        the whole sweep: a fixed sweep hands it every missing run in one
-        ``run`` call and appends each cell's records in chunks of
+        the whole sweep in *rounds* (:meth:`_run_rounds`): one ``run``
+        call each, carrying the pending runs of every cell that still
+        needs runs, in cell order.  Records are appended in chunks of
         ``chunk_size`` as they arrive, so an interruption loses only runs
         not yet appended — those in flight on the backend and the
         unfilled part of the chunk being collected.
 
-        In adaptive mode a cell's "missing" runs are not a fixed set:
-        after each chunk the stopping rule re-evaluates the cell, and
-        only the records up to the cell's canonical convergence point are
-        persisted (see :meth:`_run_adaptive_cell`).
+        A fixed cell needs one round, of its missing run indices, so a
+        fixed sweep makes one ``run`` call.  An adaptive cell asks for
+        its next chunk every round until its stopping rule is satisfied,
+        so an adaptive sweep makes as many calls as its slowest cell
+        takes chunks.
 
         The report's statuses come from the planning pass plus what the
         run appended, not from a second read of the store.
         """
         self._pin_meta()
-        report, statuses, fixed, adaptive = self._plan_pass()
-        if fixed or adaptive:
+        report, statuses, pending, counts = self._plan_pass()
+        if pending:
             suite = SUITES[self.spec.suite]()
             apps = [suite[name] for name in dict.fromkeys(
-                cell.app_name for cell, _ in fixed + adaptive)]
-            pending_runs = (sum(len(missing) for _, missing in fixed)
-                            + sum(self.spec.stopping.cap - counts[0]
-                                  for _, counts in adaptive))
-            executor = create_executor(apps, self.campaign_config,
-                                       pending=pending_runs)
+                cell.app_name for cell, _ in pending)]
+            executor = create_executor(apps, self.campaign_config, pending=sum(
+                statuses[cell].total - statuses[cell].done
+                for cell, _ in pending))
             report.executors_started = 1
             if self.on_executor is not None:
                 # Post-construction, pre-start: the hook may attach
@@ -375,37 +367,75 @@ class SweepOrchestrator:
                 # that the executor reads when it starts.
                 self.on_executor(executor)
             with executor:
-                self._run_fixed(executor, fixed, statuses, report)
-                for cell, counts in adaptive:
-                    counts = self._run_adaptive_cell(executor, cell, counts,
-                                                     report)
-                    statuses[cell] = self._adaptive_status(cell, counts)
+                self._run_rounds(executor, pending, counts, statuses, report)
                 self._collect_fleet(executor, report)
         report.statuses = [statuses[status.cell]
                            for status in report.statuses]
         return report
 
-    def _run_fixed(self, executor: Executor,
-                   pending: List[Tuple[SweepCell, List[int]]],
-                   statuses: Dict[SweepCell, SweepStatus],
-                   report: SweepReport) -> None:
-        """Run every missing run of ``pending`` in one executor call and
-        append each cell's records, chunk by chunk, as they arrive."""
-        runs = self.campaign_config.runs
-        records = iter(executor.run([task for cell, missing in pending
-                                     for task in _tasks(cell, missing)]))
-        for cell, missing in pending:
-            status = statuses[cell]
-            for chunk in _chunks(missing, self.chunk_size):
-                batch = list(islice(records, len(chunk)))
-                self.store.append_records(cell.app_name, cell.mode,
-                                          cell.errors, batch)
-                report.runs_executed += len(batch)
-                status.done += len(batch)
-                self._report(
-                    f"{cell.app_name} {cell.mode.value} "
-                    f"e={cell.errors}: {status.done}/{runs}"
-                )
+    def _run_rounds(self, executor: Executor,
+                    pending: List[Tuple[SweepCell, List[int]]],
+                    counts: Dict[SweepCell, Tuple[int, int, int]],
+                    statuses: Dict[SweepCell, SweepStatus],
+                    report: SweepReport) -> None:
+        """Run rounds until no cell of ``pending`` needs runs.
+
+        Each round is one ``executor.run`` call with the round's runs of
+        every pending cell; each cell's records are appended chunk by
+        chunk as they arrive.  An adaptive cell folds its records
+        through the stopping rule in run-index order and drops those
+        past the first satisfying count, so its persisted prefix is its
+        canonical run count — a function of its own records only, not of
+        ``chunk_size``, the backend, the other cells of a round or where
+        an earlier session was interrupted — at the cost of at most
+        ``chunk_size - 1`` computed-but-unpersisted runs per cell.
+        """
+        rule = self.spec.stopping
+        while pending:
+            records = iter(executor.run([
+                task for cell, runs_next in pending
+                for task in _tasks(cell, runs_next)]))
+            for cell, runs_next in pending:
+                for chunk in _chunks(runs_next, self.chunk_size):
+                    batch = list(islice(records, len(chunk)))
+                    if rule is None:
+                        keep = batch
+                        status = statuses[cell]
+                        status.done += len(keep)
+                        line = f"{status.done}/{status.total}"
+                    else:
+                        keep = self._fold(cell, batch, counts)
+                        status = statuses[cell] = self._adaptive_status(
+                            cell, counts[cell])
+                        line = (f"{status.done} runs, failure CI "
+                                f"±{status.ci_half_width:.2f} (target "
+                                f"±{rule.ci_width:.2f}, cap {rule.cap})")
+                    self.store.append_records(cell.app_name, cell.mode,
+                                              cell.errors, keep)
+                    report.runs_executed += len(keep)
+                    report.runs_discarded += len(batch) - len(keep)
+                    self._report(f"{cell.app_name} {cell.mode.value} "
+                                 f"e={cell.errors}: {line}")
+            pending = [(cell, self._adaptive_round(counts[cell][0]))
+                       for cell, _ in pending if not statuses[cell].complete]
+
+    def _fold(self, cell: SweepCell, batch: List[RunRecord],
+              counts: Dict[SweepCell, Tuple[int, int, int]]
+              ) -> List[RunRecord]:
+        """The records of ``batch`` an adaptive cell keeps (those up to
+        the first that satisfies the rule); updates ``counts[cell]``."""
+        rule = self.spec.stopping
+        total, catastrophic, acceptable = counts[cell]
+        keep: List[RunRecord] = []
+        for record in batch:
+            if rule.satisfied(total, catastrophic, acceptable):
+                break
+            keep.append(record)
+            total += 1
+            catastrophic += record.is_catastrophic
+            acceptable += record.is_acceptable
+        counts[cell] = (total, catastrophic, acceptable)
+        return keep
 
     def _collect_fleet(self, executor, report: SweepReport) -> None:
         """Fold one executor's fleet-health counters into the report/store.
@@ -425,51 +455,6 @@ class SweepOrchestrator:
         if interesting:
             report.fleet = stats
             self.store.record_fleet_stats(stats)
-
-    def _run_adaptive_cell(self, executor: Executor, cell: SweepCell,
-                           counts: Tuple[int, int, int],
-                           report: SweepReport) -> Tuple[int, int, int]:
-        """Append runs to one cell until the stopping rule is satisfied;
-        returns the cell's final ``(total, catastrophic, acceptable)``.
-
-        ``counts`` is the cell's persisted ``(total, catastrophic,
-        acceptable)`` tally the planning pass already read — re-reading
-        the shard here would double the store I/O per cell.
-
-        Chunks are executed through the warm ``executor``, but records
-        are persisted one at a time *logically*: the rule is re-evaluated
-        after each record of the chunk, and records past the first
-        satisfying count are dropped instead of written.  The persisted
-        prefix is therefore exactly the cell's canonical run count —
-        independent of ``chunk_size``, backend, and where a previous
-        session was interrupted — at the cost of at most
-        ``chunk_size - 1`` wasted (computed-but-unpersisted) runs.
-        """
-        rule = self.spec.stopping
-        total, catastrophic, acceptable = counts
-        while not rule.satisfied(total, catastrophic, acceptable):
-            chunk = list(executor.run(_tasks(cell, range(
-                total, min(total + self.chunk_size, rule.cap)))))
-            keep: List[RunRecord] = []
-            for record in chunk:
-                keep.append(record)
-                total += 1
-                catastrophic += record.is_catastrophic
-                acceptable += record.is_acceptable
-                if rule.satisfied(total, catastrophic, acceptable):
-                    break
-            self.store.append_records(cell.app_name, cell.mode, cell.errors,
-                                      keep)
-            report.runs_executed += len(keep)
-            report.runs_discarded += len(chunk) - len(keep)
-            width = wilson_interval(catastrophic, total,
-                                    rule.confidence).half_width
-            self._report(
-                f"{cell.app_name} {cell.mode.value} e={cell.errors}: "
-                f"{total} runs, failure CI ±{width:.2f} "
-                f"(target ±{rule.ci_width:.2f}, cap {rule.cap})"
-            )
-        return total, catastrophic, acceptable
 
 
 def _tasks(cell: SweepCell, run_indices: Iterable[int]) -> List[RunTask]:

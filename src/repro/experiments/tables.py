@@ -19,21 +19,23 @@ Beyond the paper:
 
 Every builder takes the campaign as ``config``, a
 :class:`~repro.service.spec.CampaignSpec` (default ``CampaignSpec()``:
-small suite, 8 runs per cell, seed 2006, control-bit).
+small suite, 8 runs per cell, seed 2006, control-bit).  Campaign tables
+read their cells from a shard store: the one passed in, or a temporary
+one the builder sweeps the cells it needs into (:func:`swept_store`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+import tempfile
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..analysis import attribute_first_flips, build_report
 from ..apps import APP_ORDER, SUITES, TABLE1_FIDELITY
-from ..core import (CampaignConfig, CampaignResult, ErrorTolerantApp,
-                    ShardStore, TableData)
+from ..core import ShardStore, TableData
 from ..core.stats import spearman_rho
-from ..exec import create_executor
-from ..service.spec import CampaignSpec
+from ..service.spec import SPEC_MODES, CampaignSpec
 from ..sim import MODEL_NAMES, ProtectionMode, get_model
 
 #: Error counts used by Table 2, straight from the paper (low, high) —
@@ -54,7 +56,7 @@ def artefact_spec(config: Optional[CampaignSpec]) -> CampaignSpec:
 
     ``None`` is ``CampaignSpec()``.  An adaptive spec expects its rule's
     floor as the runs per cell: every converged cell holds at least that
-    many records, and live cells simulate that many.
+    many records, and a builder without a store sweeps that many.
     """
     spec = config if config is not None else CampaignSpec()
     if spec.stopping is None:
@@ -63,18 +65,25 @@ def artefact_spec(config: Optional[CampaignSpec]) -> CampaignSpec:
                                runs_per_cell=spec.stopping.floor)
 
 
-def live_campaign(app: ErrorTolerantApp, config: CampaignConfig, errors: int,
-                  mode: ProtectionMode) -> CampaignResult:
-    """One campaign cell simulated live, outside any store.
+@contextlib.contextmanager
+def swept_store(store: Optional[ShardStore],
+                specs: Sequence[CampaignSpec]) -> Iterator[ShardStore]:
+    """``store`` itself, or without one a temporary store that holds the
+    cells of ``specs`` (all of one fault model), one sweep per spec.
 
-    Runs ``config.runs`` executions of ``app`` with ``errors`` injected
-    bit flips in ``mode`` on the executor backend ``config`` resolves to.
+    An artefact then reads its cells the same way from either.  With
+    no spec there is nothing to sweep, and ``store`` is yielded as is.
     """
-    with create_executor([app], config, pending=config.runs) as executor:
-        records = list(executor.run([(app.name, run_index, errors, mode)
-                                     for run_index in range(config.runs)]))
-    return CampaignResult(app_name=app.name, mode=mode,
-                          errors_requested=errors, records=records)
+    if store is not None or not specs:
+        yield store
+        return
+    from .sweep import SweepOrchestrator  # sweep.py imports this module
+
+    with tempfile.TemporaryDirectory(prefix="repro-artefact-") as root:
+        swept = ShardStore(root, model=specs[0].model)
+        for spec in specs:
+            SweepOrchestrator(swept, spec).run()
+        yield swept
 
 
 def store_confidence(store: Optional[ShardStore]) -> float:
@@ -83,8 +92,8 @@ def store_confidence(store: Optional[ShardStore]) -> float:
     An adaptive store pins the confidence level its stopping rule
     converged — rendered intervals must be those intervals, so tables,
     figures and ``status`` agree on the ``±`` of the same cell.
-    Everything else (fixed stores, live simulation, no store) reports
-    the 95% default.
+    Everything else (fixed stores, and no store: the temporary store a
+    builder sweeps is fixed) reports the 95% default.
     """
     rule = store.stopping_rule() if store is not None else None
     return rule.confidence if rule is not None else 0.95
@@ -120,8 +129,9 @@ def table2_catastrophic_failures(
     """Table 2: % catastrophic failures with and without control protection.
 
     With ``store`` the cells are loaded from a sweep's shard store (see
-    ``python -m repro sweep``) instead of being re-simulated; a missing
-    cell raises ``KeyError`` naming the sweep command that produces it.
+    ``python -m repro sweep``); a missing cell raises ``KeyError`` naming
+    the sweep command that produces it.  Without one, each application's
+    Table 2 points are swept into one temporary store.
     """
     config = artefact_spec(config)
     suite = SUITES[config.suite]()
@@ -148,34 +158,22 @@ def table2_catastrophic_failures(
                f"± columns are Wilson-score {level} CI half-widths on the "
                f"failure rates"],
     )
-    campaign = config.campaign_config()
-    for name in names:
-        app = suite[name]
-        golden = app.golden(0)
-        for errors in error_counts.get(name, (8,)):
-            if store is not None:
-                protected = store.load_campaign(
-                    name, ProtectionMode.PROTECTED, errors,
-                    expect_runs=config.runs_per_cell)
-                unprotected = store.load_campaign(
-                    name, ProtectionMode.UNPROTECTED, errors,
-                    expect_runs=config.runs_per_cell)
-            else:
-                protected = live_campaign(app, campaign, errors,
-                                          ProtectionMode.PROTECTED)
-                unprotected = live_campaign(app, campaign, errors,
-                                            ProtectionMode.UNPROTECTED)
-            protected_ci = protected.failure_ci(confidence)
-            unprotected_ci = unprotected.failure_ci(confidence)
-            table.add_row([
-                name,
-                errors,
-                golden.executed,
-                protected.failure_percent,
-                protected_ci.half_width if protected_ci is not None else None,
-                unprotected.failure_percent,
-                unprotected_ci.half_width if unprotected_ci is not None else None,
-            ])
+    points = {name: tuple(error_counts.get(name, (8,))) for name in names}
+    specs = [dataclasses.replace(config, apps=(name,), modes=SPEC_MODES,
+                                 errors=points[name]) for name in names]
+    with swept_store(store, specs) as cells:
+        for name in names:
+            golden = suite[name].golden(0)
+            for errors in points[name]:
+                row = [name, errors, golden.executed]
+                for mode in (ProtectionMode.PROTECTED,
+                             ProtectionMode.UNPROTECTED):
+                    cell = cells.load_campaign(
+                        name, mode, errors, expect_runs=config.runs_per_cell)
+                    interval = cell.failure_ci(confidence)
+                    row += [cell.failure_percent, interval.half_width
+                            if interval is not None else None]
+                table.add_row(row)
     return table
 
 
@@ -196,13 +194,12 @@ def table4_fault_models(
     memory strikes, multi-bit bursts and opcode corruption from one
     table.
 
-    All cells are simulated live (the persistent sweep store holds one
-    model per store; see ``python -m repro sweep --model``).  The runs per
-    cell and base seed come from ``config``, so rows are exactly
-    reproducible.
+    A shard store holds one model (see ``python -m repro sweep
+    --model``), so each model's cells are swept into a temporary store of
+    their own.  The runs per cell and base seed come from ``config``, so
+    rows are exactly reproducible.
     """
     config = artefact_spec(config)
-    suite = SUITES[config.suite]()
     names = list(apps) if apps is not None else list(APP_ORDER)
     model_names = list(models) if models is not None else list(MODEL_NAMES)
     table = TableData(
@@ -213,31 +210,30 @@ def table4_fault_models(
         notes=[f"{config.runs_per_cell} injected runs per cell, "
                f"suite={config.suite!r}, source=live simulation"],
     )
+    rows: Dict[Tuple[str, str], list] = {}
+    for model_name in model_names:
+        # Mode-independent models (memory-bit) would produce two
+        # identical rows by construction — sweep one cell and say so,
+        # instead of paying for (and presenting) the duplicate.
+        modes = (SPEC_MODES if get_model(model_name).mode_sensitive
+                 else SPEC_MODES[:1])
+        spec = dataclasses.replace(config, model=model_name, apps=tuple(names),
+                                   modes=modes, errors=(errors,))
+        with swept_store(None, [spec]) as cells:
+            for name in names:
+                rows[name, model_name] = []
+                for mode in modes:
+                    cell = cells.load_campaign(name, ProtectionMode(mode),
+                                               errors)
+                    rows[name, model_name].append([
+                        name, model_name,
+                        mode if len(modes) > 1 else "(mode-independent)",
+                        cell.completed_percent, cell.crash_percent,
+                        cell.hang_percent, cell.acceptable_percent])
     for name in names:
-        app = suite[name]
         for model_name in model_names:
-            model = get_model(model_name)
-            campaign = dataclasses.replace(
-                config, model=model_name).campaign_config()
-            # Mode-independent models (memory-bit) would produce two
-            # identical rows by construction — simulate one cell and say
-            # so, instead of paying for (and presenting) the duplicate.
-            if model.mode_sensitive:
-                mode_rows = [(ProtectionMode.PROTECTED, "protected"),
-                             (ProtectionMode.UNPROTECTED, "unprotected")]
-            else:
-                mode_rows = [(ProtectionMode.PROTECTED, "(mode-independent)")]
-            for mode, mode_label in mode_rows:
-                cell = live_campaign(app, campaign, errors, mode)
-                table.add_row([
-                    name,
-                    model_name,
-                    mode_label,
-                    cell.completed_percent,
-                    cell.crash_percent,
-                    cell.hang_percent,
-                    cell.acceptable_percent,
-                ])
+            for row in rows[name, model_name]:
+                table.add_row(row)
     return table
 
 

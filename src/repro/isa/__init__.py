@@ -12,10 +12,8 @@ from .encoding import (
     bits_to_int,
     flip_float_bit,
     flip_int_bit,
-    flip_value_bit,
     float_to_bits,
     int_to_bits,
-    value_bit_width,
     wrap_int,
 )
 from .instructions import Instruction
@@ -58,10 +56,8 @@ __all__ = [
     "bits_to_int",
     "flip_float_bit",
     "flip_int_bit",
-    "flip_value_bit",
     "float_to_bits",
     "int_to_bits",
     "parse_register",
-    "value_bit_width",
     "wrap_int",
 ]

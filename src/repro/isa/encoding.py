@@ -64,14 +64,3 @@ def flip_float_bit(value: float, bit: int) -> float:
     # whatever the hardware would have produced.
     return flipped
 
-
-def flip_value_bit(value, bit: int):
-    """Flip a bit in either an integer or floating point value."""
-    if isinstance(value, int):
-        return flip_int_bit(value, bit)
-    return flip_float_bit(float(value), bit)
-
-
-def value_bit_width(value) -> int:
-    """Number of encodable bits of ``value`` under the fault model."""
-    return INT_BITS if isinstance(value, int) else FLOAT_BITS

@@ -278,7 +278,7 @@ class CampaignSpec:
 
         Each application's error axis is class data (its figure series,
         plus its Table 2 points with ``include_table2``), so planning
-        builds no application.
+        builds no application.  A cell named twice is listed once.
         """
         from ..experiments.sweep import SweepCell, grid_errors_axis
 
@@ -290,7 +290,7 @@ class CampaignSpec:
             for mode in map(ProtectionMode, self.modes):
                 for errors in axis:
                     cells.append(SweepCell(name, mode, errors))
-        return cells
+        return list(dict.fromkeys(cells))
 
     # ------------------------------------------------------------------
     # Construction helpers.

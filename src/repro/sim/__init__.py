@@ -20,7 +20,6 @@ from .faults import (
     InjectionEvent,
     InjectionPlan,
     ProtectionMode,
-    exposed_static_indices,
     exposure_flags,
     instruction_is_exposed,
     plan_injections,
@@ -32,7 +31,6 @@ from .machine import (
     RunResult,
     RunStatistics,
     executing_engine,
-    run_program,
     summarise_counts,
 )
 from .memory import Memory
@@ -66,11 +64,9 @@ __all__ = [
     "build_checkpoint_store",
     "decode_program",
     "executing_engine",
-    "exposed_static_indices",
     "exposure_flags",
     "instruction_is_exposed",
     "plan_injections",
     "run_forked",
-    "run_program",
     "summarise_counts",
 ]

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..isa import Instruction, Program
+from ..isa import Instruction
 
 
 class ProtectionMode(enum.Enum):
@@ -58,15 +58,6 @@ def instruction_is_exposed(instruction: Instruction, mode: ProtectionMode) -> bo
     # UNPROTECTED: every instruction that produces a register result is fair
     # game, including loads, address computations and call linkage.
     return True
-
-
-def exposed_static_indices(program: Program, mode: ProtectionMode) -> List[int]:
-    """Static instruction indices exposed to errors under ``mode``."""
-    return [
-        index
-        for index, instruction in enumerate(program.instructions)
-        if instruction_is_exposed(instruction, mode)
-    ]
 
 
 def exposure_flags(instructions: Sequence[Instruction],

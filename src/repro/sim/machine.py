@@ -89,14 +89,6 @@ class RunResult:
     memory: Memory
     program: Program
 
-    @property
-    def is_catastrophic(self) -> bool:
-        return self.outcome in Outcome.CATASTROPHIC
-
-    @property
-    def injected_errors(self) -> int:
-        return 0 if self.injection is None else self.injection.injected_errors
-
     def output(self, channel: int = 0) -> List[float]:
         """Values written with ``OUT``/``FOUT`` to the given channel."""
         return self.outputs.get(channel, [])
@@ -296,22 +288,3 @@ class Machine:
             memory=self.memory,
             program=self.program,
         )
-
-
-def run_program(
-    program: Program,
-    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    injection: Optional[InjectionPlan] = None,
-    setup=None,
-    engine: str = "decoded",
-) -> RunResult:
-    """Convenience wrapper: build a machine, optionally set up memory, run.
-
-    ``setup`` is an optional callable receiving the machine before execution
-    (used by application drivers to write workload data into global arrays).
-    """
-    machine = Machine(program)
-    if setup is not None:
-        setup(machine)
-    return machine.run(max_instructions=max_instructions, injection=injection,
-                       engine=engine)

@@ -1,6 +1,6 @@
 """Synthetic workload generators replacing the SPEC/MiBench reference inputs."""
 
-from .audio import PCM_MAX, PCM_MIN, clamp_pcm, speech_like_signal, tone
+from .audio import PCM_MAX, PCM_MIN, clamp_pcm, speech_like_signal
 from .images import (
     Image,
     moving_scene,
@@ -28,6 +28,5 @@ __all__ = [
     "synthetic_scene",
     "text_to_bytes",
     "thermal_image_with_objects",
-    "tone",
     "transit_instance",
 ]

@@ -50,12 +50,3 @@ def speech_like_signal(samples: int, seed: int = 0, sample_rate: int = 8000) -> 
         value += rng.uniform(-0.02, 0.02)
         signal.append(clamp_pcm(value * envelope * 12000.0))
     return signal
-
-
-def tone(samples: int, frequency: float, amplitude: float = 8000.0,
-         sample_rate: int = 8000) -> List[int]:
-    """A pure sine tone, useful for unit-testing codecs."""
-    return [
-        clamp_pcm(amplitude * math.sin(2.0 * math.pi * frequency * index / sample_rate))
-        for index in range(samples)
-    ]

@@ -28,13 +28,15 @@ from repro.core import store as store_module
 from repro.core.store import StoreMismatchError
 from repro.experiments.sweep import SweepOrchestrator
 from repro.experiments import (
+    TABLE2_ERROR_COUNTS,
     figure3_mcf,
     grid_errors_axis,
     live_campaign,
     table2_catastrophic_failures,
+    table4_fault_models,
 )
-from repro.service.spec import CampaignSpec
-from repro.sim import ProtectionMode
+from repro.service.spec import SPEC_MODES, CampaignSpec
+from repro.sim import MODEL_NAMES, ProtectionMode, get_model
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -229,6 +231,11 @@ class TestPaperGrid:
         assert len(cells) == sum(
             2 * len(grid_errors_axis(app)) for app in suite.values()
         )
+
+    def test_a_cell_named_twice_is_planned_once(self):
+        spec = dataclasses.replace(SPEC, apps=("adpcm", "adpcm"),
+                                   errors=(2, 2))
+        assert len(spec.cells()) == len(set(spec.cells())) == 2
 
     def test_unknown_app_rejected(self):
         with pytest.raises(KeyError, match="unknown application"):
@@ -565,29 +572,126 @@ class TestAdaptiveSweep:
         assert "±" in figure.to_table()
 
 
+def counting_runs(calls):
+    """``on_executor`` hook that counts the executor's ``run`` calls."""
+    def wrap(executor):
+        run = executor.run
+
+        def counted(tasks):
+            calls.append(len(tasks))
+            return run(tasks)
+
+        executor.run = counted
+    return wrap
+
+
+class TestRoundLoop:
+    """Every run a sweep requests goes through one round loop: one
+    ``executor.run`` call per round, carrying every pending cell."""
+
+    def test_fixed_sweep_is_one_call(self, tmp_path):
+        calls = []
+        SweepOrchestrator(ShardStore(tmp_path), SPEC, SERIAL, chunk_size=2,
+                          on_executor=counting_runs(calls)).run()
+        assert calls == [6 * 4]
+
+    def test_adaptive_cells_share_rounds(self, tmp_path):
+        spec = dataclasses.replace(SPEC, apps=("adpcm", "gsm"), errors=(0, 40),
+                                   stopping=ADAPTIVE_RULE)
+        chunk_size = 2
+        assert ADAPTIVE_RULE.floor <= chunk_size
+        calls = []
+        store = ShardStore(tmp_path)
+        report = SweepOrchestrator(
+            store, spec, spec.campaign_config(parallel=1),
+            chunk_size=chunk_size, on_executor=counting_runs(calls)).run()
+        counts = [len(store.load_records(app, mode, errors))
+                  for app, mode, errors, _ in store.shards()]
+        assert len(counts) == 8 and len(set(counts)) > 1
+        # A cell converging at n runs takes ceil(n / chunk_size) chunks,
+        # one per round; the sweep runs until its slowest cell is done.
+        chunks = [-(-count // chunk_size) for count in counts]
+        assert len(calls) == max(chunks) < sum(chunks)
+        assert sum(calls) == report.runs_executed + report.runs_discarded
+
+
+@pytest.fixture
+def executors_built(monkeypatch):
+    """The executors sweeps build, counted where ``sweep.py`` looks
+    ``create_executor`` up."""
+    from repro.experiments import sweep
+
+    built = []
+    create = sweep.create_executor
+
+    def counted(*args, **kwargs):
+        built.append(create(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sweep, "create_executor", counted)
+    return built
+
+
 class TestArtefactsFromStore:
-    def test_figure_from_store_matches_live(self, tmp_path):
+    """Artefacts always read a store: without one, a builder sweeps the
+    cells it needs into a temporary store, one executor per spec."""
+
+    def test_figure_from_store_matches_storeless(self, tmp_path,
+                                                 executors_built):
         config = dataclasses.replace(SPEC, runs_per_cell=2, apps=("mcf",),
                                      modes=("protected",), errors=(0, 2))
         store = ShardStore(tmp_path / "mcf")
         SweepOrchestrator(store, config).run()
         from_store = figure3_mcf(config, errors_axis=[0, 2], store=store)
-        live = figure3_mcf(config, errors_axis=[0, 2])
-        assert from_store.x_values == live.x_values
-        for stored_series, live_series in zip(from_store.series, live.series):
-            assert stored_series.label == live_series.label
-            assert stored_series.values == live_series.values
+        del executors_built[:]
+        storeless = figure3_mcf(config, errors_axis=[0, 2])
+        assert storeless.to_table() == from_store.to_table()
+        assert len(executors_built) == 1
 
-    def test_table2_from_store_matches_live(self, tmp_path):
-        config = dataclasses.replace(SPEC, runs_per_cell=2, errors=(3,))
-        store = ShardStore(tmp_path / "adpcm")
-        SweepOrchestrator(store, config).run()
-        counts = {"adpcm": (3,)}
+    @pytest.mark.parametrize("apps, error_counts", [
+        (("adpcm",), {"adpcm": (3,)}),
+        (("mcf", "adpcm"), None),  # the paper's Table 2 points
+    ])
+    def test_table2_from_store_matches_storeless(self, tmp_path, apps,
+                                                 error_counts,
+                                                 executors_built):
+        config = dataclasses.replace(SPEC, runs_per_cell=2)
+        points = error_counts or TABLE2_ERROR_COUNTS
+        store = ShardStore(tmp_path / "table2")
+        for name in apps:
+            SweepOrchestrator(store, dataclasses.replace(
+                config, apps=(name,), errors=points[name])).run()
         from_store = table2_catastrophic_failures(
-            config, apps=["adpcm"], error_counts=counts, store=store)
-        live = table2_catastrophic_failures(
-            config, apps=["adpcm"], error_counts=counts)
-        assert from_store.rows == live.rows
+            config, apps=apps, error_counts=error_counts, store=store)
+        del executors_built[:]
+        storeless = table2_catastrophic_failures(
+            config, apps=apps, error_counts=error_counts)
+        # Only the note naming the source differs.
+        assert storeless.to_text() == from_store.to_text().replace(
+            "source=shard store", "source=live simulation")
+        assert len(executors_built) == len(apps)
+
+    def test_table4_rows_match_per_model_stores(self, tmp_path,
+                                                executors_built):
+        config = dataclasses.replace(SPEC, runs_per_cell=2)
+        table = table4_fault_models(config, apps=["adpcm"], errors=4)
+        assert len(executors_built) == len(MODEL_NAMES)
+        expected = []
+        for model in MODEL_NAMES:
+            modes = (SPEC_MODES if get_model(model).mode_sensitive
+                     else SPEC_MODES[:1])
+            store = ShardStore(tmp_path / model, model=model)
+            SweepOrchestrator(store, dataclasses.replace(
+                config, model=model, apps=("adpcm",), modes=modes,
+                errors=(4,))).run()
+            for mode in modes:
+                cell = store.load_campaign("adpcm", ProtectionMode(mode), 4)
+                expected.append([
+                    "adpcm", model,
+                    mode if len(modes) > 1 else "(mode-independent)",
+                    cell.completed_percent, cell.crash_percent,
+                    cell.hang_percent, cell.acceptable_percent])
+        assert table.rows == expected
 
     def test_missing_cell_raises_instead_of_resimulating(self, tmp_path):
         config = CampaignSpec(runs_per_cell=2)
