@@ -6,7 +6,7 @@ quantifies how each choice changes the fraction of dynamic instructions
 that may run on unreliable hardware (more protection = less opportunity).
 """
 
-from repro.apps import SUITES
+from repro.apps import SUITES, create_app
 from repro.compiler.passes import ControlTaggingPass
 from repro.core import format_table
 from repro.sim import Machine
@@ -25,8 +25,9 @@ def _tagged_fraction(app, **options) -> float:
 
 
 def test_ablation_tagging_options(benchmark, campaign_spec, show):
-    suite = SUITES[campaign_spec.suite]()
-    apps = [suite["adpcm"], suite["susan"], suite["mcf"]]
+    # Fresh instances: the ablation re-tags their programs in place.
+    suite = SUITES[campaign_spec.suite]
+    apps = [create_app(name, **suite[name]) for name in ("adpcm", "susan", "mcf")]
 
     def run_ablation():
         rows = []

@@ -19,7 +19,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.apps import small_suite
+from repro.apps import SUITES, create_app
 from repro.core import CampaignConfig
 from repro.experiments import live_campaign
 from repro.sim import Machine, ProtectionMode
@@ -48,7 +48,9 @@ def _time_golden(app, engine: str) -> float:
 
 
 def test_perf_interpreter_writes_benchmark_json(show):
-    suite = small_suite()
+    # Fresh instances: a cached app may already run hot code.
+    suite = {name: create_app(name, **params)
+             for name, params in SUITES["small"].items()}
     apps = {}
     total_decoded = 0.0
     total_reference = 0.0

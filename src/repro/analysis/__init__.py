@@ -14,7 +14,7 @@ See ``docs/STATIC_ANALYSIS.md``.
 """
 
 from .attribution import SiteTally, attribute_first_flips, exposed_site_stream
-from .oracle import SUITES, build_report
+from .oracle import build_report
 from .report import SCHEMA_VERSION, StaticSusceptibilityReport
 from .susceptibility import (
     FATE_CONTROL,
@@ -40,7 +40,6 @@ __all__ = [
     "FATE_RISK",
     "LOOP_BASE",
     "SCHEMA_VERSION",
-    "SUITES",
     "SiteSusceptibility",
     "SiteTally",
     "StaticSusceptibilityReport",

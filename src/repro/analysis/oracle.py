@@ -8,7 +8,7 @@ result in the deterministic report codec.
 
 from __future__ import annotations
 
-from ..apps import SUITES
+from ..apps import SUITES, suite_apps
 from ..compiler.passes import compute_def_use, compute_loop_nesting
 from ..core.app import ErrorTolerantApp
 from ..sim.models import get_model
@@ -50,13 +50,10 @@ def build_report(
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}; "
                              f"expected one of {tuple(SUITES)}")
-        apps = SUITES[suite]()
-        try:
-            app = apps[app]
-        except KeyError:
-            raise ValueError(
-                f"unknown app {app!r}; expected one of {tuple(sorted(apps))}"
-            ) from None
+        if app not in SUITES[suite]:
+            raise ValueError(f"unknown app {app!r}; expected one of "
+                             f"{tuple(sorted(SUITES[suite]))}")
+        app = suite_apps(suite)[app]
     program = app.program()
     defuse = compute_def_use(program, protect_addresses=protect_addresses,
                              track_memory=track_memory)
@@ -79,4 +76,4 @@ def build_report(
     )
 
 
-__all__ = ["SUITES", "build_report"]
+__all__ = ["build_report"]

@@ -1,22 +1,22 @@
 """Registry of the paper's benchmark applications (Table 1).
 
-The registry provides two standard configurations, named in
-:data:`SUITES`:
-
-* ``standard_suite()`` — workload sizes used by the benchmark harness
-  (large enough for meaningful dynamic-instruction statistics, small enough
-  for pure-Python fault campaigns);
-* ``small_suite()`` — reduced workloads for fast tests and examples.
-
-It is the one place that spells out suite and application names: campaign
-specs, the CLI and the static oracle validate against it.
+The one place that spells out suite and application names (campaign
+specs, the CLI and the static oracle validate against it), and the one
+source of application instances.  :data:`SUITES` maps each suite to its
+applications' constructor parameters: ``"small"`` for fast tests and
+examples, ``"standard"`` at the benchmark harness's sizes.
+:func:`suite_apps` returns a suite's instances from the process's
+warm-app cache (:func:`cached_app`), so a later sweep, table or daemon
+job finds what an earlier one warmed, and a pool worker forked
+afterwards inherits it.  :func:`create_app` builds a fresh,
+custom-sized instance.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from typing import Callable, Dict, Iterable, List, Mapping, Type
+from typing import Dict, Iterable, List, Mapping, Type
 
 from ..core.app import ErrorTolerantApp
 from .adpcm.app import AdpcmApp
@@ -42,47 +42,31 @@ TABLE1_FIDELITY: Dict[str, str] = {
 }
 
 
-def standard_suite() -> Dict[str, ErrorTolerantApp]:
-    """Applications at the workload sizes used by the benchmark harness."""
-    return {
-        "susan": SusanApp(width=20, height=20),
-        "mpeg": MpegApp(width=16, height=16, frames=6),
-        "mcf": McfApp(trips=10),
-        "blowfish": BlowfishApp(text_bytes=256),
-        "gsm": GsmApp(frames=10),
-        "art": ArtApp(image_size=24, window_size=8, stride=4),
-        "adpcm": AdpcmApp(samples=1500),
-    }
-
-
-def small_suite() -> Dict[str, ErrorTolerantApp]:
-    """Reduced workloads for unit/integration tests and quick examples."""
-    return {
-        "susan": SusanApp(width=12, height=12),
-        "mpeg": MpegApp(width=8, height=8, frames=3),
-        "mcf": McfApp(trips=6),
-        "blowfish": BlowfishApp(text_bytes=64),
-        "gsm": GsmApp(frames=3),
-        "art": ArtApp(image_size=16, window_size=8, stride=4),
-        "adpcm": AdpcmApp(samples=400),
-    }
-
-
-#: Suite name -> builder of fresh application instances.
-SUITES: Dict[str, Callable[[], Dict[str, ErrorTolerantApp]]] = {
-    "small": small_suite,
-    "standard": standard_suite,
+#: Suite name -> application name -> constructor parameters, in
+#: :data:`APP_ORDER`.
+SUITES: Dict[str, Dict[str, Dict[str, int]]] = {
+    "small": {
+        "susan": {"width": 12, "height": 12},
+        "mpeg": {"width": 8, "height": 8, "frames": 3},
+        "mcf": {"trips": 6},
+        "blowfish": {"text_bytes": 64},
+        "gsm": {"frames": 3},
+        "art": {"image_size": 16, "window_size": 8, "stride": 4},
+        "adpcm": {"samples": 400},
+    },
+    "standard": {
+        "susan": {"width": 20, "height": 20},
+        "mpeg": {"width": 16, "height": 16, "frames": 6},
+        "mcf": {"trips": 10},
+        "blowfish": {"text_bytes": 256},
+        "gsm": {"frames": 10},
+        "art": {"image_size": 24, "window_size": 8, "stride": 4},
+        "adpcm": {"samples": 1500},
+    },
 }
 
-_FACTORY: Dict[str, Type[ErrorTolerantApp]] = {
-    "susan": SusanApp,
-    "mpeg": MpegApp,
-    "mcf": McfApp,
-    "blowfish": BlowfishApp,
-    "gsm": GsmApp,
-    "art": ArtApp,
-    "adpcm": AdpcmApp,
-}
+_FACTORY: Dict[str, Type[ErrorTolerantApp]] = {app.name: app for app in (
+    SusanApp, MpegApp, McfApp, BlowfishApp, GsmApp, ArtApp, AdpcmApp)}
 
 
 class UnknownApplicationError(KeyError, ValueError):
@@ -111,9 +95,7 @@ def create_app(name: str, **kwargs) -> ErrorTolerantApp:
 
 
 #: Applications this process has built (and progressively warmed), keyed
-#: by ``(name, params)``.  A socket worker's reconnecting executor, or a
-#: pool worker's next task, finds its application here instead of
-#: recompiling the program and re-simulating golden runs.
+#: by ``(name, wire_params())`` of the instance.
 _APP_CACHE: Dict[str, ErrorTolerantApp] = {}
 _APP_CACHE_LOCK = threading.Lock()
 
@@ -126,21 +108,31 @@ def cached_app(name: str, params: Mapping) -> ErrorTolerantApp:
     """This process's one ``create_app(name, **params)`` instance.
 
     Built on first use; later calls get the same instance, with whatever
-    golden runs and checkpoint stores it has warmed since.
+    it has warmed since.  Params that leave a default out (blowfish's
+    ``key_length``) find the instance their full ``wire_params()`` name.
     """
-    key = _cache_key(name, params)
     with _APP_CACHE_LOCK:
-        app = _APP_CACHE.get(key)
+        app = _APP_CACHE.get(_cache_key(name, params))
         if app is None:
-            app = _APP_CACHE[key] = create_app(name, **params)
+            built = create_app(name, **params)
+            app = _APP_CACHE.setdefault(
+                _cache_key(name, built.wire_params()), built)
         return app
+
+
+def suite_apps(suite: str) -> Dict[str, ErrorTolerantApp]:
+    """The applications of ``suite`` (a :data:`SUITES` name), in
+    :data:`APP_ORDER`: this process's cached instances."""
+    return {name: cached_app(name, params)
+            for name, params in SUITES[suite].items()}
 
 
 def seed_app_cache(apps: Iterable[ErrorTolerantApp]) -> None:
     """Adopt already-warm instances as this process's cached apps.
 
-    A pool worker forked from a sweep gets the parent's warm apps this
-    way, so it repeats no golden run or checkpoint build.
+    A pool worker gets its parent's warm apps this way: a no-op under
+    fork when they are the inherited cached ones, the only warm start
+    under spawn or forkserver (see ``exec/local.py``).
     """
     with _APP_CACHE_LOCK:
         for app in apps:

@@ -13,6 +13,8 @@ processes, which inherit the app warm — reuses the decoded form.
 from __future__ import annotations
 
 import abc
+import os
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -34,6 +36,21 @@ from .fidelity import FidelityMeasure, FidelityResult
 #: executes this many times more instructions than the error-free run is
 #: classified as an infinite run (the paper's "infinite execution time").
 WATCHDOG_FACTOR = 8
+
+#: Held while an application compiles or runs a golden run or capture,
+#: so daemon lanes (threads) that warm one cached application at once
+#: share one program, golden run and checkpoint store.
+_WARM_LOCK = threading.RLock()
+
+
+def _reset_warm_lock() -> None:
+    # No thread of a child forked while the lock was held can release it.
+    global _WARM_LOCK
+    _WARM_LOCK = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_warm_lock)
 
 
 @dataclass
@@ -140,14 +157,15 @@ class ErrorTolerantApp(abc.ABC):
     # Compilation and tagging (cached).
     # ------------------------------------------------------------------
     def program(self) -> Program:
-        if self._program is None:
-            program = compile_source(self.source())
-            eligible = self.eligible_functions()
-            if eligible is not None:
-                program.set_eligible_functions(eligible)
-            self._tagging = ControlTaggingPass().run(program)
-            self._program = program
-        return self._program
+        with _WARM_LOCK:
+            if self._program is None:
+                program = compile_source(self.source())
+                eligible = self.eligible_functions()
+                if eligible is not None:
+                    program.set_eligible_functions(eligible)
+                self._tagging = ControlTaggingPass().run(program)
+                self._program = program
+            return self._program
 
     def tagging_report(self) -> TaggingReport:
         self.program()
@@ -178,16 +196,16 @@ class ErrorTolerantApp(abc.ABC):
 
     def golden(self, seed: int = 0) -> GoldenRun:
         """Run (and cache) the error-free execution for ``seed``."""
-        cached = self._goldens.get(seed)
-        if cached is not None:
-            return cached
-        result = self._make_machine(self.workload(seed)).run()
-        if result.outcome != Outcome.COMPLETED:
-            raise RuntimeError(
-                f"golden run of {self.name!r} did not complete: {result.outcome} "
-                f"({result.fault})"
-            )
-        return self._memoize_golden(seed, result)
+        with _WARM_LOCK:
+            cached = self._goldens.get(seed)
+            if cached is not None:
+                return cached
+            result = self._make_machine(self.workload(seed)).run()
+            if result.outcome != Outcome.COMPLETED:
+                raise RuntimeError(
+                    f"golden run of {self.name!r} did not complete: "
+                    f"{result.outcome} ({result.fault})")
+            return self._memoize_golden(seed, result)
 
     def _memoize_golden(self, seed: int, result: RunResult,
                         store: Optional[CheckpointStore] = None) -> GoldenRun:
@@ -223,19 +241,21 @@ class ErrorTolerantApp(abc.ABC):
         and its watchdog mean the golden run failed; any other error in
         the capture propagates.
         """
-        golden = self._goldens.get(seed)
-        if golden is None:
-            machine = self._make_machine(self.workload(seed))
-            try:
-                store = build_checkpoint_store(machine)
-            except (SimFault, WatchdogExpired) as exc:
-                raise RuntimeError(
-                    f"golden run of {self.name!r} did not complete: {exc}") from exc
-            golden = self._memoize_golden(seed, golden_result(machine, store), store)
-        elif golden.checkpoint_store is None:
-            golden.checkpoint_store = build_checkpoint_store(
-                self._make_machine(self.workload(seed)), golden.result)
-        return golden.checkpoint_store
+        with _WARM_LOCK:
+            golden = self._goldens.get(seed)
+            if golden is None:
+                machine = self._make_machine(self.workload(seed))
+                try:
+                    store = build_checkpoint_store(machine)
+                except (SimFault, WatchdogExpired) as exc:
+                    raise RuntimeError(f"golden run of {self.name!r} did not "
+                                       f"complete: {exc}") from exc
+                golden = self._memoize_golden(
+                    seed, golden_result(machine, store), store)
+            elif golden.checkpoint_store is None:
+                golden.checkpoint_store = build_checkpoint_store(
+                    self._make_machine(self.workload(seed)), golden.result)
+            return golden.checkpoint_store
 
     def run_once(self, injection=None, seed: int = 0,
                  max_instructions: Optional[int] = None,

@@ -39,11 +39,13 @@ class SerialExecutor(Executor):
 # Process-pool plumbing.  A pool task names its application by ``(name,
 # wire_params())`` and carries the config, and the worker looks the
 # application up in its process's warm-app cache
-# (:func:`~repro.apps.registry.cached_app`).  A sweep's own pool seeds
-# that cache with the sweep's warm applications through the initializer
-# (inherited copy-on-write under the fork start method, pickled without
-# checkpoint snapshots otherwise); a pool shared by many sweeps builds
-# and warms each application on its first task.
+# (:func:`~repro.apps.registry.cached_app`).  A sweep's own pool warms
+# its applications and seeds each worker's cache with them through the
+# initializer: a no-op under the fork start method, where the worker
+# inherits the parent's cache with those cached apps in it, and the only
+# warm start under spawn or forkserver (the macOS default, Linux's from
+# Python 3.14), where they arrive pickled without checkpoint snapshots.
+# A pool shared by many sweeps builds and warms each app on first use.
 # ----------------------------------------------------------------------
 #: Seconds between a pool worker's checks that its parent still lives.
 PARENT_POLL = 1.0

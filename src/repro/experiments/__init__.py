@@ -10,7 +10,7 @@ embedding that needs the orchestrator object itself calls
 store; rendered without one, a builder sweeps the cells it needs into a
 temporary store (:func:`~repro.experiments.tables.swept_store`).
 :func:`live_campaign` runs one cell of an application instance that no
-suite builds, outside any store.
+suite holds, outside any store.
 """
 
 from ..core import CampaignConfig, CampaignResult, ErrorTolerantApp

@@ -52,7 +52,7 @@ from itertools import islice
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Type, Union)
 
-from ..apps import SUITES
+from ..apps import suite_apps
 from ..core import CampaignConfig, ShardStore
 from ..core.app import ErrorTolerantApp
 from ..core.outcomes import RunRecord
@@ -354,7 +354,7 @@ class SweepOrchestrator:
         self._pin_meta()
         report, statuses, pending, counts = self._plan_pass()
         if pending:
-            suite = SUITES[self.spec.suite]()
+            suite = suite_apps(self.spec.suite)
             apps = [suite[name] for name in dict.fromkeys(
                 cell.app_name for cell, _ in pending)]
             executor = create_executor(apps, self.campaign_config, pending=sum(

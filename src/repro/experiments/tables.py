@@ -32,7 +32,7 @@ import tempfile
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..analysis import attribute_first_flips, build_report
-from ..apps import APP_ORDER, SUITES, TABLE1_FIDELITY
+from ..apps import APP_ORDER, TABLE1_FIDELITY, suite_apps
 from ..core import ShardStore, TableData
 from ..core.stats import spearman_rho
 from ..service.spec import SPEC_MODES, CampaignSpec
@@ -101,7 +101,7 @@ def store_confidence(store: Optional[ShardStore]) -> float:
 
 def table1_applications(config: Optional[CampaignSpec] = None) -> TableData:
     """Table 1: the applications and their fidelity measures."""
-    suite = SUITES[artefact_spec(config).suite]()
+    suite = suite_apps(artefact_spec(config).suite)
     table = TableData(
         title="Table 1: applications and fidelity measures",
         headers=["Application", "Description", "Fidelity measure (paper)",
@@ -134,7 +134,7 @@ def table2_catastrophic_failures(
     Table 2 points are swept into one temporary store.
     """
     config = artefact_spec(config)
-    suite = SUITES[config.suite]()
+    suite = suite_apps(config.suite)
     error_counts = error_counts or TABLE2_ERROR_COUNTS
     names = list(apps) if apps is not None else list(APP_ORDER)
 
@@ -242,7 +242,7 @@ def table3_low_reliability_instructions(
     apps: Optional[Sequence[str]] = None,
 ) -> TableData:
     """Table 3: dynamic instructions and % identified as low reliability."""
-    suite = SUITES[artefact_spec(config).suite]()
+    suite = suite_apps(artefact_spec(config).suite)
     names = list(apps) if apps is not None else list(APP_ORDER)
     table = TableData(
         title="Table 3: dynamic instructions and % low-reliability instructions",
@@ -304,7 +304,7 @@ def table5_static_vs_dynamic(
     meta = store.read_meta()
     config = artefact_spec(CampaignSpec.from_store_meta(meta) if meta
                            else config)
-    suite = SUITES[config.suite]()
+    suite = suite_apps(config.suite)
     names = list(apps) if apps is not None else list(APP_ORDER)
 
     table = TableData(

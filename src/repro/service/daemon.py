@@ -63,7 +63,9 @@ steps below the daemon's CPU priority, so the event loop and the lanes
 preempt job work and cached answers stay fast beside running jobs.  It
 is forked before the listener is bound and before any lane thread
 starts; its workers build and warm each application on first use and
-keep it warm for later jobs (:func:`~repro.apps.registry.cached_app`).
+keep it warm for later jobs (:func:`~repro.apps.registry.cached_app`);
+what a job warms in the daemon itself (a socket or 1-CPU serial job)
+comes from the daemon's own cache of that kind and stays warm too.
 A worker that dies fails the jobs running on the pool, and the next job
 gets a fresh pool.  Stopping the daemon cancels the pool's queued runs
 and reaps its workers; an interrupted job keeps ``start`` as its last

@@ -37,11 +37,11 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from ..apps.registry import APP_ORDER, SUITES, app_class
+from ..apps.registry import APP_ORDER, SUITES, app_class, suite_apps
 from ..core import CampaignConfig, StoppingRule
 from ..sim import ProtectionMode
 
@@ -251,13 +251,14 @@ class CampaignSpec:
         return meta
 
     def experiment_config(self) -> SimpleNamespace:
-        """An object whose ``suite()`` builds this spec's applications.
+        """An object whose ``suite()`` returns this spec's applications
+        (:func:`~repro.apps.registry.suite_apps`).
 
         Kept only for the end-to-end benchmark under ``e2ebench/``, which
         calls ``spec.experiment_config().suite()``; nothing in the package
         calls it.  It goes away with the next change to that benchmark.
         """
-        return SimpleNamespace(suite=SUITES[self.suite])
+        return SimpleNamespace(suite=partial(suite_apps, self.suite))
 
     def campaign_config(self, **execution) -> CampaignConfig:
         """A :class:`CampaignConfig` for this spec plus execution options.

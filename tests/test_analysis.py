@@ -23,7 +23,7 @@ from repro.analysis import (
     build_report,
     exposed_site_stream,
 )
-from repro.apps import APP_ORDER, small_suite
+from repro.apps import APP_ORDER, suite_apps
 from repro.assembler import ProgramBuilder
 from repro.compiler.passes import ControlTaggingPass, compute_def_use
 from repro.core.campaign import CampaignConfig, injection_seed
@@ -44,7 +44,7 @@ class TestTaggingEquivalence:
 
     @pytest.mark.parametrize("name", APP_ORDER)
     def test_all_apps_all_option_combos(self, name):
-        program = small_suite()[name].program()
+        program = suite_apps("small")[name].program()
         try:
             for options in OPTION_COMBOS:
                 report = ControlTaggingPass(**options).run(program)
@@ -148,7 +148,7 @@ class TestReportCodec:
         # The report's `tagged` flags are the pass's decisions (tentpole
         # equivalence), so they must agree with the app's canonical tags.
         report = build_report("susan")
-        program = small_suite()["susan"].program()
+        program = suite_apps("small")["susan"].program()
         tagged = {site.index for site in report.sites if site.tagged}
         assert tagged == set(program.tagged_indices())
 
@@ -165,28 +165,28 @@ class TestReportCodec:
 
 class TestAttribution:
     def test_stream_length_matches_exposed_counts(self):
-        app = small_suite()["adpcm"]
+        app = suite_apps("small")["adpcm"]
         golden = app.golden(0)
         for mode in (ProtectionMode.PROTECTED, ProtectionMode.UNPROTECTED):
             stream = exposed_site_stream(app, mode)
             assert len(stream) == golden.exposed_count(mode)
 
     def test_stream_sites_are_mode_exposed(self):
-        app = small_suite()["adpcm"]
+        app = suite_apps("small")["adpcm"]
         program = app.program()
         stream = exposed_site_stream(app, ProtectionMode.PROTECTED)
         assert set(stream) <= set(program.tagged_indices())
 
     def test_state_kind_model_is_rejected(self):
         with pytest.raises(ValueError, match="state"):
-            exposed_site_stream(small_suite()["adpcm"],
+            exposed_site_stream(suite_apps("small")["adpcm"],
                                 ProtectionMode.UNPROTECTED,
                                 model="memory-bit")
 
     def test_first_flip_attribution_matches_engine_events(self):
         """Attributed sites == the static_index the engine records when
         the plan actually fires."""
-        app = small_suite()["adpcm"]
+        app = suite_apps("small")["adpcm"]
         config = CampaignConfig(base_seed=1234)
         mode = ProtectionMode.UNPROTECTED
         records = []
@@ -216,7 +216,7 @@ class TestAttribution:
         assert attributed == engine_sites
 
     def test_unattributable_records_are_skipped(self):
-        app = small_suite()["adpcm"]
+        app = suite_apps("small")["adpcm"]
         config = CampaignConfig(base_seed=1234)
         multi = make_record(app, config, 0, 2, ProtectionMode.UNPROTECTED)
         clean = make_record(app, config, 1, 0, ProtectionMode.UNPROTECTED)

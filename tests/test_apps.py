@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import APP_ORDER, create_app, small_suite
+from repro.apps import APP_ORDER, create_app, suite_apps
 from repro.apps.blowfish.app import initial_box_constants
 from repro.apps.blowfish.reference import BlowfishReference
 from repro.apps.mcf.app import MAX_TRIPS
@@ -12,7 +12,7 @@ from repro.sim import Outcome
 
 @pytest.fixture(scope="module")
 def suite():
-    return small_suite()
+    return suite_apps("small")
 
 
 class TestSuiteBasics:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import small_suite
+from repro.apps import suite_apps
 from repro.sim import Machine, ProtectionMode, plan_injections
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "engine_golden_digests.json"
@@ -31,7 +31,7 @@ APP_NAMES = ["susan", "mpeg", "mcf", "blowfish", "gsm", "art", "adpcm"]
 
 @pytest.fixture(scope="module")
 def suite():
-    return small_suite()
+    return suite_apps("small")
 
 
 def nan_equal(a, b):

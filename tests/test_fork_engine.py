@@ -21,7 +21,7 @@ import zlib
 
 import pytest
 
-from repro.apps import small_suite
+from repro.apps import suite_apps
 from repro.core import CampaignConfig
 from repro.experiments import live_campaign
 from repro.isa import F, Opcode, R
@@ -49,7 +49,7 @@ FORK_MODELS = ["control-bit", "data-bit", "multi-bit", "opcode"]
 
 @pytest.fixture(scope="module")
 def suite():
-    return small_suite()
+    return suite_apps("small")
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import SUITES, create_app, registry
+from repro.apps import SUITES, create_app, registry, suite_apps
 from repro.core import CampaignConfig
 from repro.core import app as app_module
 from repro.exec import SocketExecutor, create_executor
@@ -169,9 +169,9 @@ def test_a_memoized_golden_run_guards_the_capture():
 # ----------------------------------------------------------------------
 # The one-pass golden run against the engines' golden runs.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", list(SUITES["small"]()))
-def test_one_pass_golden_matches_decoded_and_reference(name):
-    app = SUITES["small"]()[name]
+@pytest.mark.parametrize("name", list(SUITES["small"]))
+def test_one_pass_golden_matches_decoded_and_reference(name, fresh_app_cache):
+    app = suite_apps("small")[name]
     for seed in (0, 1):
         store = app.checkpoint_store(seed)
         golden = app.golden(seed).result
@@ -352,10 +352,10 @@ def test_grid_keeps_exact_checkpoints(count, first, gsm_accesses,
 
 
 SMALL_SUITE_WARM = """
-from repro.apps import small_suite
+from repro.apps import suite_apps
 from repro.sim import semantics
 
-for app in small_suite().values():
+for app in suite_apps("small").values():
     app.warm(checkpoints=True)
 spans = sum(span for _, span in semantics._UNIT_MAKERS)
 print(spans, len(semantics._UNIT_MAKERS) - spans)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps.registry import SUITES
+from repro.apps.registry import SUITES, suite_apps
 from repro.compiler.minic import LexerError, tokenize
 from repro.compiler.minic.lexer import KEYWORDS, OPERATORS
 
@@ -103,7 +103,7 @@ def assert_same(source: str) -> None:
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_every_app_source_lexes_as_the_oracle_does(suite):
-    for app in SUITES[suite]().values():
+    for app in suite_apps(suite).values():
         source = app.source()
         assert outcome(tokenize, source)[-1][0] == "eof"
         assert_same(source)

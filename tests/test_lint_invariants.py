@@ -155,6 +155,38 @@ class TestNoDynamicCode:
         assert lint_paths([tmp_path / "src"], root=tmp_path) == []
 
 
+class TestAppConstruction:
+    def test_create_app_outside_apps_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/experiments/bad.py",
+               "from ..apps import create_app\n\n\ndef suite():\n"
+               "    return {'adpcm': create_app('adpcm', samples=400)}\n")
+        found = lint_paths([tmp_path / "src"], root=tmp_path)
+        assert _rules(found) == ["app-construction"]
+        assert found[0].path == "src/repro/experiments/bad.py"
+        assert found[0].line == 5
+
+    def test_class_constructors_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/service/bad.py",
+               "from ..apps import registry\n"
+               "from ..apps.mcf.app import McfApp\n\n\n"
+               "def build(name, params):\n"
+               "    return (McfApp(trips=6), registry.SusanApp(),\n"
+               "            registry.app_class(name)(**params))\n")
+        found = lint_paths([tmp_path / "src"], root=tmp_path)
+        assert _rules(found) == ["app-construction"] * 3
+
+    def test_apps_package_and_class_lookups_allowed(self, tmp_path):
+        _plant(tmp_path, "src/repro/apps/registry.py",
+               "def create_app(name, **kwargs):\n"
+               "    return app_class(name)(**kwargs)\n")
+        _plant(tmp_path, "src/repro/experiments/ok.py",
+               "from ..apps import app_class, suite_apps\n\n\n"
+               "def axis(name):\n"
+               "    return (app_class(name).default_error_sweep,\n"
+               "            suite_apps('small')[name])\n")
+        assert lint_paths([tmp_path / "src"], root=tmp_path) == []
+
+
 def test_multiple_violations_sorted_by_location(tmp_path):
     _plant(tmp_path, "src/repro/exec/bad.py",
            "import pickle\n\n\ndef to_json(x):\n"

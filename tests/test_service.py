@@ -24,7 +24,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.api import submit
-from repro.apps import small_suite
+from repro.apps import suite_apps
 from repro.core import ShardStore, StoppingRule
 from repro.exec import SocketExecutor
 from repro.service import CampaignService, CampaignSpec, ServiceClient
@@ -443,7 +443,7 @@ class TestServiceSmoke:
         # folds it in as a fresh slot — the mechanism that lets workers
         # register mid-campaign and join at the next chunk boundary.
         spec = CampaignSpec(runs_per_cell=4, base_seed=23)
-        executor = SocketExecutor([small_suite()["susan"]],
+        executor = SocketExecutor([suite_apps("small")["susan"]],
                                   spec.campaign_config())
         fleet = []
         executor.fleet_source = lambda: list(fleet)

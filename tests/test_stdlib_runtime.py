@@ -33,9 +33,9 @@ assert "repro.workloads.networks" in names, names
 for name in names:
     importlib.import_module(name)
 
-from repro.apps import small_suite
+from repro.apps import suite_apps
 
-suite = small_suite()
+suite = suite_apps("small")
 for app in suite.values():
     app.warm(checkpoints=True)
 mcf = suite["mcf"]

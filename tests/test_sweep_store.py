@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import AdpcmApp, create_app, small_suite
+from repro.apps import create_app, suite_apps
+from repro.apps.adpcm.app import AdpcmApp
 from repro.core import (
     CampaignConfig,
     RunRecord,
@@ -220,7 +221,7 @@ class TestShardStore:
 
 class TestPaperGrid:
     def test_grid_covers_figure_and_table2_points(self):
-        suite = small_suite()
+        suite = suite_apps("small")
         app = suite["adpcm"]
         axis = grid_errors_axis(app)
         assert set(app.default_error_sweep) <= set(axis)

@@ -13,7 +13,7 @@ no test mutates the apps' canonical tags.
 
 import pytest
 
-from repro.apps import small_suite
+from repro.apps import suite_apps
 from repro.compiler.passes import ControlTaggingPass, compute_def_use
 
 
@@ -31,7 +31,7 @@ def _tagged_sets(program):
 
 @pytest.mark.parametrize("name", ["susan", "adpcm"])
 def test_option_tags_are_setwise_contained(name):
-    program = small_suite()[name].program()
+    program = suite_apps("small")[name].program()
     default, addresses, memory, no_stack = _tagged_sets(program)
     # Every knob is monotone: more conservative = fewer tagged sites.
     assert memory <= addresses <= default <= no_stack
@@ -43,7 +43,7 @@ def test_option_tags_are_setwise_contained(name):
 def test_fraction_ordering_follows_from_containment(name):
     """The exact ordering the nightly bench asserts on dynamic fractions,
     pinned here on static counts."""
-    program = small_suite()[name].program()
+    program = suite_apps("small")[name].program()
     default, addresses, memory, no_stack = _tagged_sets(program)
     assert len(memory) <= len(addresses) <= len(default) <= len(no_stack)
 
@@ -52,7 +52,7 @@ def test_facts_match_mutating_pass_under_options():
     """The def-use sets above stand in for the real pass — prove it for
     one app under the most intricate option combination (track_memory),
     restoring the canonical tags afterwards."""
-    program = small_suite()["adpcm"].program()
+    program = suite_apps("small")["adpcm"].program()
     try:
         report = ControlTaggingPass(protect_addresses=True,
                                     track_memory=True).run(program)

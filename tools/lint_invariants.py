@@ -37,6 +37,14 @@ the source tree with the stdlib ``ast`` module and enforces them:
     wire, so generated code must come only from module constants, never
     from data: operand values reach it only as maker arguments.
 
+``app-construction``
+    Only ``src/repro/apps/`` builds applications.  Elsewhere under
+    ``src/repro``, a call to ``create_app``, to an application class (a
+    name ending in ``App``) or to the class ``app_class(...)`` returns is
+    a finding: the package takes its instances from the registry's
+    warm-app cache (``suite_apps``, ``cached_app``), so a process holds
+    one compiled, warmed instance per application and parameters.
+
 Exit status 1 when any violation is found.  Self-tested (with seeded
 violations) in ``tests/test_lint_invariants.py``.
 """
@@ -71,6 +79,10 @@ DYNAMIC_CODE_BUILTINS = frozenset({"exec", "eval", "compile"})
 #: Where ``no-dynamic-code`` applies, and the one module exempt from it.
 DYNAMIC_CODE_SCOPES = ("src/repro/",)
 DYNAMIC_CODE_EXEMPT = "src/repro/sim/semantics.py"
+
+#: Where ``app-construction`` applies, and the package exempt from it.
+APP_CONSTRUCTION_SCOPES = ("src/repro/",)
+APP_CONSTRUCTION_EXEMPT = "src/repro/apps/"
 
 #: Function-name markers of codec/serialization code (exact names or,
 #: for the verb forms, prefixes).
@@ -111,6 +123,25 @@ def _dotted_call(node: ast.Call) -> Optional[str]:
     return None
 
 
+def _called_name(func: ast.expr) -> Optional[str]:
+    """The name a call's callee ends in (``f`` or ``x.f``), else ``None``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _builds_app(node: ast.Call) -> bool:
+    """Whether ``node`` constructs an application instance."""
+    name = _called_name(node.func)
+    if name is not None:
+        return name == "create_app" or (name.endswith("App")
+                                        and name[:1].isupper())
+    return (isinstance(node.func, ast.Call)
+            and _called_name(node.func.func) == "app_class")
+
+
 def _is_set_expression(node: ast.expr) -> bool:
     """Whether ``node`` evaluates to a set with no ordering applied."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -133,6 +164,9 @@ class _FileLinter(ast.NodeVisitor):
         self._check_random = _in_scope(relative, DETERMINISM_SCOPES)
         self._check_dynamic = (_in_scope(relative, DYNAMIC_CODE_SCOPES)
                                and relative != DYNAMIC_CODE_EXEMPT)
+        self._check_apps = (_in_scope(relative, APP_CONSTRUCTION_SCOPES)
+                            and not relative.startswith(
+                                APP_CONSTRUCTION_EXEMPT))
 
     def _report(self, node: ast.AST, rule: str, message: str) -> None:
         self.violations.append(Violation(
@@ -161,8 +195,14 @@ class _FileLinter(ast.NodeVisitor):
                     f"the protocol is versioned JSON by design")
         self.generic_visit(node)
 
-    # -- unseeded-random and no-dynamic-code ----------------------------
+    # -- unseeded-random, no-dynamic-code and app-construction ----------
     def visit_Call(self, node: ast.Call) -> None:
+        if self._check_apps and _builds_app(node):
+            self._report(
+                node, "app-construction",
+                "builds an application outside repro.apps; take it from "
+                "apps.registry.suite_apps or cached_app, so the process "
+                "keeps one warm instance")
         if self._check_dynamic:
             func = node.func
             name = (func.id if isinstance(func, ast.Name)
