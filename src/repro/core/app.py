@@ -63,9 +63,10 @@ class GoldenRun:
     exposed_protected: int
     exposed_unprotected: int
     #: Golden checkpoint trace for the fork engine (:mod:`repro.sim.fork`).
-    #: Deliberately dropped when the golden run is pickled into campaign
-    #: worker processes — the snapshots dwarf the rest of the payload and
-    #: workers rebuild the store locally on first use.
+    #: Dropped when the golden run is pickled -- the snapshots dwarf the
+    #: rest of the payload -- so a pool worker started by spawn or
+    #: forkserver rebuilds it on first use; one started by fork inherits
+    #: it with the parent's warm application.
     checkpoint_store: Optional[CheckpointStore] = None
 
     @property
@@ -259,7 +260,8 @@ class ErrorTolerantApp(abc.ABC):
 
     def run_once(self, injection=None, seed: int = 0,
                  max_instructions: Optional[int] = None,
-                 engine: str = "decoded") -> RunResult:
+                 engine: str = "decoded",
+                 record_only: bool = False) -> RunResult:
         """Execute one run of the workload for ``seed`` with optional injection.
 
         ``engine="fork"`` resumes the run from the nearest golden checkpoint
@@ -267,7 +269,9 @@ class ErrorTolerantApp(abc.ABC):
         back in on re-convergence (bit-identical results, O(divergence)
         cost); :func:`~repro.sim.machine.executing_engine` decides when it
         degrades to the decoded engine.  Campaigns select the engine via
-        ``CampaignConfig.engine``.
+        ``CampaignConfig.engine``.  ``record_only`` says the caller reads
+        only what a run record holds, so the fork engine may end a hang
+        on a proof (:mod:`repro.sim.hang`).
         """
         engine = executing_engine(engine, injection)
         store = self.checkpoint_store(seed) if engine == "fork" else None
@@ -279,7 +283,8 @@ class ErrorTolerantApp(abc.ABC):
             # application, no golden prefix re-execution.
             machine = Machine(self.program())
             return machine.run(max_instructions=budget, injection=injection,
-                               engine=engine, checkpoints=store)
+                               engine=engine, checkpoints=store,
+                               record_only=record_only)
         machine = self._make_machine(self.workload(seed))
         return machine.run(max_instructions=budget, injection=injection,
                            engine=engine)

@@ -78,11 +78,13 @@ def _execute(app: ErrorTolerantApp, config, workload_seed: int,
     A run without targets is the golden run: its watchdog budget covers
     the golden length, so its result is the memoized golden result and
     is not simulated again.  Only records read it, so no caller gets the
-    shared object.
+    shared object, and an injected run may end on a hang proof
+    (``record_only``).
     """
     if plan is None or not plan.targets:
         return app.golden(workload_seed).result
-    return app.run_once(injection=plan, seed=workload_seed, engine=config.engine)
+    return app.run_once(injection=plan, seed=workload_seed,
+                        engine=config.engine, record_only=True)
 
 
 def make_record(app: ErrorTolerantApp, config, run_index: int, errors: int,

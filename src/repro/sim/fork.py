@@ -35,6 +35,14 @@ O(divergence) instead of O(program length):
   golden suffix with the cells patched in, at the checkpoint where a full
   replay would have spliced or at the golden completion, and the store's
   counters advance exactly as a full replay would advance them.
+* **Proven hangs**: a caller that reads only the run's record (outcome,
+  executed count, fault kind, injected errors) passes ``record_only``.
+  Once the run is past the golden length, :func:`repro.sim.hang.run_out`
+  tries to prove, at a few points, that the run neither halts, faults
+  nor fires another injection before its budget; when a proof holds the
+  run ends at once as a hang at its budget, the record a full run would
+  give.  Its counts, outputs and memory stop where the proof was made,
+  so no other caller asks for it.
 
 The comparison is *exact*, not probabilistic: a splice happens only when
 registers, pc, per-channel output lengths and the full memory image are
@@ -44,7 +52,8 @@ being deterministic) guarantees the spliced :class:`RunResult` is
 bit-identical to what a full run would have produced.  Runs that never
 re-converge — crashes, hangs, persistently corrupted state — simply run to
 their natural end under the exact semantics of the decoded engine,
-including watchdog and fault behaviour.
+including watchdog and fault behaviour, unless a record-only run's hang is
+proven.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ from ..isa.registers import RV
 from .decode import decode_program
 from .errors import SimFault, WatchdogExpired
 from .faults import InjectionPlan, ProtectionMode
+from .hang import run_out
 from .stepper import Stepper
 
 #: Default number of checkpoints captured over a golden run: at most
@@ -130,10 +140,11 @@ class CheckpointStore:
     consumed by every injected run of the campaign cell.  Checkpoint 0 is
     the run start; every later one sits at the first unit leader at or
     past a multiple of ``interval``, at the dynamic index it records, and
-    the fork loop stops its own run at each of those indices.  The store
-    is deliberately **not** shipped to campaign worker processes (see
-    ``GoldenRun.__getstate__``); workers rebuild it from the decode cache
-    on first use.
+    the fork loop stops its own run at each of those indices.  A pickled
+    golden run drops its store (``GoldenRun.__getstate__``), so a worker
+    that receives its applications pickled -- a pool started by spawn or
+    forkserver -- rebuilds the store on first use; a pool started by fork
+    inherits the parent's warm applications, stores included.
     """
 
     program: object
@@ -154,9 +165,14 @@ class CheckpointStore:
     final_writes: FrozenSet[int]
 
     # Telemetry for benchmarks: how much work forked runs actually did.
+    # None of it reaches a record.
     forked_runs: int = 0
     spliced_runs: int = 0
+    #: Instructions forked runs executed; a proven hang counts only the
+    #: ones it ran before its proof, not its budget.
     replayed_instructions: int = 0
+    #: Record-only runs ended early by a hang proof (:mod:`repro.sim.hang`).
+    proven_hangs: int = 0
     #: Always 0: kept only because the end-to-end benchmark's tracer reads
     #: it; goes away with the benchmark change that stops reading it.
     batch_retired_runs: int = 0
@@ -354,7 +370,7 @@ def _all_dead(addresses, last_read: Dict[int, int], interval: int) -> bool:
 
 
 def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
-               max_instructions: int):
+               max_instructions: int, record_only: bool = False):
     """Execute an injected run by forking off the golden checkpoint trace.
 
     ``machine`` must be freshly constructed for the store's program; its
@@ -362,6 +378,14 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
     so the workload does not need to be applied (and any applied state is
     discarded).  Returns a :class:`RunResult` bit-identical to
     ``machine.run(engine="decoded")`` on an identically prepared machine.
+
+    With ``record_only`` the caller reads only what a run record holds
+    (outcome, executed count, fault kind, injected errors, and the
+    fidelity of a completed run), and a run past the golden length may
+    end on a hang proof (:func:`repro.sim.hang.run_out`): outcome
+    ``hang`` at ``executed == max_instructions`` with the events the full
+    run fires, but its counts, outputs and memory stop where the proof
+    was made.
     """
     # Deferred import: machine.py imports this module lazily for the same
     # reason (RunResult/Outcome live there and fork is an engine of Machine).
@@ -416,6 +440,7 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
     float_regs = machine.float_regs
 
     store.forked_runs += 1
+    proven = False
     fault: Optional[SimFault] = None
     outcome = Outcome.COMPLETED
     converged: Optional[Checkpoint] = None
@@ -432,10 +457,16 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
     try:
         while True:
             # Stop at the next checkpoint; after the last one, run to the
-            # end.
-            boundary = (checkpoints[epoch].executed if epoch < n_checkpoints
-                        else max_instructions)
-            stepper.run(min(boundary, max_instructions))
+            # end, or to a hang proof.
+            if epoch < n_checkpoints:
+                stepper.run(min(checkpoints[epoch].executed, max_instructions))
+            elif record_only:
+                proven = run_out(stepper, store.final_executed,
+                                 max_instructions)
+                if proven:
+                    break
+            else:
+                stepper.run(max_instructions)
             if stepper.halted:
                 break
             executed = stepper.executed
@@ -517,6 +548,10 @@ def run_forked(machine, plan: InjectionPlan, store: CheckpointStore,
         executed = (converged.executed if converged is not None
                     else store.final_executed)
     store.replayed_instructions += executed - start.executed
+    if proven:
+        store.proven_hangs += 1
+        outcome = Outcome.HANG
+        executed = max_instructions
 
     if adopted is not None:
         # ------------------------------------------------------------------

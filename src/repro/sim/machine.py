@@ -192,6 +192,7 @@ class Machine:
         injection: Optional[InjectionPlan] = None,
         engine: str = "decoded",
         checkpoints=None,
+        record_only: bool = False,
     ) -> RunResult:
         """Execute the program and return the run's :class:`RunResult`.
 
@@ -204,7 +205,10 @@ class Machine:
         bit-identical results under the same seeds.  Fork requests degrade
         to the decoded engine by :func:`executing_engine`.  The reference
         engine predates the model subsystem and only implements the default
-        ``control-bit`` model.
+        ``control-bit`` model.  ``record_only`` lets the fork engine end a
+        run on a hang proof, whose result then holds only what a run
+        record reads (see :func:`~repro.sim.fork.run_forked`); every other
+        engine ignores it.
         """
         has_targets = injection is not None and bool(injection.targets)
         if engine == "reference":
@@ -220,7 +224,8 @@ class Machine:
             if checkpoints is None:
                 raise ValueError("engine='fork' requires a checkpoint store")
             from .fork import run_forked
-            return run_forked(self, injection, checkpoints, max_instructions)
+            return run_forked(self, injection, checkpoints, max_instructions,
+                              record_only)
         if engine != "decoded":
             raise ValueError(f"unknown engine {engine!r}")
 

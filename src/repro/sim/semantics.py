@@ -279,6 +279,11 @@ assert set(SEMANTICS) == set(Opcode), "opcode semantics table incomplete"
 FLOAT_RESULT_OPS = frozenset(
     row.op for row in _ROWS if row.dest == FLOAT)
 
+#: Opcodes whose int result wraps to int32 whatever their operands.
+WRAPPED_OPS = frozenset(
+    row.op for row in _ROWS
+    if row.result and row.result.endswith("& 0xFFFFFFFF) - 0x80000000"))
+
 
 # ----------------------------------------------------------------------
 # Source templates.

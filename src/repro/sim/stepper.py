@@ -130,7 +130,8 @@ class Stepper:
 
         A unit that starts before ``stop`` runs whole past it, so the run
         splits no unit; ``limit`` stays a hard stop (a unit that would
-        pass it runs as a span up to it).  For a stepper without a plan.
+        pass it runs as a span up to it).  For a stepper with no target
+        pending.
         """
         self._run_fast(limit, stop)
 
